@@ -9,6 +9,10 @@ The identity, in monic normalization, reads
 
 with b_p = 2^p p! a_p, where the a_p are the coefficients of the
 characteristic equation S^D + sum_p a_p S^{D-2p} = 0.
+
+Level p depends only on the tuple's axis counts c: it equals the sum over
+even e1 + e2 + e3 = 2p of prod_a C(c_a, e_a) (e_a - 1)!! {S over c - e}
+(``symalg.delta_weights``); position subsets appear only in emitted output.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from typing import Literal, Sequence
 
 from .scalar import Scalar, frac_str
 from .spinrep import Matrix, SpinRep
-from .symalg import IndexMultiset, SymSession, all_multisets, gen_delta
+from .symalg import IndexMultiset, SymSession, all_multisets, delta_weights
 
 Witness = tuple[int, int, Scalar]
 Failure = tuple[tuple[int, ...], Witness]
@@ -151,51 +155,34 @@ def max_multipole_order(dim: int) -> int:
     return dim - 1
 
 
-def _level_subsets(dim: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    return tuple(
-        tuple(itertools.combinations(range(dim), 2 * p))
-        for p in range(1, dim // 2 + 1)
-    )
-
-
 @dataclass(frozen=True)
 class Identity:
     """The reduction identity for one dimension, monic normalization.
 
-    ``subsets[p-1]`` lists every choice of 2p (0-based) index positions
-    routed into the generalized delta at level p; the remaining positions
-    stay in the symmetric product.
+    ``b[p-1]`` multiplies level p, the delta terms over all 2p-subsets of
+    positions, which for axis counts c sum to
+    sum_e prod_a C(c_a, e_a) (e_a - 1)!! {S over c - e} (``delta_weights``).
     """
 
     dim: int
     b: tuple[Fraction, ...]
-    subsets: tuple[tuple[tuple[int, ...], ...], ...]
 
     def residual(self, session: SymSession, idx: Sequence[int]) -> Matrix:
         """Exact value of the identity's left side on one index tuple;
         the zero matrix iff the identity holds there."""
-        idx = tuple(idx)
-        if len(idx) != self.dim:
-            raise ValueError(f"expected {self.dim} indices, got {len(idx)}")
-        total = session.sym(IndexMultiset.from_tuple(idx))
-        positions = set(range(self.dim))
-        for b_p, level in zip(self.b, self.subsets):
-            weights: dict[IndexMultiset, int] = {}
-            for subset in level:
-                d = gen_delta([idx[q] for q in subset])
-                if d:
-                    rest = IndexMultiset.from_tuple(
-                        idx[q] for q in positions.difference(subset)
-                    )
-                    weights[rest] = weights.get(rest, 0) + d
-            for rest, w in weights.items():
+        ms = IndexMultiset.from_tuple(idx)
+        if ms.order != self.dim:
+            raise ValueError(f"expected {self.dim} indices, got {ms.order}")
+        total = session.sym(ms)
+        for p, b_p in enumerate(self.b, start=1):
+            for rest, w in delta_weights(ms.counts, p).items():
                 total = total + session.sym(rest).scale(Scalar.of(b_p * w))
         return total
 
 
 def build_identity(dim: int) -> Identity:
     """Synthesize the dimension-D identity from the characteristic equation."""
-    return Identity(dim=dim, b=tuple(b_coeffs(dim)), subsets=_level_subsets(dim))
+    return Identity(dim=dim, b=tuple(b_coeffs(dim)))
 
 
 def discover_identity(rep: SpinRep) -> Identity:
@@ -211,27 +198,16 @@ def discover_identity(rep: SpinRep) -> Identity:
     if dim < 2:
         raise ValueError("no identity to discover below dimension 2")
     k = dim // 2
-    subsets = _level_subsets(dim)
     session = SymSession(rep)
-    positions = set(range(dim))
 
     # pivots[j] = reduced row with leading 1 in column j (plus rhs).
     pivots: dict[int, list[Fraction]] = {}
     for ms in all_multisets(dim):
-        idx = ms.letters()
         target = session.sym(ms)
         pattern_mats: list[Matrix] = []
-        for level in subsets:
-            weights: dict[IndexMultiset, int] = {}
-            for subset in level:
-                d = gen_delta([idx[q] for q in subset])
-                if d:
-                    rest = IndexMultiset.from_tuple(
-                        idx[q] for q in positions.difference(subset)
-                    )
-                    weights[rest] = weights.get(rest, 0) + d
+        for p in range(1, k + 1):
             mat = Matrix.zero(dim)
-            for rest, w in weights.items():
+            for rest, w in delta_weights(ms.counts, p).items():
                 mat = mat + session.sym(rest).scale(Scalar.of(w))
             pattern_mats.append(mat)
         for r in range(dim):
@@ -248,7 +224,7 @@ def discover_identity(rep: SpinRep) -> Identity:
     if len(pivots) < k:
         raise DiscoveryError("identity coefficients are not uniquely determined")
     solution = _back_substitute(pivots, k)
-    return Identity(dim=dim, b=tuple(solution), subsets=subsets)
+    return Identity(dim=dim, b=tuple(solution))
 
 
 def _eliminate(row: list[Fraction], pivots: dict[int, list[Fraction]], k: int) -> None:
@@ -352,6 +328,8 @@ def verify_identity(
     if mode == "sampled":
         if count is None or seed is None:
             raise ValueError("sampled mode requires count and seed")
+        if count < 1:
+            raise ValueError(f"sampled mode needs a positive count, got {count}")
         rng = random.Random(seed)
         sampled = [
             tuple(rng.randint(1, 3) for _ in range(d)) for _ in range(count)
@@ -428,7 +406,8 @@ def identity_to_json(
     levels = [
         {"p": 0, "coefficient": str(Fraction(factor)), "subsets": [[]]}
     ]
-    for p, (b, level) in enumerate(zip(ident.b, ident.subsets), start=1):
+    for p, b in enumerate(ident.b, start=1):
+        level = itertools.combinations(range(ident.dim), 2 * p)
         levels.append(
             {
                 "p": p,
@@ -473,20 +452,21 @@ def identity_to_latex(
 
     lead = "" if factor == 1 else f"{factor} "
     pieces = [lead + "\\{ " + " ".join(f"S_{{{n}}}" for n in names) + " \\}"]
-    for b, level in zip(ident.b, ident.subsets):
+    for p, b in enumerate(ident.b, start=1):
         coeff = b * factor
         sign = " - " if coeff < 0 else " + "
         mag = abs(coeff)
         coeff_str = "" if mag == 1 else frac_str(mag, latex=True) + " "
         # Trailing-position deltas first, matching the displayed general form
         # { S_{i_1} .. S_{i_{D-2p}} } delta_{i_{D-2p+1} .. i_D}.
-        terms = [_latex_term(names, subset, dim) for subset in reversed(level)]
-        if len(terms) == 1:
-            body = terms[0]
-        elif expand:
-            body = "\\Big( " + " + ".join(terms) + " \\Big)"
+        count = comb(dim, 2 * p)
+        if expand:
+            level = reversed(list(itertools.combinations(range(dim), 2 * p)))
         else:
-            more = f"\\mbox{{({len(terms) - 1} more similar terms)}}"
-            body = "\\Big( " + terms[0] + " + " + more + " \\Big)"
+            level = [tuple(range(dim - 2 * p, dim))]
+        terms = [_latex_term(names, subset, dim) for subset in level]
+        if count > 1 and not expand:
+            terms.append(f"\\mbox{{({count - 1} more similar terms)}}")
+        body = terms[0] if count == 1 else "\\Big( " + " + ".join(terms) + " \\Big)"
         pieces.append(sign + coeff_str + body)
     return "".join(pieces) + " = 0"

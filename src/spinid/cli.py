@@ -1,13 +1,15 @@
 """spinid command line: generate spin matrices, synthesize and verify
 reduction identities, reduce expressions, print coefficient tables.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error, 141
+(128 + SIGPIPE) when the reader of stdout goes away.
 Data goes to stdout, diagnostics to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .charid import (
@@ -19,7 +21,7 @@ from .charid import (
     power_sum,
     verify_identity,
 )
-from .rewrite import ParseError, parse, reduce_degree, render, to_json_dict
+from .rewrite import parse, reduce_degree, render, to_json_dict
 from .spinrep import build_generators
 
 
@@ -94,23 +96,24 @@ def _parse_verify_mode(value: str) -> tuple[str, int | None, int | None]:
         return "exhaustive", None, None
     if value.startswith("sampled:"):
         parts = value.split(":")
-        if len(parts) == 3:
+        if len(parts) == 3 and int(parts[1]) >= 1:
             return "sampled", int(parts[1]), int(parts[2])
     raise ValueError(
-        f"bad --verify value {value!r}: use 'exhaustive' or 'sampled:COUNT:SEED'"
+        f"bad --verify value {value!r}: use 'exhaustive' or 'sampled:COUNT:SEED', COUNT >= 1"
     )
 
 
 def cmd_identity(args: argparse.Namespace) -> int:
+    verify = None if args.verify is None else _parse_verify_mode(args.verify)
     ident = build_identity(args.dim)
     if args.format == "json":
         print(json.dumps(identity_to_json(ident, args.normalization)))
     else:
         print(identity_to_latex(ident, args.normalization, expand=args.expand))
-    if args.verify is None:
+    if verify is None:
         return 0
 
-    mode, count, seed = _parse_verify_mode(args.verify)
+    mode, count, seed = verify
     rep = build_generators(args.rep_dim if args.rep_dim is not None else args.dim)
     report = verify_identity(rep, ident, mode=mode, count=count, seed=seed, jobs=args.jobs)
     if args.format == "json":
@@ -150,11 +153,14 @@ def cmd_sums(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"spinid: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # inside the try, so a closed pipe surfaces here
+        return code
+    except BrokenPipeError:
+        # Send what is still buffered to devnull so the exit flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (ValueError, ArithmeticError) as exc:  # ParseError is a ValueError
         print(f"spinid: {exc}", file=sys.stderr)
         return 2
 

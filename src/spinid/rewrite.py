@@ -9,6 +9,7 @@ the degree.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -17,7 +18,7 @@ from typing import Iterator, Literal, Mapping, Union
 from .charid import Identity, build_identity
 from .scalar import SCALAR_ONE, Scalar, render_components
 from .spinrep import Matrix, SpinRep
-from .symalg import epsilon, gen_delta
+from .symalg import IndexMultiset, delta_weights, epsilon
 
 Word = tuple[int, ...]
 ScalarLike = Union[Scalar, Fraction, int]
@@ -363,7 +364,11 @@ def parse(text: str) -> NCPolynomial:
     S1 S2 S3, I, i, integers, rationals p/q, sqrt(m), symmetric braces
     { S1 S2 ... }, commutators [A, B]; parentheses group.
     """
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
 
 
 def sym_words(letters: tuple[int, ...]) -> NCPolynomial:
@@ -427,19 +432,18 @@ def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
 
 
 def _identity_replacement(ident: Identity, letters: Word) -> NCPolynomial:
-    """The word expansion of {letters} after one application of the
-    dimension-D identity: degree <= D-2 only."""
-    d = ident.dim
-    positions = set(range(d))
-    acc: dict[Word, Fraction] = {}
-    for b_p, level in zip(ident.b, ident.subsets):
-        for subset in level:
-            delta = gen_delta([letters[q] for q in subset])
-            if delta:
-                rest = [letters[q] for q in sorted(positions.difference(subset))]
-                for perm in itertools.permutations(rest):
-                    acc[perm] = acc.get(perm, Fraction(0)) - b_p * delta
-    return NCPolynomial({w: Scalar.of(c) for w, c in acc.items()})
+    """(1/D!)(R - {letters}) for D sorted letters, R being {letters} after
+    one application of the identity (degree <= D-2): added to any ordering
+    of the letters, it swaps that word's symmetric part for R."""
+    counts = IndexMultiset.from_tuple(letters).counts
+    inv = Fraction(1, factorial(ident.dim))
+    terms = [(letters, -inv)]  # R = -sum_p b_p sum_rest w {rest}
+    for p, b_p in enumerate(ident.b, start=1):
+        terms += [(r.letters(), -inv * b_p * w) for r, w in delta_weights(counts, p).items()]
+    # the multisets differ, so no word comes from two terms
+    return NCPolynomial({
+        perm: c * n for sym, c in terms for perm, n in Counter(itertools.permutations(sym)).items()
+    })
 
 
 def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
@@ -455,7 +459,6 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     if dim < 2:
         raise ValueError("reduction requires dimension >= 2")
     ident = build_identity(dim)
-    inv_dfact = Fraction(1, factorial(dim))
     memo: dict[Word, dict[Word, Scalar]] = {}
     cur = pbw_normalize(p)._terms.copy()
     repl_cache: dict[Word, NCPolynomial] = {}
@@ -468,21 +471,13 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
         c = cur.pop(w)
         u, v = w[:dim], w[dim:]
         sorted_u = tuple(sorted(u))
-        repl = repl_cache.get(sorted_u)
-        if repl is None:
-            repl = _identity_replacement(ident, sorted_u)
-            repl_cache[sorted_u] = repl
-        # c * u v  ->  c * [ (1/D!)(repl) + (u - (1/D!){u}) ] v
-        chunk: dict[Word, Scalar] = {}
-        for wq, cq in repl._terms.items():
-            _accumulate(chunk, wq + v, cq * inv_dfact)
-        _accumulate(chunk, w, SCALAR_ONE)
-        minus = Scalar.of(-inv_dfact)
-        for perm in itertools.permutations(u):
-            _accumulate(chunk, perm + v, minus)
+        if sorted_u not in repl_cache:
+            repl_cache[sorted_u] = _identity_replacement(ident, sorted_u)
+        # c * u v  ->  c * [ u + (1/D!)(R - {u}) ] v
+        chunk: dict[Word, Scalar] = {w: SCALAR_ONE}
+        for wq, cq in repl_cache[sorted_u]._terms.items():
+            _accumulate(chunk, wq + v, cq)
         for wq, cq in chunk.items():
-            if cq.is_zero():
-                continue
             for w2, c2 in _ordered_form(wq, memo).items():
                 _accumulate(cur, w2, c * cq * c2)
         cur = {w2: c2 for w2, c2 in cur.items() if not c2.is_zero()}

@@ -8,6 +8,7 @@ evaluation over whole tuple spaces cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, prod
 from typing import Iterable, Sequence
 
 from .scalar import Scalar
@@ -108,12 +109,27 @@ def pairing_count(n: int) -> int:
     return out
 
 
+def delta_weights(counts: tuple[int, int, int], p: int) -> dict[IndexMultiset, int]:
+    """Generalized deltas of a tuple with these axis counts, summed over
+    all 2p-subsets of positions, by the multiset left out: the C(c_a, e_a)
+    ways to take e_a indices of each axis a (all e_a even) leave c - e and
+    pair up in prod_a (e_a - 1)!! ways."""
+    out: dict[IndexMultiset, int] = {}
+    for e1 in range(0, min(counts[0], 2 * p) + 1, 2):
+        for e2 in range(0, min(counts[1], 2 * p - e1) + 1, 2):
+            e = (e1, e2, 2 * p - e1 - e2)
+            if e[2] <= counts[2]:
+                rest = IndexMultiset(tuple(c - k for c, k in zip(counts, e)))
+                out[rest] = prod(comb(c, k) * pairing_count(k // 2) for c, k in zip(counts, e))
+    return out
+
+
 def gen_delta(idx: Sequence[Axis]) -> int:
     """Generalized Kronecker delta: the number of perfect pairings of the
     index tuple whose pairs all carry equal axes.
 
     Enumerates pairings recursively (first element paired with each
-    remaining one) -- deliberately oracle-grade simple.
+    remaining one) -- deliberately oracle-grade simple: delta_weights' oracle.
     """
     if len(idx) % 2:
         raise ValueError("generalized delta needs an even number of indices")

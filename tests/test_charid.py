@@ -122,10 +122,14 @@ def test_identity_structure(dim):
     ident = build_identity(dim)
     a = char_coeffs(dim).a
     assert len(ident.b) == dim // 2
-    for p, (b_p, level) in enumerate(zip(ident.b, ident.subsets), start=1):
+    levels = identity_to_json(ident)["levels"]
+    assert [lvl["p"] for lvl in levels] == list(range(dim // 2 + 1))
+    for p, (b_p, level) in enumerate(zip(ident.b, levels[1:]), start=1):
         assert b_p == 2**p * factorial(p) * a[p - 1]
-        assert len(level) == comb(dim, 2 * p)
-        assert all(len(subset) == 2 * p for subset in level)
+        assert Fraction(level["coefficient"]) == b_p
+        subsets = [tuple(s) for s in level["subsets"]]
+        assert len(set(subsets)) == len(subsets) == comb(dim, 2 * p)
+        assert all(len(s) == 2 * p and 1 <= min(s) and max(s) <= dim for s in subsets)
 
 
 def test_identity_json_monic():
@@ -167,6 +171,21 @@ def test_identity_latex_layouts():
     five = identity_to_latex(build_identity(5))
     assert "(9 more similar terms)" in five
     assert "(4 more similar terms)" in five
+
+    # The collapsed form shows the first term of each expanded level.
+    for dim in range(2, 10):
+        ident = build_identity(dim)
+        collapsed = identity_to_latex(ident).split(" \\Big( ")
+        expanded = identity_to_latex(ident, expand=True).split(" \\Big( ")
+        assert len(collapsed) == len(expanded) and collapsed[0] == expanded[0]
+        for short, full in zip(collapsed[1:], expanded[1:]):
+            short_body, short_tail = short.split(" \\Big)")
+            full_body, full_tail = full.split(" \\Big)")
+            shown, more = short_body.split(" + \\mbox{(")
+            terms = full_body.split(" + ")
+            assert terms[0] == shown
+            assert more == f"{len(terms) - 1} more similar terms)}}"
+            assert short_tail == full_tail
 
 
 # --- verification ------------------------------------------------------------
@@ -224,6 +243,9 @@ def test_sampled_mode_determinism():
 def test_sampled_mode_requires_count_and_seed():
     with pytest.raises(ValueError):
         verify_identity(REPS[3], build_identity(3), mode="sampled")
+    for count in (0, -3):  # a sample of no tuples would be a vacuous pass
+        with pytest.raises(ValueError):
+            verify_identity(REPS[3], build_identity(3), mode="sampled", count=count, seed=1)
     with pytest.raises(ValueError):
         verify_identity(REPS[3], build_identity(3), mode="nonsense")
 

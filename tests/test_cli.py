@@ -124,6 +124,22 @@ def test_identity_verify_sampled_requires_seed():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("mode", ["sampled:0:1", "sampled:-3:1"])
+def test_identity_verify_rejects_empty_sample(mode):
+    # a sample of no tuples checks nothing: refused before any output
+    proc = run_cli("identity", "3", "--verify", mode)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "COUNT" in proc.stderr
+
+
+def test_identity_latex_large_dimension():
+    # the collapsed form never enumerates the 2^39 position subsets
+    proc = run_cli("identity", "40", "--format", "latex")
+    assert proc.returncode == 0
+    assert "(779 more similar terms)" in proc.stdout
+
+
 def test_identity_verify_jobs():
     proc = run_cli("identity", "4", "--verify", "exhaustive", "--jobs", "2")
     assert proc.returncode == 0
@@ -143,6 +159,13 @@ def test_reduce_parse_error_reports_position():
     proc = run_cli("reduce", "S1*S2*", "--dim", "3")
     assert proc.returncode == 2
     assert "position 6" in proc.stderr
+
+
+def test_reduce_deep_nesting_is_a_parse_error():
+    proc = run_cli("reduce", "(" * 3000 + "S1" + ")" * 3000, "--dim", "3")
+    assert proc.returncode == 2
+    assert "nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_reduce_round_trip():
@@ -180,6 +203,24 @@ def test_sums():
     assert run_cli("sums", "2", "10").stdout.strip() == "385"
     assert run_cli("sums", "0", "0").stdout.strip() == "1"
     assert run_cli("sums", "-1", "4").returncode == 2
+
+
+def test_closed_stdout_exits_quietly():
+    # a pipe with no reader from the start: the first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinid", "coeffs", "400"],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_unknown_subcommand_usage_error():

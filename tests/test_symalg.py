@@ -10,6 +10,7 @@ from spinid.symalg import (
     SymSession,
     all_multisets,
     antisym_reduce_demo,
+    delta_weights,
     epsilon,
     gen_delta,
     pairing_count,
@@ -119,6 +120,23 @@ def test_gen_delta_total_over_all_tuples(n):
         gen_delta(tup) for tup in itertools.product((1, 2, 3), repeat=2 * n)
     )
     assert total == pairing_count(n) * 3**n
+
+
+@pytest.mark.parametrize("order", range(10))
+def test_delta_weights_match_subset_enumeration(order):
+    # the per-subset gen_delta sum is the brute-force oracle of the formula
+    for ms in all_multisets(order):
+        idx = ms.letters()
+        for p in range(order // 2 + 1):
+            brute = {}
+            for subset in itertools.combinations(range(order), 2 * p):
+                d = gen_delta([idx[q] for q in subset])
+                if d:
+                    rest = IndexMultiset.from_tuple(
+                        idx[q] for q in range(order) if q not in subset
+                    )
+                    brute[rest] = brute.get(rest, 0) + d
+            assert delta_weights(ms.counts, p) == brute, (ms, p)
 
 
 def brute_pairings(items):
