@@ -19,16 +19,15 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from typing import Literal, Sequence
 
 from .scalar import Scalar, frac_str
 from .spinrep import Matrix, SpinRep
-from .symalg import IndexMultiset, SymSession, all_multisets, delta_weights
+from .symalg import IndexMultiset, IntMatrix, SymSession, all_multisets, delta_weights
 
 Witness = tuple[int, int, Scalar]
 Failure = tuple[tuple[int, ...], Witness]
@@ -173,11 +172,15 @@ class Identity:
         ms = IndexMultiset.from_tuple(idx)
         if ms.order != self.dim:
             raise ValueError(f"expected {self.dim} indices, got {ms.order}")
-        total = session.sym(ms)
+        return self.residual_int(session, ms.counts).to_matrix()
+
+    def residual_int(self, session: SymSession, counts: tuple[int, int, int]) -> IntMatrix:
+        """The residual for these axis counts, in the session's kernel."""
+        parts: list[tuple[Fraction | int, IntMatrix]] = [(1, session.sym_int(counts))]
         for p, b_p in enumerate(self.b, start=1):
-            for rest, w in delta_weights(ms.counts, p).items():
-                total = total + session.sym(rest).scale(Scalar.of(b_p * w))
-        return total
+            for rest, w in delta_weights(counts, p).items():
+                parts.append((b_p * w, session.sym_int(rest.counts)))
+        return IntMatrix.combine(session.rep.dim, parts)
 
 
 def build_identity(dim: int) -> Identity:
@@ -190,9 +193,9 @@ def discover_identity(rep: SpinRep) -> Identity:
 
     Sets up  {S_{i_1}..S_{i_D}} + sum_p c_p (delta patterns) = 0  over the
     spanning family of all sorted index multisets and solves for the c_p by
-    exact elimination over the rationals (each matrix entry splits into its
-    rational coordinates on the {sqrt(m), i sqrt(m)} basis).  This is the
-    independent check that the b_p really are 2^p p! a_p.
+    fraction-free elimination (each matrix entry splits into its coordinates
+    on the {sqrt(m), i sqrt(m)} basis, one equation per coordinate).  This is
+    the independent check that the b_p really are 2^p p! a_p.
     """
     dim = rep.dim
     if dim < 2:
@@ -200,57 +203,55 @@ def discover_identity(rep: SpinRep) -> Identity:
     k = dim // 2
     session = SymSession(rep)
 
-    # pivots[j] = reduced row with leading 1 in column j (plus rhs).
-    pivots: dict[int, list[Fraction]] = {}
+    # pivots[j] = integer row with leading entry in column j (plus rhs).
+    pivots: dict[int, list[int]] = {}
     for ms in all_multisets(dim):
-        target = session.sym(ms)
-        pattern_mats: list[Matrix] = []
-        for p in range(1, k + 1):
-            mat = Matrix.zero(dim)
-            for rest, w in delta_weights(ms.counts, p).items():
-                mat = mat + session.sym(rest).scale(Scalar.of(w))
-            pattern_mats.append(mat)
-        for r in range(dim):
-            for c in range(dim):
-                keys = set(target.rows[r][c].components())
-                cols = [m.rows[r][c].components() for m in pattern_mats]
-                for col in cols:
-                    keys.update(col)
-                rhs_all = target.rows[r][c].components()
-                for key in keys:
-                    row = [col.get(key, Fraction(0)) for col in cols]
-                    row.append(-rhs_all.get(key, Fraction(0)))
-                    _eliminate(row, pivots, k)
+        counts = ms.counts
+        mats = [
+            IntMatrix.combine(
+                dim, ((w, session.sym_int(rest.counts)) for rest, w in delta_weights(counts, p).items())
+            )
+            for p in range(1, k + 1)
+        ]
+        mats.append(IntMatrix.combine(dim, [(-1, session.sym_int(counts))]))
+        # One equation per (row, col, key) coordinate, cleared of denominators.
+        den = lcm(*(m.den for m in mats))
+        rows: dict[tuple[int, int, int], list[int]] = {}
+        for j, m in enumerate(mats):
+            scale = den // m.den
+            for cell, n in m.terms.items():
+                rows.setdefault(cell, [0] * (k + 1))[j] = n * scale
+        for cell in sorted(rows):
+            _eliminate(rows[cell], pivots, k)
     if len(pivots) < k:
         raise DiscoveryError("identity coefficients are not uniquely determined")
     solution = _back_substitute(pivots, k)
     return Identity(dim=dim, b=tuple(solution))
 
 
-def _eliminate(row: list[Fraction], pivots: dict[int, list[Fraction]], k: int) -> None:
+def _eliminate(row: list[int], pivots: dict[int, list[int]], k: int) -> None:
     for j in range(k):
         if row[j] and j in pivots:
-            f = row[j]
-            prow = pivots[j]
-            for t in range(j, k + 1):
-                row[t] -= f * prow[t]
+            f, prow = row[j], pivots[j]
+            g = prow[j]
+            row = [g * x - f * y for x, y in zip(row, prow)]
     lead = next((j for j in range(k) if row[j]), None)
     if lead is None:
         if row[k]:
             raise DiscoveryError("no coefficients satisfy the identity pattern")
         return
-    inv = Fraction(1) / row[lead]
-    pivots[lead] = [x * inv for x in row]
+    g = gcd(*row)
+    pivots[lead] = [x // g for x in row]
 
 
-def _back_substitute(pivots: dict[int, list[Fraction]], k: int) -> list[Fraction]:
+def _back_substitute(pivots: dict[int, list[int]], k: int) -> list[Fraction]:
     values = [Fraction(0)] * k
     for j in sorted(pivots, reverse=True):
         row = pivots[j]
-        acc = row[k]
+        acc = Fraction(row[k])
         for t in range(j + 1, k):
             acc -= row[t] * values[t]
-        values[j] = acc
+        values[j] = acc / row[j]
     return values
 
 
@@ -289,30 +290,20 @@ class VerificationReport:
         }
 
 
-def _witness_by_multiset(
-    rep: SpinRep, ident: Identity, keys: Sequence[IndexMultiset]
-) -> dict[IndexMultiset, Witness | None]:
-    session = SymSession(rep)
-    out: dict[IndexMultiset, Witness | None] = {}
-    for ms in keys:
-        out[ms] = ident.residual(session, ms.letters()).first_nonzero_entry()
-    return out
-
-
 def verify_identity(
     rep: SpinRep,
     ident: Identity,
     mode: Literal["exhaustive", "sampled"] | None = None,
     count: int | None = None,
     seed: int | None = None,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Evaluate the identity's left side over index tuples and report every
     tuple where it fails to vanish.
 
     The left side depends only on the multiset of the tuple, so each
-    distinct multiset is evaluated once (on its sorted representative) and
-    the verdict is shared by all tuples mapping to it.  Cross-dimension
+    distinct multiset is evaluated once and the verdict is shared by all
+    tuples mapping to it; tuples are enumerated only to list the failures
+    when some multiset fails.  Cross-dimension
     checks (ident.dim != rep.dim) are allowed and useful.  A failing
     identity yields a report, never an exception.
 
@@ -343,33 +334,18 @@ def verify_identity(
         raise ValueError(f"unknown mode {mode!r}")
 
     if tuples is None:
-        keys = all_multisets(d)
+        keys = [ms.counts for ms in all_multisets(d)]
     else:
-        keys = sorted(
-            {IndexMultiset.from_tuple(t) for t in tuples},
-            key=lambda m: m.counts,
-        )
-
-    if jobs > 1 and len(keys) > 1:
-        chunks = [keys[w::jobs] for w in range(jobs)]
-        chunks = [c for c in chunks if c]
-        verdicts: dict[IndexMultiset, Witness | None] = {}
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for part in pool.map(
-                _witness_by_multiset,
-                itertools.repeat(rep),
-                itertools.repeat(ident),
-                chunks,
-            ):
-                verdicts.update(part)
-    else:
-        verdicts = _witness_by_multiset(rep, ident, keys)
+        keys = sorted({(t.count(1), t.count(2), t.count(3)) for t in tuples})
+    session = SymSession(rep)
+    verdicts = {c: ident.residual_int(session, c).first_nonzero_entry() for c in keys}
 
     failures: list[Failure] = []
-    for tup in tuples if tuples is not None else itertools.product((1, 2, 3), repeat=d):
-        witness = verdicts[IndexMultiset.from_tuple(tup)]
-        if witness is not None:
-            failures.append((tup, witness))
+    if any(w is not None for w in verdicts.values()):
+        for tup in tuples if tuples is not None else itertools.product((1, 2, 3), repeat=d):
+            witness = verdicts[(tup.count(1), tup.count(2), tup.count(3))]
+            if witness is not None:
+                failures.append((tup, witness))
 
     return VerificationReport(
         dim=d,

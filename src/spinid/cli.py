@@ -52,7 +52,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=None,
         help="verify against this representation dimension (default: dim)",
     )
-    ident.add_argument("--jobs", type=int, default=1, help="parallel verification workers")
     ident.add_argument(
         "--expand",
         action="store_true",
@@ -104,8 +103,11 @@ def _parse_verify_mode(value: str) -> tuple[str, int | None, int | None]:
 
 
 def cmd_identity(args: argparse.Namespace) -> int:
+    # Every usage error is raised before anything is printed.
     verify = None if args.verify is None else _parse_verify_mode(args.verify)
     ident = build_identity(args.dim)
+    if verify is not None:
+        rep = build_generators(args.rep_dim if args.rep_dim is not None else args.dim)
     if args.format == "json":
         print(json.dumps(identity_to_json(ident, args.normalization)))
     else:
@@ -114,8 +116,7 @@ def cmd_identity(args: argparse.Namespace) -> int:
         return 0
 
     mode, count, seed = verify
-    rep = build_generators(args.rep_dim if args.rep_dim is not None else args.dim)
-    report = verify_identity(rep, ident, mode=mode, count=count, seed=seed, jobs=args.jobs)
+    report = verify_identity(rep, ident, mode=mode, count=count, seed=seed)
     if args.format == "json":
         print(json.dumps(report.to_json()))
     else:

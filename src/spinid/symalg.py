@@ -4,14 +4,20 @@ The symmetric product {S_{i_1} ... S_{i_n}} is the sum over all n!
 orderings of the factors, repeats counted (so {S_i S_i} = 2 S_i^2).  It
 depends only on the multiset of indices, which is what makes memoized
 evaluation over whole tuple spaces cheap.
+
+The products are computed in ``IntMatrix``, an exact kernel of integer
+numerators over one common denominator; ``Matrix`` of ``Scalar`` entries
+stays the public type and the slow reference the tests compare against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, prod
+from fractions import Fraction
+from functools import lru_cache
+from math import comb, gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .scalar import Scalar
+from .scalar import SCALAR_ZERO, Radical, Scalar
 from .spinrep import Matrix, SpinRep
 
 Axis = int  # one of 1, 2, 3
@@ -62,36 +68,136 @@ def all_multisets(order: int) -> list[IndexMultiset]:
     return out
 
 
+Cell = tuple[int, int, int]  # (row, col, key); key = 2*m + imag stands for i^imag sqrt(m)
+
+
+@lru_cache(maxsize=None)
+def _key_product(k1: int, k2: int) -> tuple[int, int]:
+    """(factor, key) with basis(k1) * basis(k2) = factor * basis(key):
+    sqrt(m1) sqrt(m2) = g sqrt(m1 m2 / g^2) for g = gcd(m1, m2), and i i = -1."""
+    m1, m2 = k1 >> 1, k2 >> 1
+    g = gcd(m1, m2)
+    return (-g if k1 & k2 & 1 else g), 2 * (m1 // g) * (m2 // g) + ((k1 ^ k2) & 1)
+
+
+class IntMatrix:
+    """Exact sparse matrix whose entry (r, c) is the sum over keys of
+    terms[(r, c, key)] * i^imag sqrt(m) / den, for key = 2*m + imag with m
+    squarefree.
+
+    The denominator is positive and reduced against the numerators by gcd
+    whenever a value is built, so equal matrices have equal fields; zero
+    stores no terms.  Python ints are unbounded, so nothing is rounded.
+    """
+
+    __slots__ = ("dim", "terms", "den")
+
+    def __init__(self, dim: int, terms: dict[Cell, int], den: int = 1):
+        terms = {t: n for t, n in terms.items() if n}
+        g = gcd(den, *terms.values())
+        self.dim = dim
+        self.terms = terms if g == 1 else {t: n // g for t, n in terms.items()}
+        self.den = den // g
+
+    @classmethod
+    def from_matrix(cls, mat: Matrix) -> "IntMatrix":
+        coords: dict[Cell, Fraction] = {}
+        for r, row in enumerate(mat.rows):
+            for c, a in enumerate(row):
+                for (part, m), q in a.components().items():
+                    coords[(r, c, 2 * m + (part == "im"))] = q
+        den = lcm(*(q.denominator for q in coords.values()))
+        return cls(mat.dim, {t: q.numerator * (den // q.denominator) for t, q in coords.items()}, den)
+
+    def _scalar(self, items: Iterable[tuple[int, int]]) -> Scalar:
+        parts: tuple[dict, dict] = ({}, {})
+        for key, n in items:
+            parts[key & 1][key >> 1] = Fraction(n, self.den)
+        return Scalar._make(Radical._make(parts[0]), Radical._make(parts[1]))
+
+    def to_matrix(self) -> Matrix:
+        cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (r, c, key), n in self.terms.items():
+            cells.setdefault((r, c), []).append((key, n))
+        rows = [[SCALAR_ZERO] * self.dim for _ in range(self.dim)]
+        for (r, c), items in cells.items():
+            rows[r][c] = self._scalar(items)
+        return Matrix(rows)
+
+    def first_nonzero_entry(self) -> tuple[int, int, Scalar] | None:
+        """The first nonzero cell in row-major order, as Matrix gives it."""
+        if not self.terms:
+            return None
+        r, c, _ = min(self.terms)
+        return r, c, self._scalar((t[2], n) for t, n in self.terms.items() if t[:2] == (r, c))
+
+    def matmul(self, other: "IntMatrix") -> "IntMatrix":
+        by_row: dict[int, list[tuple[int, int, int]]] = {}
+        for (k, c, key), n in other.terms.items():
+            by_row.setdefault(k, []).append((c, key, n))
+        out: dict[Cell, int] = {}
+        for (r, k, k1), n1 in self.terms.items():
+            for c, k2, n2 in by_row.get(k, ()):
+                f, key = _key_product(k1, k2)
+                t = (r, c, key)
+                out[t] = out.get(t, 0) + f * n1 * n2
+        return IntMatrix(self.dim, out, self.den * other.den)
+
+    @classmethod
+    def combine(cls, dim: int, parts: Iterable[tuple[Fraction | int, "IntMatrix"]]) -> "IntMatrix":
+        """The linear combination sum of w * mat over (w, mat) pairs with
+        rational w, summed over one common denominator."""
+        parts = list(parts)
+        den = lcm(*(w.denominator * m.den for w, m in parts))
+        out: dict[Cell, int] = {}
+        for w, m in parts:
+            f = w.numerator * (den // (w.denominator * m.den))
+            for t, n in m.terms.items():
+                out[t] = out.get(t, 0) + f * n
+        return cls(dim, out, den)
+
+
 class SymSession:
     """Memoized symmetric-product evaluator bound to one representation.
 
     The cache is keyed on the index multiset, so exhaustive verification
     over all D-tuples costs O(#multisets) matrix products instead of
-    O(3^D * D!).  Sessions are single-threaded; use one per worker.
+    O(3^D * D!).  The products are built in the IntMatrix kernel from the
+    three generators, converted once; ``sym`` converts a product to a Matrix
+    on first request and returns that same object afterwards.  Sessions are
+    single-threaded.
     """
 
     def __init__(self, rep: SpinRep):
         self.rep = rep
-        self._cache: dict[IndexMultiset, Matrix] = {
-            IndexMultiset((0, 0, 0)): Matrix.identity(rep.dim)
+        self._gens = tuple(IntMatrix.from_matrix(rep.matrix(axis)) for axis in (1, 2, 3))
+        self._exact: dict[tuple[int, int, int], IntMatrix] = {  # key 2: sqrt(1)
+            (0, 0, 0): IntMatrix(rep.dim, {(k, k, 2): 1 for k in range(rep.dim)})
         }
+        self._matrices: dict[IndexMultiset, Matrix] = {}
 
     def sym(self, idx: IndexMultiset | Sequence[Axis]) -> Matrix:
         if not isinstance(idx, IndexMultiset):
             idx = IndexMultiset.from_tuple(idx)
-        cached = self._cache.get(idx)
-        if cached is not None:
-            return cached
-        # {n indices} = sum over positions j of {rest} * S_{i_j}; positions
-        # carrying equal letters contribute identical terms, hence the
-        # multiplicity factors.
-        total = Matrix.zero(self.rep.dim)
-        for axis in (1, 2, 3):
-            c = idx.counts[axis - 1]
-            if c:
-                total = total + (self.sym(idx.remove(axis)) * self.rep.matrix(axis)).scale(c)
-        self._cache[idx] = total
-        return total
+        mat = self._matrices.get(idx)
+        if mat is None:
+            mat = self._matrices[idx] = self.sym_int(idx.counts).to_matrix()
+        return mat
+
+    def sym_int(self, counts: tuple[int, int, int]) -> IntMatrix:
+        """The symmetric product for these axis counts, in the kernel."""
+        out = self._exact.get(counts)
+        if out is None:
+            # {n indices} = sum over positions j of {rest} * S_{i_j}; positions
+            # carrying equal letters contribute identical terms, hence the
+            # multiplicity factors.
+            parts = []
+            for a, c in enumerate(counts):
+                if c:
+                    rest = counts[:a] + (c - 1,) + counts[a + 1 :]
+                    parts.append((c, self.sym_int(rest).matmul(self._gens[a])))
+            out = self._exact[counts] = IntMatrix.combine(self.rep.dim, parts)
+        return out
 
 
 def sym_product(rep: SpinRep, idx: IndexMultiset | Sequence[Axis]) -> Matrix:

@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from test_symalg import brute_sym, dense_similarity
 
 from spinid.charid import (
+    VerificationReport,
     a1_closed,
     a2_closed,
     an1_closed,
@@ -20,7 +23,7 @@ from spinid.charid import (
     verify_identity,
 )
 from spinid.spinrep import Matrix, build_generators, conjugate_rep, eigenvalue_list
-from spinid.symalg import SymSession
+from spinid.symalg import IndexMultiset, SymSession, all_multisets, delta_weights
 
 REPS = {dim: build_generators(dim) for dim in range(1, 8)}
 
@@ -261,11 +264,42 @@ def test_default_mode_selection():
     assert report.ok  # even identity nests downward
 
 
-def test_parallel_verification_matches_serial():
-    serial = verify_identity(REPS[5], build_identity(3))
-    parallel = verify_identity(REPS[5], build_identity(3), jobs=2)
-    assert [t for t, _ in serial.failures] == [t for t, _ in parallel.failures]
-    assert not serial.ok
+def _oracle_report(rep, ident):
+    """The exhaustive report rebuilt from literal symmetric sums (brute_sym)
+    and delta_weights, in Scalar matrix arithmetic throughout."""
+    cache, syms, witnesses = {}, {}, {}
+
+    def sym(ms):
+        if ms not in syms:
+            syms[ms] = brute_sym(rep, ms.letters(), cache)
+        return syms[ms]
+
+    for ms in all_multisets(ident.dim):
+        total = sym(ms)
+        for p, b_p in enumerate(ident.b, start=1):
+            for rest, w in delta_weights(ms.counts, p).items():
+                total = total + sym(rest).scale(b_p * w)
+        witnesses[ms] = total.first_nonzero_entry()
+    failures = []
+    for tup in itertools.product((1, 2, 3), repeat=ident.dim):
+        witness = witnesses[IndexMultiset.from_tuple(tup)]
+        if witness is not None:
+            failures.append((tup, witness))
+    return VerificationReport(ident.dim, rep.dim, "exhaustive", 3**ident.dim, failures).to_json()
+
+
+@pytest.mark.parametrize(
+    "dim, rep_dim, conjugated",
+    [(d, r, False) for d, r in ((2, 2), (2, 4), (3, 3), (3, 5), (4, 2), (4, 6), (5, 3), (5, 7), (6, 4), (7, 7))]
+    + [(d, r, True) for d, r in ((2, 2), (2, 4), (3, 3), (3, 5), (4, 2), (4, 4), (5, 5))],
+)
+def test_verify_matches_brute_force_oracle(dim, rep_dim, conjugated):
+    # holding and failing reports, witnesses included, against the Scalar path
+    rep = REPS[rep_dim]
+    if conjugated:
+        rep = conjugate_rep(rep, dense_similarity(rep_dim))
+    ident = build_identity(dim)
+    assert verify_identity(rep, ident, mode="exhaustive").to_json() == _oracle_report(rep, ident)
 
 
 def test_report_json_shape():

@@ -140,9 +140,19 @@ def test_identity_latex_large_dimension():
     assert "(779 more similar terms)" in proc.stdout
 
 
-def test_identity_verify_jobs():
+def test_identity_rejects_jobs_option():
+    # retired: one process verifies faster than two at every tested D
     proc = run_cli("identity", "4", "--verify", "exhaustive", "--jobs", "2")
-    assert proc.returncode == 0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
+def test_identity_bad_rep_dim_prints_nothing():
+    # a usage error is reported before the identity is emitted
+    proc = run_cli("identity", "3", "--verify", "exhaustive", "--rep-dim", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "dimension" in proc.stderr
 
 
 def test_identity_rejects_dimension_one():

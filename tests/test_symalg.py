@@ -1,12 +1,17 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinid.spinrep import Matrix, build_generators
+from spinid.scalar import Radical, Scalar
+from spinid.spinrep import Matrix, build_generators, conjugate_rep
 from spinid.symalg import (
     IndexMultiset,
+    IntMatrix,
     SymSession,
     all_multisets,
     antisym_reduce_demo,
@@ -20,22 +25,32 @@ from spinid.symalg import (
 REPS = {dim: build_generators(dim) for dim in range(1, 7)}
 
 
-def brute_sym(rep, letters):
-    """Literal sum over all n! orderings of the product (repeats counted);
-    prefix products cached so length 5 stays cheap."""
-    cache = {(): Matrix.identity(rep.dim)}
+def dense_similarity(dim):
+    """A dense rational L*U: unit lower, diagonal 2 upper, so invertible."""
+    lower = [[1 if r == c else Fraction(r - c, 2) if r > c else 0 for c in range(dim)] for r in range(dim)]
+    upper = [[2 if r == c else Fraction(1, r + c + 1) if r < c else 0 for c in range(dim)] for r in range(dim)]
+    return Matrix.from_rational_rows(lower) * Matrix.from_rational_rows(upper)
 
-    def prod(seq):
+
+def brute_sym(rep, letters, cache=None):
+    """Literal sum over all n! orderings of the product (repeats counted:
+    each distinct ordering occurs prod_a c_a! times); prefix products are
+    cached, in `cache` when given, so that longer words stay cheap."""
+    if cache is None:
+        cache = {}
+    cache.setdefault((), Matrix.identity(rep.dim))
+
+    def product(seq):
         m = cache.get(seq)
         if m is None:
-            m = prod(seq[:-1]) * rep.matrix(seq[-1])
+            m = product(seq[:-1]) * rep.matrix(seq[-1])
             cache[seq] = m
         return m
 
     total = Matrix.zero(rep.dim)
-    for perm in itertools.permutations(letters):
-        total = total + prod(perm)
-    return total
+    for perm in sorted(set(itertools.permutations(letters))):
+        total = total + product(perm)
+    return total.scale(prod(factorial(letters.count(a)) for a in (1, 2, 3)))
 
 
 def test_multiset_canonicalization():
@@ -81,19 +96,79 @@ def test_order_zero_is_identity():
     assert sym_product(REPS[4], ()) == Matrix.identity(4)
 
 
-@pytest.mark.parametrize("dim", range(1, 6))
-def test_recursion_matches_brute_force(dim):
-    rep = REPS[dim]
-    session = SymSession(rep)
+def _check_recursion(rep):
+    session, cache = SymSession(rep), {}
     for order in range(6):
         for ms in all_multisets(order):
-            assert session.sym(ms) == brute_sym(rep, ms.letters()), (dim, ms)
+            assert session.sym(ms) == brute_sym(rep, ms.letters(), cache), (rep.dim, ms)
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_recursion_matches_brute_force(dim):
+    _check_recursion(REPS[dim])
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_recursion_matches_brute_force_conjugated(dim):
+    # dense rational entries, not just the ladder's sparsity
+    _check_recursion(conjugate_rep(REPS[dim], dense_similarity(dim)))
 
 
 def test_session_reuses_results():
     session = SymSession(REPS[3])
     first = session.sym((1, 2, 2))
     assert session.sym((2, 1, 2)) is first
+
+
+# Entries: rational multiples of sqrt(m) and i*sqrt(m), up to three terms.
+_component = st.tuples(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.sampled_from((1, 2, 3, 6)),
+    st.booleans(),
+)
+
+
+def _scalar(components):
+    re, im = Radical(), Radical()
+    for q, m, imag in components:
+        term = Radical({m: q})
+        if imag:
+            im = im + term
+        else:
+            re = re + term
+    return Scalar(re, im)
+
+
+@st.composite
+def _matrix_pair(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    entries = st.lists(_component, max_size=3).map(_scalar)
+    cells = st.lists(entries, min_size=dim * dim, max_size=dim * dim)
+    a, b = draw(cells), draw(cells)
+    return Matrix([a[r * dim : (r + 1) * dim] for r in range(dim)]), Matrix(
+        [b[r * dim : (r + 1) * dim] for r in range(dim)]
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pair=_matrix_pair(),
+    w1=st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    w2=st.integers(min_value=-3, max_value=3),
+)
+def test_int_matrix_agrees_with_matrix(pair, w1, w2):
+    # the Scalar Matrix is the oracle of the integer-numerator kernel
+    a, b = pair
+    ia, ib = IntMatrix.from_matrix(a), IntMatrix.from_matrix(b)
+    assert ia.to_matrix() == a
+    assert ia.first_nonzero_entry() == a.first_nonzero_entry()
+    product = ia.matmul(ib)
+    assert product.to_matrix() == a * b
+    combo = IntMatrix.combine(a.dim, [(w1, ia), (w2, ib)])
+    assert combo.to_matrix() == a.scale(w1) + b.scale(w2)
+    for mat, exact in ((a * b, product), (a.scale(w1) + b.scale(w2), combo)):
+        canonical = IntMatrix.from_matrix(mat)  # one reduced form per value
+        assert (exact.terms, exact.den) == (canonical.terms, canonical.den)
 
 
 def test_gen_delta_examples():
