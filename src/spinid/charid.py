@@ -277,14 +277,19 @@ class VerificationReport:
     def to_json(self) -> dict:
         # elapsed stays off the wire so seeded reports are byte-for-byte
         # reproducible; it remains available on the object itself.
+        # All tuples of one multiset share one witness: render it once.
+        values: dict[int, str] = {}
+        for _, witness in self.failures:
+            if id(witness) not in values:
+                values[id(witness)] = str(witness[2])
         return {
             "dim": self.dim,
             "rep_dim": self.rep_dim,
             "mode": self.mode,
             "tuples_checked": self.tuples_checked,
             "failures": [
-                {"tuple": list(t), "entry": [r, c], "value": str(v)}
-                for t, (r, c, v) in self.failures
+                {"tuple": list(t), "entry": [w[0], w[1]], "value": values[id(w)]}
+                for t, w in self.failures
             ],
             "ok": self.ok,
         }

@@ -4,19 +4,21 @@ Expressions are noncommutative polynomials in the letters S1, S2, S3 with
 exact Scalar coefficients.  The canonical form for dimension D keeps only
 ordered words S1^a S2^b S3^c of total degree <= D-1: the commutation
 relation orders the letters, and the dimension-D reduction identity caps
-the degree.
+the degree.  ``reduce_degree`` folds every word letter by letter against a
+rule table, one rule per ordered word of degree D, in Gaussian-integer
+arithmetic; the form it reaches is unique modulo the relations, so it does
+not depend on the order of the rewriting steps.
 """
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Iterator, Literal, Mapping, Union
+from math import factorial, gcd, lcm
+from typing import Iterable, Iterator, Literal, Mapping, Union
 
 from .charid import Identity, build_identity
-from .scalar import SCALAR_ONE, Scalar, render_components
+from .scalar import SCALAR_ONE, Radical, Scalar, render_components
 from .spinrep import Matrix, SpinRep
 from .symalg import IndexMultiset, delta_weights, epsilon
 
@@ -383,31 +385,101 @@ def sym_words(letters: tuple[int, ...]) -> NCPolynomial:
 
 # ---------------------------------------------------------------------------
 # Rewriting
+#
+# The rewriter works on rows {word: (re, im)} meaning
+# sum_w (re + i*im)/den * w, with integer numerators over one positive
+# denominator.  Commutators bring in +-i and the identity rational
+# coefficients, so no square root ever enters a row; the Scalar
+# coefficients of a polynomial are multiplied in once, by _scaled_sum.
+
+Terms = dict[Word, tuple[int, int]]
+Row = tuple[Terms, int]
 
 
-def _ordered_form(w: Word, memo: dict[Word, dict[Word, Scalar]]) -> dict[Word, Scalar]:
+def _add(terms: Terms, w: Word, re: int, im: int) -> None:
+    prev = terms.get(w)
+    if prev is not None:
+        re += prev[0]
+        im += prev[1]
+    if re or im:
+        terms[w] = (re, im)
+    elif prev is not None:
+        del terms[w]
+
+
+def _ordered_form(w: Word, memo: dict[Word, Terms]) -> Terms:
+    """PBW ordering of one word, with Gaussian-integer coefficients: the
+    commutation relation applied to the leftmost out-of-order pair.
+
+    The recursion goes as deep as the word needs rewriting steps, so
+    reduce_degree calls it only on an ordered word of degree <= D-1
+    followed by one letter, where the depth depends on D alone, not on the
+    length of the input."""
     cached = memo.get(w)
     if cached is not None:
         return cached
     swap = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
     if swap is None:
-        res = {w: SCALAR_ONE}
+        res = {w: (1, 0)}
     else:
         # S_j S_i = S_i S_j - i eps_ijl S_l for the unique l != i, j.
         j, i = w[swap], w[swap + 1]
         l = 6 - i - j
-        coeff = Scalar(0, -epsilon(i, j, l))
+        e = epsilon(i, j, l)
         res = dict(_ordered_form(w[:swap] + (i, j) + w[swap + 2 :], memo))
-        for w2, c2 in _ordered_form(w[:swap] + (l,) + w[swap + 2 :], memo).items():
-            c = coeff * c2
-            prev = res.get(w2)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                res.pop(w2, None)
-            else:
-                res[w2] = s
+        for w2, (re, im) in _ordered_form(w[:swap] + (l,) + w[swap + 2 :], memo).items():
+            _add(res, w2, e * im, -e * re)  # (-i e)(re + i im)
     memo[w] = res
     return res
+
+
+def _times_letter(terms: Terms, a: int, memo: dict[Word, Terms]) -> Terms:
+    """Ordered form of (sum of the ordered words in terms) * S_a."""
+    out: Terms = {}
+    for u, (x, y) in terms.items():
+        for w, (p, q) in _ordered_form(u + (a,), memo).items():
+            _add(out, w, x * p - y * q, x * q + y * p)
+    return out
+
+
+def _combine(parts: list[tuple[Fraction | int, Fraction | int, Row]]) -> Row:
+    """sum of (re + i*im) * row over the parts, for rational re and im, as
+    one row over a common denominator.  The gcd of the denominator and the
+    numerators is divided out, so equal rows have equal fields."""
+    den = lcm(*(lcm(re.denominator, im.denominator) * d for re, im, (_, d) in parts))
+    out: Terms = {}
+    for re, im, (terms, d) in parts:
+        a, b = int(re * (den // d)), int(im * (den // d))
+        for w, (x, y) in terms.items():
+            _add(out, w, a * x - b * y, a * y + b * x)
+    g = gcd(den, *(x for pair in out.values() for x in pair))
+    if g == 1:
+        return out, den
+    return {w: (x // g, y // g) for w, (x, y) in out.items()}, den // g
+
+
+def _scaled_sum(pairs: Iterable[tuple[Scalar, Row]]) -> NCPolynomial:
+    """sum of c * row over the pairs, combined per radicand m of the
+    coefficients, with one Scalar per output word."""
+    by_radicand: dict[int, list[tuple[Fraction | int, Fraction | int, Row]]] = {}
+    for c, row in pairs:
+        coeff: dict[int, list] = {}
+        for (part, m), q in c.components().items():
+            coeff.setdefault(m, [0, 0])[part == "im"] = q
+        for m, (re, im) in coeff.items():
+            by_radicand.setdefault(m, []).append((re, im, row))
+    parts: dict[Word, tuple[dict, dict]] = {}
+    for m, group in by_radicand.items():
+        terms, den = _combine(group)
+        for w, (x, y) in terms.items():
+            re_part, im_part = parts.setdefault(w, ({}, {}))
+            if x:
+                re_part[m] = Fraction(x, den)
+            if y:
+                im_part[m] = Fraction(y, den)
+    return NCPolynomial._make({
+        w: Scalar._make(Radical._make(re), Radical._make(im)) for w, (re, im) in parts.items()
+    })
 
 
 def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
@@ -417,80 +489,98 @@ def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
     Dimension-independent: the result evaluates equal to the input on
     every representation.
     """
-    memo: dict[Word, dict[Word, Scalar]] = {}
-    out: dict[Word, Scalar] = {}
-    for w, c in p._terms.items():
-        for w2, c2 in _ordered_form(w, memo).items():
-            x = c * c2
-            prev = out.get(w2)
-            s = x if prev is None else prev + x
-            if s.is_zero():
-                out.pop(w2, None)
-            else:
-                out[w2] = s
-    return NCPolynomial._make(out)
+    memo: dict[Word, Terms] = {}
+    return _scaled_sum((c, (_ordered_form(w, memo), 1)) for w, c in p._terms.items())
 
 
-def _identity_replacement(ident: Identity, letters: Word) -> NCPolynomial:
-    """(1/D!)(R - {letters}) for D sorted letters, R being {letters} after
-    one application of the identity (degree <= D-2): added to any ordering
-    of the letters, it swaps that word's symmetric part for R."""
-    counts = IndexMultiset.from_tuple(letters).counts
-    inv = Fraction(1, factorial(ident.dim))
-    terms = [(letters, -inv)]  # R = -sum_p b_p sum_rest w {rest}
-    for p, b_p in enumerate(ident.b, start=1):
-        terms += [(r.letters(), -inv * b_p * w) for r, w in delta_weights(counts, p).items()]
-    # the multisets differ, so no word comes from two terms
-    return NCPolynomial({
-        perm: c * n for sym, c in terms for perm, n in Counter(itertools.permutations(sym)).items()
-    })
+def _sym_form(
+    counts: tuple[int, int, int], memo: dict[Word, Terms], sym_memo: dict[tuple[int, int, int], Terms]
+) -> Terms:
+    """Ordered form of the symmetric product {S1^c1 S2^c2 S3^c3}, built
+    letter by letter as {c} = sum_a c_a {c - e_a} S_a."""
+    res = sym_memo.get(counts)
+    if res is None:
+        res = {} if any(counts) else {(): (1, 0)}
+        for a, n in enumerate(counts, start=1):
+            if n:
+                rest = tuple(c - (k == a) for k, c in enumerate(counts, start=1))
+                for w, (re, im) in _times_letter(_sym_form(rest, memo, sym_memo), a, memo).items():
+                    _add(res, w, n * re, n * im)
+        sym_memo[counts] = res
+    return res
+
+
+def _identity_replacement(
+    ident: Identity, u: Word, memo: dict[Word, Terms], sym_memo: dict[tuple[int, int, int], Terms]
+) -> Row:
+    """The ordered form of (1/D!)(R - {u}) for one ordered word u of degree
+    D, R being {u} after one application of the identity (degree <= D-2).
+
+    It lies in the ideal of the relations, and because (1/D!){u} orders to
+    u plus lower words it is -u plus words of degree <= D-1: added to c*u
+    it caps u.  Equivalently, it is the rule u -> u + this."""
+    fact = factorial(ident.dim)
+    counts = IndexMultiset.from_tuple(u).counts
+    parts = [(Fraction(-1, fact), 0, (_sym_form(counts, memo, sym_memo), 1))]
+    for p, b_p in enumerate(ident.b, start=1):  # R = -sum_p b_p sum_rest w {rest}
+        parts += [
+            (-b_p * w / fact, 0, (_sym_form(r.counts, memo, sym_memo), 1))
+            for r, w in delta_weights(counts, p).items()
+        ]
+    terms, den = _combine(parts)
+    assert terms.get(u) == (-den, 0), f"{u} is not the leading word of its rule"
+    assert all(len(w) < ident.dim for w in terms if w != u), f"rule for {u} keeps degree {ident.dim}"
+    return terms, den
 
 
 def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
-    """Canonical form on dimension D: PBW-order, then repeatedly cap any
-    word of degree >= D.
+    """Canonical form on dimension D: ordered words of degree <= D-1.
 
-    A high word w = u v (u the first D letters) is split as
-    u = (1/D!){u} + (u - (1/D!){u}); the symmetric part is replaced through
-    the reduction identity (degree <= D-2) and the remainder PBW-normalizes
-    to degree < D because all orderings of u share the same leading ordered
-    word.  The maximal degree strictly decreases, so this terminates.
+    Each word is folded letter by letter, starting from 1:
+    NF(w S_a) = cap(order(NF(w) S_a)).  NF(w) has degree <= D-1, so the
+    ordering only moves one letter into an ordered word.  cap replaces
+    every ordered word u of degree D by its rule, the ordered form of
+    u + (1/D!)(R - {u}), of degree <= D-1 (``_identity_replacement``).  The
+    rules form a table of at most C(D+2, 2) entries, built on demand; rules,
+    ordered forms and the normal form of every word prefix are memoized for
+    this call only.  Arithmetic is in Gaussian integers over a common
+    denominator; each word's Scalar coefficient is multiplied in once, at
+    the end.
+
+    The result does not depend on the order of the rewriting steps.  Every
+    step changes its argument by an element of the two-sided ideal J of the
+    commutation relations and the D-identity.  The identity holds on
+    V_D, V_{D-2}, ..., so the free algebra modulo J maps onto the sum of
+    End(V_{D-2k}), of dimension sum_k (D-2k)^2 = C(D+2, 3): the number of
+    ordered words of degree <= D-1.  Those words span the quotient (this
+    reducer shows it), which is at least that large, so they are a basis
+    of it: no nonzero combination of them lies in J, and the normal form
+    is the unique such combination congruent to the input.
     """
     if dim < 2:
         raise ValueError("reduction requires dimension >= 2")
     ident = build_identity(dim)
-    memo: dict[Word, dict[Word, Scalar]] = {}
-    cur = pbw_normalize(p)._terms.copy()
-    repl_cache: dict[Word, NCPolynomial] = {}
-    while True:
-        high = [w for w in cur if len(w) >= dim]
-        if not high:
-            break
-        dmax = max(len(w) for w in high)
-        w = min(u for u in high if len(u) == dmax)
-        c = cur.pop(w)
-        u, v = w[:dim], w[dim:]
-        sorted_u = tuple(sorted(u))
-        if sorted_u not in repl_cache:
-            repl_cache[sorted_u] = _identity_replacement(ident, sorted_u)
-        # c * u v  ->  c * [ u + (1/D!)(R - {u}) ] v
-        chunk: dict[Word, Scalar] = {w: SCALAR_ONE}
-        for wq, cq in repl_cache[sorted_u]._terms.items():
-            _accumulate(chunk, wq + v, cq)
-        for wq, cq in chunk.items():
-            for w2, c2 in _ordered_form(wq, memo).items():
-                _accumulate(cur, w2, c * cq * c2)
-        cur = {w2: c2 for w2, c2 in cur.items() if not c2.is_zero()}
-    return NormalForm(NCPolynomial._make(cur), dim)
-
-
-def _accumulate(terms: dict[Word, Scalar], w: Word, c: Scalar) -> None:
-    prev = terms.get(w)
-    s = c if prev is None else prev + c
-    if s.is_zero():
-        terms.pop(w, None)
-    else:
-        terms[w] = s
+    memo: dict[Word, Terms] = {}
+    sym_memo: dict[tuple[int, int, int], Terms] = {}
+    rules: dict[Word, Row] = {}
+    prefixes: dict[Word, Row] = {(): ({(): (1, 0)}, 1)}
+    pairs = []
+    for w, c in p._terms.items():
+        start = len(w)
+        while w[:start] not in prefixes:
+            start -= 1
+        terms, den = prefixes[w[:start]]
+        for k in range(start, len(w)):
+            terms = _times_letter(terms, w[k], memo)
+            parts = [(1, 0, (terms, den))]
+            for v in terms:
+                if len(v) == dim:
+                    if v not in rules:
+                        rules[v] = _identity_replacement(ident, v, memo, sym_memo)
+                    parts.append((Fraction(terms[v][0], den), Fraction(terms[v][1], den), rules[v]))
+            terms, den = prefixes[w[: k + 1]] = _combine(parts)
+        pairs.append((c, (terms, den)))
+    return NormalForm(_scaled_sum(pairs), dim)
 
 
 def evaluate(

@@ -319,6 +319,18 @@ def test_report_json_shape():
     assert set(first) == {"tuple", "entry", "value"}
 
 
+def test_report_json_renders_each_witness_once():
+    # Every tuple of a multiset shares one witness object; the rendering
+    # must still read as one str() per failing tuple.
+    for rep_dim, dim in ((4, 2), (5, 3), (6, 4)):
+        report = verify_identity(REPS[rep_dim], build_identity(dim), mode="exhaustive")
+        assert len({id(w) for _, w in report.failures}) < len(report.failures)
+        expected = [
+            {"tuple": list(t), "entry": [r, c], "value": str(v)} for t, (r, c, v) in report.failures
+        ]
+        assert report.to_json()["failures"] == expected
+
+
 # --- discovery ----------------------------------------------------------------
 
 

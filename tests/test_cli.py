@@ -178,6 +178,18 @@ def test_reduce_deep_nesting_is_a_parse_error():
     assert "Traceback" not in proc.stderr
 
 
+def test_reduce_long_word():
+    # 450 letters: the letter fold keeps the rewriting depth bounded by D.
+    from spinid.rewrite import evaluate, parse
+    from spinid.spinrep import build_generators
+
+    expr = "*".join(["S3*S2*S1"] * 150)
+    proc = run_cli("reduce", expr, "--dim", "3")
+    assert proc.returncode == 0, proc.stderr
+    rep = build_generators(3)
+    assert evaluate(parse(proc.stdout), rep) == evaluate(parse(expr), rep)
+
+
 def test_reduce_round_trip():
     out = run_cli("reduce", "{S1 S2 S3} + S2*S2*S1", "--dim", "3").stdout.strip()
     # "--" keeps a leading minus in the expression out of flag parsing

@@ -1,9 +1,14 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinid.charid import build_identity
 from spinid.rewrite import (
     NCPolynomial,
     NormalForm,
@@ -16,9 +21,9 @@ from spinid.rewrite import (
     sym_words,
     to_json_dict,
 )
-from spinid.scalar import Scalar
-from spinid.spinrep import build_generators
-from spinid.symalg import epsilon, sym_product
+from spinid.scalar import SCALAR_ONE, Scalar
+from spinid.spinrep import Matrix, build_generators
+from spinid.symalg import IndexMultiset, delta_weights, epsilon, sym_product
 
 REPS = {dim: build_generators(dim) for dim in range(1, 7)}
 
@@ -221,6 +226,152 @@ def test_antisymmetric_triple_reduces_to_zero(dim):
         assert reduce_degree(_ijk_difference(i, j, k), dim).poly.is_zero()
 
 
+# --- reference reducer ---------------------------------------------------------------
+#
+# The Scalar rewriter the library used before its rule table: PBW-order the
+# whole polynomial, then cap the lexicographically first longest word until
+# no word reaches degree D.  Slow, but it applies the relations in a
+# different order and different arithmetic, so agreement checks the rule
+# table, the letter fold and the Gaussian-integer rows.
+
+
+def _accumulate(terms, w, c):
+    prev = terms.get(w)
+    s = c if prev is None else prev + c
+    if s.is_zero():
+        terms.pop(w, None)
+    else:
+        terms[w] = s
+
+
+def _reference_ordered_form(w, memo):
+    cached = memo.get(w)
+    if cached is not None:
+        return cached
+    swap = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
+    if swap is None:
+        res = {w: SCALAR_ONE}
+    else:
+        j, i = w[swap], w[swap + 1]
+        l = 6 - i - j
+        coeff = Scalar(0, -epsilon(i, j, l))
+        res = dict(_reference_ordered_form(w[:swap] + (i, j) + w[swap + 2 :], memo))
+        for w2, c2 in _reference_ordered_form(w[:swap] + (l,) + w[swap + 2 :], memo).items():
+            _accumulate(res, w2, coeff * c2)
+    memo[w] = res
+    return res
+
+
+def _reference_replacement(ident, letters):
+    """(1/D!)(R - {letters}) for D sorted letters."""
+    counts = IndexMultiset.from_tuple(letters).counts
+    inv = Fraction(1, factorial(ident.dim))
+    terms = [(letters, -inv)]
+    for p, b_p in enumerate(ident.b, start=1):
+        terms += [(r.letters(), -inv * b_p * w) for r, w in delta_weights(counts, p).items()]
+    return NCPolynomial({
+        perm: c * n for sym, c in terms for perm, n in Counter(itertools.permutations(sym)).items()
+    })
+
+
+def reference_reduce_degree(p, dim):
+    ident = build_identity(dim)
+    memo = {}
+    cur = {}
+    for w, c in p.terms().items():
+        for w2, c2 in _reference_ordered_form(w, memo).items():
+            _accumulate(cur, w2, c * c2)
+    repl_cache = {}
+    while True:
+        high = [w for w in cur if len(w) >= dim]
+        if not high:
+            break
+        dmax = max(len(w) for w in high)
+        w = min(u for u in high if len(u) == dmax)
+        c = cur.pop(w)
+        u, v = w[:dim], w[dim:]
+        sorted_u = tuple(sorted(u))
+        if sorted_u not in repl_cache:
+            repl_cache[sorted_u] = _reference_replacement(ident, sorted_u)
+        # c * u v  ->  c * [ u + (1/D!)(R - {u}) ] v
+        chunk = {w: SCALAR_ONE}
+        for wq, cq in repl_cache[sorted_u].terms().items():
+            _accumulate(chunk, wq + v, cq)
+        for wq, cq in chunk.items():
+            for w2, c2 in _reference_ordered_form(wq, memo).items():
+                _accumulate(cur, w2, c * cq * c2)
+    return NormalForm(NCPolynomial(cur), dim)
+
+
+_COEFFICIENTS = ("3/4", "(-2)", "5*sqrt(2)", "2*sqrt(6)", "i", "(-3*i)", "(1/2 + 2*i)", "(2/3 - i)")
+
+
+def _seeded_expression(rng, dim, kind):
+    """A word, a sqrt-scaled word, a commutator or symmetric braces times a
+    word, of degree D+1 or D+2, plus lower terms with i, complex and
+    rational coefficients."""
+    deg = dim + rng.randint(1, 2)
+
+    def word(n):
+        return "*".join(f"S{rng.randint(1, 3)}" for _ in range(n)) or "I"
+
+    if kind == 0:
+        lead = word(deg)
+    elif kind == 1:
+        lead = f"{rng.choice((2, 3, 5, 6))}*sqrt({rng.choice((2, 3, 5, 6))})*{word(deg)}"
+    elif kind == 2:
+        split = deg // 2
+        lead = f"[{word(split)}, {word(deg + 1 - split)}]"
+    else:
+        lead = "{" + word(3).replace("*", " ") + "}*" + word(deg - 3)
+    return (f"{lead} + {rng.choice(_COEFFICIENTS)}*{word(dim - 1)}"
+            f" - {rng.choice(_COEFFICIENTS)}*{word(rng.randint(0, dim))}")
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_reduce_matches_reference_on_seeded_expressions(dim):
+    rng = random.Random(600 + dim)
+    for kind in range(4):
+        for _ in range(3 if dim < 6 else 1):
+            p = parse(_seeded_expression(rng, dim, kind))
+            assert reduce_degree(p, dim) == reference_reduce_degree(p, dim)
+
+
+@pytest.mark.parametrize("dim", range(2, 6))
+def test_reduce_matches_reference_on_ordered_words(dim):
+    for deg in range(dim, dim + 3):
+        for w in _ordered_monomials(deg + 1):
+            if len(w) < deg:
+                continue
+            p = NCPolynomial({w: 1})
+            assert reduce_degree(p, dim) == reference_reduce_degree(p, dim)
+
+
+_SCALARS = st.sampled_from([
+    Scalar.of(1), Scalar.of(Fraction(-3, 2)), Scalar.i(), Scalar.sqrt_int(2),
+    Scalar.of(Fraction(1, 3)) + Scalar.i() * 2, Scalar.sqrt_int(6) * Scalar.i(),
+])
+
+
+@st.composite
+def _dim_and_polynomial(draw):
+    dim = draw(st.integers(2, 5))
+    words = st.lists(st.integers(1, 3), max_size=dim + 2).map(tuple)
+    return dim, NCPolynomial(draw(st.dictionaries(words, _SCALARS, max_size=4)))
+
+
+@given(_dim_and_polynomial(), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_reduce_commutes_with_letter_products(case, axis):
+    # The normal form is unique modulo the relations, so reducing first and
+    # multiplying after cannot change the result, on either side.
+    dim, p = case
+    s = NCPolynomial.generator(axis)
+    nf = reduce_degree(p, dim).poly
+    assert reduce_degree(nf * s, dim) == reduce_degree(p * s, dim)
+    assert reduce_degree(s * nf, dim) == reduce_degree(s * p, dim)
+
+
 # --- evaluation -------------------------------------------------------------------
 
 
@@ -334,6 +485,33 @@ def test_normal_form_evaluation_spans_matrix_algebra(dim):
     assert len(monomials) - kernel == dim * dim
     # kernel = Casimir relation times monomials of degree <= D-3
     assert kernel == len(_ordered_monomials(dim - 2)) if dim > 2 else kernel == 0
+
+
+def _block_diagonal(mats):
+    n = sum(m.dim for m in mats)
+    rows = [[Scalar.zero()] * n for _ in range(n)]
+    offset = 0
+    for m in mats:
+        for r in range(m.dim):
+            rows[offset + r][offset : offset + m.dim] = m.rows[r]
+        offset += m.dim
+    return Matrix(rows)
+
+
+@pytest.mark.parametrize("dim", (2, 3, 4))
+def test_normal_form_words_are_independent_modulo_the_relations(dim):
+    """The ordered monomials of degree <= D-1 have no linear relation on
+    V_D + V_{D-2} + ..., every representation the D-identity holds on.  So
+    no nonzero normal form lies in the ideal of the relations: the normal
+    form is unique, whatever order the rewriting steps take."""
+    blocks = [REPS[d] for d in range(dim, 0, -2)]
+    monomials = _ordered_monomials(dim)
+    assert len(monomials) == comb(dim + 2, 3) == sum(rep.dim ** 2 for rep in blocks)
+    mats = [
+        _block_diagonal([evaluate(NCPolynomial({w: 1}), rep) for rep in blocks])
+        for w in monomials
+    ]
+    assert _kernel_dim_over_scalars(mats, mats[0].dim) == 0
 
 
 @pytest.mark.parametrize("dim", (3, 4))
