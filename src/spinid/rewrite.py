@@ -14,13 +14,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial
 from typing import Iterable, Iterator, Literal, Mapping, Union
 
 from .charid import Identity, build_identity
-from .scalar import SCALAR_ONE, Radical, Scalar, render_components
+from .scalar import SCALAR_ONE, Scalar, render_components
 from .spinrep import Matrix, SpinRep
-from .symalg import IndexMultiset, delta_weights, epsilon
+from .symalg import (
+    IndexMultiset,
+    combine_terms,
+    delta_weights,
+    epsilon,
+    key_product,
+    key_scalar,
+    scalar_keys,
+)
 
 Word = tuple[int, ...]
 ScalarLike = Union[Scalar, Fraction, int]
@@ -386,25 +394,33 @@ def sym_words(letters: tuple[int, ...]) -> NCPolynomial:
 # ---------------------------------------------------------------------------
 # Rewriting
 #
-# The rewriter works on rows {word: (re, im)} meaning
-# sum_w (re + i*im)/den * w, with integer numerators over one positive
-# denominator.  Commutators bring in +-i and the identity rational
-# coefficients, so no square root ever enters a row; the Scalar
-# coefficients of a polynomial are multiplied in once, by _scaled_sum.
+# The rewriter works on rows {(word, key): n} over one positive denominator
+# den, meaning sum n * i^imag sqrt(m) / den * word for key = 2m + imag: the
+# cells of symalg.IntMatrix with a word in place of (row, col), combined by
+# the same symalg.combine_terms.  Commutators bring in +-i and the identity
+# rational coefficients, so inside the fold every key is _REAL or _IMAG; the
+# Scalar coefficients of a polynomial are multiplied in once, by _scaled_sum.
 
-Terms = dict[Word, tuple[int, int]]
+Terms = dict[tuple[Word, int], int]
 Row = tuple[Terms, int]
+_REAL, _IMAG = 2, 3  # the keys of 1 and i
 
 
-def _add(terms: Terms, w: Word, re: int, im: int) -> None:
-    prev = terms.get(w)
-    if prev is not None:
-        re += prev[0]
-        im += prev[1]
-    if re or im:
-        terms[w] = (re, im)
-    elif prev is not None:
-        del terms[w]
+def _add(terms: Terms, t: tuple[Word, int], n: int) -> None:
+    n += terms.get(t, 0)
+    if n:
+        terms[t] = n
+    else:
+        terms.pop(t, None)
+
+
+def _times_key(terms: Terms, key: int) -> Terms:
+    """terms times the basis scalar of key (distinct keys stay distinct)."""
+    out: Terms = {}
+    for (w, k), n in terms.items():
+        f, k2 = key_product(key, k)
+        out[(w, k2)] = f * n
+    return out
 
 
 def _ordered_form(w: Word, memo: dict[Word, Terms]) -> Terms:
@@ -420,15 +436,15 @@ def _ordered_form(w: Word, memo: dict[Word, Terms]) -> Terms:
         return cached
     swap = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
     if swap is None:
-        res = {w: (1, 0)}
+        res = {(w, _REAL): 1}
     else:
         # S_j S_i = S_i S_j - i eps_ijl S_l for the unique l != i, j.
         j, i = w[swap], w[swap + 1]
         l = 6 - i - j
         e = epsilon(i, j, l)
         res = dict(_ordered_form(w[:swap] + (i, j) + w[swap + 2 :], memo))
-        for w2, (re, im) in _ordered_form(w[:swap] + (l,) + w[swap + 2 :], memo).items():
-            _add(res, w2, e * im, -e * re)  # (-i e)(re + i im)
+        for t, n in _times_key(_ordered_form(w[:swap] + (l,) + w[swap + 2 :], memo), _IMAG).items():
+            _add(res, t, -e * n)
     memo[w] = res
     return res
 
@@ -436,50 +452,22 @@ def _ordered_form(w: Word, memo: dict[Word, Terms]) -> Terms:
 def _times_letter(terms: Terms, a: int, memo: dict[Word, Terms]) -> Terms:
     """Ordered form of (sum of the ordered words in terms) * S_a."""
     out: Terms = {}
-    for u, (x, y) in terms.items():
-        for w, (p, q) in _ordered_form(u + (a,), memo).items():
-            _add(out, w, x * p - y * q, x * q + y * p)
+    for (u, k1), x in terms.items():
+        for (w, k2), y in _ordered_form(u + (a,), memo).items():
+            f, key = key_product(k1, k2)
+            _add(out, (w, key), f * x * y)
     return out
 
 
-def _combine(parts: list[tuple[Fraction | int, Fraction | int, Row]]) -> Row:
-    """sum of (re + i*im) * row over the parts, for rational re and im, as
-    one row over a common denominator.  The gcd of the denominator and the
-    numerators is divided out, so equal rows have equal fields."""
-    den = lcm(*(lcm(re.denominator, im.denominator) * d for re, im, (_, d) in parts))
-    out: Terms = {}
-    for re, im, (terms, d) in parts:
-        a, b = int(re * (den // d)), int(im * (den // d))
-        for w, (x, y) in terms.items():
-            _add(out, w, a * x - b * y, a * y + b * x)
-    g = gcd(den, *(x for pair in out.values() for x in pair))
-    if g == 1:
-        return out, den
-    return {w: (x // g, y // g) for w, (x, y) in out.items()}, den // g
-
-
 def _scaled_sum(pairs: Iterable[tuple[Scalar, Row]]) -> NCPolynomial:
-    """sum of c * row over the pairs, combined per radicand m of the
-    coefficients, with one Scalar per output word."""
-    by_radicand: dict[int, list[tuple[Fraction | int, Fraction | int, Row]]] = {}
-    for c, row in pairs:
-        coeff: dict[int, list] = {}
-        for (part, m), q in c.components().items():
-            coeff.setdefault(m, [0, 0])[part == "im"] = q
-        for m, (re, im) in coeff.items():
-            by_radicand.setdefault(m, []).append((re, im, row))
-    parts: dict[Word, tuple[dict, dict]] = {}
-    for m, group in by_radicand.items():
-        terms, den = _combine(group)
-        for w, (x, y) in terms.items():
-            re_part, im_part = parts.setdefault(w, ({}, {}))
-            if x:
-                re_part[m] = Fraction(x, den)
-            if y:
-                im_part[m] = Fraction(y, den)
-    return NCPolynomial._make({
-        w: Scalar._make(Radical._make(re), Radical._make(im)) for w, (re, im) in parts.items()
-    })
+    """sum of c * row over the pairs, with one Scalar per output word."""
+    terms, den = combine_terms(
+        (q, _times_key(row, key), d) for c, (row, d) in pairs for key, q in scalar_keys(c).items()
+    )
+    by_word: dict[Word, list[tuple[int, int]]] = {}
+    for (w, key), n in terms.items():
+        by_word.setdefault(w, []).append((key, n))
+    return NCPolynomial._make({w: key_scalar(items, den) for w, items in by_word.items()})
 
 
 def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
@@ -500,12 +488,12 @@ def _sym_form(
     letter by letter as {c} = sum_a c_a {c - e_a} S_a."""
     res = sym_memo.get(counts)
     if res is None:
-        res = {} if any(counts) else {(): (1, 0)}
+        res = {} if any(counts) else {((), _REAL): 1}
         for a, n in enumerate(counts, start=1):
             if n:
                 rest = tuple(c - (k == a) for k, c in enumerate(counts, start=1))
-                for w, (re, im) in _times_letter(_sym_form(rest, memo, sym_memo), a, memo).items():
-                    _add(res, w, n * re, n * im)
+                for t, x in _times_letter(_sym_form(rest, memo, sym_memo), a, memo).items():
+                    _add(res, t, n * x)
         sym_memo[counts] = res
     return res
 
@@ -521,15 +509,16 @@ def _identity_replacement(
     it caps u.  Equivalently, it is the rule u -> u + this."""
     fact = factorial(ident.dim)
     counts = IndexMultiset.from_tuple(u).counts
-    parts = [(Fraction(-1, fact), 0, (_sym_form(counts, memo, sym_memo), 1))]
+    parts = [(Fraction(-1, fact), _sym_form(counts, memo, sym_memo), 1)]
     for p, b_p in enumerate(ident.b, start=1):  # R = -sum_p b_p sum_rest w {rest}
         parts += [
-            (-b_p * w / fact, 0, (_sym_form(r.counts, memo, sym_memo), 1))
+            (-b_p * w / fact, _sym_form(r.counts, memo, sym_memo), 1)
             for r, w in delta_weights(counts, p).items()
         ]
-    terms, den = _combine(parts)
-    assert terms.get(u) == (-den, 0), f"{u} is not the leading word of its rule"
-    assert all(len(w) < ident.dim for w in terms if w != u), f"rule for {u} keeps degree {ident.dim}"
+    terms, den = combine_terms(parts)
+    lead = (u, _REAL)
+    assert terms.get(lead) == -den, f"{u} is not the leading word of its rule"
+    assert all(len(w) < ident.dim for w, k in terms if (w, k) != lead), f"rule for {u} keeps degree {ident.dim}"
     return terms, den
 
 
@@ -541,11 +530,10 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     ordering only moves one letter into an ordered word.  cap replaces
     every ordered word u of degree D by its rule, the ordered form of
     u + (1/D!)(R - {u}), of degree <= D-1 (``_identity_replacement``).  The
-    rules form a table of at most C(D+2, 2) entries, built on demand; rules,
-    ordered forms and the normal form of every word prefix are memoized for
-    this call only.  Arithmetic is in Gaussian integers over a common
-    denominator; each word's Scalar coefficient is multiplied in once, at
-    the end.
+    rules form a table of at most C(D+2, 2) entries, built on demand; rules
+    and ordered forms are memoized for this call only.  Arithmetic is in
+    Gaussian integers over a common denominator; each word's Scalar
+    coefficient is multiplied in once, at the end.
 
     The result does not depend on the order of the rewriting steps.  Every
     step changes its argument by an element of the two-sided ideal J of the
@@ -562,23 +550,22 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     ident = build_identity(dim)
     memo: dict[Word, Terms] = {}
     sym_memo: dict[tuple[int, int, int], Terms] = {}
-    rules: dict[Word, Row] = {}
-    prefixes: dict[Word, Row] = {(): ({(): (1, 0)}, 1)}
+    rules: dict[tuple[Word, int], Row] = {}  # (v, key) -> basis(key) * rule for v
     pairs = []
     for w, c in p._terms.items():
-        start = len(w)
-        while w[:start] not in prefixes:
-            start -= 1
-        terms, den = prefixes[w[:start]]
-        for k in range(start, len(w)):
-            terms = _times_letter(terms, w[k], memo)
-            parts = [(1, 0, (terms, den))]
-            for v in terms:
+        terms, den = {((), _REAL): 1}, 1
+        for a in w:
+            terms = _times_letter(terms, a, memo)
+            parts = [(1, terms, den)]
+            for (v, k), n in terms.items():
                 if len(v) == dim:
-                    if v not in rules:
-                        rules[v] = _identity_replacement(ident, v, memo, sym_memo)
-                    parts.append((Fraction(terms[v][0], den), Fraction(terms[v][1], den), rules[v]))
-            terms, den = prefixes[w[: k + 1]] = _combine(parts)
+                    if (v, k) not in rules:
+                        if (v, _REAL) not in rules:
+                            rules[(v, _REAL)] = _identity_replacement(ident, v, memo, sym_memo)
+                        rule, rule_den = rules[(v, _REAL)]
+                        rules[(v, k)] = _times_key(rule, k), rule_den
+                    parts.append((Fraction(n, den), *rules[(v, k)]))
+            terms, den = combine_terms(parts)
         pairs.append((c, (terms, den)))
     return NormalForm(_scaled_sum(pairs), dim)
 

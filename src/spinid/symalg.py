@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, prod
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .scalar import SCALAR_ZERO, Radical, Scalar
 from .spinrep import Matrix, SpinRep
@@ -72,12 +72,53 @@ Cell = tuple[int, int, int]  # (row, col, key); key = 2*m + imag stands for i^im
 
 
 @lru_cache(maxsize=None)
-def _key_product(k1: int, k2: int) -> tuple[int, int]:
+def key_product(k1: int, k2: int) -> tuple[int, int]:
     """(factor, key) with basis(k1) * basis(k2) = factor * basis(key):
     sqrt(m1) sqrt(m2) = g sqrt(m1 m2 / g^2) for g = gcd(m1, m2), and i i = -1."""
     m1, m2 = k1 >> 1, k2 >> 1
     g = gcd(m1, m2)
     return (-g if k1 & k2 & 1 else g), 2 * (m1 // g) * (m2 // g) + ((k1 ^ k2) & 1)
+
+
+def scalar_keys(c: Scalar) -> dict[int, Fraction]:
+    """The rational coordinates of c by basis key 2*m + imag."""
+    return {2 * m + (part == "im"): q for (part, m), q in c.components().items()}
+
+
+def key_scalar(items: Iterable[tuple[int, int]], den: int) -> Scalar:
+    """The Scalar sum of n * basis(key) / den over distinct (key, n) items."""
+    parts: tuple[dict, dict] = ({}, {})
+    for key, n in items:
+        parts[key & 1][key >> 1] = Fraction(n, den)
+    return Scalar._make(Radical._make(parts[0]), Radical._make(parts[1]))
+
+
+def reduce_terms(terms: dict[Hashable, int], den: int) -> tuple[dict[Hashable, int], int]:
+    """Integer numerators over den with the zeros dropped and the gcd of
+    den and the numerators divided out, so equal values have equal fields."""
+    terms = {t: n for t, n in terms.items() if n}
+    g = gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {t: n // g for t, n in terms.items()}, den // g
+
+
+def combine_terms(
+    parts: Iterable[tuple[Fraction | int, dict[Hashable, int], int]]
+) -> tuple[dict[Hashable, int], int]:
+    """The linear combination sum of w * terms / den over (w, terms, den)
+    parts with rational w, as integer numerators over one common
+    denominator (``reduce_terms``).  Only the numerators of equal cells
+    meet, so the cells may be any keys: matrix cells for IntMatrix, word
+    cells for the rewriter."""
+    parts = list(parts)
+    den = lcm(*(w.denominator * d for w, _, d in parts))
+    out: dict[Hashable, int] = {}
+    for w, terms, d in parts:
+        f = w.numerator * (den // (w.denominator * d))
+        for t, n in terms.items():
+            out[t] = out.get(t, 0) + f * n
+    return reduce_terms(out, den)
 
 
 class IntMatrix:
@@ -93,27 +134,25 @@ class IntMatrix:
     __slots__ = ("dim", "terms", "den")
 
     def __init__(self, dim: int, terms: dict[Cell, int], den: int = 1):
-        terms = {t: n for t, n in terms.items() if n}
-        g = gcd(den, *terms.values())
         self.dim = dim
-        self.terms = terms if g == 1 else {t: n // g for t, n in terms.items()}
-        self.den = den // g
+        self.terms, self.den = reduce_terms(terms, den)
+
+    @classmethod
+    def _make(cls, dim: int, terms: dict[Cell, int], den: int) -> "IntMatrix":
+        # Internal fast path: terms and den already reduced by reduce_terms.
+        m = object.__new__(cls)
+        m.dim, m.terms, m.den = dim, terms, den
+        return m
 
     @classmethod
     def from_matrix(cls, mat: Matrix) -> "IntMatrix":
         coords: dict[Cell, Fraction] = {}
         for r, row in enumerate(mat.rows):
             for c, a in enumerate(row):
-                for (part, m), q in a.components().items():
-                    coords[(r, c, 2 * m + (part == "im"))] = q
+                for key, q in scalar_keys(a).items():
+                    coords[(r, c, key)] = q
         den = lcm(*(q.denominator for q in coords.values()))
         return cls(mat.dim, {t: q.numerator * (den // q.denominator) for t, q in coords.items()}, den)
-
-    def _scalar(self, items: Iterable[tuple[int, int]]) -> Scalar:
-        parts: tuple[dict, dict] = ({}, {})
-        for key, n in items:
-            parts[key & 1][key >> 1] = Fraction(n, self.den)
-        return Scalar._make(Radical._make(parts[0]), Radical._make(parts[1]))
 
     def to_matrix(self) -> Matrix:
         cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -121,7 +160,7 @@ class IntMatrix:
             cells.setdefault((r, c), []).append((key, n))
         rows = [[SCALAR_ZERO] * self.dim for _ in range(self.dim)]
         for (r, c), items in cells.items():
-            rows[r][c] = self._scalar(items)
+            rows[r][c] = key_scalar(items, self.den)
         return Matrix(rows)
 
     def first_nonzero_entry(self) -> tuple[int, int, Scalar] | None:
@@ -129,7 +168,7 @@ class IntMatrix:
         if not self.terms:
             return None
         r, c, _ = min(self.terms)
-        return r, c, self._scalar((t[2], n) for t, n in self.terms.items() if t[:2] == (r, c))
+        return r, c, key_scalar(((t[2], n) for t, n in self.terms.items() if t[:2] == (r, c)), self.den)
 
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         by_row: dict[int, list[tuple[int, int, int]]] = {}
@@ -138,7 +177,7 @@ class IntMatrix:
         out: dict[Cell, int] = {}
         for (r, k, k1), n1 in self.terms.items():
             for c, k2, n2 in by_row.get(k, ()):
-                f, key = _key_product(k1, k2)
+                f, key = key_product(k1, k2)
                 t = (r, c, key)
                 out[t] = out.get(t, 0) + f * n1 * n2
         return IntMatrix(self.dim, out, self.den * other.den)
@@ -147,14 +186,7 @@ class IntMatrix:
     def combine(cls, dim: int, parts: Iterable[tuple[Fraction | int, "IntMatrix"]]) -> "IntMatrix":
         """The linear combination sum of w * mat over (w, mat) pairs with
         rational w, summed over one common denominator."""
-        parts = list(parts)
-        den = lcm(*(w.denominator * m.den for w, m in parts))
-        out: dict[Cell, int] = {}
-        for w, m in parts:
-            f = w.numerator * (den // (w.denominator * m.den))
-            for t, n in m.terms.items():
-                out[t] = out.get(t, 0) + f * n
-        return cls(dim, out, den)
+        return cls._make(dim, *combine_terms([(w, m.terms, m.den) for w, m in parts]))
 
 
 class SymSession:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
@@ -370,6 +371,22 @@ def test_reduce_commutes_with_letter_products(case, axis):
     nf = reduce_degree(p, dim).poly
     assert reduce_degree(nf * s, dim) == reduce_degree(p * s, dim)
     assert reduce_degree(s * nf, dim) == reduce_degree(s * p, dim)
+
+
+def test_reduce_long_word_in_bounded_memory():
+    # The fold keeps one row per word, so memory does not grow with the
+    # word: a memo of every prefix of this word would hold 18M tuple slots.
+    block = parse("*".join(["S3*S2*S1"] * 1000))
+    word = NCPolynomial({next(iter(block.terms())) * 2: 1})
+    tracemalloc.start()
+    try:
+        nf = reduce_degree(word, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    half = reduce_degree(block, 3).poly
+    assert nf == reduce_degree(half * half, 3)
 
 
 # --- evaluation -------------------------------------------------------------------
