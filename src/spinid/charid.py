@@ -27,7 +27,16 @@ from typing import Literal, Sequence
 
 from .scalar import Scalar, frac_str
 from .spinrep import Matrix, SpinRep
-from .symalg import IndexMultiset, IntMatrix, SymSession, all_multisets, delta_weights
+from .symalg import (
+    IndexMultiset,
+    Row,
+    SymSession,
+    all_multisets,
+    combine_terms,
+    delta_weights,
+    first_nonzero_entry,
+    row_matrix,
+)
 
 Witness = tuple[int, int, Scalar]
 Failure = tuple[tuple[int, ...], Witness]
@@ -143,17 +152,6 @@ def b_coeffs(dim: int) -> list[Fraction]:
     ]
 
 
-def max_multipole_order(dim: int) -> int:
-    """Highest multipole a spin-(D-1)/2 particle supports: rank D-1.
-
-    Rank-D symmetric couplings collapse to lower ones via the reduction
-    identity, and no identity of lower degree exists.
-    """
-    if dim < 1:
-        raise ValueError("dimension must be a positive integer")
-    return dim - 1
-
-
 @dataclass(frozen=True)
 class Identity:
     """The reduction identity for one dimension, monic normalization.
@@ -172,15 +170,16 @@ class Identity:
         ms = IndexMultiset.from_tuple(idx)
         if ms.order != self.dim:
             raise ValueError(f"expected {self.dim} indices, got {ms.order}")
-        return self.residual_int(session, ms.counts).to_matrix()
+        return row_matrix(session.rep.dim, self.residual_int(session, ms.counts))
 
-    def residual_int(self, session: SymSession, counts: tuple[int, int, int]) -> IntMatrix:
-        """The residual for these axis counts, in the session's kernel."""
-        parts: list[tuple[Fraction | int, IntMatrix]] = [(1, session.sym_int(counts))]
+    def residual_int(self, session: SymSession, counts: tuple[int, int, int]) -> Row:
+        """The residual for these axis counts, as a row of the session's
+        algebra (matrices, or the rewriter's ordered words)."""
+        parts = [(1, *session.sym_int(counts))]
         for p, b_p in enumerate(self.b, start=1):
             for rest, w in delta_weights(counts, p).items():
-                parts.append((b_p * w, session.sym_int(rest.counts)))
-        return IntMatrix.combine(session.rep.dim, parts)
+                parts.append((b_p * w, *session.sym_int(rest.counts)))
+        return combine_terms(parts)
 
 
 def build_identity(dim: int) -> Identity:
@@ -208,18 +207,16 @@ def discover_identity(rep: SpinRep) -> Identity:
     for ms in all_multisets(dim):
         counts = ms.counts
         mats = [
-            IntMatrix.combine(
-                dim, ((w, session.sym_int(rest.counts)) for rest, w in delta_weights(counts, p).items())
-            )
+            combine_terms((w, *session.sym_int(rest.counts)) for rest, w in delta_weights(counts, p).items())
             for p in range(1, k + 1)
         ]
-        mats.append(IntMatrix.combine(dim, [(-1, session.sym_int(counts))]))
+        mats.append(combine_terms([(-1, *session.sym_int(counts))]))
         # One equation per (row, col, key) coordinate, cleared of denominators.
-        den = lcm(*(m.den for m in mats))
+        den = lcm(*(d for _, d in mats))
         rows: dict[tuple[int, int, int], list[int]] = {}
-        for j, m in enumerate(mats):
-            scale = den // m.den
-            for cell, n in m.terms.items():
+        for j, (terms, d) in enumerate(mats):
+            scale = den // d
+            for cell, n in terms.items():
                 rows.setdefault(cell, [0] * (k + 1))[j] = n * scale
         for cell in sorted(rows):
             _eliminate(rows[cell], pivots, k)
@@ -343,7 +340,7 @@ def verify_identity(
     else:
         keys = sorted({(t.count(1), t.count(2), t.count(3)) for t in tuples})
     session = SymSession(rep)
-    verdicts = {c: ident.residual_int(session, c).first_nonzero_entry() for c in keys}
+    verdicts = {c: first_nonzero_entry(ident.residual_int(session, c)) for c in keys}
 
     failures: list[Failure] = []
     if any(w is not None for w in verdicts.values()):

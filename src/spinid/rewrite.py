@@ -14,16 +14,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Iterator, Literal, Mapping, Union
+from math import factorial, prod
+from typing import Callable, Iterator, Literal, Mapping, Union
 
 from .charid import Identity, build_identity
 from .scalar import SCALAR_ONE, Scalar, render_components
 from .spinrep import Matrix, SpinRep
 from .symalg import (
     IndexMultiset,
+    Row,
+    SymSession,
     combine_terms,
-    delta_weights,
     epsilon,
     key_product,
     key_scalar,
@@ -262,10 +263,10 @@ class _Parser:
         return p
 
     def expression(self) -> NCPolynomial:
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            sign = -1 if self.take()[0] == "-" else 1
-        acc = self.term().scale(sign)
+        sign = self.take()[0] if self.peek()[0] in ("+", "-") else "+"
+        acc = self.term()
+        if sign == "-":
+            acc = -acc
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
             t = self.term()
@@ -382,28 +383,39 @@ def parse(text: str) -> NCPolynomial:
 
 
 def sym_words(letters: tuple[int, ...]) -> NCPolynomial:
-    """Symmetric product of generator letters, eagerly expanded into its
-    n!-term word sum (repeated letters counted once per ordering)."""
+    """Symmetric product of generator letters, expanded into its word sum:
+    the sum over all n! orderings, so each distinct ordering appears once
+    with coefficient prod_a c_a! for letter counts c."""
+    coeff = Scalar.of(prod(factorial(letters.count(a)) for a in (1, 2, 3)))
+    w = sorted(letters)
     out: dict[Word, Scalar] = {}
-    for perm in itertools.permutations(letters):
-        prev = out.get(perm)
-        out[perm] = SCALAR_ONE if prev is None else prev + SCALAR_ONE
-    return NCPolynomial._make(out)
+    while True:  # the distinct orderings in lexicographic order
+        out[tuple(w)] = coeff
+        k = len(w) - 2
+        while k >= 0 and w[k] >= w[k + 1]:
+            k -= 1
+        if k < 0:
+            return NCPolynomial._make(out)
+        j = len(w) - 1
+        while w[j] <= w[k]:
+            j -= 1
+        w[k], w[j] = w[j], w[k]
+        w[k + 1 :] = reversed(w[k + 1 :])
 
 
 # ---------------------------------------------------------------------------
 # Rewriting
 #
-# The rewriter works on rows {(word, key): n} over one positive denominator
-# den, meaning sum n * i^imag sqrt(m) / den * word for key = 2m + imag: the
-# cells of symalg.IntMatrix with a word in place of (row, col), combined by
-# the same symalg.combine_terms.  Commutators bring in +-i and the identity
-# rational coefficients, so inside the fold every key is _REAL or _IMAG; the
-# Scalar coefficients of a polynomial are multiplied in once, by _scaled_sum.
+# The rewriter works on symalg rows (terms, den) with cells (word, key),
+# meaning sum n * i^imag sqrt(m) / den * word for key = 2m + imag: the cells
+# of a matrix row with a word in place of (row, col), combined by the same
+# symalg.combine_terms.  Commutators bring in +-i and the identity rational
+# coefficients, so inside the fold every key is _REAL or _IMAG; the Scalar
+# coefficients of a polynomial are multiplied in once, by _fold.
 
 Terms = dict[tuple[Word, int], int]
-Row = tuple[Terms, int]
 _REAL, _IMAG = 2, 3  # the keys of 1 and i
+_ONE: Row = ({((), _REAL): 1}, 1)
 
 
 def _add(terms: Terms, t: tuple[Word, int], n: int) -> None:
@@ -425,42 +437,57 @@ def _times_key(terms: Terms, key: int) -> Terms:
 
 def _ordered_form(w: Word, memo: dict[Word, Terms]) -> Terms:
     """PBW ordering of one word, with Gaussian-integer coefficients: the
-    commutation relation applied to the leftmost out-of-order pair.
+    commutation relation S_j S_i = S_i S_j - i eps_ijl S_l (the unique
+    l != i, j) applied to the leftmost out-of-order pair.
 
-    The recursion goes as deep as the word needs rewriting steps, so
-    reduce_degree calls it only on an ordered word of degree <= D-1
-    followed by one letter, where the depth depends on D alone, not on the
-    length of the input."""
-    cached = memo.get(w)
-    if cached is not None:
-        return cached
-    swap = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
-    if swap is None:
-        res = {(w, _REAL): 1}
-    else:
-        # S_j S_i = S_i S_j - i eps_ijl S_l for the unique l != i, j.
-        j, i = w[swap], w[swap + 1]
+    Every word met on the way is memoized.  A word waits on an explicit
+    stack until both words its step leads to are done, so the Python stack
+    stays flat however many steps the word needs."""
+    res = memo.get(w)
+    if res is not None:
+        return res
+    stack: list[tuple[Word, tuple | None]] = [(w, None)]
+    while stack:
+        v, step = stack.pop()
+        if step is not None:  # both words of v's step are done
+            swapped, lowered, e = step
+            res = dict(memo[swapped])
+            for t, n in _times_key(memo[lowered], _IMAG).items():
+                _add(res, t, -e * n)
+            memo[v] = res
+            continue
+        if v in memo:
+            continue
+        swap = next((k for k in range(len(v) - 1) if v[k] > v[k + 1]), None)
+        if swap is None:
+            memo[v] = {(v, _REAL): 1}
+            continue
+        j, i = v[swap], v[swap + 1]
         l = 6 - i - j
-        e = epsilon(i, j, l)
-        res = dict(_ordered_form(w[:swap] + (i, j) + w[swap + 2 :], memo))
-        for t, n in _times_key(_ordered_form(w[:swap] + (l,) + w[swap + 2 :], memo), _IMAG).items():
-            _add(res, t, -e * n)
-    memo[w] = res
-    return res
+        swapped, lowered = v[:swap] + (i, j) + v[swap + 2 :], v[:swap] + (l,) + v[swap + 2 :]
+        stack += [(v, (swapped, lowered, epsilon(i, j, l))), (swapped, None), (lowered, None)]
+    return memo[w]
 
 
-def _times_letter(terms: Terms, a: int, memo: dict[Word, Terms]) -> Terms:
-    """Ordered form of (sum of the ordered words in terms) * S_a."""
+def _times_letter(row: Row, a: int, memo: dict[Word, Terms]) -> Row:
+    """Ordered form of (the row of ordered words) * S_a."""
     out: Terms = {}
-    for (u, k1), x in terms.items():
+    for (u, k1), x in row[0].items():
         for (w, k2), y in _ordered_form(u + (a,), memo).items():
             f, key = key_product(k1, k2)
             _add(out, (w, key), f * x * y)
-    return out
+    return out, row[1]
 
 
-def _scaled_sum(pairs: Iterable[tuple[Scalar, Row]]) -> NCPolynomial:
-    """sum of c * row over the pairs, with one Scalar per output word."""
+def _fold(p: NCPolynomial, step: Callable[[Row, int], Row]) -> NCPolynomial:
+    """sum of c * (each word of p folded letter by letter from 1 by step),
+    with one Scalar per output word."""
+    pairs = []
+    for w, c in p._terms.items():
+        row = _ONE
+        for a in w:
+            row = step(row, a)
+        pairs.append((c, row))
     terms, den = combine_terms(
         (q, _times_key(row, key), d) for c, (row, d) in pairs for key, q in scalar_keys(c).items()
     )
@@ -478,44 +505,18 @@ def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
     every representation.
     """
     memo: dict[Word, Terms] = {}
-    return _scaled_sum((c, (_ordered_form(w, memo), 1)) for w, c in p._terms.items())
+    return _fold(p, lambda row, a: _times_letter(row, a, memo))
 
 
-def _sym_form(
-    counts: tuple[int, int, int], memo: dict[Word, Terms], sym_memo: dict[tuple[int, int, int], Terms]
-) -> Terms:
-    """Ordered form of the symmetric product {S1^c1 S2^c2 S3^c3}, built
-    letter by letter as {c} = sum_a c_a {c - e_a} S_a."""
-    res = sym_memo.get(counts)
-    if res is None:
-        res = {} if any(counts) else {((), _REAL): 1}
-        for a, n in enumerate(counts, start=1):
-            if n:
-                rest = tuple(c - (k == a) for k, c in enumerate(counts, start=1))
-                for t, x in _times_letter(_sym_form(rest, memo, sym_memo), a, memo).items():
-                    _add(res, t, n * x)
-        sym_memo[counts] = res
-    return res
-
-
-def _identity_replacement(
-    ident: Identity, u: Word, memo: dict[Word, Terms], sym_memo: dict[tuple[int, int, int], Terms]
-) -> Row:
-    """The ordered form of (1/D!)(R - {u}) for one ordered word u of degree
-    D, R being {u} after one application of the identity (degree <= D-2).
+def _identity_replacement(ident: Identity, u: Word, session: SymSession) -> Row:
+    """The ordered form of -(1/D!) times the identity's left side at the
+    ordered word u of degree D, in the session of ordered words.
 
     It lies in the ideal of the relations, and because (1/D!){u} orders to
     u plus lower words it is -u plus words of degree <= D-1: added to c*u
     it caps u.  Equivalently, it is the rule u -> u + this."""
-    fact = factorial(ident.dim)
-    counts = IndexMultiset.from_tuple(u).counts
-    parts = [(Fraction(-1, fact), _sym_form(counts, memo, sym_memo), 1)]
-    for p, b_p in enumerate(ident.b, start=1):  # R = -sum_p b_p sum_rest w {rest}
-        parts += [
-            (-b_p * w / fact, _sym_form(r.counts, memo, sym_memo), 1)
-            for r, w in delta_weights(counts, p).items()
-        ]
-    terms, den = combine_terms(parts)
+    residual = ident.residual_int(session, IndexMultiset.from_tuple(u).counts)
+    terms, den = combine_terms([(Fraction(-1, factorial(ident.dim)), *residual)])
     lead = (u, _REAL)
     assert terms.get(lead) == -den, f"{u} is not the leading word of its rule"
     assert all(len(w) < ident.dim for w, k in terms if (w, k) != lead), f"rule for {u} keeps degree {ident.dim}"
@@ -529,11 +530,13 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     NF(w S_a) = cap(order(NF(w) S_a)).  NF(w) has degree <= D-1, so the
     ordering only moves one letter into an ordered word.  cap replaces
     every ordered word u of degree D by its rule, the ordered form of
-    u + (1/D!)(R - {u}), of degree <= D-1 (``_identity_replacement``).  The
-    rules form a table of at most C(D+2, 2) entries, built on demand; rules
-    and ordered forms are memoized for this call only.  Arithmetic is in
-    Gaussian integers over a common denominator; each word's Scalar
-    coefficient is multiplied in once, at the end.
+    u - (1/D!) (the identity's left side at u), of degree <= D-1
+    (``_identity_replacement``).  The rules form a table of at most
+    C(D+2, 2) entries, built on demand from the symmetric products of a
+    SymSession over ordered words; rules, products and ordered forms are
+    memoized for this call only.  Arithmetic is in Gaussian integers over a
+    common denominator; each word's Scalar coefficient is multiplied in
+    once, at the end.
 
     The result does not depend on the order of the rewriting steps.  Every
     step changes its argument by an element of the two-sided ideal J of the
@@ -549,25 +552,27 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
         raise ValueError("reduction requires dimension >= 2")
     ident = build_identity(dim)
     memo: dict[Word, Terms] = {}
-    sym_memo: dict[tuple[int, int, int], Terms] = {}
+
+    def times(row: Row, a: int) -> Row:
+        return _times_letter(row, a, memo)
+
+    session = SymSession(unit=_ONE, times=times)
     rules: dict[tuple[Word, int], Row] = {}  # (v, key) -> basis(key) * rule for v
-    pairs = []
-    for w, c in p._terms.items():
-        terms, den = {((), _REAL): 1}, 1
-        for a in w:
-            terms = _times_letter(terms, a, memo)
-            parts = [(1, terms, den)]
-            for (v, k), n in terms.items():
-                if len(v) == dim:
-                    if (v, k) not in rules:
-                        if (v, _REAL) not in rules:
-                            rules[(v, _REAL)] = _identity_replacement(ident, v, memo, sym_memo)
-                        rule, rule_den = rules[(v, _REAL)]
-                        rules[(v, k)] = _times_key(rule, k), rule_den
-                    parts.append((Fraction(n, den), *rules[(v, k)]))
-            terms, den = combine_terms(parts)
-        pairs.append((c, (terms, den)))
-    return NormalForm(_scaled_sum(pairs), dim)
+
+    def step(row: Row, a: int) -> Row:
+        terms, den = times(row, a)
+        parts = [(1, terms, den)]
+        for (v, k), n in terms.items():
+            if len(v) == dim:
+                if (v, k) not in rules:
+                    if (v, _REAL) not in rules:
+                        rules[(v, _REAL)] = _identity_replacement(ident, v, session)
+                    rule, rule_den = rules[(v, _REAL)]
+                    rules[(v, k)] = _times_key(rule, k), rule_den
+                parts.append((Fraction(n, den), *rules[(v, k)]))
+        return combine_terms(parts)
+
+    return NormalForm(_fold(p, step), dim)
 
 
 def evaluate(
@@ -584,17 +589,16 @@ def evaluate(
         p = p.poly
     if cache is None:
         cache = {}
-
-    def product(w: Word) -> Matrix:
-        m = cache.get(w)
-        if m is None:
-            m = Matrix.identity(rep.dim) if not w else product(w[:-1]) * rep.matrix(w[-1])
-            cache[w] = m
-        return m
-
+    cache.setdefault((), Matrix.identity(rep.dim))
     total = Matrix.zero(rep.dim)
     for w, c in p._terms.items():
-        total = total + product(w).scale(c)
+        n = len(w)
+        while w[:n] not in cache:  # the longest cached prefix, then one letter at a time
+            n -= 1
+        m = cache[w[:n]]
+        for j in range(n, len(w)):
+            m = cache[w[: j + 1]] = m * rep.matrix(w[j])
+        total = total + m.scale(c)
     return total
 
 

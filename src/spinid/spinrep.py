@@ -178,11 +178,6 @@ class Matrix:
         return f"Matrix({self.dim}x{self.dim})"
 
 
-def conjugate_by(mat: Matrix, m: Matrix) -> Matrix:
-    """Similarity transform m * mat * m^{-1} (m must be invertible)."""
-    return m * mat * m.inverse()
-
-
 def eigenvalue_list(dim: int) -> list[Fraction]:
     """Eigenvalues s, s-1, ..., -s of S_3 in descending order."""
     if dim < 1:

@@ -5,9 +5,12 @@ orderings of the factors, repeats counted (so {S_i S_i} = 2 S_i^2).  It
 depends only on the multiset of indices, which is what makes memoized
 evaluation over whole tuple spaces cheap.
 
-The products are computed in ``IntMatrix``, an exact kernel of integer
-numerators over one common denominator; ``Matrix`` of ``Scalar`` entries
-stays the public type and the slow reference the tests compare against.
+One engine, ``SymSession``, builds the products from an algebra's unit and
+right multiplication by a generator: for matrices here, and for ordered
+words in ``rewrite``.  Values are rows, integer numerators over one
+common denominator keyed by cell; a matrix row has cells (row, col, key).
+``Matrix`` of ``Scalar`` entries stays the public type and the slow
+reference the tests compare against.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, prod
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .scalar import SCALAR_ZERO, Radical, Scalar
 from .spinrep import Matrix, SpinRep
@@ -46,13 +49,6 @@ class IndexMultiset:
     def order(self) -> int:
         return sum(self.counts)
 
-    def remove(self, axis: Axis) -> "IndexMultiset":
-        if self.counts[axis - 1] == 0:
-            raise ValueError(f"axis {axis} not present")
-        c = list(self.counts)
-        c[axis - 1] -= 1
-        return IndexMultiset(tuple(c))
-
     def letters(self) -> tuple[Axis, ...]:
         return tuple(
             axis for axis in (1, 2, 3) for _ in range(self.counts[axis - 1])
@@ -69,6 +65,8 @@ def all_multisets(order: int) -> list[IndexMultiset]:
 
 
 Cell = tuple[int, int, int]  # (row, col, key); key = 2*m + imag stands for i^imag sqrt(m)
+Row = tuple[dict[Hashable, int], int]  # (terms, den): the sum of n * cell / den
+Times = Callable[[Row, Axis], Row]
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +91,7 @@ def key_scalar(items: Iterable[tuple[int, int]], den: int) -> Scalar:
     return Scalar._make(Radical._make(parts[0]), Radical._make(parts[1]))
 
 
-def reduce_terms(terms: dict[Hashable, int], den: int) -> tuple[dict[Hashable, int], int]:
+def reduce_terms(terms: dict[Hashable, int], den: int) -> Row:
     """Integer numerators over den with the zeros dropped and the gcd of
     den and the numerators divided out, so equal values have equal fields."""
     terms = {t: n for t, n in terms.items() if n}
@@ -105,12 +103,12 @@ def reduce_terms(terms: dict[Hashable, int], den: int) -> tuple[dict[Hashable, i
 
 def combine_terms(
     parts: Iterable[tuple[Fraction | int, dict[Hashable, int], int]]
-) -> tuple[dict[Hashable, int], int]:
+) -> Row:
     """The linear combination sum of w * terms / den over (w, terms, den)
     parts with rational w, as integer numerators over one common
     denominator (``reduce_terms``).  Only the numerators of equal cells
-    meet, so the cells may be any keys: matrix cells for IntMatrix, word
-    cells for the rewriter."""
+    meet, so the cells may be any keys: matrix cells here, word cells for
+    the rewriter."""
     parts = list(parts)
     den = lcm(*(w.denominator * d for w, _, d in parts))
     out: dict[Hashable, int] = {}
@@ -121,91 +119,82 @@ def combine_terms(
     return reduce_terms(out, den)
 
 
-class IntMatrix:
-    """Exact sparse matrix whose entry (r, c) is the sum over keys of
-    terms[(r, c, key)] * i^imag sqrt(m) / den, for key = 2*m + imag with m
-    squarefree.
+def matrix_row(mat: Matrix) -> Row:
+    """The matrix as cells (row, col, key) of integer numerators over one
+    reduced denominator; key = 2*m + imag stands for i^imag sqrt(m), m
+    squarefree.  Equal matrices give equal rows."""
+    coords: dict[Cell, Fraction] = {}
+    for r, row in enumerate(mat.rows):
+        for c, a in enumerate(row):
+            for key, q in scalar_keys(a).items():
+                coords[(r, c, key)] = q
+    den = lcm(*(q.denominator for q in coords.values()))
+    return reduce_terms({t: q.numerator * (den // q.denominator) for t, q in coords.items()}, den)
 
-    The denominator is positive and reduced against the numerators by gcd
-    whenever a value is built, so equal matrices have equal fields; zero
-    stores no terms.  Python ints are unbounded, so nothing is rounded.
-    """
 
-    __slots__ = ("dim", "terms", "den")
+def row_matrix(dim: int, row: Row) -> Matrix:
+    """The dim x dim Matrix of a matrix row."""
+    terms, den = row
+    cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (r, c, key), n in terms.items():
+        cells.setdefault((r, c), []).append((key, n))
+    rows = [[SCALAR_ZERO] * dim for _ in range(dim)]
+    for (r, c), items in cells.items():
+        rows[r][c] = key_scalar(items, den)
+    return Matrix(rows)
 
-    def __init__(self, dim: int, terms: dict[Cell, int], den: int = 1):
-        self.dim = dim
-        self.terms, self.den = reduce_terms(terms, den)
 
-    @classmethod
-    def _make(cls, dim: int, terms: dict[Cell, int], den: int) -> "IntMatrix":
-        # Internal fast path: terms and den already reduced by reduce_terms.
-        m = object.__new__(cls)
-        m.dim, m.terms, m.den = dim, terms, den
-        return m
+def row_matmul(a: Row, b: Row) -> Row:
+    """The matrix product of two matrix rows."""
+    by_row: dict[int, list[tuple[int, int, int]]] = {}
+    for (k, c, key), n in b[0].items():
+        by_row.setdefault(k, []).append((c, key, n))
+    out: dict[Cell, int] = {}
+    for (r, k, k1), n1 in a[0].items():
+        for c, k2, n2 in by_row.get(k, ()):
+            f, key = key_product(k1, k2)
+            t = (r, c, key)
+            out[t] = out.get(t, 0) + f * n1 * n2
+    return reduce_terms(out, a[1] * b[1])
 
-    @classmethod
-    def from_matrix(cls, mat: Matrix) -> "IntMatrix":
-        coords: dict[Cell, Fraction] = {}
-        for r, row in enumerate(mat.rows):
-            for c, a in enumerate(row):
-                for key, q in scalar_keys(a).items():
-                    coords[(r, c, key)] = q
-        den = lcm(*(q.denominator for q in coords.values()))
-        return cls(mat.dim, {t: q.numerator * (den // q.denominator) for t, q in coords.items()}, den)
 
-    def to_matrix(self) -> Matrix:
-        cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for (r, c, key), n in self.terms.items():
-            cells.setdefault((r, c), []).append((key, n))
-        rows = [[SCALAR_ZERO] * self.dim for _ in range(self.dim)]
-        for (r, c), items in cells.items():
-            rows[r][c] = key_scalar(items, self.den)
-        return Matrix(rows)
-
-    def first_nonzero_entry(self) -> tuple[int, int, Scalar] | None:
-        """The first nonzero cell in row-major order, as Matrix gives it."""
-        if not self.terms:
-            return None
-        r, c, _ = min(self.terms)
-        return r, c, key_scalar(((t[2], n) for t, n in self.terms.items() if t[:2] == (r, c)), self.den)
-
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        by_row: dict[int, list[tuple[int, int, int]]] = {}
-        for (k, c, key), n in other.terms.items():
-            by_row.setdefault(k, []).append((c, key, n))
-        out: dict[Cell, int] = {}
-        for (r, k, k1), n1 in self.terms.items():
-            for c, k2, n2 in by_row.get(k, ()):
-                f, key = key_product(k1, k2)
-                t = (r, c, key)
-                out[t] = out.get(t, 0) + f * n1 * n2
-        return IntMatrix(self.dim, out, self.den * other.den)
-
-    @classmethod
-    def combine(cls, dim: int, parts: Iterable[tuple[Fraction | int, "IntMatrix"]]) -> "IntMatrix":
-        """The linear combination sum of w * mat over (w, mat) pairs with
-        rational w, summed over one common denominator."""
-        return cls._make(dim, *combine_terms([(w, m.terms, m.den) for w, m in parts]))
+def first_nonzero_entry(row: Row) -> tuple[int, int, Scalar] | None:
+    """The first nonzero cell of a matrix row in row-major order, as
+    Matrix.first_nonzero_entry gives it."""
+    terms, den = row
+    if not terms:
+        return None
+    r, c, _ = min(terms)
+    return r, c, key_scalar(((t[2], n) for t, n in terms.items() if t[:2] == (r, c)), den)
 
 
 class SymSession:
-    """Memoized symmetric-product evaluator bound to one representation.
+    """Memoized symmetric products in one algebra.
+
+    The memo maps axis counts c to {c} as a row, built from the algebra's
+    unit and right multiplication of a row by S_a alone:
+    {c} = sum_a c_a {c - e_a} S_a.  ``SymSession(rep)`` works in the
+    matrices of rep, multiplying by the generators' rows; the rewriter
+    passes the unit and ``times`` of its ordered words instead.
 
     The cache is keyed on the index multiset, so exhaustive verification
-    over all D-tuples costs O(#multisets) matrix products instead of
-    O(3^D * D!).  The products are built in the IntMatrix kernel from the
-    three generators, converted once; ``sym`` converts a product to a Matrix
-    on first request and returns that same object afterwards.  Sessions are
-    single-threaded.
+    over all D-tuples costs O(#multisets) products instead of O(3^D * D!).
+    ``sym``, for sessions on a representation, converts a product to a
+    Matrix on first request and returns that same object afterwards.
+    Sessions are single-threaded.
     """
 
-    def __init__(self, rep: SpinRep):
+    def __init__(self, rep: SpinRep | None = None, unit: Row | None = None, times: Times | None = None):
+        if rep is not None:
+            gens = tuple(matrix_row(rep.matrix(axis)) for axis in (1, 2, 3))
+            unit = ({(k, k, 2): 1 for k in range(rep.dim)}, 1)  # key 2: sqrt(1)
+
+            def times(row: Row, a: Axis) -> Row:
+                return row_matmul(row, gens[a - 1])
+
         self.rep = rep
-        self._gens = tuple(IntMatrix.from_matrix(rep.matrix(axis)) for axis in (1, 2, 3))
-        self._exact: dict[tuple[int, int, int], IntMatrix] = {  # key 2: sqrt(1)
-            (0, 0, 0): IntMatrix(rep.dim, {(k, k, 2): 1 for k in range(rep.dim)})
-        }
+        self._times = times
+        self._rows: dict[tuple[int, int, int], Row] = {(0, 0, 0): unit}
         self._matrices: dict[IndexMultiset, Matrix] = {}
 
     def sym(self, idx: IndexMultiset | Sequence[Axis]) -> Matrix:
@@ -213,12 +202,12 @@ class SymSession:
             idx = IndexMultiset.from_tuple(idx)
         mat = self._matrices.get(idx)
         if mat is None:
-            mat = self._matrices[idx] = self.sym_int(idx.counts).to_matrix()
+            mat = self._matrices[idx] = row_matrix(self.rep.dim, self.sym_int(idx.counts))
         return mat
 
-    def sym_int(self, counts: tuple[int, int, int]) -> IntMatrix:
-        """The symmetric product for these axis counts, in the kernel."""
-        out = self._exact.get(counts)
+    def sym_int(self, counts: tuple[int, int, int]) -> Row:
+        """The symmetric product for these axis counts, as a row."""
+        out = self._rows.get(counts)
         if out is None:
             # {n indices} = sum over positions j of {rest} * S_{i_j}; positions
             # carrying equal letters contribute identical terms, hence the
@@ -227,14 +216,9 @@ class SymSession:
             for a, c in enumerate(counts):
                 if c:
                     rest = counts[:a] + (c - 1,) + counts[a + 1 :]
-                    parts.append((c, self.sym_int(rest).matmul(self._gens[a])))
-            out = self._exact[counts] = IntMatrix.combine(self.rep.dim, parts)
+                    parts.append((c, *self._times(self.sym_int(rest), a + 1)))
+            out = self._rows[counts] = combine_terms(parts)
         return out
-
-
-def sym_product(rep: SpinRep, idx: IndexMultiset | Sequence[Axis]) -> Matrix:
-    """Symmetric product for a single multiset (fresh session)."""
-    return SymSession(rep).sym(idx)
 
 
 def pairing_count(n: int) -> int:
@@ -293,31 +277,3 @@ def epsilon(i: Axis, j: Axis, k: Axis) -> int:
     if (i, j, k) in ((3, 2, 1), (1, 3, 2), (2, 1, 3)):
         return -1
     return 0
-
-
-def antisym_reduce_demo(
-    rep: SpinRep, i: Axis, j: Axis, k: Axis
-) -> tuple[Matrix, Matrix]:
-    """Both sides of the degree-lowering rewrite for the antisymmetrized
-    triple product:
-
-        S_i S_j S_k - S_k S_j S_i
-            = i * sum_l (eps_ijl S_l S_k + eps_ikl S_j S_l + eps_jkl S_l S_i)
-
-    Returns (lhs, rhs); they agree exactly in every dimension.
-    """
-    si, sj, sk = rep.matrix(i), rep.matrix(j), rep.matrix(k)
-    lhs = si * sj * sk - sk * sj * si
-
-    rhs = Matrix.zero(rep.dim)
-    for l in (1, 2, 3):
-        sl = rep.matrix(l)
-        for eps, prod in (
-            (epsilon(i, j, l), sl * sk),
-            (epsilon(i, k, l), sj * sl),
-            (epsilon(j, k, l), sl * si),
-        ):
-            if eps:
-                rhs = rhs + prod.scale(eps)
-    rhs = rhs.scale(Scalar.i())
-    return lhs, rhs

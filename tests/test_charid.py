@@ -18,7 +18,6 @@ from spinid.charid import (
     discover_identity,
     identity_to_json,
     identity_to_latex,
-    max_multipole_order,
     power_sum,
     verify_identity,
 )
@@ -359,14 +358,3 @@ def _unipotent(dim):
 def test_identity_survives_basis_change(dim):
     transformed = conjugate_rep(REPS[dim], _unipotent(dim))
     assert verify_identity(transformed, build_identity(dim)).ok
-
-
-# --- multipole helper -----------------------------------------------------------
-
-
-def test_max_multipole_order():
-    assert max_multipole_order(2) == 1
-    assert max_multipole_order(3) == 2
-    assert max_multipole_order(4) == 3
-    with pytest.raises(ValueError):
-        max_multipole_order(0)

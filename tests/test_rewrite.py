@@ -1,5 +1,8 @@
+import inspect
 import itertools
 import random
+import sys
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinid import rewrite
 from spinid.charid import build_identity
 from spinid.rewrite import (
     NCPolynomial,
@@ -24,7 +28,7 @@ from spinid.rewrite import (
 )
 from spinid.scalar import SCALAR_ONE, Scalar
 from spinid.spinrep import Matrix, build_generators
-from spinid.symalg import IndexMultiset, delta_weights, epsilon, sym_product
+from spinid.symalg import IndexMultiset, SymSession, all_multisets, delta_weights, epsilon, key_scalar
 
 REPS = {dim: build_generators(dim) for dim in range(1, 7)}
 
@@ -128,6 +132,19 @@ def _random_poly(rng, max_degree, letters=(1, 2, 3)):
     return NCPolynomial({w: Scalar.of(c) for w, c in terms.items()})
 
 
+def test_pbw_long_word_keeps_a_flat_stack():
+    # S2 S1^300 takes 300 rewriting steps in a row; the stack must not
+    # grow with them, so a limit just above the caller's depth is enough.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        p = pbw_normalize(NCPolynomial({(2,) + (1,) * 300: 1}))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert p.coefficient((1,) * 300 + (2,)) == SCALAR_ONE
+    assert evaluate(p, REPS[2]) == evaluate(NCPolynomial({(2,) + (1,) * 300: 1}), REPS[2])
+
+
 def test_pbw_is_dimension_independent():
     rng = random.Random(321)
     for _ in range(25):
@@ -161,7 +178,7 @@ def test_reduce_anticommutator_in_two_dimensions():
 
 def test_reduce_symmetric_four_matches_matrix():
     nf = reduce_degree(parse("{S1 S1 S2 S2}"), 4)
-    assert evaluate(nf, REPS[4]) == sym_product(REPS[4], (1, 1, 2, 2))
+    assert evaluate(nf, REPS[4]) == SymSession(REPS[4]).sym((1, 1, 2, 2))
 
 
 def test_reduce_two_equal_one_different_in_three_dimensions():
@@ -397,6 +414,33 @@ def test_evaluate_commutation_relation():
         assert evaluate(parse("[S1,S2] - i*S3"), REPS[dim]).is_zero()
 
 
+def test_evaluate_long_word():
+    # S1^2 = 1/4 on spin 1/2; the prefix products are a loop, not a recursion
+    s1_power = evaluate(NCPolynomial({(1,) * 1200: 1}), REPS[2])
+    assert s1_power == Matrix.identity(2).scale(Fraction(1, 4**600))
+
+
+def _word_row_poly(row):
+    terms, den = row
+    poly = NCPolynomial.zero()
+    for (w, key), n in terms.items():
+        poly = poly + NCPolynomial({w: key_scalar([(key, n)], den)})
+    return poly
+
+
+@pytest.mark.parametrize("dim", range(2, 6))
+def test_word_session_evaluates_to_matrix_session(dim):
+    # one engine in two algebras: {c} built from ordered words and from
+    # matrices must be the same operator
+    memo = {}
+    words = SymSession(unit=rewrite._ONE, times=lambda row, a: rewrite._times_letter(row, a, memo))
+    matrices, cache = SymSession(REPS[dim]), {}
+    for order in range(6):
+        for ms in all_multisets(order):
+            poly = _word_row_poly(words.sym_int(ms.counts))
+            assert evaluate(poly, REPS[dim], cache) == matrices.sym(ms), (dim, ms)
+
+
 def test_evaluate_identity_operator():
     from spinid.spinrep import Matrix
 
@@ -605,3 +649,24 @@ def test_plain_render_round_trips():
 def test_sym_words_matches_brace_parser():
     assert sym_words((1, 2)) == parse("{S1 S2}")
     assert sym_words((3, 3, 3)) == (S3 * S3 * S3).scale(6)
+
+
+def test_sym_words_matches_sum_over_all_orderings():
+    # the n!-term sum, one term per ordering of the factors, for every
+    # brace of up to 7 letters (it depends only on the letters' multiset)
+    expected = {}
+    for n in range(1, 8):
+        for letters in itertools.product((1, 2, 3), repeat=n):
+            key = tuple(sorted(letters))
+            if key not in expected:
+                expected[key] = NCPolynomial(Counter(itertools.permutations(letters)))
+            assert sym_words(letters) == expected[key], letters
+
+
+def test_long_symmetric_brace_parses_quickly():
+    # 12!/(4!)^3 = 34650 distinct orderings, not 12! = 479001600
+    t0 = time.perf_counter()
+    p = parse("{" + " ".join(["S1 S2 S3"] * 4) + "}")
+    assert time.perf_counter() - t0 < 1.0
+    assert len(p.terms()) == 34650
+    assert set(p.terms().values()) == {Scalar.of(factorial(4) ** 3)}

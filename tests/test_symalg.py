@@ -11,15 +11,17 @@ from spinid.scalar import Radical, Scalar
 from spinid.spinrep import Matrix, build_generators, conjugate_rep
 from spinid.symalg import (
     IndexMultiset,
-    IntMatrix,
     SymSession,
     all_multisets,
-    antisym_reduce_demo,
+    combine_terms,
     delta_weights,
     epsilon,
+    first_nonzero_entry,
     gen_delta,
+    matrix_row,
     pairing_count,
-    sym_product,
+    row_matmul,
+    row_matrix,
 )
 
 REPS = {dim: build_generators(dim) for dim in range(1, 7)}
@@ -78,22 +80,22 @@ def test_anticommutator_on_pauli():
         expected = (
             Matrix.identity(2).scale(Fraction(1, 2)) if i == j else Matrix.zero(2)
         )
-        assert sym_product(rep, (i, j)) == expected
+        assert SymSession(rep).sym((i, j)) == expected
 
 
 def test_repeated_index_doubles_square():
     for dim in (2, 3, 4, 5):
         rep = REPS[dim]
         s1 = rep.matrix(1)
-        assert sym_product(rep, (1, 1)) == (s1 * s1).scale(2)
+        assert SymSession(rep).sym((1, 1)) == (s1 * s1).scale(2)
 
 
 def test_all_different_triple_vanishes_in_three_dimensions():
-    assert sym_product(REPS[3], (1, 2, 3)).is_zero()
+    assert SymSession(REPS[3]).sym((1, 2, 3)).is_zero()
 
 
 def test_order_zero_is_identity():
-    assert sym_product(REPS[4], ()) == Matrix.identity(4)
+    assert SymSession(REPS[4]).sym(()) == Matrix.identity(4)
 
 
 def _check_recursion(rep):
@@ -157,18 +159,17 @@ def _matrix_pair(draw):
     w2=st.integers(min_value=-3, max_value=3),
 )
 def test_int_matrix_agrees_with_matrix(pair, w1, w2):
-    # the Scalar Matrix is the oracle of the integer-numerator kernel
+    # the Scalar Matrix is the oracle of the integer-numerator matrix rows
     a, b = pair
-    ia, ib = IntMatrix.from_matrix(a), IntMatrix.from_matrix(b)
-    assert ia.to_matrix() == a
-    assert ia.first_nonzero_entry() == a.first_nonzero_entry()
-    product = ia.matmul(ib)
-    assert product.to_matrix() == a * b
-    combo = IntMatrix.combine(a.dim, [(w1, ia), (w2, ib)])
-    assert combo.to_matrix() == a.scale(w1) + b.scale(w2)
+    ra, rb = matrix_row(a), matrix_row(b)
+    assert row_matrix(a.dim, ra) == a
+    assert first_nonzero_entry(ra) == a.first_nonzero_entry()
+    product = row_matmul(ra, rb)
+    assert row_matrix(a.dim, product) == a * b
+    combo = combine_terms([(w1, *ra), (w2, *rb)])
+    assert row_matrix(a.dim, combo) == a.scale(w1) + b.scale(w2)
     for mat, exact in ((a * b, product), (a.scale(w1) + b.scale(w2), combo)):
-        canonical = IntMatrix.from_matrix(mat)  # one reduced form per value
-        assert (exact.terms, exact.den) == (canonical.terms, canonical.den)
+        assert exact == matrix_row(mat)  # one reduced form per value
 
 
 def test_gen_delta_examples():
@@ -246,15 +247,32 @@ def test_epsilon():
     assert epsilon(1, 1, 3) == 0
 
 
+def antisym_reduce(rep, i, j, k):
+    """Both sides of the degree-lowering rewrite for the antisymmetrized
+    triple product, as matrices:
+
+        S_i S_j S_k - S_k S_j S_i
+            = i * sum_l (eps_ijl S_l S_k + eps_ikl S_j S_l + eps_jkl S_l S_i)
+    """
+    si, sj, sk = rep.matrix(i), rep.matrix(j), rep.matrix(k)
+    rhs = Matrix.zero(rep.dim)
+    for l in (1, 2, 3):
+        sl = rep.matrix(l)
+        for eps, term in ((epsilon(i, j, l), sl * sk), (epsilon(i, k, l), sj * sl), (epsilon(j, k, l), sl * si)):
+            if eps:
+                rhs = rhs + term.scale(eps)
+    return si * sj * sk - sk * sj * si, rhs.scale(Scalar.i())
+
+
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_antisym_reduction_all_triples(dim):
     rep = REPS[dim]
     for i, j, k in itertools.product((1, 2, 3), repeat=3):
-        lhs, rhs = antisym_reduce_demo(rep, i, j, k)
+        lhs, rhs = antisym_reduce(rep, i, j, k)
         assert lhs == rhs, (dim, i, j, k)
 
 
 def test_antisym_equal_indices_vanish():
     for dim in (2, 5):
-        lhs, rhs = antisym_reduce_demo(REPS[dim], 2, 2, 2)
+        lhs, rhs = antisym_reduce(REPS[dim], 2, 2, 2)
         assert lhs.is_zero() and rhs.is_zero()
