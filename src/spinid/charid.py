@@ -366,10 +366,7 @@ def verify_identity(
 def _integral_factor(ident: Identity) -> int:
     """Least common denominator of the b_p: the smallest positive rescaling
     that makes every displayed coefficient an integer."""
-    lcm = 1
-    for b in ident.b:
-        lcm = lcm * b.denominator // gcd(lcm, b.denominator)
-    return lcm
+    return lcm(*(b.denominator for b in ident.b))
 
 
 def identity_to_json(

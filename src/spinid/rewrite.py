@@ -1,13 +1,16 @@
 """Spin-operator expressions: parsing, PBW ordering, and degree capping.
 
 Expressions are noncommutative polynomials in the letters S1, S2, S3 with
-exact Scalar coefficients.  The canonical form for dimension D keeps only
-ordered words S1^a S2^b S3^c of total degree <= D-1: the commutation
-relation orders the letters, and the dimension-D reduction identity caps
-the degree.  ``reduce_degree`` folds every word letter by letter against a
-rule table, one rule per ordered word of degree D, in Gaussian-integer
-arithmetic; the form it reaches is unique modulo the relations, so it does
-not depend on the order of the rewriting steps.
+exact coefficients, stored as symalg rows: integer numerators over one
+denominator, keyed by (word, key).  The canonical form for dimension D
+keeps only ordered words S1^a S2^b S3^c of total degree <= D-1: the
+commutation relation orders the letters, and the dimension-D reduction
+identity caps the degree.  ``reduce_degree`` folds every word letter by
+letter against a rule table, one rule per ordered word of degree D; the
+form it reaches is unique modulo the relations, so it does not depend on
+the order of the rewriting steps.  ``evaluate`` folds the words the same
+way in the rows of a representation's matrices.  Scalars appear only
+where a polynomial is built from or read as Scalar coefficients.
 """
 from __future__ import annotations
 
@@ -15,28 +18,33 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Callable, Iterator, Literal, Mapping, Union
+from typing import Iterator, Literal, Mapping, Union
 
 from .charid import Identity, build_identity
-from .scalar import SCALAR_ONE, Scalar, render_components
+from .scalar import Scalar, render_components
 from .spinrep import Matrix, SpinRep
 from .symalg import (
     IndexMultiset,
     Row,
     SymSession,
+    Times,
     combine_terms,
     epsilon,
+    fraction_row,
     key_product,
-    key_scalar,
+    matrix_algebra,
+    reduce_terms,
+    row_matrix,
+    row_scalars,
     scalar_keys,
+    times_key,
 )
 
 Word = tuple[int, ...]
 ScalarLike = Union[Scalar, Fraction, int]
-
-
-def _as_scalar(c: ScalarLike) -> Scalar:
-    return c if isinstance(c, Scalar) else Scalar.of(c)
+Terms = dict[tuple[Word, int], int]  # (word, key) -> numerator
+_REAL, _IMAG = 2, 3  # the keys of 1 and i
+_ONE: Row = ({((), _REAL): 1}, 1)
 
 
 def _grlex(w: Word) -> tuple[int, Word]:
@@ -46,89 +54,80 @@ def _grlex(w: Word) -> tuple[int, Word]:
 
 class NCPolynomial:
     """Linear combination of words over {S1, S2, S3}; the empty word is
-    the identity operator.  No zero coefficients are ever stored."""
+    the identity operator.
 
-    __slots__ = ("_terms",)
+    The value is a symalg row with cells (word, key), key = 2*m + imag for
+    the basis scalar i^imag sqrt(m): sum n * basis(key) / den * word.  Rows
+    are reduced (``reduce_terms``), so equal polynomials have equal rows
+    and no zero coefficient is stored.  Scalar coefficients go in through
+    the constructor and come out through ``terms`` and ``coefficient``."""
+
+    __slots__ = ("_row",)
 
     def __init__(self, terms: Mapping[Word, ScalarLike] | None = None):
-        clean: dict[Word, Scalar] = {}
-        if terms:
-            for w, c in terms.items():
-                w = tuple(w)
-                if any(a not in (1, 2, 3) for a in w):
-                    raise ValueError(f"word {w} has letters outside {{1, 2, 3}}")
-                c = _as_scalar(c)
-                if not c.is_zero():
-                    prev = clean.get(w)
-                    s = c if prev is None else prev + c
-                    if s.is_zero():
-                        clean.pop(w, None)
-                    else:
-                        clean[w] = s
-        self._terms = clean
+        coords: dict[tuple[Word, int], Fraction] = {}
+        for w, c in (terms or {}).items():
+            w = tuple(w)
+            if any(a not in (1, 2, 3) for a in w):
+                raise ValueError(f"word {w} has letters outside {{1, 2, 3}}")
+            for key, q in scalar_keys(c if isinstance(c, Scalar) else Scalar.of(c)).items():
+                coords[(w, key)] = coords.get((w, key), 0) + q
+        self._row = fraction_row(coords)
 
     @classmethod
-    def _make(cls, terms: dict[Word, Scalar]) -> "NCPolynomial":
+    def _make(cls, row: Row) -> "NCPolynomial":
         p = object.__new__(cls)
-        p._terms = terms
+        p._row = row
         return p
 
     @classmethod
     def zero(cls) -> "NCPolynomial":
-        return cls._make({})
+        return cls._make(({}, 1))
 
     @classmethod
     def one(cls) -> "NCPolynomial":
-        return cls._make({(): SCALAR_ONE})
+        return cls._make(_ONE)
 
     @classmethod
     def generator(cls, axis: int) -> "NCPolynomial":
         if axis not in (1, 2, 3):
             raise ValueError("axis must be 1, 2 or 3")
-        return cls._make({(axis,): SCALAR_ONE})
+        return cls._make(({((axis,), _REAL): 1}, 1))
 
     @classmethod
     def scalar(cls, c: ScalarLike) -> "NCPolynomial":
-        c = _as_scalar(c)
-        return cls._make({(): c} if not c.is_zero() else {})
+        return cls({(): c})
 
     def terms(self) -> dict[Word, Scalar]:
-        return dict(self._terms)
+        return {w: c for (w,), c in row_scalars(self._row).items()}
 
     def coefficient(self, w: Word) -> Scalar:
-        return self._terms.get(tuple(w), Scalar.zero())
+        return self.terms().get(tuple(w), Scalar.zero())
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._row[0]
 
     def degree(self) -> int:
         """Length of the longest word (0 for scalars and for the zero
         polynomial)."""
-        return max((len(w) for w in self._terms), default=0)
+        return max((len(w) for w, _ in self._row[0]), default=0)
 
     def __iter__(self) -> Iterator[tuple[Word, Scalar]]:
-        return iter(self._terms.items())
+        return iter(self.terms().items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return self._row == other._row
 
     def __neg__(self) -> "NCPolynomial":
-        return NCPolynomial._make({w: -c for w, c in self._terms.items()})
+        terms, den = self._row
+        return NCPolynomial._make(({t: -n for t, n in terms.items()}, den))
 
     def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            prev = out.get(w)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return NCPolynomial._make(out)
+        return NCPolynomial._make(combine_terms([(1, *self._row), (1, *other._row)]))
 
     def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
         return self + (-other)
@@ -138,29 +137,19 @@ class NCPolynomial:
             return self.scale(other)
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        out: dict[Word, Scalar] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                prev = out.get(w)
-                s = c if prev is None else prev + c
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return NCPolynomial._make(out)
+        (a, da), (b, db) = self._row, other._row
+        out: Terms = {}
+        for (w1, k1), n1 in a.items():
+            for (w2, k2), n2 in b.items():
+                f, key = key_product(k1, k2)
+                t = (w1 + w2, key)
+                out[t] = out.get(t, 0) + f * n1 * n2
+        return NCPolynomial._make(reduce_terms(out, da * db))
 
-    def __rmul__(self, other: ScalarLike) -> "NCPolynomial":
-        if isinstance(other, (Scalar, Fraction, int)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # a scalar on the left; scalars commute
 
     def scale(self, c: ScalarLike) -> "NCPolynomial":
-        c = _as_scalar(c)
-        if c.is_zero():
-            return NCPolynomial._make({})
-        return NCPolynomial._make({w: c * x for w, x in self._terms.items()})
+        return self * NCPolynomial.scalar(c)
 
     def __str__(self) -> str:
         return render(self)
@@ -178,7 +167,7 @@ class NormalForm:
     dim: int
 
     def __post_init__(self) -> None:
-        for w in self.poly._terms:
+        for w, _ in self.poly._row[0]:
             if len(w) > self.dim - 1:
                 raise ValueError(f"word {w} exceeds degree {self.dim - 1}")
             if any(w[k] > w[k + 1] for k in range(len(w) - 1)):
@@ -236,6 +225,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 _GENERATORS = {"S1": 1, "S2": 2, "S3": 3}
+# sqrt(m) factors m by trial division up to sqrt(m): about 0.05 s at 10^12,
+# but minutes near 10^18.
+_SQRT_MAX = 10**12
 _FACTOR_START = {"INT", "NAME", "(", "{", "["}
 
 
@@ -341,6 +333,8 @@ class _Parser:
             self.take(")")
             if m <= 0:
                 raise ParseError("sqrt of non-positive integer", itok[2])
+            if m > _SQRT_MAX:
+                raise ParseError(f"sqrt argument exceeds {_SQRT_MAX}", itok[2])
             return NCPolynomial.scalar(Scalar.sqrt_int(m))
         raise ParseError(f"unknown atom {name!r}", tok[2])
 
@@ -386,16 +380,16 @@ def sym_words(letters: tuple[int, ...]) -> NCPolynomial:
     """Symmetric product of generator letters, expanded into its word sum:
     the sum over all n! orderings, so each distinct ordering appears once
     with coefficient prod_a c_a! for letter counts c."""
-    coeff = Scalar.of(prod(factorial(letters.count(a)) for a in (1, 2, 3)))
+    coeff = prod(factorial(letters.count(a)) for a in (1, 2, 3))
     w = sorted(letters)
-    out: dict[Word, Scalar] = {}
+    out: Terms = {}
     while True:  # the distinct orderings in lexicographic order
-        out[tuple(w)] = coeff
+        out[(tuple(w), _REAL)] = coeff
         k = len(w) - 2
         while k >= 0 and w[k] >= w[k + 1]:
             k -= 1
         if k < 0:
-            return NCPolynomial._make(out)
+            return NCPolynomial._make((out, 1))
         j = len(w) - 1
         while w[j] <= w[k]:
             j -= 1
@@ -406,16 +400,11 @@ def sym_words(letters: tuple[int, ...]) -> NCPolynomial:
 # ---------------------------------------------------------------------------
 # Rewriting
 #
-# The rewriter works on symalg rows (terms, den) with cells (word, key),
-# meaning sum n * i^imag sqrt(m) / den * word for key = 2m + imag: the cells
-# of a matrix row with a word in place of (row, col), combined by the same
-# symalg.combine_terms.  Commutators bring in +-i and the identity rational
-# coefficients, so inside the fold every key is _REAL or _IMAG; the Scalar
-# coefficients of a polynomial are multiplied in once, by _fold.
-
-Terms = dict[tuple[Word, int], int]
-_REAL, _IMAG = 2, 3  # the keys of 1 and i
-_ONE: Row = ({((), _REAL): 1}, 1)
+# The rewriter works on the rows of NCPolynomial, cells (word, key), and
+# combines them by symalg.combine_terms like the cells of a matrix row.
+# Commutators bring in +-i and the identity rational coefficients, so the
+# rows the fold builds from the unit only have the keys _REAL and _IMAG;
+# the coefficients of a polynomial's words are multiplied in once, by _fold.
 
 
 def _add(terms: Terms, t: tuple[Word, int], n: int) -> None:
@@ -424,15 +413,6 @@ def _add(terms: Terms, t: tuple[Word, int], n: int) -> None:
         terms[t] = n
     else:
         terms.pop(t, None)
-
-
-def _times_key(terms: Terms, key: int) -> Terms:
-    """terms times the basis scalar of key (distinct keys stay distinct)."""
-    out: Terms = {}
-    for (w, k), n in terms.items():
-        f, k2 = key_product(key, k)
-        out[(w, k2)] = f * n
-    return out
 
 
 def _ordered_form(w: Word, memo: dict[Word, Terms]) -> Terms:
@@ -452,7 +432,7 @@ def _ordered_form(w: Word, memo: dict[Word, Terms]) -> Terms:
         if step is not None:  # both words of v's step are done
             swapped, lowered, e = step
             res = dict(memo[swapped])
-            for t, n in _times_key(memo[lowered], _IMAG).items():
+            for t, n in times_key(memo[lowered], _IMAG).items():
                 _add(res, t, -e * n)
             memo[v] = res
             continue
@@ -479,22 +459,23 @@ def _times_letter(row: Row, a: int, memo: dict[Word, Terms]) -> Row:
     return out, row[1]
 
 
-def _fold(p: NCPolynomial, step: Callable[[Row, int], Row]) -> NCPolynomial:
-    """sum of c * (each word of p folded letter by letter from 1 by step),
-    with one Scalar per output word."""
-    pairs = []
-    for w, c in p._terms.items():
-        row = _ONE
-        for a in w:
-            row = step(row, a)
-        pairs.append((c, row))
-    terms, den = combine_terms(
-        (q, _times_key(row, key), d) for c, (row, d) in pairs for key, q in scalar_keys(c).items()
-    )
+def _fold(p: NCPolynomial, unit: Row, times: Times) -> Row:
+    """The value of p in an algebra given by its unit and right
+    multiplication by a letter, as a row of that algebra: each word of p
+    folded letter by letter from the unit, once, times the cells of its
+    coefficient, all combined over p's denominator."""
+    terms, den = p._row
     by_word: dict[Word, list[tuple[int, int]]] = {}
     for (w, key), n in terms.items():
         by_word.setdefault(w, []).append((key, n))
-    return NCPolynomial._make({w: key_scalar(items, den) for w, items in by_word.items()})
+    parts = []
+    for w, items in by_word.items():
+        row = unit
+        for a in w:
+            row = times(row, a)
+        parts += [(n, times_key(row[0], key), row[1]) for key, n in items]
+    out, d = combine_terms(parts)
+    return reduce_terms(out, d * den)
 
 
 def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
@@ -505,7 +486,7 @@ def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
     every representation.
     """
     memo: dict[Word, Terms] = {}
-    return _fold(p, lambda row, a: _times_letter(row, a, memo))
+    return NCPolynomial._make(_fold(p, _ONE, lambda row, a: _times_letter(row, a, memo)))
 
 
 def _identity_replacement(ident: Identity, u: Word, session: SymSession) -> Row:
@@ -535,8 +516,8 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     C(D+2, 2) entries, built on demand from the symmetric products of a
     SymSession over ordered words; rules, products and ordered forms are
     memoized for this call only.  Arithmetic is in Gaussian integers over a
-    common denominator; each word's Scalar coefficient is multiplied in
-    once, at the end.
+    common denominator; each word's coefficient is multiplied in once, at
+    the end (``_fold``).
 
     The result does not depend on the order of the rewriting steps.  Every
     step changes its argument by an element of the two-sided ideal J of the
@@ -568,38 +549,31 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
                     if (v, _REAL) not in rules:
                         rules[(v, _REAL)] = _identity_replacement(ident, v, session)
                     rule, rule_den = rules[(v, _REAL)]
-                    rules[(v, k)] = _times_key(rule, k), rule_den
+                    rules[(v, k)] = times_key(rule, k), rule_den
                 parts.append((Fraction(n, den), *rules[(v, k)]))
         return combine_terms(parts)
 
-    return NormalForm(_fold(p, step), dim)
+    return NormalForm(NCPolynomial._make(_fold(p, _ONE, step)), dim)
 
 
 def evaluate(
     p: NCPolynomial | NormalForm,
     rep: SpinRep,
-    cache: dict[Word, Matrix] | None = None,
+    cache: dict | None = None,
 ) -> Matrix:
-    """Exact matrix value of the polynomial on a representation.
+    """Exact matrix value of the polynomial on a representation: its words
+    folded by ``_fold`` in the rows of rep's matrices (``matrix_algebra``).
 
-    ``cache`` optionally shares word-product matrices between calls on the
-    same representation; the caller owns it.
+    ``cache`` is an opaque dict owned by the caller; passing the same one
+    to calls on the same representation builds that algebra once.
     """
     if isinstance(p, NormalForm):
         p = p.poly
     if cache is None:
         cache = {}
-    cache.setdefault((), Matrix.identity(rep.dim))
-    total = Matrix.zero(rep.dim)
-    for w, c in p._terms.items():
-        n = len(w)
-        while w[:n] not in cache:  # the longest cached prefix, then one letter at a time
-            n -= 1
-        m = cache[w[:n]]
-        for j in range(n, len(w)):
-            m = cache[w[: j + 1]] = m * rep.matrix(w[j])
-        total = total + m.scale(c)
-    return total
+    if "algebra" not in cache:
+        cache["algebra"] = matrix_algebra(rep)
+    return row_matrix(rep.dim, _fold(p, *cache["algebra"]))
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +635,9 @@ def render(
         return "0"
     pieces = []
     term = _plain_term if fmt == "plain" else _latex_term
-    for w in sorted(p._terms, key=_grlex):
-        sign, body = term(w, p._terms[w])
+    terms = p.terms()
+    for w in sorted(terms, key=_grlex):
+        sign, body = term(w, terms[w])
         if not pieces:
             pieces.append("-" + body if sign < 0 else body)
         else:
@@ -674,9 +649,5 @@ def to_json_dict(p: NCPolynomial | NormalForm) -> dict:
     """{"terms": [{"word": [...], "coeff": "..."}, ...]} in graded-lex order."""
     if isinstance(p, NormalForm):
         p = p.poly
-    return {
-        "terms": [
-            {"word": list(w), "coeff": str(p._terms[w])}
-            for w in sorted(p._terms, key=_grlex)
-        ]
-    }
+    terms = p.terms()
+    return {"terms": [{"word": list(w), "coeff": str(terms[w])} for w in sorted(terms, key=_grlex)]}

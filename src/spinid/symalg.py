@@ -8,9 +8,9 @@ evaluation over whole tuple spaces cheap.
 One engine, ``SymSession``, builds the products from an algebra's unit and
 right multiplication by a generator: for matrices here, and for ordered
 words in ``rewrite``.  Values are rows, integer numerators over one
-common denominator keyed by cell; a matrix row has cells (row, col, key).
-``Matrix`` of ``Scalar`` entries stays the public type and the slow
-reference the tests compare against.
+common denominator keyed by cell; a matrix row has cells (row, col, key),
+a polynomial's row cells (word, key).  ``Matrix`` of ``Scalar`` entries
+stays the public type and the slow reference the tests compare against.
 """
 from __future__ import annotations
 
@@ -83,14 +83,6 @@ def scalar_keys(c: Scalar) -> dict[int, Fraction]:
     return {2 * m + (part == "im"): q for (part, m), q in c.components().items()}
 
 
-def key_scalar(items: Iterable[tuple[int, int]], den: int) -> Scalar:
-    """The Scalar sum of n * basis(key) / den over distinct (key, n) items."""
-    parts: tuple[dict, dict] = ({}, {})
-    for key, n in items:
-        parts[key & 1][key >> 1] = Fraction(n, den)
-    return Scalar._make(Radical._make(parts[0]), Radical._make(parts[1]))
-
-
 def reduce_terms(terms: dict[Hashable, int], den: int) -> Row:
     """Integer numerators over den with the zeros dropped and the gcd of
     den and the numerators divided out, so equal values have equal fields."""
@@ -119,28 +111,49 @@ def combine_terms(
     return reduce_terms(out, den)
 
 
-def matrix_row(mat: Matrix) -> Row:
-    """The matrix as cells (row, col, key) of integer numerators over one
-    reduced denominator; key = 2*m + imag stands for i^imag sqrt(m), m
-    squarefree.  Equal matrices give equal rows."""
-    coords: dict[Cell, Fraction] = {}
-    for r, row in enumerate(mat.rows):
-        for c, a in enumerate(row):
-            for key, q in scalar_keys(a).items():
-                coords[(r, c, key)] = q
+def fraction_row(coords: dict[Hashable, Fraction]) -> Row:
+    """Rational coordinates by cell as a row (``reduce_terms``)."""
     den = lcm(*(q.denominator for q in coords.values()))
     return reduce_terms({t: q.numerator * (den // q.denominator) for t, q in coords.items()}, den)
 
 
+def times_key(terms: dict[Hashable, int], key: int) -> dict[Hashable, int]:
+    """terms times the basis scalar of key, for cells that end in their
+    key; distinct cells stay distinct."""
+    out = {}
+    for t, n in terms.items():
+        f, k = key_product(key, t[-1])
+        out[t[:-1] + (k,)] = f * n
+    return out
+
+
+def row_scalars(row: Row) -> dict[tuple, Scalar]:
+    """The Scalar at each position of a row whose cells are
+    (*position, key): (row, col) for a matrix, (word,) for a polynomial."""
+    terms, den = row
+    parts: dict[tuple, tuple[dict, dict]] = {}
+    for t, n in terms.items():
+        parts.setdefault(t[:-1], ({}, {}))[t[-1] & 1][t[-1] >> 1] = Fraction(n, den)
+    return {pos: Scalar._make(Radical._make(re), Radical._make(im)) for pos, (re, im) in parts.items()}
+
+
+def matrix_row(mat: Matrix) -> Row:
+    """The matrix as cells (row, col, key) of integer numerators over one
+    reduced denominator; key = 2*m + imag stands for i^imag sqrt(m), m
+    squarefree.  Equal matrices give equal rows."""
+    return fraction_row({
+        (r, c, key): q
+        for r, row in enumerate(mat.rows)
+        for c, a in enumerate(row)
+        for key, q in scalar_keys(a).items()
+    })
+
+
 def row_matrix(dim: int, row: Row) -> Matrix:
     """The dim x dim Matrix of a matrix row."""
-    terms, den = row
-    cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (r, c, key), n in terms.items():
-        cells.setdefault((r, c), []).append((key, n))
     rows = [[SCALAR_ZERO] * dim for _ in range(dim)]
-    for (r, c), items in cells.items():
-        rows[r][c] = key_scalar(items, den)
+    for (r, c), s in row_scalars(row).items():
+        rows[r][c] = s
     return Matrix(rows)
 
 
@@ -165,7 +178,18 @@ def first_nonzero_entry(row: Row) -> tuple[int, int, Scalar] | None:
     if not terms:
         return None
     r, c, _ = min(terms)
-    return r, c, key_scalar(((t[2], n) for t, n in terms.items() if t[:2] == (r, c)), den)
+    return r, c, row_scalars(({t: n for t, n in terms.items() if t[:2] == (r, c)}, den))[(r, c)]
+
+
+def matrix_algebra(rep: SpinRep) -> tuple[Row, Times]:
+    """The algebra of rep's matrices as rows: the identity row, and right
+    multiplication of a row by S_a as a product with the generator's row."""
+    gens = tuple(matrix_row(rep.matrix(axis)) for axis in (1, 2, 3))
+
+    def times(row: Row, a: Axis) -> Row:
+        return row_matmul(row, gens[a - 1])
+
+    return ({(k, k, 2): 1 for k in range(rep.dim)}, 1), times  # key 2: sqrt(1)
 
 
 class SymSession:
@@ -174,8 +198,8 @@ class SymSession:
     The memo maps axis counts c to {c} as a row, built from the algebra's
     unit and right multiplication of a row by S_a alone:
     {c} = sum_a c_a {c - e_a} S_a.  ``SymSession(rep)`` works in the
-    matrices of rep, multiplying by the generators' rows; the rewriter
-    passes the unit and ``times`` of its ordered words instead.
+    matrices of rep (``matrix_algebra``); the rewriter passes the unit and
+    ``times`` of its ordered words instead.
 
     The cache is keyed on the index multiset, so exhaustive verification
     over all D-tuples costs O(#multisets) products instead of O(3^D * D!).
@@ -186,12 +210,7 @@ class SymSession:
 
     def __init__(self, rep: SpinRep | None = None, unit: Row | None = None, times: Times | None = None):
         if rep is not None:
-            gens = tuple(matrix_row(rep.matrix(axis)) for axis in (1, 2, 3))
-            unit = ({(k, k, 2): 1 for k in range(rep.dim)}, 1)  # key 2: sqrt(1)
-
-            def times(row: Row, a: Axis) -> Row:
-                return row_matmul(row, gens[a - 1])
-
+            unit, times = matrix_algebra(rep)
         self.rep = rep
         self._times = times
         self._rows: dict[tuple[int, int, int], Row] = {(0, 0, 0): unit}

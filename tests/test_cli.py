@@ -9,7 +9,7 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(
         [sys.executable, "-m", "spinid", *args],
@@ -17,6 +17,7 @@ def run_cli(*args):
         text=True,
         capture_output=True,
         check=False,
+        timeout=timeout,
     )
 
 
@@ -176,6 +177,15 @@ def test_reduce_deep_nesting_is_a_parse_error():
     assert proc.returncode == 2
     assert "nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_reduce_refuses_a_huge_sqrt_quickly():
+    # Factoring this semiprime near 10^18 by trial division takes minutes.
+    expr = f"sqrt({999999937 * 1000000007})*S1"
+    proc = run_cli("reduce", expr, "--dim", "2", timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "position 5" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_reduce_long_word():

@@ -1,0 +1,171 @@
+"""Slow Scalar oracles for the row-based polynomial and evaluation paths.
+
+``reference_evaluate`` multiplies Matrix-of-Scalar prefix products, and
+``_Ref`` keeps a polynomial as a dict of Scalar coefficients merged term by
+term.  Neither shares code with the row arithmetic they check.
+"""
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinid.rewrite import NCPolynomial, evaluate, parse, reduce_degree, render
+from spinid.scalar import Scalar
+from spinid.spinrep import Matrix, build_generators, conjugate_rep
+
+REPS = {dim: build_generators(dim) for dim in range(1, 7)}
+I = Scalar.i()
+
+COEFFICIENTS = [
+    Scalar.of(1),
+    Scalar.of(Fraction(-3, 2)),
+    Scalar.of(Fraction(5, 7)),
+    I,
+    I * Fraction(-2, 3),
+    Scalar.sqrt_int(2),
+    Scalar.sqrt_int(6) * Fraction(1, 4),
+    Scalar.sqrt_int(3) * I,
+    Scalar.of(Fraction(1, 3)) + I * 2,
+    Scalar.sqrt_int(5) * Fraction(3, 2) - Scalar.sqrt_int(10) * I + Scalar.of(Fraction(-1, 6)),
+]
+
+
+def reference_evaluate(p, rep, cache=None):
+    """Exact matrix value from Matrix-of-Scalar products of word prefixes."""
+    if cache is None:
+        cache = {}
+    cache.setdefault((), Matrix.identity(rep.dim))
+    total = Matrix.zero(rep.dim)
+    for w, c in p.terms().items():
+        n = len(w)
+        while w[:n] not in cache:  # the longest cached prefix, then one letter at a time
+            n -= 1
+        m = cache[w[:n]]
+        for j in range(n, len(w)):
+            m = cache[w[: j + 1]] = m * rep.matrix(w[j])
+        total = total + m.scale(c)
+    return total
+
+
+def _seeded_poly(rng, max_degree):
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        w = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, max_degree)))
+        terms[w] = rng.choice(COEFFICIENTS)
+    return NCPolynomial(terms)
+
+
+def test_evaluate_matches_reference_on_ladder_representations():
+    rng = random.Random(2024)
+    for dim, rep in REPS.items():
+        ref_cache, cache = {}, {}
+        for _ in range(30):
+            p = _seeded_poly(rng, dim + 3)
+            assert evaluate(p, rep, cache) == reference_evaluate(p, rep, ref_cache), (dim, render(p))
+            if dim > 1:
+                nf = reduce_degree(p, dim)
+                assert evaluate(nf, rep, cache) == reference_evaluate(nf.poly, rep, ref_cache)
+
+
+def test_evaluate_matches_reference_on_a_dense_conjugation():
+    m = Matrix.from_rational_rows([
+        [2, 1, Fraction(-1, 2), 1],
+        [1, Fraction(3, 2), 0, -2],
+        [Fraction(1, 3), -1, 1, 1],
+        [1, 0, 2, Fraction(5, 4)],
+    ])
+    rep = conjugate_rep(REPS[4], m)
+    assert not rep.S[0].rows[0][3].is_zero()  # dense, not the ladder's band
+    rng = random.Random(77)
+    ref_cache, cache = {}, {}
+    for _ in range(20):
+        p = _seeded_poly(rng, 6)
+        assert evaluate(p, rep, cache) == reference_evaluate(p, rep, ref_cache), render(p)
+
+
+# --- the polynomial ring against a dict of Scalars ----------------------------------------
+
+
+def _accumulate(terms, w, c):
+    prev = terms.get(w)
+    s = c if prev is None else prev + c
+    if s.is_zero():
+        terms.pop(w, None)
+    else:
+        terms[w] = s
+
+
+class _Ref:
+    """Word -> nonzero Scalar, with the ring operations as Scalar loops."""
+
+    def __init__(self, terms):
+        self.terms = {}
+        for w, c in terms.items():
+            if not c.is_zero():
+                _accumulate(self.terms, tuple(w), c)
+
+    def __add__(self, other):
+        out = _Ref({})
+        out.terms = dict(self.terms)
+        for w, c in other.terms.items():
+            _accumulate(out.terms, w, c)
+        return out
+
+    def __neg__(self):
+        return _Ref({w: -c for w, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = _Ref({})
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                _accumulate(out.terms, w1 + w2, c1 * c2)
+        return out
+
+    def scale(self, c):
+        return _Ref({w: c * x for w, x in self.terms.items()})
+
+
+_SCALARS = st.sampled_from(COEFFICIENTS + [Scalar.zero(), Scalar.of(-1), -I])
+_WORDS = st.lists(st.integers(1, 3), max_size=4).map(tuple)
+_TERMS = st.dictionaries(_WORDS, _SCALARS, max_size=5)
+
+
+@given(_TERMS, _TERMS, _SCALARS, st.integers(-3, 3), st.fractions(max_denominator=5))
+@settings(max_examples=150, deadline=None)
+def test_polynomial_ring_matches_scalar_reference(a, b, c, n, q):
+    p, r = NCPolynomial(a), NCPolynomial(b)
+    ra, rb = _Ref(a), _Ref(b)
+    assert p.terms() == ra.terms
+    assert (p + r).terms() == (ra + rb).terms
+    assert (p - r).terms() == (ra - rb).terms
+    assert (p * r).terms() == (ra * rb).terms
+    assert (-p).terms() == (-ra).terms
+    assert p.scale(c).terms() == ra.scale(c).terms
+    assert (p * n).terms() == (n * p).terms() == ra.scale(Scalar.of(n)).terms
+    assert (q * p).terms() == ra.scale(Scalar.of(q)).terms
+    assert (p == r) == (ra.terms == rb.terms)
+    assert p.is_zero() == (not ra.terms)
+    for w, coeff in ra.terms.items():
+        assert p.coefficient(w) == coeff
+    assert p.degree() == max(map(len, ra.terms), default=0)
+
+
+# --- printing and reduction fixed points --------------------------------------------------
+
+
+@given(_TERMS)
+@settings(max_examples=100, deadline=None)
+def test_parse_inverts_render(terms):
+    p = NCPolynomial(terms)
+    assert parse(render(p)) == p
+
+
+@given(st.integers(2, 5), st.dictionaries(st.lists(st.integers(1, 3), max_size=7).map(tuple), _SCALARS, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_reduce_fixes_its_normal_form(dim, terms):
+    nf = reduce_degree(NCPolynomial(terms), dim)
+    assert reduce_degree(nf.poly, dim) == nf

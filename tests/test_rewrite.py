@@ -28,7 +28,7 @@ from spinid.rewrite import (
 )
 from spinid.scalar import SCALAR_ONE, Scalar
 from spinid.spinrep import Matrix, build_generators
-from spinid.symalg import IndexMultiset, SymSession, all_multisets, delta_weights, epsilon, key_scalar
+from spinid.symalg import IndexMultiset, SymSession, all_multisets, delta_weights, epsilon
 
 REPS = {dim: build_generators(dim) for dim in range(1, 7)}
 
@@ -73,6 +73,10 @@ def test_parse_sqrt_validation():
         parse("sqrt(0)")
     with pytest.raises(ParseError, match="non-positive"):
         parse("sqrt(-3)")
+    assert parse("sqrt(1000000000000)") == NCPolynomial.scalar(10**6)
+    with pytest.raises(ParseError, match="exceeds") as err:
+        parse("2*sqrt(1000000000001)")
+    assert err.value.position == len("2*sqrt(")
 
 
 def test_parse_juxtaposition_and_grouping():
@@ -424,7 +428,8 @@ def _word_row_poly(row):
     terms, den = row
     poly = NCPolynomial.zero()
     for (w, key), n in terms.items():
-        poly = poly + NCPolynomial({w: key_scalar([(key, n)], den)})
+        basis = Scalar.sqrt_int(key >> 1) * (I if key & 1 else SCALAR_ONE)
+        poly = poly + NCPolynomial({w: basis * Fraction(n, den)})
     return poly
 
 
