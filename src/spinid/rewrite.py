@@ -5,12 +5,14 @@ exact coefficients, stored as symalg rows: integer numerators over one
 denominator, keyed by (word, key).  The canonical form for dimension D
 keeps only ordered words S1^a S2^b S3^c of total degree <= D-1: the
 commutation relation orders the letters, and the dimension-D reduction
-identity caps the degree.  ``reduce_degree`` folds every word letter by
-letter against a rule table, one rule per ordered word of degree D; the
-form it reaches is unique modulo the relations, so it does not depend on
-the order of the rewriting steps.  ``evaluate`` folds the words the same
-way in the rows of a representation's matrices.  Scalars appear only
-where a polynomial is built from or read as Scalar coefficients.
+identity caps the degree.  Words are folded letter by letter, each letter
+inserted into ordered words, so no unordered word is stored.
+``reduce_degree`` caps every step by a rule table, one rule per ordered
+word of degree D.  The form it reaches is unique modulo the relations, so
+it does not depend on the order of the rewriting steps.  ``evaluate``
+folds the words the same way in the rows of a representation's matrices.
+Scalars appear only where a polynomial is built from or read as Scalar
+coefficients.
 """
 from __future__ import annotations
 
@@ -252,6 +254,8 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "EOF":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+        if any(key >> 1 > _SQRT_MAX for _, key in p._row[0]):  # render would not parse back
+            raise ParseError(f"combined sqrt radicand exceeds {_SQRT_MAX}", 0)
         return p
 
     def expression(self) -> NCPolynomial:
@@ -367,7 +371,8 @@ def parse(text: str) -> NCPolynomial:
 
     Terms are separated by +/-, factors by '*' or whitespace.  Atoms:
     S1 S2 S3, I, i, integers, rationals p/q, sqrt(m), symmetric braces
-    { S1 S2 ... }, commutators [A, B]; parentheses group.
+    { S1 S2 ... }, commutators [A, B]; parentheses group.  Radicands, also
+    of the products of roots in the result, are at most 10^12.
     """
     parser = _Parser(text)
     try:
@@ -415,45 +420,39 @@ def _add(terms: Terms, t: tuple[Word, int], n: int) -> None:
         terms.pop(t, None)
 
 
-def _ordered_form(w: Word, memo: dict[Word, Terms]) -> Terms:
-    """PBW ordering of one word, with Gaussian-integer coefficients: the
-    commutation relation S_j S_i = S_i S_j - i eps_ijl S_l (the unique
-    l != i, j) applied to the leftmost out-of-order pair.
+def _ordered_form(u: Word, a: int, memo: dict[tuple[Word, int], Terms]) -> Terms:
+    """Ordered form of u S_a for an ordered word u, with Gaussian-integer
+    coefficients: S_a is inserted into u.  If u = v S_b with b > a, the
+    commutation relation S_b S_a = S_a S_b + i eps_bal S_l (the unique
+    l != a, b) gives NF(u S_a) = NF(v S_a) S_b + i eps_bal NF(v S_l).
 
-    Every word met on the way is memoized.  A word waits on an explicit
-    stack until both words its step leads to are done, so the Python stack
-    stays flat however many steps the word needs."""
-    res = memo.get(w)
-    if res is not None:
-        return res
-    stack: list[tuple[Word, tuple | None]] = [(w, None)]
-    while stack:
-        v, step = stack.pop()
-        if step is not None:  # both words of v's step are done
-            swapped, lowered, e = step
-            res = dict(memo[swapped])
-            for t, n in times_key(memo[lowered], _IMAG).items():
-                _add(res, t, -e * n)
-            memo[v] = res
-            continue
-        if v in memo:
-            continue
-        swap = next((k for k in range(len(v) - 1) if v[k] > v[k + 1]), None)
-        if swap is None:
-            memo[v] = {(v, _REAL): 1}
-            continue
-        j, i = v[swap], v[swap + 1]
-        l = 6 - i - j
-        swapped, lowered = v[:swap] + (i, j) + v[swap + 2 :], v[:swap] + (l,) + v[swap + 2 :]
-        stack += [(v, (swapped, lowered, epsilon(i, j, l))), (swapped, None), (lowered, None)]
-    return memo[w]
+    Results are memoized by (u, a); no unordered word is ever formed.  The
+    memo keeps u S_a when it is already ordered too, so that the results
+    share one tuple per word.  The prefixes of u are done first, shortest
+    first, so the recursion on v finds them in the memo, and the nested
+    product by S_b only inserts larger letters: the Python stack stays flat
+    however long u is."""
+    res = memo.get((u, a))
+    if res is None:
+        if u and u[-1] > a:
+            for k in range(u.count(1), len(u)):  # 1^k S_c and u[:k] S_3 need no reordering
+                for c in (1, 2):
+                    _ordered_form(u[:k], c, memo)
+            v, b, l = u[:-1], u[-1], 6 - a - u[-1]
+            res, _ = _times_letter((_ordered_form(v, a, memo), 1), b, memo)
+            for t, n in times_key(_ordered_form(v, l, memo), _IMAG).items():
+                _add(res, t, epsilon(b, a, l) * n)
+        else:
+            res = {(u + (a,), _REAL): 1}
+        memo[(u, a)] = res
+    return res
 
 
-def _times_letter(row: Row, a: int, memo: dict[Word, Terms]) -> Row:
-    """Ordered form of (the row of ordered words) * S_a."""
+def _times_letter(row: Row, a: int, memo: dict[tuple[Word, int], Terms]) -> Row:
+    """Ordered form of (the row of ordered words) * S_a, by insertion."""
     out: Terms = {}
     for (u, k1), x in row[0].items():
-        for (w, k2), y in _ordered_form(u + (a,), memo).items():
+        for (w, k2), y in _ordered_form(u, a, memo).items():
             f, key = key_product(k1, k2)
             _add(out, (w, key), f * x * y)
     return out, row[1]
@@ -480,12 +479,13 @@ def _fold(p: NCPolynomial, unit: Row, times: Times) -> Row:
 
 def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
     """Rewrite every word to ordered (non-decreasing) letters using the
-    commutation relation on the leftmost out-of-order pair.
+    commutation relation, inserting each letter into the ordered words
+    folded so far (``_times_letter``).
 
     Dimension-independent: the result evaluates equal to the input on
     every representation.
     """
-    memo: dict[Word, Terms] = {}
+    memo: dict[tuple[Word, int], Terms] = {}
     return NCPolynomial._make(_fold(p, _ONE, lambda row, a: _times_letter(row, a, memo)))
 
 
@@ -532,7 +532,7 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     if dim < 2:
         raise ValueError("reduction requires dimension >= 2")
     ident = build_identity(dim)
-    memo: dict[Word, Terms] = {}
+    memo: dict[tuple[Word, int], Terms] = {}
 
     def times(row: Row, a: int) -> Row:
         return _times_letter(row, a, memo)

@@ -200,9 +200,7 @@ class SpinRep:
         return self.S[axis - 1]
 
     @classmethod
-    def from_matrices(
-        cls, matrices: Sequence[Matrix], check: bool = True
-    ) -> "SpinRep":
+    def from_matrices(cls, matrices: Sequence[Matrix]) -> "SpinRep":
         """Wrap an arbitrary triple, verifying the commutation relation.
 
         Used for conjugated (non-Hermitian) triples; the ladder-built
@@ -211,7 +209,7 @@ class SpinRep:
         s1, s2, s3 = matrices
         dim = s1.dim
         rep = cls(dim=dim, spin=Fraction(dim - 1, 2), S=(s1, s2, s3))
-        if check and not commutation_holds(rep):
+        if not commutation_holds(rep):
             raise ValueError("matrices do not satisfy the su(2) commutation relation")
         return rep
 

@@ -14,6 +14,7 @@ stays the public type and the slow reference the tests compare against.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -226,18 +227,17 @@ class SymSession:
 
     def sym_int(self, counts: tuple[int, int, int]) -> Row:
         """The symmetric product for these axis counts, as a row."""
-        out = self._rows.get(counts)
-        if out is None:
+        rows = self._rows
+        if counts not in rows:
             # {n indices} = sum over positions j of {rest} * S_{i_j}; positions
             # carrying equal letters contribute identical terms, hence the
-            # multiplicity factors.
-            parts = []
-            for a, c in enumerate(counts):
-                if c:
-                    rest = counts[:a] + (c - 1,) + counts[a + 1 :]
-                    parts.append((c, *self._times(self.sym_int(rest), a + 1)))
-            out = self._rows[counts] = combine_terms(parts)
-        return out
+            # multiplicity factors.  In product order every c - e_a of the
+            # box c <= counts comes before c, so no recursion is needed.
+            for box in itertools.product(*(range(c + 1) for c in counts)):
+                if box not in rows:
+                    rows[box] = combine_terms((c, *self._times(rows[box[:a] + (c - 1,) + box[a + 1 :]], a + 1))
+                                              for a, c in enumerate(box) if c)
+        return rows[counts]
 
 
 def pairing_count(n: int) -> int:

@@ -188,6 +188,13 @@ def test_reduce_refuses_a_huge_sqrt_quickly():
     assert "position 5" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_reduce_refuses_a_huge_combined_radicand():
+    proc = run_cli("reduce", "sqrt(999999937)*sqrt(1000000007)*S1", "--dim", "2", timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "combined sqrt radicand" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_reduce_long_word():
     # 450 letters: the letter fold keeps the rewriting depth bounded by D.
     from spinid.rewrite import evaluate, parse

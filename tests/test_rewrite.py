@@ -79,6 +79,17 @@ def test_parse_sqrt_validation():
     assert err.value.position == len("2*sqrt(")
 
 
+def test_parse_refuses_a_huge_combined_radicand():
+    # Each root is admitted, but their product renders as
+    # sqrt(999999943999999559), which would not parse back.
+    with pytest.raises(ParseError, match="combined sqrt radicand exceeds"):
+        parse("sqrt(999999937)*sqrt(1000000007)*S1")
+    assert parse("sqrt(999999937)*sqrt(1000000007)*sqrt(999999937)") == parse("999999937*sqrt(1000000007)")
+    p = parse("sqrt(2)*sqrt(3)*S1")
+    assert render(p) == "sqrt(6)*S1"
+    assert parse(render(p)) == p
+
+
 def test_parse_juxtaposition_and_grouping():
     assert parse("S1 S2") == parse("S1*S2")
     assert parse("(S1 + S2) * S3") == S1 * S3 + S2 * S3
@@ -147,6 +158,34 @@ def test_pbw_long_word_keeps_a_flat_stack():
         sys.setrecursionlimit(limit)
     assert p.coefficient((1,) * 300 + (2,)) == SCALAR_ONE
     assert evaluate(p, REPS[2]) == evaluate(NCPolynomial({(2,) + (1,) * 300: 1}), REPS[2])
+
+
+def test_pbw_matches_the_reference_on_every_short_word():
+    # all 1093 words of length <= 6, against the Scalar reordering of the
+    # leftmost out-of-order pair (``_reference_ordered_form`` below)
+    memo = {}
+    for n in range(7):
+        for w in itertools.product((1, 2, 3), repeat=n):
+            assert pbw_normalize(NCPolynomial({w: 1})) == NCPolynomial(_reference_ordered_form(w, memo)), w
+
+
+def test_pbw_long_descent_is_small_and_flat():
+    # S1 moves past 150 letters S3; the memo holds (ordered word, letter)
+    # results only, and the stack does not grow with the word.
+    word = (3,) * 150 + (1,)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    tracemalloc.start()
+    try:
+        p = pbw_normalize(NCPolynomial({word: 1}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.setrecursionlimit(limit)
+    assert peak < 16 << 20
+    assert p.coefficient((1,) + (3,) * 150) == SCALAR_ONE
+    for dim in range(2, 5):
+        assert evaluate(p, REPS[dim]) == evaluate(NCPolynomial({word: 1}), REPS[dim])
 
 
 def test_pbw_is_dimension_independent():

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import factorial, prod
 
@@ -114,6 +116,20 @@ def test_recursion_matches_brute_force(dim):
 def test_recursion_matches_brute_force_conjugated(dim):
     # dense rational entries, not just the ladder's sparsity
     _check_recursion(conjugate_rep(REPS[dim], dense_similarity(dim)))
+
+
+def test_long_product_keeps_a_flat_stack():
+    # {S3^n} = n! S3^n on spin 1/2; the memo is filled in a loop, so a limit
+    # just above the caller's depth is enough for 1200 indices.
+    n = 1200
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        product = SymSession(REPS[2]).sym(IndexMultiset((0, 0, n)))
+    finally:
+        sys.setrecursionlimit(limit)
+    q = Fraction(factorial(n), 2**n)
+    assert product == Matrix([[Scalar.of(q), Scalar.zero()], [Scalar.zero(), Scalar.of(q * (-1) ** n)]])
 
 
 def test_session_reuses_results():
