@@ -25,18 +25,9 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from typing import Literal, Sequence
 
-from .scalar import Scalar, frac_str
-from .spinrep import Matrix, SpinRep
-from .symalg import (
-    IndexMultiset,
-    Row,
-    SymSession,
-    all_multisets,
-    combine_terms,
-    delta_weights,
-    first_nonzero_entry,
-    row_matrix,
-)
+from .scalar import Row, Scalar, combine_terms, frac_str
+from .spinrep import Matrix, SpinRep, eigenvalue_list, first_nonzero_entry, row_matrix
+from .symalg import IndexMultiset, SymSession, all_multisets, delta_weights
 
 Witness = tuple[int, int, Scalar]
 Failure = tuple[tuple[int, ...], Witness]
@@ -54,15 +45,6 @@ class CharCoeffs:
     a: tuple[Fraction, ...]
 
 
-def _squared_eigenvalues(dim: int) -> list[Fraction]:
-    """Distinct nonzero squared eigenvalues of a dimension-D spin matrix."""
-    if dim % 2:  # integer spin, largest eigenvalue n
-        n = (dim - 1) // 2
-        return [Fraction(q * q) for q in range(1, n + 1)]
-    n = dim // 2 - 1  # half-integral, largest eigenvalue n + 1/2
-    return [Fraction((2 * q + 1) ** 2, 4) for q in range(n + 1)]
-
-
 def char_coeffs(dim: int) -> CharCoeffs:
     """Expand the product form of the characteristic equation.
 
@@ -72,7 +54,7 @@ def char_coeffs(dim: int) -> CharCoeffs:
     if dim < 2:
         raise ValueError("no nontrivial identity below dimension 2")
     coeffs = [Fraction(1)]  # polynomial in y = S^2, highest power first
-    for e in _squared_eigenvalues(dim):
+    for e in [m * m for m in eigenvalue_list(dim) if m > 0]:  # each nonzero square once
         nxt = coeffs + [Fraction(0)]
         for j in range(1, len(nxt)):
             nxt[j] -= e * coeffs[j - 1]

@@ -1,8 +1,8 @@
 """Spin-operator expressions: parsing, PBW ordering, and degree capping.
 
 Expressions are noncommutative polynomials in the letters S1, S2, S3 with
-exact coefficients, stored as symalg rows: integer numerators over one
-denominator, keyed by (word, key).  The canonical form for dimension D
+exact coefficients, stored as the rows of ``scalar``: integer numerators
+over one denominator, keyed by (word, key).  The canonical form for dimension D
 keeps only ordered words S1^a S2^b S3^c of total degree <= D-1: the
 commutation relation orders the letters, and the dimension-D reduction
 identity caps the degree.  Words are folded letter by letter, each letter
@@ -23,30 +23,27 @@ from math import factorial, prod
 from typing import Iterator, Literal, Mapping, Union
 
 from .charid import Identity, build_identity
-from .scalar import Scalar, render_components
-from .spinrep import Matrix, SpinRep
-from .symalg import (
-    IndexMultiset,
+from .scalar import (
+    KEY_I,
+    KEY_ONE,
     Row,
-    SymSession,
-    Times,
+    Scalar,
     combine_terms,
-    epsilon,
     fraction_row,
     key_product,
-    matrix_algebra,
     reduce_terms,
-    row_matrix,
+    render_components,
     row_scalars,
     scalar_keys,
     times_key,
 )
+from .spinrep import Matrix, SpinRep, Times, matrix_algebra, row_matrix
+from .symalg import IndexMultiset, SymSession, epsilon
 
 Word = tuple[int, ...]
 ScalarLike = Union[Scalar, Fraction, int]
 Terms = dict[tuple[Word, int], int]  # (word, key) -> numerator
-_REAL, _IMAG = 2, 3  # the keys of 1 and i
-_ONE: Row = ({((), _REAL): 1}, 1)
+_ONE: Row = ({((), KEY_ONE): 1}, 1)
 
 
 def _grlex(w: Word) -> tuple[int, Word]:
@@ -58,10 +55,10 @@ class NCPolynomial:
     """Linear combination of words over {S1, S2, S3}; the empty word is
     the identity operator.
 
-    The value is a symalg row with cells (word, key), key = 2*m + imag for
-    the basis scalar i^imag sqrt(m): sum n * basis(key) / den * word.  Rows
-    are reduced (``reduce_terms``), so equal polynomials have equal rows
-    and no zero coefficient is stored.  Scalar coefficients go in through
+    The value is a row (``scalar``) with cells (word, key), key = 2*m +
+    imag for the basis scalar i^imag sqrt(m): sum n * basis(key) / den *
+    word.  Rows are reduced (``reduce_terms``), so equal polynomials have
+    equal rows and no zero coefficient is stored.  Scalar coefficients go in through
     the constructor and come out through ``terms`` and ``coefficient``."""
 
     __slots__ = ("_row",)
@@ -94,7 +91,7 @@ class NCPolynomial:
     def generator(cls, axis: int) -> "NCPolynomial":
         if axis not in (1, 2, 3):
             raise ValueError("axis must be 1, 2 or 3")
-        return cls._make(({((axis,), _REAL): 1}, 1))
+        return cls._make(({((axis,), KEY_ONE): 1}, 1))
 
     @classmethod
     def scalar(cls, c: ScalarLike) -> "NCPolynomial":
@@ -389,7 +386,7 @@ def sym_words(letters: tuple[int, ...]) -> NCPolynomial:
     w = sorted(letters)
     out: Terms = {}
     while True:  # the distinct orderings in lexicographic order
-        out[(tuple(w), _REAL)] = coeff
+        out[(tuple(w), KEY_ONE)] = coeff
         k = len(w) - 2
         while k >= 0 and w[k] >= w[k + 1]:
             k -= 1
@@ -406,9 +403,9 @@ def sym_words(letters: tuple[int, ...]) -> NCPolynomial:
 # Rewriting
 #
 # The rewriter works on the rows of NCPolynomial, cells (word, key), and
-# combines them by symalg.combine_terms like the cells of a matrix row.
+# combines them by scalar.combine_terms like the cells of a matrix row.
 # Commutators bring in +-i and the identity rational coefficients, so the
-# rows the fold builds from the unit only have the keys _REAL and _IMAG;
+# rows the fold builds from the unit only have the keys KEY_ONE and KEY_I;
 # the coefficients of a polynomial's words are multiplied in once, by _fold.
 
 
@@ -440,10 +437,10 @@ def _ordered_form(u: Word, a: int, memo: dict[tuple[Word, int], Terms]) -> Terms
                     _ordered_form(u[:k], c, memo)
             v, b, l = u[:-1], u[-1], 6 - a - u[-1]
             res, _ = _times_letter((_ordered_form(v, a, memo), 1), b, memo)
-            for t, n in times_key(_ordered_form(v, l, memo), _IMAG).items():
+            for t, n in times_key(_ordered_form(v, l, memo), KEY_I).items():
                 _add(res, t, epsilon(b, a, l) * n)
         else:
-            res = {(u + (a,), _REAL): 1}
+            res = {(u + (a,), KEY_ONE): 1}
         memo[(u, a)] = res
     return res
 
@@ -498,7 +495,7 @@ def _identity_replacement(ident: Identity, u: Word, session: SymSession) -> Row:
     it caps u.  Equivalently, it is the rule u -> u + this."""
     residual = ident.residual_int(session, IndexMultiset.from_tuple(u).counts)
     terms, den = combine_terms([(Fraction(-1, factorial(ident.dim)), *residual)])
-    lead = (u, _REAL)
+    lead = (u, KEY_ONE)
     assert terms.get(lead) == -den, f"{u} is not the leading word of its rule"
     assert all(len(w) < ident.dim for w, k in terms if (w, k) != lead), f"rule for {u} keeps degree {ident.dim}"
     return terms, den
@@ -546,9 +543,9 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
         for (v, k), n in terms.items():
             if len(v) == dim:
                 if (v, k) not in rules:
-                    if (v, _REAL) not in rules:
-                        rules[(v, _REAL)] = _identity_replacement(ident, v, session)
-                    rule, rule_den = rules[(v, _REAL)]
+                    if (v, KEY_ONE) not in rules:
+                        rules[(v, KEY_ONE)] = _identity_replacement(ident, v, session)
+                    rule, rule_den = rules[(v, KEY_ONE)]
                     rules[(v, k)] = times_key(rule, k), rule_den
                 parts.append((Fraction(n, den), *rules[(v, k)]))
         return combine_terms(parts)
@@ -565,14 +562,16 @@ def evaluate(
     folded by ``_fold`` in the rows of rep's matrices (``matrix_algebra``).
 
     ``cache`` is an opaque dict owned by the caller; passing the same one
-    to calls on the same representation builds that algebra once.
+    to calls on the same representation builds that algebra once.  It
+    holds the algebra of one representation object: a call on another
+    rebuilds it.
     """
     if isinstance(p, NormalForm):
         p = p.poly
     if cache is None:
         cache = {}
-    if "algebra" not in cache:
-        cache["algebra"] = matrix_algebra(rep)
+    if cache.get("rep") is not rep:
+        cache["rep"], cache["algebra"] = rep, matrix_algebra(rep)
     return row_matrix(rep.dim, _fold(p, *cache["algebra"]))
 
 

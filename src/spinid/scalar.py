@@ -1,14 +1,23 @@
 """Exact scalars: rational combinations of square roots of squarefree
-integers, with an optional imaginary part.
+integers, with an optional imaginary part, and the row format that
+encodes them.
 
 Every value is canonical after construction, so equality is plain
 structural equality and there is no floating-point anywhere.
+
+``Scalar`` is the edge type: values are built from it and read back as
+it, and the tests use its arithmetic as the slow reference.  Inside the
+library the arithmetic runs on rows, owned by this module: integer
+numerators over one common denominator, keyed by cells that end in a
+basis key 2*m + imag for i^imag sqrt(m).  ``spinrep`` keys a matrix row by
+(row, col, key), ``rewrite`` a polynomial's row by (word, key).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping, Union
+from functools import lru_cache
+from math import gcd, lcm
+from typing import Hashable, Iterable, Mapping, Union
 
 # Exact rational numbers; always in lowest terms with positive denominator.
 Rational = Fraction
@@ -151,8 +160,6 @@ class Radical:
                     del out[k]
         return Radical._make(out)
 
-    __rmul__ = __mul__
-
     def __str__(self) -> str:
         return render_components(
             [(c, m, False) for m, c in sorted(self._terms.items())]
@@ -220,14 +227,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()
-
-    def is_rational(self) -> bool:
-        return self.im.is_zero() and self.re.is_rational()
-
-    def as_rational(self) -> Fraction:
-        if not self.im.is_zero():
-            raise ValueError(f"{self} is not rational")
-        return self.re.as_rational()
 
     def is_gaussian(self) -> bool:
         """True when both parts involve only radicand 1."""
@@ -354,3 +353,77 @@ def render_components(
             out.append("-")
         out.append(body)
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# Rows
+
+Row = tuple[dict[Hashable, int], int]  # (terms, den): the sum of n * cell / den
+KEY_ONE, KEY_I = 2, 3  # the basis keys of 1 and i
+
+
+@lru_cache(maxsize=None)
+def key_product(k1: int, k2: int) -> tuple[int, int]:
+    """(factor, key) with basis(k1) * basis(k2) = factor * basis(key):
+    sqrt(m1) sqrt(m2) = g sqrt(m1 m2 / g^2) for g = gcd(m1, m2), and i i = -1."""
+    m1, m2 = k1 >> 1, k2 >> 1
+    g = gcd(m1, m2)
+    return (-g if k1 & k2 & 1 else g), 2 * (m1 // g) * (m2 // g) + ((k1 ^ k2) & 1)
+
+
+def scalar_keys(c: Scalar) -> dict[int, Fraction]:
+    """The rational coordinates of c by basis key 2*m + imag."""
+    return {2 * m + (part == "im"): q for (part, m), q in c.components().items()}
+
+
+def reduce_terms(terms: dict[Hashable, int], den: int) -> Row:
+    """Integer numerators over den with the zeros dropped and the gcd of
+    den and the numerators divided out, so equal values have equal fields."""
+    terms = {t: n for t, n in terms.items() if n}
+    g = gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {t: n // g for t, n in terms.items()}, den // g
+
+
+def combine_terms(
+    parts: Iterable[tuple[Fraction | int, dict[Hashable, int], int]]
+) -> Row:
+    """The linear combination sum of w * terms / den over (w, terms, den)
+    parts with rational w, as integer numerators over one common
+    denominator (``reduce_terms``).  Only the numerators of equal cells
+    meet, so the cells may be any keys: matrix cells or word cells."""
+    parts = list(parts)
+    den = lcm(*(w.denominator * d for w, _, d in parts))
+    out: dict[Hashable, int] = {}
+    for w, terms, d in parts:
+        f = w.numerator * (den // (w.denominator * d))
+        for t, n in terms.items():
+            out[t] = out.get(t, 0) + f * n
+    return reduce_terms(out, den)
+
+
+def fraction_row(coords: dict[Hashable, Fraction]) -> Row:
+    """Rational coordinates by cell as a row (``reduce_terms``)."""
+    den = lcm(*(q.denominator for q in coords.values()))
+    return reduce_terms({t: q.numerator * (den // q.denominator) for t, q in coords.items()}, den)
+
+
+def times_key(terms: dict[Hashable, int], key: int) -> dict[Hashable, int]:
+    """terms times the basis scalar of key, for cells that end in their
+    key; distinct cells stay distinct."""
+    out = {}
+    for t, n in terms.items():
+        f, k = key_product(key, t[-1])
+        out[t[:-1] + (k,)] = f * n
+    return out
+
+
+def row_scalars(row: Row) -> dict[tuple, Scalar]:
+    """The Scalar at each position of a row whose cells are
+    (*position, key): (row, col) for a matrix, (word,) for a polynomial."""
+    terms, den = row
+    parts: dict[tuple, tuple[dict, dict]] = {}
+    for t, n in terms.items():
+        parts.setdefault(t[:-1], ({}, {}))[t[-1] & 1][t[-1] >> 1] = Fraction(n, den)
+    return {pos: Scalar._make(Radical._make(re), Radical._make(im)) for pos, (re, im) in parts.items()}

@@ -1,22 +1,44 @@
-"""Exact D-dimensional spin matrices and the dense matrix arithmetic under
-them.
+"""Exact D-dimensional spin matrices and the matrix rows under them.
 
 The generators use the standard ladder construction in the basis where S_3
 is diagonal with descending eigenvalues s, s-1, ..., -s.  Every entry is an
 exact Scalar, so the commutation relation and the Casimir hold on the nose.
+
+``Matrix`` of ``Scalar`` entries is the edge type: representations are
+built as, handed out as and compared as Matrices, and the tests use the
+Matrix arithmetic as the slow reference.  The library's own matrix
+arithmetic runs on the matrix rows owned by this module, the rows of
+``scalar`` with cells (row, col, key): building, checking and conjugating
+a representation, and the symmetric products of ``symalg``.  The one
+Scalar computation left is ``Matrix.inverse`` of the matrix a caller
+conjugates by.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .scalar import (
+    KEY_I,
+    KEY_ONE,
+    RADICAL_ZERO,
     SCALAR_ONE,
     SCALAR_ZERO,
+    Row,
     Scalar,
+    combine_terms,
+    fraction_row,
+    key_product,
+    reduce_terms,
+    row_scalars,
+    scalar_keys,
     sqrt_of_rational,
+    times_key,
 )
+
+Cell = tuple[int, int, int]  # (row, col, key)
+Times = Callable[[Row, int], Row]  # right multiplication of a row by S_axis
 
 
 class SingularMatrixError(ArithmeticError):
@@ -75,9 +97,6 @@ class Matrix:
                 for ra, rb in zip(self.rows, other.rows)
             ]
         )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in r] for r in self.rows])
 
     def scale(self, c: Scalar | Fraction | int) -> "Matrix":
         if not isinstance(c, Scalar):
@@ -178,6 +197,49 @@ class Matrix:
         return f"Matrix({self.dim}x{self.dim})"
 
 
+def matrix_row(mat: Matrix) -> Row:
+    """The matrix as cells (row, col, key) of integer numerators over one
+    reduced denominator.  Equal matrices give equal rows."""
+    return fraction_row({
+        (r, c, key): q
+        for r, row in enumerate(mat.rows)
+        for c, a in enumerate(row)
+        for key, q in scalar_keys(a).items()
+    })
+
+
+def row_matrix(dim: int, row: Row) -> Matrix:
+    """The dim x dim Matrix of a matrix row."""
+    rows = [[SCALAR_ZERO] * dim for _ in range(dim)]
+    for (r, c), s in row_scalars(row).items():
+        rows[r][c] = s
+    return Matrix(rows)
+
+
+def row_matmul(a: Row, b: Row) -> Row:
+    """The matrix product of two matrix rows."""
+    by_row: dict[int, list[tuple[int, int, int]]] = {}
+    for (k, c, key), n in b[0].items():
+        by_row.setdefault(k, []).append((c, key, n))
+    out: dict[Cell, int] = {}
+    for (r, k, k1), n1 in a[0].items():
+        for c, k2, n2 in by_row.get(k, ()):
+            f, key = key_product(k1, k2)
+            t = (r, c, key)
+            out[t] = out.get(t, 0) + f * n1 * n2
+    return reduce_terms(out, a[1] * b[1])
+
+
+def first_nonzero_entry(row: Row) -> tuple[int, int, Scalar] | None:
+    """The first nonzero cell of a matrix row in row-major order, as
+    Matrix.first_nonzero_entry gives it."""
+    terms, den = row
+    if not terms:
+        return None
+    r, c, _ = min(terms)
+    return r, c, row_scalars(({t: n for t, n in terms.items() if t[:2] == (r, c)}, den))[(r, c)]
+
+
 def eigenvalue_list(dim: int) -> list[Fraction]:
     """Eigenvalues s, s-1, ..., -s of S_3 in descending order."""
     if dim < 1:
@@ -215,44 +277,40 @@ class SpinRep:
 
 
 def build_generators(dim: int) -> SpinRep:
-    """Standard-basis generators: S_3 diagonal descending, ladder elements
-    sqrt(s(s+1) - m(m+1)) on the off-diagonals."""
+    """Standard-basis generators: S_3 = diag(m) descending, and with the
+    ladder element r = sqrt(s(s+1) - m(m+1)) / 2 between m and m+1, S_1 has
+    r on both off-diagonals and S_2 has -i r above and i r below."""
     if dim < 1:
         raise ValueError("dimension must be a positive integer")
     s = Fraction(dim - 1, 2)
     eigs = eigenvalue_list(dim)
-
-    s3 = Matrix.zero(dim)
+    s1, s2, s3 = ([[SCALAR_ZERO] * dim for _ in range(dim)] for _ in range(3))
     for k, m in enumerate(eigs):
-        s3.rows[k][k] = Scalar.of(m)
-
-    # S_+ |m> = sqrt(s(s+1) - m(m+1)) |m+1>; column k holds m = eigs[k].
-    splus = Matrix.zero(dim)
-    for k in range(1, dim):
-        m = eigs[k]
-        splus.rows[k - 1][k] = Scalar(sqrt_of_rational(s * (s + 1) - m * (m + 1)))
-    sminus = splus.dagger()
-
-    half = Fraction(1, 2)
-    s1 = (splus + sminus).scale(half)
-    s2 = (splus - sminus).scale(Scalar(0, -half))  # 1/(2i) = -i/2
-    return SpinRep(dim=dim, spin=s, S=(s1, s2, s3))
+        s3[k][k] = Scalar.of(m)
+        if k:  # column k holds m = eigs[k], raised into row k - 1
+            r = sqrt_of_rational((s * (s + 1) - m * (m + 1)) / 4)
+            s1[k - 1][k] = s1[k][k - 1] = Scalar._make(r, RADICAL_ZERO)
+            s2[k - 1][k] = Scalar._make(RADICAL_ZERO, -r)
+            s2[k][k - 1] = Scalar._make(RADICAL_ZERO, r)
+    return SpinRep(dim=dim, spin=s, S=(Matrix(s1), Matrix(s2), Matrix(s3)))
 
 
 def commutation_holds(rep: SpinRep) -> bool:
-    """[S_i, S_j] = i eps_ijk S_k, checked exactly for all pairs."""
-    s1, s2, s3 = rep.S
-    i = Scalar.i()
-    return (
-        (s1 * s2 - s2 * s1) == s3.scale(i)
-        and (s2 * s3 - s3 * s2) == s1.scale(i)
-        and (s3 * s1 - s1 * s3) == s2.scale(i)
-    )
+    """[S_a, S_b] = i S_c for the cyclic triples (a, b, c), checked exactly
+    on matrix rows."""
+    for mat in rep.S:
+        mat._check_dim(rep.S[0])
+    gens = [matrix_row(mat) for mat in rep.S]
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        bracket = combine_terms([(1, *row_matmul(gens[a], gens[b])), (-1, *row_matmul(gens[b], gens[a]))])
+        if bracket != (times_key(gens[c][0], KEY_I), gens[c][1]):
+            return False
+    return True
 
 
 def casimir(rep: SpinRep) -> Matrix:
-    s1, s2, s3 = rep.S
-    return s1 * s1 + s2 * s2 + s3 * s3
+    gens = [matrix_row(mat) for mat in rep.S]
+    return row_matrix(rep.dim, combine_terms((1, *row_matmul(g, g)) for g in gens))
 
 
 def is_hermitian(mat: Matrix) -> bool:
@@ -260,11 +318,25 @@ def is_hermitian(mat: Matrix) -> bool:
 
 
 def conjugate_rep(rep: SpinRep, m: Matrix) -> SpinRep:
-    """Change basis by any non-singular matrix: S_i -> M S_i M^{-1}.
+    """Change basis by any non-singular matrix: S_i -> M S_i M^{-1}, the
+    products taken on matrix rows.
 
     The result still satisfies the commutation relation (and is checked),
     but is generally no longer Hermitian.
     """
-    m_inv = m.inverse()
-    transformed = tuple(m * s * m_inv for s in rep.S)
-    return SpinRep.from_matrices(transformed)
+    m._check_dim(rep.S[0])
+    left, right = matrix_row(m), matrix_row(m.inverse())
+    return SpinRep.from_matrices(
+        tuple(row_matrix(rep.dim, row_matmul(row_matmul(left, matrix_row(s)), right)) for s in rep.S)
+    )
+
+
+def matrix_algebra(rep: SpinRep) -> tuple[Row, Times]:
+    """The algebra of rep's matrices as rows: the identity row, and right
+    multiplication of a row by S_a as a product with the generator's row."""
+    gens = tuple(matrix_row(rep.matrix(axis)) for axis in (1, 2, 3))
+
+    def times(row: Row, a: int) -> Row:
+        return row_matmul(row, gens[a - 1])
+
+    return ({(k, k, KEY_ONE): 1 for k in range(rep.dim)}, 1), times

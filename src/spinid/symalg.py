@@ -6,23 +6,22 @@ depends only on the multiset of indices, which is what makes memoized
 evaluation over whole tuple spaces cheap.
 
 One engine, ``SymSession``, builds the products from an algebra's unit and
-right multiplication by a generator: for matrices here, and for ordered
-words in ``rewrite``.  Values are rows, integer numerators over one
-common denominator keyed by cell; a matrix row has cells (row, col, key),
-a polynomial's row cells (word, key).  ``Matrix`` of ``Scalar`` entries
-stays the public type and the slow reference the tests compare against.
+right multiplication by a generator: for a representation's matrices
+(``spinrep.matrix_algebra``) and for ordered words in ``rewrite``.  It
+owns no format: values are the rows of ``scalar``, and a matrix row is
+``spinrep``'s, with cells (row, col, key).  ``Matrix`` of ``Scalar``
+entries is only what ``SymSession.sym`` hands out, and the slow reference
+the tests compare against.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd, lcm, prod
-from typing import Callable, Hashable, Iterable, Sequence
+from math import comb, prod
+from typing import Iterable, Sequence
 
-from .scalar import SCALAR_ZERO, Radical, Scalar
-from .spinrep import Matrix, SpinRep
+from .scalar import Row, combine_terms
+from .spinrep import Matrix, SpinRep, Times, matrix_algebra, row_matrix
 
 Axis = int  # one of 1, 2, 3
 
@@ -63,134 +62,6 @@ def all_multisets(order: int) -> list[IndexMultiset]:
         for c2 in range(order - c1, -1, -1):
             out.append(IndexMultiset((c1, c2, order - c1 - c2)))
     return out
-
-
-Cell = tuple[int, int, int]  # (row, col, key); key = 2*m + imag stands for i^imag sqrt(m)
-Row = tuple[dict[Hashable, int], int]  # (terms, den): the sum of n * cell / den
-Times = Callable[[Row, Axis], Row]
-
-
-@lru_cache(maxsize=None)
-def key_product(k1: int, k2: int) -> tuple[int, int]:
-    """(factor, key) with basis(k1) * basis(k2) = factor * basis(key):
-    sqrt(m1) sqrt(m2) = g sqrt(m1 m2 / g^2) for g = gcd(m1, m2), and i i = -1."""
-    m1, m2 = k1 >> 1, k2 >> 1
-    g = gcd(m1, m2)
-    return (-g if k1 & k2 & 1 else g), 2 * (m1 // g) * (m2 // g) + ((k1 ^ k2) & 1)
-
-
-def scalar_keys(c: Scalar) -> dict[int, Fraction]:
-    """The rational coordinates of c by basis key 2*m + imag."""
-    return {2 * m + (part == "im"): q for (part, m), q in c.components().items()}
-
-
-def reduce_terms(terms: dict[Hashable, int], den: int) -> Row:
-    """Integer numerators over den with the zeros dropped and the gcd of
-    den and the numerators divided out, so equal values have equal fields."""
-    terms = {t: n for t, n in terms.items() if n}
-    g = gcd(den, *terms.values())
-    if g == 1:
-        return terms, den
-    return {t: n // g for t, n in terms.items()}, den // g
-
-
-def combine_terms(
-    parts: Iterable[tuple[Fraction | int, dict[Hashable, int], int]]
-) -> Row:
-    """The linear combination sum of w * terms / den over (w, terms, den)
-    parts with rational w, as integer numerators over one common
-    denominator (``reduce_terms``).  Only the numerators of equal cells
-    meet, so the cells may be any keys: matrix cells here, word cells for
-    the rewriter."""
-    parts = list(parts)
-    den = lcm(*(w.denominator * d for w, _, d in parts))
-    out: dict[Hashable, int] = {}
-    for w, terms, d in parts:
-        f = w.numerator * (den // (w.denominator * d))
-        for t, n in terms.items():
-            out[t] = out.get(t, 0) + f * n
-    return reduce_terms(out, den)
-
-
-def fraction_row(coords: dict[Hashable, Fraction]) -> Row:
-    """Rational coordinates by cell as a row (``reduce_terms``)."""
-    den = lcm(*(q.denominator for q in coords.values()))
-    return reduce_terms({t: q.numerator * (den // q.denominator) for t, q in coords.items()}, den)
-
-
-def times_key(terms: dict[Hashable, int], key: int) -> dict[Hashable, int]:
-    """terms times the basis scalar of key, for cells that end in their
-    key; distinct cells stay distinct."""
-    out = {}
-    for t, n in terms.items():
-        f, k = key_product(key, t[-1])
-        out[t[:-1] + (k,)] = f * n
-    return out
-
-
-def row_scalars(row: Row) -> dict[tuple, Scalar]:
-    """The Scalar at each position of a row whose cells are
-    (*position, key): (row, col) for a matrix, (word,) for a polynomial."""
-    terms, den = row
-    parts: dict[tuple, tuple[dict, dict]] = {}
-    for t, n in terms.items():
-        parts.setdefault(t[:-1], ({}, {}))[t[-1] & 1][t[-1] >> 1] = Fraction(n, den)
-    return {pos: Scalar._make(Radical._make(re), Radical._make(im)) for pos, (re, im) in parts.items()}
-
-
-def matrix_row(mat: Matrix) -> Row:
-    """The matrix as cells (row, col, key) of integer numerators over one
-    reduced denominator; key = 2*m + imag stands for i^imag sqrt(m), m
-    squarefree.  Equal matrices give equal rows."""
-    return fraction_row({
-        (r, c, key): q
-        for r, row in enumerate(mat.rows)
-        for c, a in enumerate(row)
-        for key, q in scalar_keys(a).items()
-    })
-
-
-def row_matrix(dim: int, row: Row) -> Matrix:
-    """The dim x dim Matrix of a matrix row."""
-    rows = [[SCALAR_ZERO] * dim for _ in range(dim)]
-    for (r, c), s in row_scalars(row).items():
-        rows[r][c] = s
-    return Matrix(rows)
-
-
-def row_matmul(a: Row, b: Row) -> Row:
-    """The matrix product of two matrix rows."""
-    by_row: dict[int, list[tuple[int, int, int]]] = {}
-    for (k, c, key), n in b[0].items():
-        by_row.setdefault(k, []).append((c, key, n))
-    out: dict[Cell, int] = {}
-    for (r, k, k1), n1 in a[0].items():
-        for c, k2, n2 in by_row.get(k, ()):
-            f, key = key_product(k1, k2)
-            t = (r, c, key)
-            out[t] = out.get(t, 0) + f * n1 * n2
-    return reduce_terms(out, a[1] * b[1])
-
-
-def first_nonzero_entry(row: Row) -> tuple[int, int, Scalar] | None:
-    """The first nonzero cell of a matrix row in row-major order, as
-    Matrix.first_nonzero_entry gives it."""
-    terms, den = row
-    if not terms:
-        return None
-    r, c, _ = min(terms)
-    return r, c, row_scalars(({t: n for t, n in terms.items() if t[:2] == (r, c)}, den))[(r, c)]
-
-
-def matrix_algebra(rep: SpinRep) -> tuple[Row, Times]:
-    """The algebra of rep's matrices as rows: the identity row, and right
-    multiplication of a row by S_a as a product with the generator's row."""
-    gens = tuple(matrix_row(rep.matrix(axis)) for axis in (1, 2, 3))
-
-    def times(row: Row, a: Axis) -> Row:
-        return row_matmul(row, gens[a - 1])
-
-    return ({(k, k, 2): 1 for k in range(rep.dim)}, 1), times  # key 2: sqrt(1)
 
 
 class SymSession:

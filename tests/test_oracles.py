@@ -68,6 +68,16 @@ def test_evaluate_matches_reference_on_ladder_representations():
                 assert evaluate(nf, rep, cache) == reference_evaluate(nf.poly, rep, ref_cache)
 
 
+def test_evaluate_cache_follows_the_representation():
+    # One cache dict over representations of different dimensions: each
+    # call must match a call with a fresh cache.
+    rng = random.Random(5)
+    cache = {}
+    for dim in (3, 4, 2, 4):
+        p = _seeded_poly(rng, 5)
+        assert evaluate(p, REPS[dim], cache) == evaluate(p, REPS[dim]), (dim, render(p))
+
+
 def test_evaluate_matches_reference_on_a_dense_conjugation():
     m = Matrix.from_rational_rows([
         [2, 1, Fraction(-1, 2), 1],

@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from spinid.scalar import Radical, Scalar, UnsupportedInverseError
+import random
+
+from test_symalg import dense_similarity
+
+from spinid.charid import build_identity, discover_identity, verify_identity
+from spinid.scalar import Radical, Scalar, UnsupportedInverseError, sqrt_of_rational
 from spinid.spinrep import (
     Matrix,
     SingularMatrixError,
@@ -14,8 +19,124 @@ from spinid.spinrep import (
     eigenvalue_list,
     is_hermitian,
 )
+from spinid.symalg import SymSession, all_multisets
 
 HALF = Fraction(1, 2)
+
+
+# --- Matrix-of-Scalar references for the row-based representation layer ---------------
+
+
+def reference_build_generators(dim):
+    """S_3 diagonal, S_+ from the ladder elements, S_1 and S_2 from S_+ and
+    its adjoint, all in Matrix-of-Scalar arithmetic."""
+    s = Fraction(dim - 1, 2)
+    eigs = eigenvalue_list(dim)
+    s3 = Matrix.zero(dim)
+    for k, m in enumerate(eigs):
+        s3.rows[k][k] = Scalar.of(m)
+    splus = Matrix.zero(dim)
+    for k in range(1, dim):
+        m = eigs[k]
+        splus.rows[k - 1][k] = Scalar(sqrt_of_rational(s * (s + 1) - m * (m + 1)))
+    sminus = splus.dagger()
+    s1 = (splus + sminus).scale(HALF)
+    s2 = (splus - sminus).scale(Scalar(0, -HALF))  # 1/(2i) = -i/2
+    return SpinRep(dim=dim, spin=s, S=(s1, s2, s3))
+
+
+def reference_commutation_holds(rep):
+    s1, s2, s3 = rep.S
+    i = Scalar.i()
+    return (
+        (s1 * s2 - s2 * s1) == s3.scale(i)
+        and (s2 * s3 - s3 * s2) == s1.scale(i)
+        and (s3 * s1 - s1 * s3) == s2.scale(i)
+    )
+
+
+def reference_conjugate_rep(rep, m):
+    m_inv = m.inverse()
+    return SpinRep(dim=rep.dim, spin=rep.spin, S=tuple(m * s * m_inv for s in rep.S))
+
+
+def broken_triples(rep):
+    """Triples that break the commutation relation: two axes swapped, S_3
+    doubled, one entry of S_1 moved by 1/7, and each pair of axes doubled,
+    which breaks exactly one of the three cyclic relations."""
+    s1, s2, s3 = rep.S
+    nudged = [list(r) for r in s1.rows]
+    nudged[0][-1] = nudged[0][-1] + Scalar.of(Fraction(1, 7))
+    doubled = [m.scale(2) for m in rep.S]
+    return [(s2, s1, s3), (s1, s2, doubled[2]), (Matrix(nudged), s2, s3)] + [
+        tuple(doubled[a] if a != keep else rep.S[a] for a in range(3)) for keep in range(3)
+    ]
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_generators_match_reference(dim):
+    rep, ref = build_generators(dim), reference_build_generators(dim)
+    assert rep == ref
+    assert [m.to_strings() for m in rep.S] == [m.to_strings() for m in ref.S]
+    assert commutation_holds(rep) and reference_commutation_holds(rep)
+    for triple in broken_triples(rep) if dim > 1 else ():
+        bad = SpinRep(dim=dim, spin=rep.spin, S=triple)
+        assert not commutation_holds(bad)
+        assert not reference_commutation_holds(bad)
+
+
+@pytest.mark.parametrize("dim", range(2, 8))
+def test_conjugation_matches_reference(dim):
+    ladder = build_generators(dim)
+    rng = random.Random(dim)
+    for m in (dense_similarity(dim), Matrix.from_rational_rows(
+        [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) + (2 * dim if r == c else 0) for c in range(dim)]
+         for r in range(dim)]
+    )):
+        rep, ref = conjugate_rep(ladder, m), reference_conjugate_rep(ladder, m)
+        assert rep == ref
+        assert commutation_holds(rep) and reference_commutation_holds(rep)
+        for triple in broken_triples(rep):
+            bad = SpinRep(dim=dim, spin=rep.spin, S=triple)
+            assert not commutation_holds(bad)
+            assert not reference_commutation_holds(bad)
+
+
+def _forbid(monkeypatch, owner, *names):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{owner.__name__} arithmetic ran")
+
+    for name in names:
+        monkeypatch.setattr(owner, name, refuse)
+
+
+def test_representation_layer_runs_without_scalar_arithmetic(monkeypatch):
+    dim = 12
+    ladder = build_generators(dim)
+    broken = broken_triples(ladder)
+    m = dense_similarity(4)
+    m_inv = m.inverse()
+    small = build_generators(4)
+    _forbid(monkeypatch, Scalar, "__add__", "__sub__", "__mul__", "__rmul__")
+    _forbid(monkeypatch, Matrix, "__add__", "__sub__", "__mul__", "scale", "dagger")
+
+    rep = build_generators(dim)
+    assert rep == ladder
+    assert commutation_holds(rep)
+    assert SpinRep.from_matrices(rep.S) == rep
+    for triple in broken:
+        assert not commutation_holds(SpinRep(dim=dim, spin=rep.spin, S=triple))
+        with pytest.raises(ValueError):
+            SpinRep.from_matrices(triple)
+    session = SymSession(rep)
+    assert all(session.sym_int(ms.counts)[0] for ms in all_multisets(4))
+    assert verify_identity(rep, build_identity(dim), mode="exhaustive").ok
+    failing = verify_identity(rep, build_identity(3), mode="exhaustive")
+    assert not failing.ok and failing.to_json()["failures"]
+    assert discover_identity(rep) == build_identity(dim)
+    # conjugate_rep's only Scalar arithmetic is the inverse of its argument.
+    monkeypatch.setattr(Matrix, "inverse", lambda self: m_inv)
+    assert commutation_holds(conjugate_rep(small, m))
 
 
 def test_pauli_matrices_exactly():
@@ -106,6 +227,12 @@ def test_dimension_mismatch_rejected():
         Matrix.identity(2) + Matrix.identity(3)
     with pytest.raises(ValueError):
         Matrix([[Scalar.of(1), Scalar.of(2)]])  # not square
+    two = build_generators(2)
+    padded = Matrix.from_rational_rows([[HALF, 0, 0], [0, -HALF, 0], [0, 0, 0]])  # S_3 plus a zero row and column
+    with pytest.raises(ValueError):
+        SpinRep.from_matrices((two.S[0], two.S[1], padded))
+    with pytest.raises(ValueError):
+        conjugate_rep(two, Matrix.identity(3))
 
 
 def test_inverse_and_conjugation():

@@ -9,21 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinid.scalar import Radical, Scalar
-from spinid.spinrep import Matrix, build_generators, conjugate_rep
+from spinid.scalar import Radical, Scalar, combine_terms
+from spinid.spinrep import (
+    Matrix,
+    build_generators,
+    conjugate_rep,
+    first_nonzero_entry,
+    matrix_row,
+    row_matmul,
+    row_matrix,
+)
 from spinid.symalg import (
     IndexMultiset,
     SymSession,
     all_multisets,
-    combine_terms,
     delta_weights,
     epsilon,
-    first_nonzero_entry,
     gen_delta,
-    matrix_row,
     pairing_count,
-    row_matmul,
-    row_matrix,
 )
 
 REPS = {dim: build_generators(dim) for dim in range(1, 7)}
