@@ -164,8 +164,12 @@ class Identity:
         return combine_terms(parts)
 
 
+@lru_cache(maxsize=32)
 def build_identity(dim: int) -> Identity:
-    """Synthesize the dimension-D identity from the characteristic equation."""
+    """Synthesize the dimension-D identity from the characteristic equation.
+
+    Memoized for the 32 most recently used dimensions (its coefficients
+    grow with D): an Identity is immutable, so callers share it."""
     return Identity(dim=dim, b=tuple(b_coeffs(dim)))
 
 

@@ -8,7 +8,9 @@ commutation relation orders the letters, and the dimension-D reduction
 identity caps the degree.  Words are folded letter by letter, each letter
 inserted into ordered words, so no unordered word is stored.
 ``reduce_degree`` caps every step by a rule table, one rule per ordered
-word of degree D.  The form it reaches is unique modulo the relations, so
+word of degree D; each dimension's table is built on demand and shared by
+all later reductions at that D (the 8 most recently used dimensions are
+kept).  The form it reaches is unique modulo the relations, so
 it does not depend on the order of the rewriting steps.  ``evaluate``
 folds the words the same way in the rows of a representation's matrices.
 Scalars appear only where a polynomial is built from or read as Scalar
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 from typing import Iterator, Literal, Mapping, Union
 
@@ -501,6 +504,52 @@ def _identity_replacement(ident: Identity, u: Word, session: SymSession) -> Row:
     return terms, den
 
 
+# Rule tables of this many dimensions are kept, least recently used first out.
+_TABLES = 8
+
+
+class _RuleTable:
+    """The rewriting rules of one dimension D, with what building them needs:
+    the identity, a SymSession over ordered words and the ordered-form memo,
+    all kept for the table's life (``reduce_degree`` states its bounds).
+
+    The fold caps every step and the session builds {c} of order D from
+    rows of order <= D-1, so every word the memo meets is an ordered word
+    of degree <= D-1; fold rows only carry the keys of 1 and i.  Each value
+    is complete before it is stored and never changed after."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.ident = build_identity(dim)
+        self.memo: dict[tuple[Word, int], Terms] = {}
+        self.session = SymSession(unit=_ONE, times=self.times)
+        self.rules: dict[tuple[Word, int], Row] = {}  # (v, key) -> basis(key) * rule for v
+
+    def times(self, row: Row, a: int) -> Row:
+        return _times_letter(row, a, self.memo)
+
+    def step(self, row: Row, a: int) -> Row:
+        """cap(order(row * S_a)): every ordered word of degree D replaced
+        by its rule."""
+        terms, den = self.times(row, a)
+        parts = [(1, terms, den)]
+        rules = self.rules
+        for (v, k), n in terms.items():
+            if len(v) == self.dim:
+                if (v, k) not in rules:
+                    if (v, KEY_ONE) not in rules:
+                        rules[(v, KEY_ONE)] = _identity_replacement(self.ident, v, self.session)
+                    rule, rule_den = rules[(v, KEY_ONE)]
+                    rules[(v, k)] = times_key(rule, k), rule_den
+                parts.append((Fraction(n, den), *rules[(v, k)]))
+        return combine_terms(parts)
+
+
+@lru_cache(maxsize=_TABLES)
+def _rule_table(dim: int) -> _RuleTable:
+    return _RuleTable(dim)
+
+
 def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     """Canonical form on dimension D: ordered words of degree <= D-1.
 
@@ -511,10 +560,17 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     u - (1/D!) (the identity's left side at u), of degree <= D-1
     (``_identity_replacement``).  The rules form a table of at most
     C(D+2, 2) entries, built on demand from the symmetric products of a
-    SymSession over ordered words; rules, products and ordered forms are
-    memoized for this call only.  Arithmetic is in Gaussian integers over a
+    SymSession over ordered words.  Arithmetic is in Gaussian integers over a
     common denominator; each word's coefficient is multiplied in once, at
     the end (``_fold``).
+
+    Rules, products and ordered forms live in one table per dimension
+    (``_RuleTable``), shared by every reduction at that D for the life of
+    the process; the tables of the ``_TABLES`` = 8 most recently used
+    dimensions are kept.  A table holds at most 3 C(D+2, 3) ordered forms and
+    2 C(D+2, 2) rules whatever its inputs, and threads may reduce at one
+    D together: a stored entry is never changed, so a race at worst
+    computes one twice, with equal values.
 
     The result does not depend on the order of the rewriting steps.  Every
     step changes its argument by an element of the two-sided ideal J of the
@@ -528,29 +584,7 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     """
     if dim < 2:
         raise ValueError("reduction requires dimension >= 2")
-    ident = build_identity(dim)
-    memo: dict[tuple[Word, int], Terms] = {}
-
-    def times(row: Row, a: int) -> Row:
-        return _times_letter(row, a, memo)
-
-    session = SymSession(unit=_ONE, times=times)
-    rules: dict[tuple[Word, int], Row] = {}  # (v, key) -> basis(key) * rule for v
-
-    def step(row: Row, a: int) -> Row:
-        terms, den = times(row, a)
-        parts = [(1, terms, den)]
-        for (v, k), n in terms.items():
-            if len(v) == dim:
-                if (v, k) not in rules:
-                    if (v, KEY_ONE) not in rules:
-                        rules[(v, KEY_ONE)] = _identity_replacement(ident, v, session)
-                    rule, rule_den = rules[(v, KEY_ONE)]
-                    rules[(v, k)] = times_key(rule, k), rule_den
-                parts.append((Fraction(n, den), *rules[(v, k)]))
-        return combine_terms(parts)
-
-    return NormalForm(NCPolynomial._make(_fold(p, _ONE, step)), dim)
+    return NormalForm(NCPolynomial._make(_fold(p, _ONE, _rule_table(dim).step)), dim)
 
 
 def evaluate(

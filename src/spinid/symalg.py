@@ -77,7 +77,8 @@ class SymSession:
     over all D-tuples costs O(#multisets) products instead of O(3^D * D!).
     ``sym``, for sessions on a representation, converts a product to a
     Matrix on first request and returns that same object afterwards.
-    Sessions are single-threaded.
+    Threads may share a session: an entry is complete before it is stored
+    and never changed after, so a race at worst builds one twice.
     """
 
     def __init__(self, rep: SpinRep | None = None, unit: Row | None = None, times: Times | None = None):
@@ -102,9 +103,13 @@ class SymSession:
         if counts not in rows:
             # {n indices} = sum over positions j of {rest} * S_{i_j}; positions
             # carrying equal letters contribute identical terms, hence the
-            # multiplicity factors.  In product order every c - e_a of the
-            # box c <= counts comes before c, so no recursion is needed.
-            for box in itertools.product(*(range(c + 1) for c in counts)):
+            # multiplicity factors.  If every counts - e_a is memoized, only
+            # counts is built; otherwise the whole box c <= counts is, in
+            # product order, where every c - e_a comes before c, so no
+            # recursion is needed.
+            below = (counts[:a] + (c - 1,) + counts[a + 1 :] for a, c in enumerate(counts) if c)
+            boxes = [counts] if all(b in rows for b in below) else itertools.product(*(range(c + 1) for c in counts))
+            for box in boxes:
                 if box not in rows:
                     rows[box] = combine_terms((c, *self._times(rows[box[:a] + (c - 1,) + box[a + 1 :]], a + 1))
                                               for a, c in enumerate(box) if c)

@@ -1,7 +1,9 @@
 import inspect
 import itertools
+import json
 import random
 import sys
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -447,6 +449,129 @@ def test_reduce_long_word_in_bounded_memory():
     assert peak < 1 << 20
     half = reduce_degree(block, 3).poly
     assert nf == reduce_degree(half * half, 3)
+
+
+# --- the shared rule tables ---------------------------------------------------------
+
+
+def _criterion_8_polynomial(rng, max_degree):
+    # The random polynomials of acceptance criterion 8.
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        w = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, max_degree)))
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        terms[w] = terms.get(w, Fraction(0)) + c
+    return NCPolynomial({w: Scalar.of(c) for w, c in terms.items()})
+
+
+def _bench_reduce_expressions(seed):
+    """The expressions of the benchmark's `reduce` workload for one seed,
+    drawn in the same order from the same generator."""
+    rng = random.Random(seed)
+    letters = ("S1", "S2", "S3")
+
+    def balanced_word(n):
+        word = [letters[k % 3] for k in range(n)]
+        rng.shuffle(word)
+        return "*".join(word)
+
+    def coefficient(kind):
+        if kind == 0:
+            return f"{rng.randint(1, 9)}/{rng.randint(2, 9)}"
+        if kind == 1:
+            return f"{rng.choice((2, 3, 5, 6, 7))}*sqrt({rng.choice((2, 3, 5, 6, 7))})"
+        if kind == 2:
+            return f"{rng.randint(2, 9)}*i"
+        return f"({rng.randint(1, 9)}/{rng.randint(2, 9)} + {rng.randint(1, 9)}*i)"
+
+    def expression(dim, deg, kind):
+        if kind == 0:
+            lead = balanced_word(deg)
+        elif kind == 1:
+            lead = f"{coefficient(1)}*{balanced_word(deg)}"
+        elif kind == 2:
+            split = max(1, deg // 2)
+            lead = f"[{balanced_word(split)}, {balanced_word(deg + 1 - split)}]"
+        else:
+            inside = min(deg, 3)
+            braces = "{" + " ".join(balanced_word(inside).split("*")) + "}"
+            lead = braces if deg == inside else f"{braces}*{balanced_word(deg - inside)}"
+        return f"{lead} + {coefficient(kind)}*{balanced_word(max(1, dim - 1))} - {coefficient((kind + 1) % 4)}"
+
+    shape = {2: (3, 4, 5), 3: (4, 5, 6), 4: (3, 4, 5, 6, 7), 5: (4, 5, 6, 7), 6: (5, 6)}
+    return [(parse(expression(dim, deg, kind)), dim)
+            for dim, degrees in shape.items() for deg in degrees for kind in range(4) for _ in range(3)]
+
+
+def _outputs(nf):
+    return nf, render(nf), render(nf, "latex"), json.dumps(to_json_dict(nf))
+
+
+def test_shared_tables_give_the_cold_result():
+    cases = []
+    for dim in range(2, 6):
+        rng = random.Random(8000 + dim)
+        cases += [(_criterion_8_polynomial(rng, dim + 3), dim) for _ in range(500)]
+    for seed in (1, 2, 7):
+        cases += _bench_reduce_expressions(seed)
+    random.Random(9).shuffle(cases)
+    rewrite._rule_table.cache_clear()
+    warm = [_outputs(reduce_degree(p, dim)) for p, dim in cases]
+    for (p, dim), out in zip(cases, warm):
+        rewrite._rule_table.cache_clear()
+        assert out == _outputs(reduce_degree(p, dim)), (render(p), dim)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_rule_table_is_bounded_by_its_dimension(dim):
+    rewrite._rule_table.cache_clear()
+    rng = random.Random(dim)
+    for _ in range(40):
+        reduce_degree(NCPolynomial({tuple(rng.randint(1, 3) for _ in range(3 * dim)): 1}), dim)
+    table = rewrite._rule_table(dim)
+    assert all(len(u) < dim and list(u) == sorted(u) for u, _ in table.memo)
+    assert len(table.memo) <= 3 * comb(dim + 2, 3)
+    assert len(table.rules) <= 2 * comb(dim + 2, 2)
+
+
+def test_rule_tables_are_evicted_least_recently_used_first():
+    def word(dim):
+        return NCPolynomial({(3, 1) * dim + (2,): 1})
+
+    rewrite._rule_table.cache_clear()
+    cold = {dim: reduce_degree(word(dim), dim) for dim in range(2, 12)}
+    assert rewrite._rule_table.cache_info().currsize == 8
+    for dim in (2, 3):  # the least recently used, evicted
+        assert reduce_degree(word(dim), dim) == cold[dim]
+    assert rewrite._rule_table.cache_info().currsize == 8
+
+
+def test_threads_share_one_table():
+    dim = 5
+    rng = random.Random(55)
+    exprs = [_criterion_8_polynomial(rng, dim + 4) for _ in range(50)]
+    rewrite._rule_table.cache_clear()
+    serial = [reduce_degree(p, dim) for p in exprs]
+    rewrite._rule_table.cache_clear()
+    start = threading.Barrier(4, timeout=60)
+    results = [None] * 4
+
+    def work(k):
+        start.wait()
+        results[k] = [reduce_degree(p, dim) for p in exprs]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the table's updates
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 4
 
 
 # --- evaluation -------------------------------------------------------------------
