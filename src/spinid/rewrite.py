@@ -13,8 +13,8 @@ all later reductions at that D (the 8 most recently used dimensions are
 kept).  The form it reaches is unique modulo the relations, so
 it does not depend on the order of the rewriting steps.  ``evaluate``
 folds the words the same way in the rows of a representation's matrices.
-Scalars appear only where a polynomial is built from or read as Scalar
-coefficients.
+Parsing and printing work on the rows: Scalars appear only where a caller
+builds a polynomial from Scalars or reads its coefficients as Scalars.
 """
 from __future__ import annotations
 
@@ -36,8 +36,10 @@ from .scalar import (
     key_product,
     reduce_terms,
     render_components,
+    row_components,
     row_scalars,
     scalar_keys,
+    squarefree_decompose,
     times_key,
 )
 from .spinrep import Matrix, SpinRep, Times, matrix_algebra, row_matrix
@@ -47,11 +49,6 @@ Word = tuple[int, ...]
 ScalarLike = Union[Scalar, Fraction, int]
 Terms = dict[tuple[Word, int], int]  # (word, key) -> numerator
 _ONE: Row = ({((), KEY_ONE): 1}, 1)
-
-
-def _grlex(w: Word) -> tuple[int, Word]:
-    # Graded order, leading (highest-degree) words first, lex within a grade.
-    return (-len(w), w)
 
 
 class NCPolynomial:
@@ -286,7 +283,7 @@ class _Parser:
         tok = self.peek()
         kind = tok[0]
         if kind == "INT":
-            return NCPolynomial.scalar(self.rational())
+            return NCPolynomial._make(fraction_row({((), KEY_ONE): self.rational()}))
         if kind == "NAME":
             return self.atom()
         if kind == "(":
@@ -325,7 +322,7 @@ class _Parser:
         if name == "I":
             return NCPolynomial.one()
         if name == "i":
-            return NCPolynomial.scalar(Scalar.i())
+            return NCPolynomial._make(({((), KEY_I): 1}, 1))
         if name == "sqrt":
             self.take("(")
             sign = 1
@@ -339,7 +336,8 @@ class _Parser:
                 raise ParseError("sqrt of non-positive integer", itok[2])
             if m > _SQRT_MAX:
                 raise ParseError(f"sqrt argument exceeds {_SQRT_MAX}", itok[2])
-            return NCPolynomial.scalar(Scalar.sqrt_int(m))
+            c, sf = squarefree_decompose(m)  # sqrt(m) = c sqrt(sf), basis key 2 sf
+            return NCPolynomial._make(({((), 2 * sf): c}, 1))
         raise ParseError(f"unknown atom {name!r}", tok[2])
 
     def symmetric_braces(self) -> NCPolynomial:
@@ -613,23 +611,6 @@ def evaluate(
 # Printing
 
 
-def _plain_term(w: Word, c: Scalar) -> tuple[int, str]:
-    """Return (sign, body) with sign applied externally when possible."""
-    comps = c._component_list()
-    letters = "*".join(f"S{a}" for a in w)
-    if len(comps) > 1:
-        body = f"({c})"
-        return 1, body + ("*" + letters if w else "")
-    (coef, m, imag) = comps[0]
-    sign = -1 if coef < 0 else 1
-    if w and abs(coef) == 1 and m == 1 and not imag:
-        return sign, letters
-    body = render_components([(abs(coef), m, imag)])
-    if w:
-        body += "*" + letters
-    return sign, body
-
-
 def _latex_word(w: Word) -> str:
     parts = []
     for a, run in itertools.groupby(w):
@@ -638,23 +619,29 @@ def _latex_word(w: Word) -> str:
     return " ".join(parts)
 
 
-def _latex_term(w: Word, c: Scalar) -> tuple[int, str]:
-    comps = c._component_list()
-    word = _latex_word(w)
+def _term(w: Word, comps: list[tuple[Fraction, int, bool]], latex: bool) -> tuple[int, str]:
+    """(sign, body) of one term; the sign goes outside the body when it can."""
+    word, sep = (_latex_word(w), " ") if latex else ("*".join(f"S{a}" for a in w), "*")
+    tail = sep + word if w else ""
     if len(comps) > 1:
-        body = f"\\left( {c.latex()} \\right)"
-        return 1, body + (" " + word if w else "")
+        c = render_components(comps, latex=latex)
+        return 1, (f"\\left( {c} \\right)" if latex else f"({c})") + tail
     (coef, m, imag) = comps[0]
     sign = -1 if coef < 0 else 1
-    trivial = abs(coef) == 1 and m == 1 and not imag
-    if w and trivial:
-        return sign, word
-    if not w and trivial:
-        return sign, "\\mathbbm{1}"
-    body = render_components([(abs(coef), m, imag)], latex=True)
-    if w:
-        body += " " + word
-    return sign, body
+    if abs(coef) == 1 and m == 1 and not imag:
+        if w:
+            return sign, word
+        if latex:
+            return sign, "\\mathbbm{1}"
+    return sign, render_components([(abs(coef), m, imag)], latex=latex) + tail
+
+
+def _graded_terms(p: NCPolynomial | NormalForm) -> list[tuple[Word, list[tuple[Fraction, int, bool]]]]:
+    """(word, coefficient components) in graded-lexicographic order: the
+    highest degree first, lexicographic within a degree."""
+    if isinstance(p, NormalForm):
+        p = p.poly
+    return sorted(((w, c) for (w,), c in row_components(p._row).items()), key=lambda wc: (-len(wc[0]), wc[0]))
 
 
 def render(
@@ -662,15 +649,14 @@ def render(
 ) -> str:
     """Deterministic rendering in graded-lexicographic term order; the
     plain format round-trips through parse()."""
-    if isinstance(p, NormalForm):
-        p = p.poly
-    if p.is_zero():
+    if fmt not in ("plain", "latex"):
+        raise ValueError(f"unknown format {fmt!r}: use 'plain' or 'latex'")
+    terms = _graded_terms(p)
+    if not terms:
         return "0"
     pieces = []
-    term = _plain_term if fmt == "plain" else _latex_term
-    terms = p.terms()
-    for w in sorted(terms, key=_grlex):
-        sign, body = term(w, terms[w])
+    for w, comps in terms:
+        sign, body = _term(w, comps, fmt == "latex")
         if not pieces:
             pieces.append("-" + body if sign < 0 else body)
         else:
@@ -680,7 +666,4 @@ def render(
 
 def to_json_dict(p: NCPolynomial | NormalForm) -> dict:
     """{"terms": [{"word": [...], "coeff": "..."}, ...]} in graded-lex order."""
-    if isinstance(p, NormalForm):
-        p = p.poly
-    terms = p.terms()
-    return {"terms": [{"word": list(w), "coeff": str(terms[w])} for w in sorted(terms, key=_grlex)]}
+    return {"terms": [{"word": list(w), "coeff": render_components(c)} for w, c in _graded_terms(p)]}

@@ -427,3 +427,14 @@ def row_scalars(row: Row) -> dict[tuple, Scalar]:
     for t, n in terms.items():
         parts.setdefault(t[:-1], ({}, {}))[t[-1] & 1][t[-1] >> 1] = Fraction(n, den)
     return {pos: Scalar._make(Radical._make(re), Radical._make(im)) for pos, (re, im) in parts.items()}
+
+
+def row_components(row: Row) -> dict[tuple, list[tuple[Fraction, int, bool]]]:
+    """The components (coefficient, radicand, imaginary?) of each Scalar of
+    ``row_scalars``, in the order it prints them (real parts first, each
+    sorted by radicand), without building the Scalars."""
+    terms, den = row
+    out: dict[tuple, list] = {}
+    for t in sorted(terms, key=lambda t: (t[-1] & 1, t[-1] >> 1)):
+        out.setdefault(t[:-1], []).append((Fraction(terms[t], den), t[-1] >> 1, bool(t[-1] & 1)))
+    return out

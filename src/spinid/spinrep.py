@@ -1,15 +1,14 @@
 """Exact D-dimensional spin matrices and the matrix rows under them.
 
 The generators use the standard ladder construction in the basis where S_3
-is diagonal with descending eigenvalues s, s-1, ..., -s.  Every entry is an
-exact Scalar, so the commutation relation and the Casimir hold on the nose.
+is diagonal with descending eigenvalues s, s-1, ..., -s.  Every entry is
+exact, so the commutation relation and the Casimir hold on the nose.
 
-``Matrix`` of ``Scalar`` entries is the edge type: representations are
-built as, handed out as and compared as Matrices, and the tests use the
-Matrix arithmetic as the slow reference.  The library's own matrix
-arithmetic runs on the matrix rows owned by this module, the rows of
-``scalar`` with cells (row, col, key): building, checking and conjugating
-a representation, and the symmetric products of ``symalg``.  The one
+A representation holds its generators as this module's matrix rows, the
+rows of ``scalar`` with cells (row, col, key), and all matrix arithmetic
+runs on them.  ``Matrix`` of ``Scalar`` entries is the edge type: what a
+caller hands in (``SpinRep.from_matrices``, ``conjugate_rep``) or asks for
+(``SpinRep.S``, ``casimir``), and the tests' slow reference.  The one
 Scalar computation left is ``Matrix.inverse`` of the matrix a caller
 conjugates by.
 """
@@ -17,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .scalar import (
     KEY_I,
     KEY_ONE,
-    RADICAL_ZERO,
     SCALAR_ONE,
     SCALAR_ZERO,
     Row,
@@ -250,11 +249,18 @@ def eigenvalue_list(dim: int) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class SpinRep:
-    """The triple (S_1, S_2, S_3) of exact D x D spin matrices."""
+    """The D x D spin matrices (S_1, S_2, S_3) as matrix rows; ``S`` as Matrices."""
 
     dim: int
-    spin: Fraction
-    S: tuple[Matrix, Matrix, Matrix]
+    rows: tuple[Row, Row, Row]
+
+    @property
+    def spin(self) -> Fraction:
+        return Fraction(self.dim - 1, 2)
+
+    @cached_property
+    def S(self) -> tuple[Matrix, Matrix, Matrix]:
+        return tuple(row_matrix(self.dim, row) for row in self.rows)
 
     def matrix(self, axis: int) -> Matrix:
         if axis not in (1, 2, 3):
@@ -269,8 +275,13 @@ class SpinRep:
         representation comes from build_generators.
         """
         s1, s2, s3 = matrices
-        dim = s1.dim
-        rep = cls(dim=dim, spin=Fraction(dim - 1, 2), S=(s1, s2, s3))
+        for mat in (s2, s3):
+            mat._check_dim(s1)
+        return cls._checked(s1.dim, (matrix_row(s1), matrix_row(s2), matrix_row(s3)))
+
+    @classmethod
+    def _checked(cls, dim: int, rows: tuple[Row, Row, Row]) -> "SpinRep":
+        rep = cls(dim, rows)
         if not commutation_holds(rep):
             raise ValueError("matrices do not satisfy the su(2) commutation relation")
         return rep
@@ -280,27 +291,23 @@ def build_generators(dim: int) -> SpinRep:
     """Standard-basis generators: S_3 = diag(m) descending, and with the
     ladder element r = sqrt(s(s+1) - m(m+1)) / 2 between m and m+1, S_1 has
     r on both off-diagonals and S_2 has -i r above and i r below."""
-    if dim < 1:
-        raise ValueError("dimension must be a positive integer")
     s = Fraction(dim - 1, 2)
-    eigs = eigenvalue_list(dim)
-    s1, s2, s3 = ([[SCALAR_ZERO] * dim for _ in range(dim)] for _ in range(3))
-    for k, m in enumerate(eigs):
-        s3[k][k] = Scalar.of(m)
-        if k:  # column k holds m = eigs[k], raised into row k - 1
-            r = sqrt_of_rational((s * (s + 1) - m * (m + 1)) / 4)
-            s1[k - 1][k] = s1[k][k - 1] = Scalar._make(r, RADICAL_ZERO)
-            s2[k - 1][k] = Scalar._make(RADICAL_ZERO, -r)
-            s2[k][k - 1] = Scalar._make(RADICAL_ZERO, r)
-    return SpinRep(dim=dim, spin=s, S=(Matrix(s1), Matrix(s2), Matrix(s3)))
+    s1, s2, s3 = {}, {}, {}  # cell -> Fraction
+    for k, m in enumerate(eigenvalue_list(dim)):  # refuses dim < 1
+        s3[(k, k, KEY_ONE)] = m
+        if k:  # column k holds m, raised into row k - 1
+            # r = q sqrt(sf): basis key 2 sf, and 2 sf + 1 for i sqrt(sf)
+            (sf, q), = sqrt_of_rational((s * (s + 1) - m * (m + 1)) / 4).terms().items()
+            s1[(k - 1, k, 2 * sf)] = s1[(k, k - 1, 2 * sf)] = q
+            s2[(k - 1, k, 2 * sf + 1)] = -q
+            s2[(k, k - 1, 2 * sf + 1)] = q
+    return SpinRep(dim, (fraction_row(s1), fraction_row(s2), fraction_row(s3)))
 
 
 def commutation_holds(rep: SpinRep) -> bool:
     """[S_a, S_b] = i S_c for the cyclic triples (a, b, c), checked exactly
     on matrix rows."""
-    for mat in rep.S:
-        mat._check_dim(rep.S[0])
-    gens = [matrix_row(mat) for mat in rep.S]
+    gens = rep.rows
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         bracket = combine_terms([(1, *row_matmul(gens[a], gens[b])), (-1, *row_matmul(gens[b], gens[a]))])
         if bracket != (times_key(gens[c][0], KEY_I), gens[c][1]):
@@ -309,8 +316,7 @@ def commutation_holds(rep: SpinRep) -> bool:
 
 
 def casimir(rep: SpinRep) -> Matrix:
-    gens = [matrix_row(mat) for mat in rep.S]
-    return row_matrix(rep.dim, combine_terms((1, *row_matmul(g, g)) for g in gens))
+    return row_matrix(rep.dim, combine_terms((1, *row_matmul(g, g)) for g in rep.rows))
 
 
 def is_hermitian(mat: Matrix) -> bool:
@@ -324,19 +330,17 @@ def conjugate_rep(rep: SpinRep, m: Matrix) -> SpinRep:
     The result still satisfies the commutation relation (and is checked),
     but is generally no longer Hermitian.
     """
-    m._check_dim(rep.S[0])
+    if m.dim != rep.dim:
+        raise ValueError(f"dimension mismatch: {m.dim} vs {rep.dim}")
     left, right = matrix_row(m), matrix_row(m.inverse())
-    return SpinRep.from_matrices(
-        tuple(row_matrix(rep.dim, row_matmul(row_matmul(left, matrix_row(s)), right)) for s in rep.S)
-    )
+    return SpinRep._checked(rep.dim, tuple(row_matmul(row_matmul(left, g), right) for g in rep.rows))
 
 
 def matrix_algebra(rep: SpinRep) -> tuple[Row, Times]:
     """The algebra of rep's matrices as rows: the identity row, and right
     multiplication of a row by S_a as a product with the generator's row."""
-    gens = tuple(matrix_row(rep.matrix(axis)) for axis in (1, 2, 3))
 
     def times(row: Row, a: int) -> Row:
-        return row_matmul(row, gens[a - 1])
+        return row_matmul(row, rep.rows[a - 1])
 
     return ({(k, k, KEY_ONE): 1 for k in range(rep.dim)}, 1), times

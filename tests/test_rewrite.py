@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinid import rewrite
-from spinid.charid import build_identity
+from spinid.charid import build_identity, discover_identity, verify_identity
 from spinid.rewrite import (
     NCPolynomial,
     NormalForm,
@@ -28,7 +28,7 @@ from spinid.rewrite import (
     sym_words,
     to_json_dict,
 )
-from spinid.scalar import SCALAR_ONE, Scalar
+from spinid.scalar import SCALAR_ONE, Scalar, render_components
 from spinid.spinrep import Matrix, build_generators
 from spinid.symalg import IndexMultiset, SymSession, all_multisets, delta_weights, epsilon
 
@@ -788,6 +788,122 @@ def test_render_latex():
     assert render(parse("S1*S1*S2"), "latex") == "S_{1}^{2} S_{2}"
     assert render(parse("3/2 * i * S3"), "latex") == "\\frac{3}{2} i S_{3}"
     assert render(NCPolynomial.one(), "latex") == "\\mathbbm{1}"
+
+
+def test_render_refuses_an_unknown_format():
+    p = parse("2*S1*S1 + i")
+    for fmt in ("json", "Plain", "LATEX", ""):
+        with pytest.raises(ValueError, match="'plain' or 'latex'"):
+            render(p, fmt)
+    with pytest.raises(ValueError):
+        render(NCPolynomial.zero(), "json")
+
+
+# The printer on Scalar coefficients (p.terms()), the oracle for render and
+# to_json_dict, which read the components straight from the row.
+
+
+def _reference_plain_term(w, c):
+    comps = c._component_list()
+    letters = "*".join(f"S{a}" for a in w)
+    if len(comps) > 1:
+        return 1, f"({c})" + ("*" + letters if w else "")
+    (coef, m, imag) = comps[0]
+    sign = -1 if coef < 0 else 1
+    if w and abs(coef) == 1 and m == 1 and not imag:
+        return sign, letters
+    body = render_components([(abs(coef), m, imag)])
+    return sign, body + ("*" + letters if w else "")
+
+
+def _reference_latex_term(w, c):
+    comps = c._component_list()
+    word = rewrite._latex_word(w)
+    if len(comps) > 1:
+        return 1, f"\\left( {c.latex()} \\right)" + (" " + word if w else "")
+    (coef, m, imag) = comps[0]
+    sign = -1 if coef < 0 else 1
+    trivial = abs(coef) == 1 and m == 1 and not imag
+    if w and trivial:
+        return sign, word
+    if not w and trivial:
+        return sign, "\\mathbbm{1}"
+    body = render_components([(abs(coef), m, imag)], latex=True)
+    return sign, body + (" " + word if w else "")
+
+
+def reference_render(p, fmt="plain"):
+    terms = p.terms()
+    if not terms:
+        return "0"
+    term = _reference_plain_term if fmt == "plain" else _reference_latex_term
+    pieces = []
+    for w in sorted(terms, key=lambda w: (-len(w), w)):
+        sign, body = term(w, terms[w])
+        if not pieces:
+            pieces.append("-" + body if sign < 0 else body)
+        else:
+            pieces.append((" - " if sign < 0 else " + ") + body)
+    return "".join(pieces)
+
+
+def reference_json_dict(p):
+    terms = p.terms()
+    return {"terms": [{"word": list(w), "coeff": str(terms[w])} for w in sorted(terms, key=lambda w: (-len(w), w))]}
+
+
+def _mixed_radical_polynomial(rng):
+    """Up to five words whose coefficients mix rationals, sqrt(2), sqrt(3),
+    sqrt(6) and i, each part with a random sign and magnitude."""
+    basis = [Scalar.of(1), Scalar.sqrt_int(2), Scalar.sqrt_int(3), Scalar.sqrt_int(6)]
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        w = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
+        c = Scalar.of(0)
+        for b in rng.sample(basis, rng.randint(1, 3)):
+            q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.choice((1, 1, 2, 3)))
+            c = c + b * q * (I if rng.random() < 0.4 else SCALAR_ONE)
+        terms[w] = c
+    return NCPolynomial(terms)
+
+
+def test_render_matches_the_scalar_printer():
+    polys = []
+    for seed in (1, 2, 7):
+        for p, dim in _bench_reduce_expressions(seed):
+            polys += [p, reduce_degree(p, dim).poly]
+    rng = random.Random(1010)
+    polys += [_mixed_radical_polynomial(rng) for _ in range(400)]
+    assert any(len(c._component_list()) > 2 for p in polys for c in p.terms().values())
+    for p in polys:
+        assert render(p) == reference_render(p)
+        assert render(p, "latex") == reference_render(p, "latex")
+        assert to_json_dict(p) == reference_json_dict(p)
+
+
+def test_text_and_representation_paths_build_no_scalar_or_matrix(monkeypatch):
+    # Scalars and Matrices are only what a caller hands in or asks for:
+    # parsing, reducing and printing, and building, verifying and
+    # discovering an identity, make none of either.
+    rng = random.Random(700)
+    exprs = [(_seeded_expression(rng, dim, kind), dim) for dim in range(2, 7) for kind in range(4)]
+    expected = [(render(nf), render(nf, "latex"), to_json_dict(nf))
+                for nf in (reduce_degree(parse(text), dim) for text, dim in exprs)]
+    idents = {dim: build_identity(dim) for dim in range(2, 9)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Scalar or a Matrix was built")
+
+    monkeypatch.setattr(Scalar, "__init__", refuse)
+    monkeypatch.setattr(Scalar, "_make", refuse)
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    for (text, dim), want in zip(exprs, expected):
+        nf = reduce_degree(parse(text), dim)
+        assert (render(nf), render(nf, "latex"), to_json_dict(nf)) == want
+    for dim in range(2, 9):
+        rep = build_generators(dim)
+        assert verify_identity(rep, idents[dim], mode="exhaustive").ok
+        assert discover_identity(rep) == idents[dim]
 
 
 def test_json_shape_matches_declared_schema():

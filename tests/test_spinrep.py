@@ -18,6 +18,7 @@ from spinid.spinrep import (
     conjugate_rep,
     eigenvalue_list,
     is_hermitian,
+    matrix_row,
 )
 from spinid.symalg import SymSession, all_multisets
 
@@ -42,7 +43,7 @@ def reference_build_generators(dim):
     sminus = splus.dagger()
     s1 = (splus + sminus).scale(HALF)
     s2 = (splus - sminus).scale(Scalar(0, -HALF))  # 1/(2i) = -i/2
-    return SpinRep(dim=dim, spin=s, S=(s1, s2, s3))
+    return SpinRep.from_matrices((s1, s2, s3))
 
 
 def reference_commutation_holds(rep):
@@ -57,7 +58,12 @@ def reference_commutation_holds(rep):
 
 def reference_conjugate_rep(rep, m):
     m_inv = m.inverse()
-    return SpinRep(dim=rep.dim, spin=rep.spin, S=tuple(m * s * m_inv for s in rep.S))
+    return SpinRep.from_matrices(tuple(m * s * m_inv for s in rep.S))
+
+
+def unchecked(dim, triple):
+    """A SpinRep of any three Matrices, the commutation relation unchecked."""
+    return SpinRep(dim, tuple(matrix_row(mat) for mat in triple))
 
 
 def broken_triples(rep):
@@ -77,10 +83,12 @@ def broken_triples(rep):
 def test_generators_match_reference(dim):
     rep, ref = build_generators(dim), reference_build_generators(dim)
     assert rep == ref
+    assert rep.spin == ref.spin == Fraction(dim - 1, 2)
+    assert rep.S is rep.S
     assert [m.to_strings() for m in rep.S] == [m.to_strings() for m in ref.S]
     assert commutation_holds(rep) and reference_commutation_holds(rep)
     for triple in broken_triples(rep) if dim > 1 else ():
-        bad = SpinRep(dim=dim, spin=rep.spin, S=triple)
+        bad = unchecked(dim, triple)
         assert not commutation_holds(bad)
         assert not reference_commutation_holds(bad)
 
@@ -97,7 +105,7 @@ def test_conjugation_matches_reference(dim):
         assert rep == ref
         assert commutation_holds(rep) and reference_commutation_holds(rep)
         for triple in broken_triples(rep):
-            bad = SpinRep(dim=dim, spin=rep.spin, S=triple)
+            bad = unchecked(dim, triple)
             assert not commutation_holds(bad)
             assert not reference_commutation_holds(bad)
 
@@ -125,7 +133,7 @@ def test_representation_layer_runs_without_scalar_arithmetic(monkeypatch):
     assert commutation_holds(rep)
     assert SpinRep.from_matrices(rep.S) == rep
     for triple in broken:
-        assert not commutation_holds(SpinRep(dim=dim, spin=rep.spin, S=triple))
+        assert not commutation_holds(unchecked(dim, triple))
         with pytest.raises(ValueError):
             SpinRep.from_matrices(triple)
     session = SymSession(rep)
@@ -231,6 +239,8 @@ def test_dimension_mismatch_rejected():
     padded = Matrix.from_rational_rows([[HALF, 0, 0], [0, -HALF, 0], [0, 0, 0]])  # S_3 plus a zero row and column
     with pytest.raises(ValueError):
         SpinRep.from_matrices((two.S[0], two.S[1], padded))
+    with pytest.raises(ValueError):
+        SpinRep.from_matrices(two.S[:2])
     with pytest.raises(ValueError):
         conjugate_rep(two, Matrix.identity(3))
 
