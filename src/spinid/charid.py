@@ -26,7 +26,7 @@ from math import comb, factorial, gcd, lcm
 from typing import Literal, Sequence
 
 from .scalar import Row, Scalar, combine_terms, frac_str
-from .spinrep import Matrix, SpinRep, eigenvalue_list, first_nonzero_entry, row_matrix
+from .spinrep import Matrix, SpinRep, eigenvalue_list, first_nonzero_entry
 from .symalg import IndexMultiset, SymSession, all_multisets, delta_weights
 
 Witness = tuple[int, int, Scalar]
@@ -152,7 +152,7 @@ class Identity:
         ms = IndexMultiset.from_tuple(idx)
         if ms.order != self.dim:
             raise ValueError(f"expected {self.dim} indices, got {ms.order}")
-        return row_matrix(session.rep.dim, self.residual_int(session, ms.counts))
+        return Matrix._make(session.rep.dim, self.residual_int(session, ms.counts))
 
     def residual_int(self, session: SymSession, counts: tuple[int, int, int]) -> Row:
         """The residual for these axis counts, as a row of the session's

@@ -13,8 +13,8 @@ all later reductions at that D (the 8 most recently used dimensions are
 kept).  The form it reaches is unique modulo the relations, so
 it does not depend on the order of the rewriting steps.  ``evaluate``
 folds the words the same way in the rows of a representation's matrices.
-Parsing and printing work on the rows: Scalars appear only where a caller
-builds a polynomial from Scalars or reads its coefficients as Scalars.
+Parsing and printing work on the rows; a coefficient read as a ``Scalar``
+is a view of the cells of its word.
 """
 from __future__ import annotations
 
@@ -37,12 +37,13 @@ from .scalar import (
     reduce_terms,
     render_components,
     row_components,
+    row_of_scalars,
     row_scalars,
-    scalar_keys,
+    scalar_at,
     squarefree_decompose,
     times_key,
 )
-from .spinrep import Matrix, SpinRep, Times, matrix_algebra, row_matrix
+from .spinrep import Matrix, SpinRep, Times, matrix_algebra
 from .symalg import IndexMultiset, SymSession, epsilon
 
 Word = tuple[int, ...]
@@ -64,14 +65,13 @@ class NCPolynomial:
     __slots__ = ("_row",)
 
     def __init__(self, terms: Mapping[Word, ScalarLike] | None = None):
-        coords: dict[tuple[Word, int], Fraction] = {}
+        entries = []
         for w, c in (terms or {}).items():
             w = tuple(w)
             if any(a not in (1, 2, 3) for a in w):
                 raise ValueError(f"word {w} has letters outside {{1, 2, 3}}")
-            for key, q in scalar_keys(c if isinstance(c, Scalar) else Scalar.of(c)).items():
-                coords[(w, key)] = coords.get((w, key), 0) + q
-        self._row = fraction_row(coords)
+            entries.append(((w,), c if isinstance(c, Scalar) else Scalar.of(c)))
+        self._row = row_of_scalars(entries)
 
     @classmethod
     def _make(cls, row: Row) -> "NCPolynomial":
@@ -101,7 +101,8 @@ class NCPolynomial:
         return {w: c for (w,), c in row_scalars(self._row).items()}
 
     def coefficient(self, w: Word) -> Scalar:
-        return self.terms().get(tuple(w), Scalar.zero())
+        """The coefficient of w, decoded from w's cells alone."""
+        return scalar_at(self._row, {(tuple(w),)})
 
     def is_zero(self) -> bool:
         return not self._row[0]
@@ -478,10 +479,12 @@ def _fold(p: NCPolynomial, unit: Row, times: Times) -> Row:
 def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
     """Rewrite every word to ordered (non-decreasing) letters using the
     commutation relation, inserting each letter into the ordered words
-    folded so far (``_times_letter``).
+    folded so far (``_times_letter``).  Dimension-independent: the result
+    evaluates equal to the input on every representation.
 
-    Dimension-independent: the result evaluates equal to the input on
-    every representation.
+    The memo keeps every (ordered prefix, letter) result for the whole
+    call, with no bound: (S3 S2 S1)^20 took 77 s at a 317 MiB tracemalloc
+    peak (2 cores, Python 3.11).  ``reduce_degree`` is the path bounded by D.
     """
     memo: dict[tuple[Word, int], Terms] = {}
     return NCPolynomial._make(_fold(p, _ONE, lambda row, a: _times_letter(row, a, memo)))
@@ -593,18 +596,12 @@ def evaluate(
     """Exact matrix value of the polynomial on a representation: its words
     folded by ``_fold`` in the rows of rep's matrices (``matrix_algebra``).
 
-    ``cache`` is an opaque dict owned by the caller; passing the same one
-    to calls on the same representation builds that algebra once.  It
-    holds the algebra of one representation object: a call on another
-    rebuilds it.
+    ``cache`` is accepted and left untouched: that algebra is the
+    generators' rows and an identity row, so there is nothing to keep.
     """
     if isinstance(p, NormalForm):
         p = p.poly
-    if cache is None:
-        cache = {}
-    if cache.get("rep") is not rep:
-        cache["rep"], cache["algebra"] = rep, matrix_algebra(rep)
-    return row_matrix(rep.dim, _fold(p, *cache["algebra"]))
+    return Matrix._make(rep.dim, _fold(p, *matrix_algebra(rep)))
 
 
 # ---------------------------------------------------------------------------

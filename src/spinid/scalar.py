@@ -2,22 +2,20 @@
 integers, with an optional imaginary part, and the row format that
 encodes them.
 
-Every value is canonical after construction, so equality is plain
-structural equality and there is no floating-point anywhere.
-
-``Scalar`` is the edge type: values are built from it and read back as
-it, and the tests use its arithmetic as the slow reference.  Inside the
-library the arithmetic runs on rows, owned by this module: integer
+All exact arithmetic runs on rows, owned by this module: integer
 numerators over one common denominator, keyed by cells that end in a
 basis key 2*m + imag for i^imag sqrt(m).  ``spinrep`` keys a matrix row by
-(row, col, key), ``rewrite`` a polynomial's row by (word, key).
+(row, col, key), ``rewrite`` a polynomial's row by (word, key), and a
+``Scalar`` is the row of one value, with cells (key,).  Rows are reduced
+after every operation, so equality is plain structural equality and
+there is no floating-point anywhere.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Hashable, Iterable, Mapping, Union
+from typing import Container, Hashable, Iterable, Union
 
 # Exact rational numbers; always in lowest terms with positive denominator.
 Rational = Fraction
@@ -52,309 +50,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return c, m * n
 
 
-def _frac(q: RationalLike) -> Fraction:
-    return q if isinstance(q, Fraction) else Fraction(q)
-
-
-class Radical:
-    """A finite sum  sum_m  c_m * sqrt(m)  with rational c_m and squarefree
-    positive radicands m (m = 1 holds the rational part).
-
-    The term map never stores zero coefficients; the empty map is 0.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[int, RationalLike] | None = None):
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                _, sf = squarefree_decompose(m)
-                if sf != m:
-                    raise ValueError(f"radicand {m} is not squarefree")
-                c = _frac(c)
-                if c:
-                    clean[m] = clean.get(m, Fraction(0)) + c
-                    if not clean[m]:
-                        del clean[m]
-        self._terms = clean
-
-    @classmethod
-    def _make(cls, terms: dict[int, Fraction]) -> "Radical":
-        # Internal fast path: keys already squarefree, no zero coefficients.
-        r = object.__new__(cls)
-        r._terms = terms
-        return r
-
-    @classmethod
-    def from_rational(cls, q: RationalLike) -> "Radical":
-        q = _frac(q)
-        return cls._make({1: q} if q else {})
-
-    def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_rational(self) -> bool:
-        """True when the only radicand present is 1."""
-        return all(m == 1 for m in self._terms)
-
-    def as_rational(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self._terms[1]
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Radical):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __neg__(self) -> "Radical":
-        return Radical._make({m: -c for m, c in self._terms.items()})
-
-    def __add__(self, other: "Radical") -> "Radical":
-        if not isinstance(other, Radical):
-            return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return Radical._make(out)
-
-    def __sub__(self, other: "Radical") -> "Radical":
-        return self + (-other)
-
-    def __mul__(self, other: Union["Radical", RationalLike]) -> "Radical":
-        if isinstance(other, (int, Fraction)):
-            q = _frac(other)
-            if not q:
-                return Radical._make({})
-            return Radical._make({m: c * q for m, c in self._terms.items()})
-        if not isinstance(other, Radical):
-            return NotImplemented
-        out: dict[int, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                # sqrt(m1)*sqrt(m2) = g*sqrt(m1' m2') with g = gcd(m1, m2);
-                # m1' m2' is squarefree because m1, m2 are and gcd(m1', m2') = 1.
-                g = gcd(m1, m2)
-                k = (m1 // g) * (m2 // g)
-                c = c1 * c2 * g
-                s = out.get(k, Fraction(0)) + c
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        return Radical._make(out)
-
-    def __str__(self) -> str:
-        return render_components(
-            [(c, m, False) for m, c in sorted(self._terms.items())]
-        )
-
-    def __repr__(self) -> str:
-        return f"Radical({self._terms!r})"
-
-
-RADICAL_ZERO = Radical._make({})
-RADICAL_ONE = Radical._make({1: Fraction(1)})
-
-
-def sqrt_of_rational(q: RationalLike) -> Radical:
-    """Exact square root of a nonnegative rational, as c*sqrt(m).
-
-    sqrt(p/q) is carried as sqrt(p*q)/q so the denominator stays rational.
-    """
-    q = _frac(q)
-    if q < 0:
-        raise ValueError("square root of a negative rational")
-    if q == 0:
-        return RADICAL_ZERO
-    c, m = squarefree_decompose(q.numerator * q.denominator)
-    return Radical._make({m: Fraction(c, q.denominator)})
-
-
-class Scalar:
-    """Complex value re + i*im with Radical real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Radical | RationalLike = 0, im: Radical | RationalLike = 0):
-        self.re = re if isinstance(re, Radical) else Radical.from_rational(re)
-        self.im = im if isinstance(im, Radical) else Radical.from_rational(im)
-
-    @classmethod
-    def _make(cls, re: Radical, im: Radical) -> "Scalar":
-        s = object.__new__(cls)
-        s.re = re
-        s.im = im
-        return s
-
-    @classmethod
-    def of(cls, q: RationalLike) -> "Scalar":
-        return cls._make(Radical.from_rational(q), RADICAL_ZERO)
-
-    @classmethod
-    def zero(cls) -> "Scalar":
-        return SCALAR_ZERO
-
-    @classmethod
-    def one(cls) -> "Scalar":
-        return SCALAR_ONE
-
-    @classmethod
-    def i(cls) -> "Scalar":
-        return SCALAR_I
-
-    @classmethod
-    def sqrt_int(cls, m: int) -> "Scalar":
-        if m <= 0:
-            raise ValueError("sqrt_int requires a positive integer")
-        return cls._make(sqrt_of_rational(m), RADICAL_ZERO)
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
-    def is_gaussian(self) -> bool:
-        """True when both parts involve only radicand 1."""
-        return self.re.is_rational() and self.im.is_rational()
-
-    def conjugate(self) -> "Scalar":
-        return Scalar._make(self.re, -self.im)
-
-    def norm_sq(self) -> Radical:
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self) -> "Scalar":
-        """Multiplicative inverse, supported on Gaussian rationals only.
-
-        That subset is all the engine ever divides by (matrix elimination
-        pivots of rational matrices and rewrite coefficients).
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        if not self.is_gaussian():
-            raise UnsupportedInverseError(
-                f"inverse of {self} has a radical denominator"
-            )
-        n = self.norm_sq().as_rational()
-        inv_n = Fraction(1) / n
-        return Scalar._make(self.re * inv_n, -self.im * inv_n)
-
-    def components(self) -> dict[tuple[str, int], Fraction]:
-        """Rational coordinates over the basis {sqrt(m), i*sqrt(m)}."""
-        out: dict[tuple[str, int], Fraction] = {}
-        for m, c in self.re._terms.items():
-            out[("re", m)] = c
-        for m, c in self.im._terms.items():
-            out[("im", m)] = c
-        return out
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
-    def __neg__(self) -> "Scalar":
-        return Scalar._make(-self.re, -self.im)
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return Scalar._make(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return Scalar._make(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: Union["Scalar", RationalLike]) -> "Scalar":
-        if isinstance(other, (int, Fraction)):
-            return Scalar._make(self.re * other, self.im * other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return Scalar._make(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def _component_list(self) -> list[tuple[Fraction, int, bool]]:
-        comps = [(c, m, False) for m, c in sorted(self.re._terms.items())]
-        comps += [(c, m, True) for m, c in sorted(self.im._terms.items())]
-        return comps
-
-    def __str__(self) -> str:
-        return render_components(self._component_list())
-
-    def __repr__(self) -> str:
-        return f"Scalar({self})"
-
-    def latex(self) -> str:
-        return render_components(self._component_list(), latex=True)
-
-
-SCALAR_ZERO = Scalar._make(RADICAL_ZERO, RADICAL_ZERO)
-SCALAR_ONE = Scalar._make(RADICAL_ONE, RADICAL_ZERO)
-SCALAR_I = Scalar._make(RADICAL_ZERO, RADICAL_ONE)
-
-
-def frac_str(q: Fraction, latex: bool = False) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    if latex:
-        sign = "-" if q < 0 else ""
-        return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
-    return f"{q.numerator}/{q.denominator}"
-
-
-def render_components(
-    comps: Iterable[tuple[Fraction, int, bool]], latex: bool = False
-) -> str:
-    """Render a sum of (coefficient, radicand, imaginary?) components in the
-    plain expression grammar (or LaTeX), e.g. ``1/2*sqrt(3) + 2*i``."""
-    comps = list(comps)
-    if not comps:
-        return "0"
-    out = []
-    for c, m, imag in comps:
-        mag = abs(c)
-        parts = []
-        if mag != 1 or (m == 1 and not imag):
-            parts.append(frac_str(mag, latex=latex))
-        if m != 1:
-            parts.append(f"\\sqrt{{{m}}}" if latex else f"sqrt({m})")
-        if imag:
-            parts.append("i")
-        body = (" " if latex else "*").join(parts)
-        if out:
-            out.append(" - " if c < 0 else " + ")
-        elif c < 0:
-            out.append("-")
-        out.append(body)
-    return "".join(out)
-
-
 # ---------------------------------------------------------------------------
 # Rows
 
@@ -369,11 +64,6 @@ def key_product(k1: int, k2: int) -> tuple[int, int]:
     m1, m2 = k1 >> 1, k2 >> 1
     g = gcd(m1, m2)
     return (-g if k1 & k2 & 1 else g), 2 * (m1 // g) * (m2 // g) + ((k1 ^ k2) & 1)
-
-
-def scalar_keys(c: Scalar) -> dict[int, Fraction]:
-    """The rational coordinates of c by basis key 2*m + imag."""
-    return {2 * m + (part == "im"): q for (part, m), q in c.components().items()}
 
 
 def reduce_terms(terms: dict[Hashable, int], den: int) -> Row:
@@ -419,22 +109,202 @@ def times_key(terms: dict[Hashable, int], key: int) -> dict[Hashable, int]:
     return out
 
 
-def row_scalars(row: Row) -> dict[tuple, Scalar]:
-    """The Scalar at each position of a row whose cells are
-    (*position, key): (row, col) for a matrix, (word,) for a polynomial."""
+def times_scalar(row: Row, c: Row) -> Row:
+    """row times the value of the scalar row c."""
+    return combine_terms((n, times_key(row[0], k), row[1] * c[1]) for (k,), n in c[0].items())
+
+
+def row_of_scalars(entries: Iterable[tuple[tuple, "Scalar"]]) -> Row:
+    """The row of Scalars placed at positions, with cells (*position, key):
+    (row, col) for a matrix, (word,) for a polynomial."""
+    return combine_terms((1, {pos + k: n for k, n in s.row[0].items()}, s.row[1]) for pos, s in entries)
+
+
+def row_scalars(row: Row) -> dict[tuple, "Scalar"]:
+    """The Scalar at each position of a row (``row_of_scalars``)."""
     terms, den = row
-    parts: dict[tuple, tuple[dict, dict]] = {}
+    parts: dict[tuple, dict] = {}
     for t, n in terms.items():
-        parts.setdefault(t[:-1], ({}, {}))[t[-1] & 1][t[-1] >> 1] = Fraction(n, den)
-    return {pos: Scalar._make(Radical._make(re), Radical._make(im)) for pos, (re, im) in parts.items()}
+        parts.setdefault(t[:-1], {})[t[-1:]] = n
+    return {pos: Scalar._make(reduce_terms(cells, den)) for pos, cells in parts.items()}
+
+
+def scalar_at(row: Row, positions: Container[tuple]) -> "Scalar":
+    """The sum of a row's Scalars at these positions, decoded from their
+    cells alone."""
+    out: dict[tuple, int] = {}
+    for t, n in row[0].items():
+        if t[:-1] in positions:
+            out[t[-1:]] = out.get(t[-1:], 0) + n
+    return Scalar._make(reduce_terms(out, row[1]))
 
 
 def row_components(row: Row) -> dict[tuple, list[tuple[Fraction, int, bool]]]:
-    """The components (coefficient, radicand, imaginary?) of each Scalar of
-    ``row_scalars``, in the order it prints them (real parts first, each
-    sorted by radicand), without building the Scalars."""
+    """The components (coefficient, radicand, imaginary?) at each position
+    of a row, in the order they print (real parts first, each sorted by
+    radicand), without building Scalars."""
     terms, den = row
     out: dict[tuple, list] = {}
     for t in sorted(terms, key=lambda t: (t[-1] & 1, t[-1] >> 1)):
         out.setdefault(t[:-1], []).append((Fraction(terms[t], den), t[-1] >> 1, bool(t[-1] & 1)))
     return out
+
+
+class Scalar:
+    """One exact value, held as its row ({(key,): n}, den).  Immutable;
+    ``Scalar(re, im)`` is the Gaussian rational re + i*im."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
+        self.row = fraction_row({(KEY_ONE,): Fraction(re), (KEY_I,): Fraction(im)})
+
+    @classmethod
+    def _make(cls, row: Row) -> "Scalar":
+        s = object.__new__(cls)
+        s.row = row
+        return s
+
+    @classmethod
+    def of(cls, q: RationalLike) -> "Scalar":
+        return cls(q)
+
+    @classmethod
+    def zero(cls) -> "Scalar":
+        return SCALAR_ZERO
+
+    @classmethod
+    def one(cls) -> "Scalar":
+        return SCALAR_ONE
+
+    @classmethod
+    def i(cls) -> "Scalar":
+        return SCALAR_I
+
+    @classmethod
+    def sqrt_int(cls, m: int) -> "Scalar":
+        if m <= 0:
+            raise ValueError("sqrt_int requires a positive integer")
+        return sqrt_of_rational(m)
+
+    def is_zero(self) -> bool:
+        return not self.row[0]
+
+    def is_gaussian(self) -> bool:
+        """True when no square root other than sqrt(1) occurs."""
+        return all(k in (KEY_ONE, KEY_I) for k, in self.row[0])
+
+    def conjugate(self) -> "Scalar":
+        terms, den = self.row
+        return Scalar._make(({t: -n if t[0] & 1 else n for t, n in terms.items()}, den))
+
+    def inverse(self) -> "Scalar":
+        """Multiplicative inverse, supported on Gaussian rationals only:
+        den (a - b i) / (a^2 + b^2) for (a + b i) / den.
+
+        That subset is all the engine ever divides by (matrix elimination
+        pivots of rational matrices).
+        """
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        if not self.is_gaussian():
+            raise UnsupportedInverseError(f"inverse of {self} has a radical denominator")
+        terms, den = self.row
+        a, b = terms.get((KEY_ONE,), 0), terms.get((KEY_I,), 0)
+        return Scalar._make(reduce_terms({(KEY_ONE,): den * a, (KEY_I,): -den * b}, a * a + b * b))
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return self.row == other.row
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.row[0].items()), self.row[1]))
+
+    def __neg__(self) -> "Scalar":
+        terms, den = self.row
+        return Scalar._make(({t: -n for t, n in terms.items()}, den))
+
+    def __add__(self, other: "Scalar") -> "Scalar":
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return Scalar._make(combine_terms([(1, *self.row), (1, *other.row)]))
+
+    def __sub__(self, other: "Scalar") -> "Scalar":
+        return self + -other if isinstance(other, Scalar) else NotImplemented
+
+    def __mul__(self, other: Union["Scalar", RationalLike]) -> "Scalar":
+        if isinstance(other, (int, Fraction)):
+            return Scalar._make(combine_terms([(other, *self.row)]))
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return Scalar._make(times_scalar(self.row, other.row))
+
+    __rmul__ = __mul__
+
+    def __str__(self) -> str:
+        return render_components(row_components(self.row).get((), []))
+
+    def __repr__(self) -> str:
+        return f"Scalar({self})"
+
+    def latex(self) -> str:
+        return render_components(row_components(self.row).get((), []), latex=True)
+
+
+SCALAR_ZERO = Scalar._make(({}, 1))
+SCALAR_ONE = Scalar._make(({(KEY_ONE,): 1}, 1))
+SCALAR_I = Scalar._make(({(KEY_I,): 1}, 1))
+
+
+def sqrt_of_rational(q: RationalLike) -> Scalar:
+    """Exact square root of a nonnegative rational, as c*sqrt(m).
+
+    sqrt(p/q) is carried as sqrt(p*q)/q so the denominator stays rational.
+    """
+    q = Fraction(q)
+    if q < 0:
+        raise ValueError("square root of a negative rational")
+    if q == 0:
+        return SCALAR_ZERO
+    c, m = squarefree_decompose(q.numerator * q.denominator)
+    return Scalar._make(reduce_terms({(2 * m,): c}, q.denominator))
+
+
+def frac_str(q: Fraction, latex: bool = False) -> str:
+    if q.denominator == 1:
+        return str(q.numerator)
+    if latex:
+        sign = "-" if q < 0 else ""
+        return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+    return f"{q.numerator}/{q.denominator}"
+
+
+def render_components(
+    comps: Iterable[tuple[Fraction, int, bool]], latex: bool = False
+) -> str:
+    """Render a sum of (coefficient, radicand, imaginary?) components in the
+    plain expression grammar (or LaTeX), e.g. ``1/2*sqrt(3) + 2*i``."""
+    comps = list(comps)
+    if not comps:
+        return "0"
+    out = []
+    for c, m, imag in comps:
+        mag = abs(c)
+        parts = []
+        if mag != 1 or (m == 1 and not imag):
+            parts.append(frac_str(mag, latex=latex))
+        if m != 1:
+            parts.append(f"\\sqrt{{{m}}}" if latex else f"sqrt({m})")
+        if imag:
+            parts.append("i")
+        body = (" " if latex else "*").join(parts)
+        if out:
+            out.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            out.append("-")
+        out.append(body)
+    return "".join(out)

@@ -6,11 +6,9 @@ exact, so the commutation relation and the Casimir hold on the nose.
 
 A representation holds its generators as this module's matrix rows, the
 rows of ``scalar`` with cells (row, col, key), and all matrix arithmetic
-runs on them.  ``Matrix`` of ``Scalar`` entries is the edge type: what a
-caller hands in (``SpinRep.from_matrices``, ``conjugate_rep``) or asks for
-(``SpinRep.S``, ``casimir``), and the tests' slow reference.  The one
-Scalar computation left is ``Matrix.inverse`` of the matrix a caller
-conjugates by.
+runs on them.  A ``Matrix`` is a view of one such row: what a caller hands
+in (``SpinRep.from_matrices``, ``conjugate_rep``) or asks for
+(``SpinRep.S``, ``casimir``), wrapped and unwrapped in O(1).
 """
 from __future__ import annotations
 
@@ -22,18 +20,20 @@ from typing import Callable, Sequence
 from .scalar import (
     KEY_I,
     KEY_ONE,
-    SCALAR_ONE,
-    SCALAR_ZERO,
     Row,
     Scalar,
     combine_terms,
     fraction_row,
     key_product,
     reduce_terms,
+    render_components,
+    row_components,
+    row_of_scalars,
     row_scalars,
-    scalar_keys,
-    sqrt_of_rational,
+    scalar_at,
+    squarefree_decompose,
     times_key,
+    times_scalar,
 )
 
 Cell = tuple[int, int, int]  # (row, col, key)
@@ -45,35 +45,39 @@ class SingularMatrixError(ArithmeticError):
 
 
 class Matrix:
-    """Square matrix of exact Scalars.  Instances are never mutated after
-    construction; every operation allocates a fresh result."""
+    """Square matrix of exact values, held as its matrix row.  Instances
+    are never mutated after construction; every operation allocates a
+    fresh result."""
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("dim", "row")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
         dim = len(rows)
         if any(len(r) != dim for r in rows):
             raise ValueError("matrix must be square")
         self.dim = dim
-        self.rows = [list(r) for r in rows]
+        self.row = row_of_scalars(((r, c), a) for r, entries in enumerate(rows) for c, a in enumerate(entries))
+
+    @classmethod
+    def _make(cls, dim: int, row: Row) -> "Matrix":
+        m = object.__new__(cls)
+        m.dim, m.row = dim, row
+        return m
 
     @classmethod
     def zero(cls, dim: int) -> "Matrix":
-        return cls([[SCALAR_ZERO] * dim for _ in range(dim)])
+        return cls._make(dim, ({}, 1))
 
     @classmethod
     def identity(cls, dim: int) -> "Matrix":
-        return cls(
-            [[SCALAR_ONE if i == j else SCALAR_ZERO for j in range(dim)] for i in range(dim)]
-        )
+        return cls._make(dim, ({(k, k, KEY_ONE): 1 for k in range(dim)}, 1))
 
     @classmethod
     def from_rational_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "Matrix":
         return cls([[Scalar.of(x) for x in r] for r in rows])
 
     def __getitem__(self, rc: tuple[int, int]) -> Scalar:
-        r, c = rc
-        return self.rows[r][c]
+        return scalar_at(self.row, {tuple(rc)})
 
     def _check_dim(self, other: "Matrix") -> None:
         if self.dim != other.dim:
@@ -81,73 +85,36 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_dim(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return Matrix._make(self.dim, combine_terms([(1, *self.row), (1, *other.row)]))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_dim(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return self + other.scale(-1)
 
     def scale(self, c: Scalar | Fraction | int) -> "Matrix":
-        if not isinstance(c, Scalar):
-            c = Scalar.of(c)
-        return Matrix([[c * a for a in r] for r in self.rows])
+        if isinstance(c, Scalar):
+            return Matrix._make(self.dim, times_scalar(self.row, c.row))
+        return Matrix._make(self.dim, combine_terms([(c, *self.row)]))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_dim(other)
-        n = self.dim
-        out = [[SCALAR_ZERO] * n for _ in range(n)]
-        for i in range(n):
-            row = self.rows[i]
-            acc = out[i]
-            for k in range(n):
-                a = row[k]
-                if a.is_zero():
-                    continue
-                brow = other.rows[k]
-                for j in range(n):
-                    b = brow[j]
-                    if not b.is_zero():
-                        acc[j] = acc[j] + a * b
-        return Matrix(out)
+        return Matrix._make(self.dim, row_matmul(self.row, other.row))
 
     def dagger(self) -> "Matrix":
-        n = self.dim
-        return Matrix(
-            [[self.rows[j][i].conjugate() for j in range(n)] for i in range(n)]
-        )
+        terms, den = self.row
+        return Matrix._make(self.dim, ({(c, r, k): -n if k & 1 else n for (r, c, k), n in terms.items()}, den))
 
     def trace(self) -> Scalar:
-        t = SCALAR_ZERO
-        for i in range(self.dim):
-            t = t + self.rows[i][i]
-        return t
+        return scalar_at(self.row, {(k, k) for k in range(self.dim)})
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for r in self.rows for a in r)
-
-    def first_nonzero_entry(self) -> tuple[int, int, Scalar] | None:
-        for i, row in enumerate(self.rows):
-            for j, a in enumerate(row):
-                if not a.is_zero():
-                    return i, j, a
-        return None
+        return not self.row[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.dim == other.dim and self.rows == other.rows
+        return self.dim == other.dim and self.row == other.row
 
     def inverse(self) -> "Matrix":
         """Exact Gauss-Jordan inverse.
@@ -156,63 +123,38 @@ class Matrix:
         rational.  Raises SingularMatrixError when the rank is deficient.
         """
         n = self.dim
-        a = [list(r) for r in self.rows]
-        inv = [list(r) for r in Matrix.identity(n).rows]
+        zero, entries = Scalar.zero(), row_scalars(self.row)
+        a = [[entries.get((r, c), zero) for c in range(n)] for r in range(n)]
+        inv = [[Scalar.one() if r == c else zero for c in range(n)] for r in range(n)]
         for col in range(n):
-            pivot_row = next(
-                (r for r in range(col, n) if not a[r][col].is_zero()), None
-            )
-            if pivot_row is None:
+            pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+            if pivot is None:
                 raise SingularMatrixError("matrix is singular")
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+            a[col], a[pivot], inv[col], inv[pivot] = a[pivot], a[col], inv[pivot], inv[col]
             p = a[col][col].inverse()
-            a[col] = [p * x for x in a[col]]
-            inv[col] = [p * x for x in inv[col]]
+            a[col], inv[col] = [p * x for x in a[col]], [p * x for x in inv[col]]
             for r in range(n):
-                if r == col:
-                    continue
                 f = a[r][col]
-                if f.is_zero():
-                    continue
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+                if r != col and not f.is_zero():
+                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
         return Matrix(inv)
 
-    def to_strings(self) -> list[list[str]]:
-        """Row-major nested lists of Scalar strings (the JSON wire form)."""
-        return [[str(a) for a in r] for r in self.rows]
+    def to_strings(self, latex: bool = False) -> list[list[str]]:
+        """Row-major nested lists of entry strings (plain: the JSON wire form)."""
+        comps = row_components(self.row)
+        return [[render_components(comps.get((r, c), []), latex=latex) for c in range(self.dim)]
+                for r in range(self.dim)]
 
     def latex(self) -> str:
-        body = " \\\\\n".join(
-            " & ".join(a.latex() for a in r) for r in self.rows
-        )
+        body = " \\\\\n".join(" & ".join(r) for r in self.to_strings(latex=True))
         return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"
 
     def __str__(self) -> str:
-        return "\n".join("[" + ", ".join(str(a) for a in r) + "]" for r in self.rows)
+        return "\n".join("[" + ", ".join(r) + "]" for r in self.to_strings())
 
     def __repr__(self) -> str:
         return f"Matrix({self.dim}x{self.dim})"
-
-
-def matrix_row(mat: Matrix) -> Row:
-    """The matrix as cells (row, col, key) of integer numerators over one
-    reduced denominator.  Equal matrices give equal rows."""
-    return fraction_row({
-        (r, c, key): q
-        for r, row in enumerate(mat.rows)
-        for c, a in enumerate(row)
-        for key, q in scalar_keys(a).items()
-    })
-
-
-def row_matrix(dim: int, row: Row) -> Matrix:
-    """The dim x dim Matrix of a matrix row."""
-    rows = [[SCALAR_ZERO] * dim for _ in range(dim)]
-    for (r, c), s in row_scalars(row).items():
-        rows[r][c] = s
-    return Matrix(rows)
 
 
 def row_matmul(a: Row, b: Row) -> Row:
@@ -230,13 +172,11 @@ def row_matmul(a: Row, b: Row) -> Row:
 
 
 def first_nonzero_entry(row: Row) -> tuple[int, int, Scalar] | None:
-    """The first nonzero cell of a matrix row in row-major order, as
-    Matrix.first_nonzero_entry gives it."""
-    terms, den = row
-    if not terms:
+    """The first nonzero entry of a matrix row in row-major order."""
+    if not row[0]:
         return None
-    r, c, _ = min(terms)
-    return r, c, row_scalars(({t: n for t, n in terms.items() if t[:2] == (r, c)}, den))[(r, c)]
+    r, c, _ = min(row[0])
+    return r, c, scalar_at(row, {(r, c)})
 
 
 def eigenvalue_list(dim: int) -> list[Fraction]:
@@ -260,7 +200,7 @@ class SpinRep:
 
     @cached_property
     def S(self) -> tuple[Matrix, Matrix, Matrix]:
-        return tuple(row_matrix(self.dim, row) for row in self.rows)
+        return tuple(Matrix._make(self.dim, row) for row in self.rows)
 
     def matrix(self, axis: int) -> Matrix:
         if axis not in (1, 2, 3):
@@ -277,7 +217,7 @@ class SpinRep:
         s1, s2, s3 = matrices
         for mat in (s2, s3):
             mat._check_dim(s1)
-        return cls._checked(s1.dim, (matrix_row(s1), matrix_row(s2), matrix_row(s3)))
+        return cls._checked(s1.dim, (s1.row, s2.row, s3.row))
 
     @classmethod
     def _checked(cls, dim: int, rows: tuple[Row, Row, Row]) -> "SpinRep":
@@ -296,8 +236,11 @@ def build_generators(dim: int) -> SpinRep:
     for k, m in enumerate(eigenvalue_list(dim)):  # refuses dim < 1
         s3[(k, k, KEY_ONE)] = m
         if k:  # column k holds m, raised into row k - 1
-            # r = q sqrt(sf): basis key 2 sf, and 2 sf + 1 for i sqrt(sf)
-            (sf, q), = sqrt_of_rational((s * (s + 1) - m * (m + 1)) / 4).terms().items()
+            # r = sqrt(p/d) = c sqrt(sf) / d for p d = c^2 sf: basis key 2 sf,
+            # and 2 sf + 1 for i sqrt(sf)
+            r2 = (s * (s + 1) - m * (m + 1)) / 4
+            c, sf = squarefree_decompose(r2.numerator * r2.denominator)
+            q = Fraction(c, r2.denominator)
             s1[(k - 1, k, 2 * sf)] = s1[(k, k - 1, 2 * sf)] = q
             s2[(k - 1, k, 2 * sf + 1)] = -q
             s2[(k, k - 1, 2 * sf + 1)] = q
@@ -316,7 +259,7 @@ def commutation_holds(rep: SpinRep) -> bool:
 
 
 def casimir(rep: SpinRep) -> Matrix:
-    return row_matrix(rep.dim, combine_terms((1, *row_matmul(g, g)) for g in rep.rows))
+    return Matrix._make(rep.dim, combine_terms((1, *row_matmul(g, g)) for g in rep.rows))
 
 
 def is_hermitian(mat: Matrix) -> bool:
@@ -332,8 +275,8 @@ def conjugate_rep(rep: SpinRep, m: Matrix) -> SpinRep:
     """
     if m.dim != rep.dim:
         raise ValueError(f"dimension mismatch: {m.dim} vs {rep.dim}")
-    left, right = matrix_row(m), matrix_row(m.inverse())
-    return SpinRep._checked(rep.dim, tuple(row_matmul(row_matmul(left, g), right) for g in rep.rows))
+    right = m.inverse().row
+    return SpinRep._checked(rep.dim, tuple(row_matmul(row_matmul(m.row, g), right) for g in rep.rows))
 
 
 def matrix_algebra(rep: SpinRep) -> tuple[Row, Times]:

@@ -9,9 +9,8 @@ One engine, ``SymSession``, builds the products from an algebra's unit and
 right multiplication by a generator: for a representation's matrices
 (``spinrep.matrix_algebra``) and for ordered words in ``rewrite``.  It
 owns no format: values are the rows of ``scalar``, and a matrix row is
-``spinrep``'s, with cells (row, col, key).  ``Matrix`` of ``Scalar``
-entries is only what ``SymSession.sym`` hands out, and the slow reference
-the tests compare against.
+``spinrep``'s, with cells (row, col, key).  ``SymSession.sym`` hands one
+out as a ``Matrix``, a view of the row.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ from math import comb, prod
 from typing import Iterable, Sequence
 
 from .scalar import Row, combine_terms
-from .spinrep import Matrix, SpinRep, Times, matrix_algebra, row_matrix
+from .spinrep import Matrix, SpinRep, Times, matrix_algebra
 
 Axis = int  # one of 1, 2, 3
 
@@ -75,10 +74,9 @@ class SymSession:
 
     The cache is keyed on the index multiset, so exhaustive verification
     over all D-tuples costs O(#multisets) products instead of O(3^D * D!).
-    ``sym``, for sessions on a representation, converts a product to a
-    Matrix on first request and returns that same object afterwards.
-    Threads may share a session: an entry is complete before it is stored
-    and never changed after, so a race at worst builds one twice.
+    ``sym``, for sessions on a representation, wraps a product's row as a
+    Matrix.  Threads may share a session: an entry is complete before it is
+    stored and never changed after, so a race at worst builds one twice.
     """
 
     def __init__(self, rep: SpinRep | None = None, unit: Row | None = None, times: Times | None = None):
@@ -87,15 +85,11 @@ class SymSession:
         self.rep = rep
         self._times = times
         self._rows: dict[tuple[int, int, int], Row] = {(0, 0, 0): unit}
-        self._matrices: dict[IndexMultiset, Matrix] = {}
 
     def sym(self, idx: IndexMultiset | Sequence[Axis]) -> Matrix:
         if not isinstance(idx, IndexMultiset):
             idx = IndexMultiset.from_tuple(idx)
-        mat = self._matrices.get(idx)
-        if mat is None:
-            mat = self._matrices[idx] = row_matrix(self.rep.dim, self.sym_int(idx.counts))
-        return mat
+        return Matrix._make(self.rep.dim, self.sym_int(idx.counts))
 
     def sym_int(self, counts: tuple[int, int, int]) -> Row:
         """The symmetric product for these axis counts, as a row."""

@@ -1,0 +1,220 @@
+"""The slow reference arithmetic the tests check spinid against.
+
+``Radical`` and ``Scalar`` are dicts of ``Fraction`` and ``Matrix`` nested
+lists of ``Scalar``, merged entry by entry: no code is shared with the
+library's rows.  ``ref`` reads a library Scalar or Matrix into this
+arithmetic and ``lib`` writes a reference value back, so an oracle computes
+here and compares here.
+"""
+from fractions import Fraction
+from math import gcd
+
+import spinid
+from spinid.scalar import UnsupportedInverseError, fraction_row, render_components, row_scalars, squarefree_decompose
+from spinid.spinrep import SingularMatrixError
+
+
+class Radical:
+    """sum_m c_m sqrt(m) over squarefree radicands m, no zero c_m stored."""
+
+    def __init__(self, terms=None):
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __neg__(self):
+        return Radical({m: -c for m, c in self.terms.items()})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return Radical(out)
+
+    def __mul__(self, other):
+        if not isinstance(other, Radical):
+            return Radical({m: c * other for m, c in self.terms.items()})
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                # sqrt(m1) sqrt(m2) = g sqrt(m1' m2') for g = gcd(m1, m2)
+                g = gcd(m1, m2)
+                k = (m1 // g) * (m2 // g)
+                out[k] = out.get(k, 0) + c1 * c2 * g
+        return Radical(out)
+
+
+class Scalar:
+    """re + i*im with Radical parts (a rational stands for Radical({1: q}))."""
+
+    def __init__(self, re=0, im=0):
+        self.re = re if isinstance(re, Radical) else Radical({1: re})
+        self.im = im if isinstance(im, Radical) else Radical({1: im})
+
+    def is_zero(self):
+        return not self.re.terms and not self.im.terms
+
+    def conjugate(self):
+        return Scalar(self.re, -self.im)
+
+    def norm_sq(self):
+        return self.re * self.re + self.im * self.im
+
+    def inverse(self):
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        if set(self.re.terms) | set(self.im.terms) != {1}:
+            raise UnsupportedInverseError(f"inverse of {self} has a radical denominator")
+        n = Fraction(1) / self.norm_sq().terms[1]
+        return Scalar(self.re * n, -self.im * n)
+
+    def components(self):
+        """Rational coordinates over the basis {sqrt(m), i*sqrt(m)}."""
+        return {(part, m): c for part, r in (("re", self.re), ("im", self.im)) for m, c in r.terms.items()}
+
+    def __eq__(self, other):
+        return self.re == other.re and self.im == other.im
+
+    def __neg__(self):
+        return Scalar(-self.re, -self.im)
+
+    def __add__(self, other):
+        return Scalar(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not isinstance(other, Scalar):
+            return Scalar(self.re * other, self.im * other)
+        return Scalar(self.re * other.re + -(self.im * other.im), self.re * other.im + self.im * other.re)
+
+    def _component_list(self):
+        return [(c, m, imag) for imag, r in ((False, self.re), (True, self.im)) for m, c in sorted(r.terms.items())]
+
+    def __str__(self):
+        return render_components(self._component_list())
+
+    def latex(self):
+        return render_components(self._component_list(), latex=True)
+
+
+ZERO, ONE, I = Scalar(), Scalar(1), Scalar(0, 1)
+
+
+def sqrt(q):
+    """sqrt(q) = c sqrt(m) / den for q = num / den and num * den = c^2 m."""
+    q = Fraction(q)
+    if not q:
+        return ZERO
+    c, m = squarefree_decompose(q.numerator * q.denominator)
+    return Scalar(Radical({m: Fraction(c, q.denominator)}))
+
+
+def of_components(components):
+    """The Scalar of (coefficient, radicand, imaginary?) components."""
+    return sum((sqrt(m) * q * (I if imag else ONE) for q, m, imag in components), ZERO)
+
+
+def accumulate(terms, w, c):
+    """Add c to the coefficient of w in a dict of nonzero Scalars by word."""
+    s = terms.pop(w, ZERO) + c
+    if not s.is_zero():
+        terms[w] = s
+
+
+class Matrix:
+    """Square nested lists of Scalars; ``rows`` may be filled in before use."""
+
+    def __init__(self, rows):
+        self.dim = len(rows)
+        self.rows = [list(r) for r in rows]
+
+    @classmethod
+    def zero(cls, dim):
+        return cls([[ZERO] * dim for _ in range(dim)])
+
+    @classmethod
+    def identity(cls, dim):
+        return cls([[ONE if r == c else ZERO for c in range(dim)] for r in range(dim)])
+
+    def __add__(self, other):
+        return Matrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        return Matrix([[a * c for a in r] for r in self.rows])
+
+    def __mul__(self, other):
+        n = self.dim
+        out = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            for k, a in enumerate(self.rows[i]):
+                for j, b in enumerate(other.rows[k]):
+                    if not (a.is_zero() or b.is_zero()):
+                        out[i][j] = out[i][j] + a * b
+        return Matrix(out)
+
+    def dagger(self):
+        return Matrix([[self.rows[c][r].conjugate() for c in range(self.dim)] for r in range(self.dim)])
+
+    def first_nonzero_entry(self):
+        return next(((r, c, a) for r, row in enumerate(self.rows) for c, a in enumerate(row) if not a.is_zero()), None)
+
+    def __eq__(self, other):
+        return self.dim == other.dim and self.rows == other.rows
+
+    def inverse(self):
+        """Gauss-Jordan elimination, the pivot the first nonzero entry in its column."""
+        n = self.dim
+        a, inv = [list(r) for r in self.rows], Matrix.identity(n).rows
+        for col in range(n):
+            pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+            if pivot is None:
+                raise SingularMatrixError("matrix is singular")
+            a[col], a[pivot], inv[col], inv[pivot] = a[pivot], a[col], inv[pivot], inv[col]
+            p = a[col][col].inverse()
+            a[col], inv[col] = [p * x for x in a[col]], [p * x for x in inv[col]]
+            for r in range(n):
+                f = a[r][col]
+                if r != col and not f.is_zero():
+                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+        return Matrix(inv)
+
+
+def word_matrix(rep, w, cache):
+    """The reference matrix of the word w on rep, from the longest prefix
+    kept in cache (a dict for one representation), one letter at a time."""
+    if not cache:
+        cache[()] = Matrix.identity(rep.dim)
+        cache.update({(a,): ref(rep.matrix(a)) for a in (1, 2, 3)})
+    n = len(w)
+    while w[:n] not in cache:
+        n -= 1
+    m = cache[w[:n]]
+    for j in range(n, len(w)):
+        m = cache[w[: j + 1]] = m * cache[w[j : j + 1]]
+    return m
+
+
+def ref(x):
+    """The reference value of a spinid Scalar or Matrix."""
+    if isinstance(x, spinid.Matrix):
+        entries = row_scalars(x.row)
+        return Matrix([[ref(entries[(r, c)]) if (r, c) in entries else ZERO for c in range(x.dim)]
+                       for r in range(x.dim)])
+    (terms, den), parts = x.row, ({}, {})
+    for (k,), n in terms.items():
+        parts[k & 1][k >> 1] = Fraction(n, den)
+    return Scalar(Radical(parts[0]), Radical(parts[1]))
+
+
+def lib(x):
+    """The spinid Scalar or Matrix of a reference value."""
+    if isinstance(x, Matrix):
+        return spinid.Matrix([[lib(a) for a in r] for r in x.rows])
+    return spinid.Scalar._make(fraction_row({(2 * m + (part == "im"),): c for (part, m), c in x.components().items()}))

@@ -7,6 +7,8 @@ import itertools
 import random
 from fractions import Fraction
 
+from test_rewrite import _ijk_difference, _random_poly
+
 from spinid.charid import (
     a1_closed,
     a2_closed,
@@ -20,10 +22,8 @@ from spinid.charid import (
     power_sum,
     verify_identity,
 )
-from spinid.rewrite import NCPolynomial, evaluate, reduce_degree
-from spinid.scalar import Scalar
+from spinid.rewrite import evaluate, reduce_degree
 from spinid.spinrep import Matrix, build_generators, conjugate_rep, eigenvalue_list
-from spinid.symalg import epsilon
 
 REPS = {dim: build_generators(dim) for dim in range(2, 10)}
 
@@ -132,28 +132,6 @@ def test_criterion_7_appendix_sums():
             n * (n + 1) * (2 * n + 1) * (3 * n**2 + 3 * n - 1), 30
         )
     check(7, True, "recursion matches brute force (r<=8, n<=50) and all closed forms")
-
-
-def _random_poly(rng, max_degree):
-    terms = {}
-    for _ in range(rng.randint(1, 6)):
-        w = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, max_degree)))
-        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        terms[w] = terms.get(w, Fraction(0)) + c
-    return NCPolynomial({w: Scalar.of(c) for w, c in terms.items()})
-
-
-def _ijk_difference(i, j, k):
-    g = {a: NCPolynomial.generator(a) for a in (1, 2, 3)}
-    lhs = g[i] * g[j] * g[k] - g[k] * g[j] * g[i]
-    rhs = NCPolynomial.zero()
-    for l in (1, 2, 3):
-        rhs = rhs + (
-            g[l] * g[k] * epsilon(i, j, l)
-            + g[j] * g[l] * epsilon(i, k, l)
-            + g[l] * g[i] * epsilon(j, k, l)
-        )
-    return lhs - rhs.scale(Scalar.i())
 
 
 def test_criterion_8_rewriter_soundness():

@@ -1,8 +1,9 @@
-"""Slow Scalar oracles for the row-based polynomial and evaluation paths.
+"""Slow reference oracles for the row-based polynomial and evaluation paths.
 
-``reference_evaluate`` multiplies Matrix-of-Scalar prefix products, and
-``_Ref`` keeps a polynomial as a dict of Scalar coefficients merged term by
-term.  Neither shares code with the row arithmetic they check.
+``reference_evaluate`` multiplies reference Matrix-of-Scalar prefix
+products, and ``_Ref`` keeps a polynomial as a dict of reference Scalar
+coefficients merged term by term.  Neither shares code with the row
+arithmetic they check.
 """
 import random
 from fractions import Fraction
@@ -10,42 +11,44 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as R
+from reference import lib, ref
 from spinid.rewrite import NCPolynomial, evaluate, parse, reduce_degree, render
-from spinid.scalar import Scalar
 from spinid.spinrep import Matrix, build_generators, conjugate_rep
 
 REPS = {dim: build_generators(dim) for dim in range(1, 7)}
-I = Scalar.i()
 
 COEFFICIENTS = [
-    Scalar.of(1),
-    Scalar.of(Fraction(-3, 2)),
-    Scalar.of(Fraction(5, 7)),
-    I,
-    I * Fraction(-2, 3),
-    Scalar.sqrt_int(2),
-    Scalar.sqrt_int(6) * Fraction(1, 4),
-    Scalar.sqrt_int(3) * I,
-    Scalar.of(Fraction(1, 3)) + I * 2,
-    Scalar.sqrt_int(5) * Fraction(3, 2) - Scalar.sqrt_int(10) * I + Scalar.of(Fraction(-1, 6)),
+    R.ONE,
+    R.Scalar(Fraction(-3, 2)),
+    R.Scalar(Fraction(5, 7)),
+    R.I,
+    R.I * Fraction(-2, 3),
+    R.sqrt(2),
+    R.sqrt(6) * Fraction(1, 4),
+    R.sqrt(3) * R.I,
+    R.Scalar(Fraction(1, 3)) + R.I * 2,
+    R.sqrt(5) * Fraction(3, 2) - R.sqrt(10) * R.I + R.Scalar(Fraction(-1, 6)),
 ]
 
 
 def reference_evaluate(p, rep, cache=None):
-    """Exact matrix value from Matrix-of-Scalar products of word prefixes."""
-    if cache is None:
-        cache = {}
-    cache.setdefault((), Matrix.identity(rep.dim))
-    total = Matrix.zero(rep.dim)
+    """Exact matrix value from reference Matrix-of-Scalar products of word
+    prefixes."""
+    cache = {} if cache is None else cache
+    total = R.Matrix.zero(rep.dim)
     for w, c in p.terms().items():
-        n = len(w)
-        while w[:n] not in cache:  # the longest cached prefix, then one letter at a time
-            n -= 1
-        m = cache[w[:n]]
-        for j in range(n, len(w)):
-            m = cache[w[: j + 1]] = m * rep.matrix(w[j])
-        total = total + m.scale(c)
+        total = total + R.word_matrix(rep, w, cache).scale(ref(c))
     return total
+
+
+def _poly(terms):
+    """The NCPolynomial of reference coefficients by word."""
+    return NCPolynomial({w: lib(c) for w, c in terms.items()})
+
+
+def _ref_terms(p):
+    return {w: ref(c) for w, c in p.terms().items()}
 
 
 def _seeded_poly(rng, max_degree):
@@ -53,7 +56,7 @@ def _seeded_poly(rng, max_degree):
     for _ in range(rng.randint(1, 6)):
         w = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, max_degree)))
         terms[w] = rng.choice(COEFFICIENTS)
-    return NCPolynomial(terms)
+    return _poly(terms)
 
 
 def test_evaluate_matches_reference_on_ladder_representations():
@@ -62,10 +65,10 @@ def test_evaluate_matches_reference_on_ladder_representations():
         ref_cache, cache = {}, {}
         for _ in range(30):
             p = _seeded_poly(rng, dim + 3)
-            assert evaluate(p, rep, cache) == reference_evaluate(p, rep, ref_cache), (dim, render(p))
+            assert ref(evaluate(p, rep, cache)) == reference_evaluate(p, rep, ref_cache), (dim, render(p))
             if dim > 1:
                 nf = reduce_degree(p, dim)
-                assert evaluate(nf, rep, cache) == reference_evaluate(nf.poly, rep, ref_cache)
+                assert ref(evaluate(nf, rep, cache)) == reference_evaluate(nf.poly, rep, ref_cache)
 
 
 def test_evaluate_cache_follows_the_representation():
@@ -86,40 +89,30 @@ def test_evaluate_matches_reference_on_a_dense_conjugation():
         [1, 0, 2, Fraction(5, 4)],
     ])
     rep = conjugate_rep(REPS[4], m)
-    assert not rep.S[0].rows[0][3].is_zero()  # dense, not the ladder's band
+    assert not rep.S[0][0, 3].is_zero()  # dense, not the ladder's band
     rng = random.Random(77)
     ref_cache, cache = {}, {}
     for _ in range(20):
         p = _seeded_poly(rng, 6)
-        assert evaluate(p, rep, cache) == reference_evaluate(p, rep, ref_cache), render(p)
+        assert ref(evaluate(p, rep, cache)) == reference_evaluate(p, rep, ref_cache), render(p)
 
 
-# --- the polynomial ring against a dict of Scalars ----------------------------------------
-
-
-def _accumulate(terms, w, c):
-    prev = terms.get(w)
-    s = c if prev is None else prev + c
-    if s.is_zero():
-        terms.pop(w, None)
-    else:
-        terms[w] = s
+# --- the polynomial ring against a dict of reference Scalars -------------------------------
 
 
 class _Ref:
-    """Word -> nonzero Scalar, with the ring operations as Scalar loops."""
+    """Word -> nonzero reference Scalar, with the ring operations as Scalar loops."""
 
     def __init__(self, terms):
         self.terms = {}
         for w, c in terms.items():
-            if not c.is_zero():
-                _accumulate(self.terms, tuple(w), c)
+            R.accumulate(self.terms, tuple(w), c)
 
     def __add__(self, other):
         out = _Ref({})
         out.terms = dict(self.terms)
         for w, c in other.terms.items():
-            _accumulate(out.terms, w, c)
+            R.accumulate(out.terms, w, c)
         return out
 
     def __neg__(self):
@@ -132,14 +125,14 @@ class _Ref:
         out = _Ref({})
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                _accumulate(out.terms, w1 + w2, c1 * c2)
+                R.accumulate(out.terms, w1 + w2, c1 * c2)
         return out
 
     def scale(self, c):
         return _Ref({w: c * x for w, x in self.terms.items()})
 
 
-_SCALARS = st.sampled_from(COEFFICIENTS + [Scalar.zero(), Scalar.of(-1), -I])
+_SCALARS = st.sampled_from(COEFFICIENTS + [R.ZERO, R.Scalar(-1), -R.I])
 _WORDS = st.lists(st.integers(1, 3), max_size=4).map(tuple)
 _TERMS = st.dictionaries(_WORDS, _SCALARS, max_size=5)
 
@@ -147,20 +140,20 @@ _TERMS = st.dictionaries(_WORDS, _SCALARS, max_size=5)
 @given(_TERMS, _TERMS, _SCALARS, st.integers(-3, 3), st.fractions(max_denominator=5))
 @settings(max_examples=150, deadline=None)
 def test_polynomial_ring_matches_scalar_reference(a, b, c, n, q):
-    p, r = NCPolynomial(a), NCPolynomial(b)
+    p, r = _poly(a), _poly(b)
     ra, rb = _Ref(a), _Ref(b)
-    assert p.terms() == ra.terms
-    assert (p + r).terms() == (ra + rb).terms
-    assert (p - r).terms() == (ra - rb).terms
-    assert (p * r).terms() == (ra * rb).terms
-    assert (-p).terms() == (-ra).terms
-    assert p.scale(c).terms() == ra.scale(c).terms
-    assert (p * n).terms() == (n * p).terms() == ra.scale(Scalar.of(n)).terms
-    assert (q * p).terms() == ra.scale(Scalar.of(q)).terms
+    assert _ref_terms(p) == ra.terms
+    assert _ref_terms(p + r) == (ra + rb).terms
+    assert _ref_terms(p - r) == (ra - rb).terms
+    assert _ref_terms(p * r) == (ra * rb).terms
+    assert _ref_terms(-p) == (-ra).terms
+    assert _ref_terms(p.scale(lib(c))) == ra.scale(c).terms
+    assert _ref_terms(p * n) == _ref_terms(n * p) == ra.scale(R.Scalar(n)).terms
+    assert _ref_terms(q * p) == ra.scale(R.Scalar(q)).terms
     assert (p == r) == (ra.terms == rb.terms)
     assert p.is_zero() == (not ra.terms)
     for w, coeff in ra.terms.items():
-        assert p.coefficient(w) == coeff
+        assert ref(p.coefficient(w)) == coeff
     assert p.degree() == max(map(len, ra.terms), default=0)
 
 
@@ -170,12 +163,12 @@ def test_polynomial_ring_matches_scalar_reference(a, b, c, n, q):
 @given(_TERMS)
 @settings(max_examples=100, deadline=None)
 def test_parse_inverts_render(terms):
-    p = NCPolynomial(terms)
+    p = _poly(terms)
     assert parse(render(p)) == p
 
 
 @given(st.integers(2, 5), st.dictionaries(st.lists(st.integers(1, 3), max_size=7).map(tuple), _SCALARS, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_reduce_fixes_its_normal_form(dim, terms):
-    nf = reduce_degree(NCPolynomial(terms), dim)
+    nf = reduce_degree(_poly(terms), dim)
     assert reduce_degree(nf.poly, dim) == nf

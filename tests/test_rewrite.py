@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as R
+from reference import lib, ref
 from spinid import rewrite
 from spinid.charid import build_identity, discover_identity, verify_identity
 from spinid.rewrite import (
@@ -168,7 +170,8 @@ def test_pbw_matches_the_reference_on_every_short_word():
     memo = {}
     for n in range(7):
         for w in itertools.product((1, 2, 3), repeat=n):
-            assert pbw_normalize(NCPolynomial({w: 1})) == NCPolynomial(_reference_ordered_form(w, memo)), w
+            want = NCPolynomial({u: lib(c) for u, c in _reference_ordered_form(w, memo).items()})
+            assert pbw_normalize(NCPolynomial({w: 1})) == want, w
 
 
 def test_pbw_long_descent_is_small_and_flat():
@@ -291,20 +294,12 @@ def test_antisymmetric_triple_reduces_to_zero(dim):
 
 # --- reference reducer ---------------------------------------------------------------
 #
-# The Scalar rewriter the library used before its rule table: PBW-order the
+# The Scalar rewriter the library used before its rule table, in the reference
+# arithmetic: PBW-order the
 # whole polynomial, then cap the lexicographically first longest word until
 # no word reaches degree D.  Slow, but it applies the relations in a
 # different order and different arithmetic, so agreement checks the rule
 # table, the letter fold and the Gaussian-integer rows.
-
-
-def _accumulate(terms, w, c):
-    prev = terms.get(w)
-    s = c if prev is None else prev + c
-    if s.is_zero():
-        terms.pop(w, None)
-    else:
-        terms[w] = s
 
 
 def _reference_ordered_form(w, memo):
@@ -313,28 +308,26 @@ def _reference_ordered_form(w, memo):
         return cached
     swap = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
     if swap is None:
-        res = {w: SCALAR_ONE}
+        res = {w: R.ONE}
     else:
         j, i = w[swap], w[swap + 1]
         l = 6 - i - j
-        coeff = Scalar(0, -epsilon(i, j, l))
+        coeff = R.Scalar(0, -epsilon(i, j, l))
         res = dict(_reference_ordered_form(w[:swap] + (i, j) + w[swap + 2 :], memo))
         for w2, c2 in _reference_ordered_form(w[:swap] + (l,) + w[swap + 2 :], memo).items():
-            _accumulate(res, w2, coeff * c2)
+            R.accumulate(res, w2, coeff * c2)
     memo[w] = res
     return res
 
 
 def _reference_replacement(ident, letters):
-    """(1/D!)(R - {letters}) for D sorted letters."""
+    """(1/D!)(R - {letters}) for D sorted letters, by word."""
     counts = IndexMultiset.from_tuple(letters).counts
     inv = Fraction(1, factorial(ident.dim))
     terms = [(letters, -inv)]
     for p, b_p in enumerate(ident.b, start=1):
         terms += [(r.letters(), -inv * b_p * w) for r, w in delta_weights(counts, p).items()]
-    return NCPolynomial({
-        perm: c * n for sym, c in terms for perm, n in Counter(itertools.permutations(sym)).items()
-    })
+    return {perm: R.Scalar(c * n) for sym, c in terms for perm, n in Counter(itertools.permutations(sym)).items()}
 
 
 def reference_reduce_degree(p, dim):
@@ -343,7 +336,7 @@ def reference_reduce_degree(p, dim):
     cur = {}
     for w, c in p.terms().items():
         for w2, c2 in _reference_ordered_form(w, memo).items():
-            _accumulate(cur, w2, c * c2)
+            R.accumulate(cur, w2, ref(c) * c2)
     repl_cache = {}
     while True:
         high = [w for w in cur if len(w) >= dim]
@@ -357,13 +350,13 @@ def reference_reduce_degree(p, dim):
         if sorted_u not in repl_cache:
             repl_cache[sorted_u] = _reference_replacement(ident, sorted_u)
         # c * u v  ->  c * [ u + (1/D!)(R - {u}) ] v
-        chunk = {w: SCALAR_ONE}
-        for wq, cq in repl_cache[sorted_u].terms().items():
-            _accumulate(chunk, wq + v, cq)
+        chunk = {w: R.ONE}
+        for wq, cq in repl_cache[sorted_u].items():
+            R.accumulate(chunk, wq + v, cq)
         for wq, cq in chunk.items():
             for w2, c2 in _reference_ordered_form(wq, memo).items():
-                _accumulate(cur, w2, c * cq * c2)
-    return NormalForm(NCPolynomial(cur), dim)
+                R.accumulate(cur, w2, c * cq * c2)
+    return NormalForm(NCPolynomial({w: lib(c) for w, c in cur.items()}), dim)
 
 
 _COEFFICIENTS = ("3/4", "(-2)", "5*sqrt(2)", "2*sqrt(6)", "i", "(-3*i)", "(1/2 + 2*i)", "(2/3 - i)")
@@ -454,16 +447,6 @@ def test_reduce_long_word_in_bounded_memory():
 # --- the shared rule tables ---------------------------------------------------------
 
 
-def _criterion_8_polynomial(rng, max_degree):
-    # The random polynomials of acceptance criterion 8.
-    terms = {}
-    for _ in range(rng.randint(1, 6)):
-        w = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, max_degree)))
-        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        terms[w] = terms.get(w, Fraction(0)) + c
-    return NCPolynomial({w: Scalar.of(c) for w, c in terms.items()})
-
-
 def _bench_reduce_expressions(seed):
     """The expressions of the benchmark's `reduce` workload for one seed,
     drawn in the same order from the same generator."""
@@ -511,7 +494,7 @@ def test_shared_tables_give_the_cold_result():
     cases = []
     for dim in range(2, 6):
         rng = random.Random(8000 + dim)
-        cases += [(_criterion_8_polynomial(rng, dim + 3), dim) for _ in range(500)]
+        cases += [(_random_poly(rng, dim + 3), dim) for _ in range(500)]  # acceptance criterion 8's
     for seed in (1, 2, 7):
         cases += _bench_reduce_expressions(seed)
     random.Random(9).shuffle(cases)
@@ -549,7 +532,7 @@ def test_rule_tables_are_evicted_least_recently_used_first():
 def test_threads_share_one_table():
     dim = 5
     rng = random.Random(55)
-    exprs = [_criterion_8_polynomial(rng, dim + 4) for _ in range(50)]
+    exprs = [_random_poly(rng, dim + 4) for _ in range(50)]
     rewrite._rule_table.cache_clear()
     serial = [reduce_degree(p, dim) for p in exprs]
     rewrite._rule_table.cache_clear()
@@ -588,15 +571,6 @@ def test_evaluate_long_word():
     assert s1_power == Matrix.identity(2).scale(Fraction(1, 4**600))
 
 
-def _word_row_poly(row):
-    terms, den = row
-    poly = NCPolynomial.zero()
-    for (w, key), n in terms.items():
-        basis = Scalar.sqrt_int(key >> 1) * (I if key & 1 else SCALAR_ONE)
-        poly = poly + NCPolynomial({w: basis * Fraction(n, den)})
-    return poly
-
-
 @pytest.mark.parametrize("dim", range(2, 6))
 def test_word_session_evaluates_to_matrix_session(dim):
     # one engine in two algebras: {c} built from ordered words and from
@@ -606,7 +580,7 @@ def test_word_session_evaluates_to_matrix_session(dim):
     matrices, cache = SymSession(REPS[dim]), {}
     for order in range(6):
         for ms in all_multisets(order):
-            poly = _word_row_poly(words.sym_int(ms.counts))
+            poly = NCPolynomial._make(words.sym_int(ms.counts))
             assert evaluate(poly, REPS[dim], cache) == matrices.sym(ms), (dim, ms)
 
 
@@ -654,7 +628,7 @@ def _ordered_monomials(dim):
 
 def _kernel_dim_over_scalars(mats, dim):
     """Dimension, over the scalar field, of the linear relations among the
-    given matrices.
+    given reference matrices.
 
     Unknown scalar coefficients are linearized over their rational
     coordinates on the basis {sqrt(m), i sqrt(m)}, with the radicand set
@@ -663,13 +637,11 @@ def _kernel_dim_over_scalars(mats, dim):
     """
     from math import gcd
 
-    from spinid.scalar import Radical
-
     radicands = {1}
     for mat in mats:
         for r in range(dim):
             for c in range(dim):
-                radicands.update(m for (_, m) in mat[r, c].components())
+                radicands.update(m for (_, m) in mat.rows[r][c].components())
     while True:
         grown = {
             (m1 // g) * (m2 // g)
@@ -681,7 +653,7 @@ def _kernel_dim_over_scalars(mats, dim):
             break
         radicands |= grown
     basis = [
-        Scalar(Radical({m: 1})) if part == "re" else Scalar(0, Radical({m: 1}))
+        R.Scalar(R.Radical({m: 1})) if part == "re" else R.Scalar(0, R.Radical({m: 1}))
         for m in sorted(radicands)
         for part in ("re", "im")
     ]
@@ -692,7 +664,7 @@ def _kernel_dim_over_scalars(mats, dim):
             col = {}
             for r in range(dim):
                 for c in range(dim):
-                    for key, q in (beta * mat[r, c]).components().items():
+                    for key, q in (beta * mat.rows[r][c]).components().items():
                         col[(r, c, key)] = q
             columns.append(col)
     keys = sorted({k for col in columns for k in col})
@@ -709,7 +681,7 @@ def test_normal_form_evaluation_spans_matrix_algebra(dim):
     S1^2 + S2^2 + S3^2 = s(s+1); for D = 2 the map is genuinely injective."""
     rep = REPS[dim]
     monomials = _ordered_monomials(dim)
-    mats = [evaluate(NCPolynomial({w: 1}), rep) for w in monomials]
+    mats = [ref(evaluate(NCPolynomial({w: 1}), rep)) for w in monomials]
     kernel = _kernel_dim_over_scalars(mats, dim)
     # rank = D^2: the whole matrix algebra is reachable
     assert len(monomials) - kernel == dim * dim
@@ -719,13 +691,13 @@ def test_normal_form_evaluation_spans_matrix_algebra(dim):
 
 def _block_diagonal(mats):
     n = sum(m.dim for m in mats)
-    rows = [[Scalar.zero()] * n for _ in range(n)]
+    rows = [[R.ZERO] * n for _ in range(n)]
     offset = 0
     for m in mats:
         for r in range(m.dim):
-            rows[offset + r][offset : offset + m.dim] = m.rows[r]
+            rows[offset + r][offset : offset + m.dim] = ref(m).rows[r]
         offset += m.dim
-    return Matrix(rows)
+    return R.Matrix(rows)
 
 
 @pytest.mark.parametrize("dim", (2, 3, 4))
@@ -799,8 +771,8 @@ def test_render_refuses_an_unknown_format():
         render(NCPolynomial.zero(), "json")
 
 
-# The printer on Scalar coefficients (p.terms()), the oracle for render and
-# to_json_dict, which read the components straight from the row.
+# The printer on reference Scalar coefficients (of p.terms()), the oracle for
+# render and to_json_dict, which read the components straight from the row.
 
 
 def _reference_plain_term(w, c):
@@ -833,7 +805,7 @@ def _reference_latex_term(w, c):
 
 
 def reference_render(p, fmt="plain"):
-    terms = p.terms()
+    terms = {w: ref(c) for w, c in p.terms().items()}
     if not terms:
         return "0"
     term = _reference_plain_term if fmt == "plain" else _reference_latex_term
@@ -848,7 +820,7 @@ def reference_render(p, fmt="plain"):
 
 
 def reference_json_dict(p):
-    terms = p.terms()
+    terms = {w: ref(c) for w, c in p.terms().items()}
     return {"terms": [{"word": list(w), "coeff": str(terms[w])} for w in sorted(terms, key=lambda w: (-len(w), w))]}
 
 
@@ -874,7 +846,7 @@ def test_render_matches_the_scalar_printer():
             polys += [p, reduce_degree(p, dim).poly]
     rng = random.Random(1010)
     polys += [_mixed_radical_polynomial(rng) for _ in range(400)]
-    assert any(len(c._component_list()) > 2 for p in polys for c in p.terms().values())
+    assert any(len(ref(c)._component_list()) > 2 for p in polys for c in p.terms().values())
     for p in polys:
         assert render(p) == reference_render(p)
         assert render(p, "latex") == reference_render(p, "latex")
@@ -897,6 +869,7 @@ def test_text_and_representation_paths_build_no_scalar_or_matrix(monkeypatch):
     monkeypatch.setattr(Scalar, "__init__", refuse)
     monkeypatch.setattr(Scalar, "_make", refuse)
     monkeypatch.setattr(Matrix, "__init__", refuse)
+    monkeypatch.setattr(Matrix, "_make", refuse)
     for (text, dim), want in zip(exprs, expected):
         nf = reduce_degree(parse(text), dim)
         assert (render(nf), render(nf, "latex"), to_json_dict(nf)) == want
@@ -955,3 +928,17 @@ def test_long_symmetric_brace_parses_quickly():
     assert time.perf_counter() - t0 < 1.0
     assert len(p.terms()) == 34650
     assert set(p.terms().values()) == {Scalar.of(factorial(4) ** 3)}
+
+
+def test_coefficient_decodes_only_its_word(monkeypatch):
+    p = parse("{" + " ".join(["S1 S2 S3"] * 4) + "}") + parse("(1/2 - sqrt(3)*i)*S1*S2 + sqrt(2)*S2")
+    terms = p.terms()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coefficient decoded the whole row")
+
+    monkeypatch.setattr(rewrite, "row_scalars", refuse)
+    for w in [(1, 2), (2,)] + list(terms)[:100]:
+        assert p.coefficient(w) == terms[w]
+    for w in [(), (1, 1, 1), (3, 2, 1) * 5]:
+        assert p.coefficient(w) == Scalar.zero()

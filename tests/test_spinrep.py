@@ -6,8 +6,10 @@ import random
 
 from test_symalg import dense_similarity
 
+import reference as R
+from reference import lib, ref
 from spinid.charid import build_identity, discover_identity, verify_identity
-from spinid.scalar import Radical, Scalar, UnsupportedInverseError, sqrt_of_rational
+from spinid.scalar import Scalar, UnsupportedInverseError
 from spinid.spinrep import (
     Matrix,
     SingularMatrixError,
@@ -18,79 +20,73 @@ from spinid.spinrep import (
     conjugate_rep,
     eigenvalue_list,
     is_hermitian,
-    matrix_row,
 )
 from spinid.symalg import SymSession, all_multisets
 
 HALF = Fraction(1, 2)
 
 
-# --- Matrix-of-Scalar references for the row-based representation layer ---------------
+# --- reference Matrix-of-Scalar arithmetic for the row-based representation layer ---------
 
 
 def reference_build_generators(dim):
     """S_3 diagonal, S_+ from the ladder elements, S_1 and S_2 from S_+ and
-    its adjoint, all in Matrix-of-Scalar arithmetic."""
+    its adjoint, all in the reference Matrix-of-Scalar arithmetic."""
     s = Fraction(dim - 1, 2)
     eigs = eigenvalue_list(dim)
-    s3 = Matrix.zero(dim)
+    s3 = R.Matrix.zero(dim)
     for k, m in enumerate(eigs):
-        s3.rows[k][k] = Scalar.of(m)
-    splus = Matrix.zero(dim)
+        s3.rows[k][k] = R.Scalar(m)
+    splus = R.Matrix.zero(dim)
     for k in range(1, dim):
         m = eigs[k]
-        splus.rows[k - 1][k] = Scalar(sqrt_of_rational(s * (s + 1) - m * (m + 1)))
+        splus.rows[k - 1][k] = R.sqrt(s * (s + 1) - m * (m + 1))
     sminus = splus.dagger()
     s1 = (splus + sminus).scale(HALF)
-    s2 = (splus - sminus).scale(Scalar(0, -HALF))  # 1/(2i) = -i/2
-    return SpinRep.from_matrices((s1, s2, s3))
+    s2 = (splus - sminus).scale(R.Scalar(0, -HALF))  # 1/(2i) = -i/2
+    return s1, s2, s3
 
 
-def reference_commutation_holds(rep):
-    s1, s2, s3 = rep.S
-    i = Scalar.i()
-    return (
-        (s1 * s2 - s2 * s1) == s3.scale(i)
-        and (s2 * s3 - s3 * s2) == s1.scale(i)
-        and (s3 * s1 - s1 * s3) == s2.scale(i)
-    )
+def reference_commutation_holds(s):
+    """[S_a, S_b] = i S_c for the cyclic triples (a, b, c)."""
+    return all(s[a] * s[b] - s[b] * s[a] == s[c].scale(R.I) for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
 
 
 def reference_conjugate_rep(rep, m):
+    m = ref(m)
     m_inv = m.inverse()
-    return SpinRep.from_matrices(tuple(m * s * m_inv for s in rep.S))
+    return tuple(m * ref(g) * m_inv for g in rep.S)
 
 
 def unchecked(dim, triple):
-    """A SpinRep of any three Matrices, the commutation relation unchecked."""
-    return SpinRep(dim, tuple(matrix_row(mat) for mat in triple))
+    """A SpinRep of any three reference matrices, the commutation relation unchecked."""
+    return SpinRep(dim, tuple(lib(mat).row for mat in triple))
 
 
 def broken_triples(rep):
-    """Triples that break the commutation relation: two axes swapped, S_3
-    doubled, one entry of S_1 moved by 1/7, and each pair of axes doubled,
-    which breaks exactly one of the three cyclic relations."""
-    s1, s2, s3 = rep.S
-    nudged = [list(r) for r in s1.rows]
-    nudged[0][-1] = nudged[0][-1] + Scalar.of(Fraction(1, 7))
-    doubled = [m.scale(2) for m in rep.S]
-    return [(s2, s1, s3), (s1, s2, doubled[2]), (Matrix(nudged), s2, s3)] + [
-        tuple(doubled[a] if a != keep else rep.S[a] for a in range(3)) for keep in range(3)
+    """Reference triples that break the commutation relation: two axes
+    swapped, S_3 doubled, one entry of S_1 moved by 1/7, and each pair of
+    axes doubled, which breaks exactly one of the three cyclic relations."""
+    s = [ref(g) for g in rep.S]
+    nudged = [list(r) for r in s[0].rows]
+    nudged[0][-1] = nudged[0][-1] + R.Scalar(Fraction(1, 7))
+    doubled = [m.scale(2) for m in s]
+    return [(s[1], s[0], s[2]), (s[0], s[1], doubled[2]), (R.Matrix(nudged), s[1], s[2])] + [
+        tuple(doubled[a] if a != keep else s[a] for a in range(3)) for keep in range(3)
     ]
 
 
 @pytest.mark.parametrize("dim", range(1, 13))
 def test_generators_match_reference(dim):
-    rep, ref = build_generators(dim), reference_build_generators(dim)
-    assert rep == ref
-    assert rep.spin == ref.spin == Fraction(dim - 1, 2)
+    rep, want = build_generators(dim), reference_build_generators(dim)
+    assert [ref(m) for m in rep.S] == list(want)
+    assert rep.spin == Fraction(dim - 1, 2)
     assert rep.S is rep.S
-    assert [m.to_strings() for m in rep.S] == [m.to_strings() for m in ref.S]
-    assert commutation_holds(rep) and reference_commutation_holds(rep)
+    assert [m.to_strings() for m in rep.S] == [[[str(a) for a in r] for r in m.rows] for m in want]
+    assert commutation_holds(rep) and reference_commutation_holds(want)
     for triple in broken_triples(rep) if dim > 1 else ():
-        bad = unchecked(dim, triple)
-        assert not commutation_holds(bad)
-        assert not reference_commutation_holds(bad)
+        assert not commutation_holds(unchecked(dim, triple))
+        assert not reference_commutation_holds(triple)
 
 
 @pytest.mark.parametrize("dim", range(2, 8))
@@ -101,13 +97,12 @@ def test_conjugation_matches_reference(dim):
         [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) + (2 * dim if r == c else 0) for c in range(dim)]
          for r in range(dim)]
     )):
-        rep, ref = conjugate_rep(ladder, m), reference_conjugate_rep(ladder, m)
-        assert rep == ref
-        assert commutation_holds(rep) and reference_commutation_holds(rep)
+        rep, want = conjugate_rep(ladder, m), reference_conjugate_rep(ladder, m)
+        assert [ref(g) for g in rep.S] == list(want)
+        assert commutation_holds(rep) and reference_commutation_holds(want)
         for triple in broken_triples(rep):
-            bad = unchecked(dim, triple)
-            assert not commutation_holds(bad)
-            assert not reference_commutation_holds(bad)
+            assert not commutation_holds(unchecked(dim, triple))
+            assert not reference_commutation_holds(triple)
 
 
 def _forbid(monkeypatch, owner, *names):
@@ -121,7 +116,7 @@ def _forbid(monkeypatch, owner, *names):
 def test_representation_layer_runs_without_scalar_arithmetic(monkeypatch):
     dim = 12
     ladder = build_generators(dim)
-    broken = broken_triples(ladder)
+    broken = [[lib(m) for m in triple] for triple in broken_triples(ladder)]
     m = dense_similarity(4)
     m_inv = m.inverse()
     small = build_generators(4)
@@ -133,7 +128,7 @@ def test_representation_layer_runs_without_scalar_arithmetic(monkeypatch):
     assert commutation_holds(rep)
     assert SpinRep.from_matrices(rep.S) == rep
     for triple in broken:
-        assert not commutation_holds(unchecked(dim, triple))
+        assert not commutation_holds(SpinRep(dim, tuple(m.row for m in triple)))
         with pytest.raises(ValueError):
             SpinRep.from_matrices(triple)
     session = SymSession(rep)
@@ -164,7 +159,7 @@ def test_trivial_representation():
 
 def test_dimension_three_ladder_entries():
     rep = build_generators(3)
-    root_half = Scalar(Radical({2: HALF}))  # 1/sqrt(2) rendered (1/2)*sqrt(2)
+    root_half = Scalar.sqrt_int(2) * HALF  # 1/sqrt(2) rendered (1/2)*sqrt(2)
     assert rep.S[0][0, 1] == root_half
     assert rep.S[0][1, 2] == root_half
     assert str(rep.S[0][0, 1]) == "1/2*sqrt(2)"
@@ -261,7 +256,7 @@ def test_singular_matrix_rejected():
 
 
 def test_radical_pivot_inverse_unsupported():
-    m = Matrix([[Scalar(Radical({2: 1})), Scalar.of(0)], [Scalar.of(0), Scalar.of(1)]])
+    m = Matrix([[Scalar.sqrt_int(2), Scalar.of(0)], [Scalar.of(0), Scalar.of(1)]])
     with pytest.raises(UnsupportedInverseError):
         m.inverse()
 

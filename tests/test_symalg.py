@@ -9,15 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinid.scalar import Radical, Scalar, combine_terms
+import reference as R
+from reference import lib, ref
+from spinid.scalar import Scalar, combine_terms
 from spinid.spinrep import (
     Matrix,
     build_generators,
     conjugate_rep,
     first_nonzero_entry,
-    matrix_row,
     row_matmul,
-    row_matrix,
 )
 from spinid.symalg import (
     IndexMultiset,
@@ -41,22 +41,13 @@ def dense_similarity(dim):
 
 def brute_sym(rep, letters, cache=None):
     """Literal sum over all n! orderings of the product (repeats counted:
-    each distinct ordering occurs prod_a c_a! times); prefix products are
-    cached, in `cache` when given, so that longer words stay cheap."""
-    if cache is None:
-        cache = {}
-    cache.setdefault((), Matrix.identity(rep.dim))
-
-    def product(seq):
-        m = cache.get(seq)
-        if m is None:
-            m = product(seq[:-1]) * rep.matrix(seq[-1])
-            cache[seq] = m
-        return m
-
-    total = Matrix.zero(rep.dim)
+    each distinct ordering occurs prod_a c_a! times), in the reference
+    arithmetic; prefix products are cached, in `cache` when given, so that
+    longer words stay cheap."""
+    cache = {} if cache is None else cache
+    total = R.Matrix.zero(rep.dim)
     for perm in sorted(set(itertools.permutations(letters))):
-        total = total + product(perm)
+        total = total + R.word_matrix(rep, perm, cache)
     return total.scale(prod(factorial(letters.count(a)) for a in (1, 2, 3)))
 
 
@@ -107,7 +98,7 @@ def _check_recursion(rep):
     session, cache = SymSession(rep), {}
     for order in range(6):
         for ms in all_multisets(order):
-            assert session.sym(ms) == brute_sym(rep, ms.letters(), cache), (rep.dim, ms)
+            assert ref(session.sym(ms)) == brute_sym(rep, ms.letters(), cache), (rep.dim, ms)
 
 
 @pytest.mark.parametrize("dim", range(1, 6))
@@ -138,7 +129,7 @@ def test_long_product_keeps_a_flat_stack():
 def test_session_reuses_results():
     session = SymSession(REPS[3])
     first = session.sym((1, 2, 2))
-    assert session.sym((2, 1, 2)) is first
+    assert session.sym((2, 1, 2)) == first
 
 
 # Entries: rational multiples of sqrt(m) and i*sqrt(m), up to three terms.
@@ -149,24 +140,13 @@ _component = st.tuples(
 )
 
 
-def _scalar(components):
-    re, im = Radical(), Radical()
-    for q, m, imag in components:
-        term = Radical({m: q})
-        if imag:
-            im = im + term
-        else:
-            re = re + term
-    return Scalar(re, im)
-
-
 @st.composite
 def _matrix_pair(draw):
     dim = draw(st.integers(min_value=1, max_value=3))
-    entries = st.lists(_component, max_size=3).map(_scalar)
+    entries = st.lists(_component, max_size=3).map(R.of_components)
     cells = st.lists(entries, min_size=dim * dim, max_size=dim * dim)
     a, b = draw(cells), draw(cells)
-    return Matrix([a[r * dim : (r + 1) * dim] for r in range(dim)]), Matrix(
+    return R.Matrix([a[r * dim : (r + 1) * dim] for r in range(dim)]), R.Matrix(
         [b[r * dim : (r + 1) * dim] for r in range(dim)]
     )
 
@@ -178,17 +158,18 @@ def _matrix_pair(draw):
     w2=st.integers(min_value=-3, max_value=3),
 )
 def test_int_matrix_agrees_with_matrix(pair, w1, w2):
-    # the Scalar Matrix is the oracle of the integer-numerator matrix rows
+    # the reference Matrix is the oracle of the integer-numerator matrix rows
     a, b = pair
-    ra, rb = matrix_row(a), matrix_row(b)
-    assert row_matrix(a.dim, ra) == a
-    assert first_nonzero_entry(ra) == a.first_nonzero_entry()
+    ra, rb = lib(a).row, lib(b).row
+    assert ref(Matrix._make(a.dim, ra)) == a
+    entry = first_nonzero_entry(ra)
+    assert (entry and entry[:2] + (ref(entry[2]),)) == a.first_nonzero_entry()
     product = row_matmul(ra, rb)
-    assert row_matrix(a.dim, product) == a * b
+    assert ref(Matrix._make(a.dim, product)) == a * b
     combo = combine_terms([(w1, *ra), (w2, *rb)])
-    assert row_matrix(a.dim, combo) == a.scale(w1) + b.scale(w2)
+    assert ref(Matrix._make(a.dim, combo)) == a.scale(w1) + b.scale(w2)
     for mat, exact in ((a * b, product), (a.scale(w1) + b.scale(w2), combo)):
-        assert exact == matrix_row(mat)  # one reduced form per value
+        assert exact == lib(mat).row  # one reduced form per value
 
 
 def test_gen_delta_examples():

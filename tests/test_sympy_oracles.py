@@ -8,6 +8,7 @@ from sympy.physics.quantum import represent  # noqa: E402
 from sympy.physics.quantum.constants import hbar  # noqa: E402
 from sympy.physics.quantum.spin import Jx, Jy, Jz  # noqa: E402
 
+from reference import ref  # noqa: E402
 from spinid.charid import char_coeffs  # noqa: E402
 from spinid.spinrep import build_generators  # noqa: E402
 
@@ -20,7 +21,7 @@ def _sympy_spin(dim, op):
 def _sympy_scalar(c):
     return sum(
         (sympy.Rational(q.numerator, q.denominator) * sympy.sqrt(m) * (sympy.I if part == "im" else 1)
-         for (part, m), q in c.components().items()),
+         for (part, m), q in ref(c).components().items()),
         sympy.Integer(0),
     )
 
