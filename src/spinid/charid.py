@@ -13,6 +13,14 @@ characteristic equation S^D + sum_p a_p S^{D-2p} = 0.
 Level p depends only on the tuple's axis counts c: it equals the sum over
 even e1 + e2 + e3 = 2p of prod_a C(c_a, e_a) (e_a - 1)!! {S over c - e}
 (``symalg.delta_weights``); position subsets appear only in emitted output.
+
+The identity is a symmetric tensor identity, so it holds iff its spherical
+components vanish: the residuals for counts (a, b, c) of S_+ = S_1 + i S_2,
+S_- = S_1 - i S_2 and S_3, with the deltas weighted by the SPHERICAL metric.
+``verify_identity`` and ``discover_identity`` evaluate those, in one
+SymSession over ``spinrep.spherical_algebra``; a failure's witness is read
+from the Cartesian residual, rebuilt exactly from the spherical ones
+(``cartesian_residual``).  The rewriter keeps the Cartesian residual.
 """
 from __future__ import annotations
 
@@ -25,9 +33,9 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from typing import Literal, Sequence
 
-from .scalar import Row, Scalar, combine_terms, frac_str
-from .spinrep import Matrix, SpinRep, eigenvalue_list, first_nonzero_entry
-from .symalg import IndexMultiset, SymSession, all_multisets, delta_weights
+from .scalar import KEY_I, Row, Scalar, combine_terms, frac_str, times_key
+from .spinrep import Matrix, SpinRep, eigenvalue_list, first_nonzero_entry, spherical_algebra
+from .symalg import CARTESIAN, SPHERICAL, IndexMultiset, Metric, SymSession, all_multisets, delta_weights
 
 Witness = tuple[int, int, Scalar]
 Failure = tuple[tuple[int, ...], Witness]
@@ -154,13 +162,17 @@ class Identity:
             raise ValueError(f"expected {self.dim} indices, got {ms.order}")
         return Matrix._make(session.rep.dim, self.residual_int(session, ms.counts))
 
-    def residual_int(self, session: SymSession, counts: tuple[int, int, int]) -> Row:
+    def residual_int(self, session: SymSession, counts: tuple[int, int, int], metric: Metric = CARTESIAN) -> Row:
         """The residual for these axis counts, as a row of the session's
-        algebra (matrices, or the rewriter's ordered words)."""
+        algebra (matrices, or the rewriter's ordered words); with the
+        SPHERICAL metric on a session over S_+, S_-, S_3, the residual of
+        the spherical counts (a, b, c)."""
         parts = [(1, *session.sym_int(counts))]
         for p, b_p in enumerate(self.b, start=1):
-            for rest, w in delta_weights(counts, p).items():
-                parts.append((b_p * w, *session.sym_int(rest.counts)))
+            for rest, w in delta_weights(counts, p, metric).items():
+                terms, den = session.sym_int(rest.counts)
+                if terms:
+                    parts.append((b_p * w, terms, den))
         return combine_terms(parts)
 
 
@@ -180,20 +192,24 @@ def discover_identity(rep: SpinRep) -> Identity:
     spanning family of all sorted index multisets and solves for the c_p by
     fraction-free elimination (each matrix entry splits into its coordinates
     on the {sqrt(m), i sqrt(m)} basis, one equation per coordinate).  This is
-    the independent check that the b_p really are 2^p p! a_p.
+    the independent check that the b_p really are 2^p p! a_p.  The
+    equations are the spherical ones, multisets of S_+, S_-, S_3 with the
+    SPHERICAL delta weights: an invertible change of the Cartesian system,
+    with the same solutions.
     """
     dim = rep.dim
     if dim < 2:
         raise ValueError("no identity to discover below dimension 2")
     k = dim // 2
-    session = SymSession(rep)
+    unit, times = spherical_algebra(rep)
+    session = SymSession(unit=unit, times=times)
 
     # pivots[j] = integer row with leading entry in column j (plus rhs).
     pivots: dict[int, list[int]] = {}
     for ms in all_multisets(dim):
         counts = ms.counts
         mats = [
-            combine_terms((w, *session.sym_int(rest.counts)) for rest, w in delta_weights(counts, p).items())
+            combine_terms((w, *session.sym_int(rest.counts)) for rest, w in delta_weights(counts, p, SPHERICAL).items())
             for p in range(1, k + 1)
         ]
         mats.append(combine_terms([(-1, *session.sym_int(counts))]))
@@ -240,6 +256,38 @@ def _back_substitute(pivots: dict[int, list[int]], k: int) -> list[Fraction]:
 
 # ---------------------------------------------------------------------------
 # Verification
+
+
+def cartesian_residual(counts: tuple[int, int, int], spherical: dict[tuple[int, int, int], Row]) -> Row:
+    """The residual at Cartesian counts c from the spherical residuals
+    R(a, b, c3) with a + b = n = c1 + c2 (``spherical``, keyed by counts):
+
+        c1! c2! / 2^n sum_{a+b=n} 1/(a! b!)
+            sum_{x+y=c2} C(a, x) C(b, y) (-1)^x i^(x+y) R(a, b, c3),
+
+    from u1 S_1 + u2 S_2 = alpha S_+ + beta S_- with alpha = (u1 - i u2)/2
+    and beta = (u1 + i u2)/2: in the contracted identity, R(c) / (c1! c2!)
+    is the coefficient of u1^c1 u2^c2 and R(a, b, c3) / (a! b!) that of
+    alpha^a beta^b.  i^(x+y) = i^c2 is one factor: its sign goes into the
+    weights, its i into the keys."""
+    c1, c2, c3 = counts
+    terms, den = combine_terms((w, *spherical[(a, b, c3)]) for a, b, w in _spherical_weights(c1, c2))
+    return (times_key(terms, KEY_I) if c2 % 2 else terms), den
+
+
+@lru_cache(maxsize=None)
+def _spherical_weights(c1: int, c2: int) -> tuple[tuple[int, int, Fraction], ...]:
+    """(a, b, weight) of ``cartesian_residual``'s nonzero terms, the sign
+    of i^c2 included; bounded by the orders verified."""
+    n = c1 + c2
+    scale = Fraction(factorial(c1) * factorial(c2) * (-1) ** (c2 // 2), 2**n)
+    out = []
+    for a in range(n + 1):
+        b = n - a
+        k = sum((-1) ** x * comb(a, x) * comb(b, c2 - x) for x in range(c2 + 1))
+        if k:
+            out.append((a, b, scale * Fraction(k, factorial(a) * factorial(b))))
+    return tuple(out)
 
 
 @dataclass
@@ -291,7 +339,10 @@ def verify_identity(
     The left side depends only on the multiset of the tuple, so each
     distinct multiset is evaluated once and the verdict is shared by all
     tuples mapping to it; tuples are enumerated only to list the failures
-    when some multiset fails.  Cross-dimension
+    when some multiset fails.  A multiset c is evaluated through the
+    spherical residuals with counts (a, c1 + c2 - a, c3): when they all
+    vanish it holds, and otherwise its witness is the first nonzero entry
+    of ``cartesian_residual``.  Cross-dimension
     checks (ident.dim != rep.dim) are allowed and useful.  A failing
     identity yields a report, never an exception.
 
@@ -325,8 +376,18 @@ def verify_identity(
         keys = [ms.counts for ms in all_multisets(d)]
     else:
         keys = sorted({(t.count(1), t.count(2), t.count(3)) for t in tuples})
-    session = SymSession(rep)
-    verdicts = {c: first_nonzero_entry(ident.residual_int(session, c)) for c in keys}
+    unit, times = spherical_algebra(rep)
+    session = SymSession(unit=unit, times=times)
+    spherical: dict[tuple[int, int, int], Row] = {}
+    verdicts = {}
+    for c in keys:
+        n = c[0] + c[1]
+        group = [(a, n - a, c[2]) for a in range(n + 1)]
+        for key in group:
+            if key not in spherical:
+                spherical[key] = ident.residual_int(session, key, SPHERICAL)
+        held = not any(spherical[key][0] for key in group)
+        verdicts[c] = None if held else first_nonzero_entry(cartesian_residual(c, spherical))
 
     failures: list[Failure] = []
     if any(w is not None for w in verdicts.values()):
@@ -368,14 +429,8 @@ def identity_to_json(
         {"p": 0, "coefficient": str(Fraction(factor)), "subsets": [[]]}
     ]
     for p, b in enumerate(ident.b, start=1):
-        level = itertools.combinations(range(ident.dim), 2 * p)
-        levels.append(
-            {
-                "p": p,
-                "coefficient": str(b * factor),
-                "subsets": [[q + 1 for q in subset] for subset in level],
-            }
-        )
+        level = itertools.combinations(range(1, ident.dim + 1), 2 * p)
+        levels.append({"p": p, "coefficient": str(b * factor), "subsets": list(map(list, level))})
     return {"dim": ident.dim, "normalization": normalization, "levels": levels}
 
 

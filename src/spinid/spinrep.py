@@ -159,16 +159,27 @@ class Matrix:
 
 def row_matmul(a: Row, b: Row) -> Row:
     """The matrix product of two matrix rows."""
+    return _times_right(b)(a)
+
+
+def _times_right(b: Row) -> Callable[[Row], Row]:
+    """Right multiplication by the matrix row b, with b's cells indexed by
+    row once for every product taken."""
     by_row: dict[int, list[tuple[int, int, int]]] = {}
     for (k, c, key), n in b[0].items():
         by_row.setdefault(k, []).append((c, key, n))
-    out: dict[Cell, int] = {}
-    for (r, k, k1), n1 in a[0].items():
-        for c, k2, n2 in by_row.get(k, ()):
-            f, key = key_product(k1, k2)
-            t = (r, c, key)
-            out[t] = out.get(t, 0) + f * n1 * n2
-    return reduce_terms(out, a[1] * b[1])
+    den = b[1]
+
+    def times(a: Row) -> Row:
+        out: dict[Cell, int] = {}
+        for (r, k, k1), n1 in a[0].items():
+            for c, k2, n2 in by_row.get(k, ()):
+                f, key = key_product(k1, k2)
+                t = (r, c, key)
+                out[t] = out.get(t, 0) + f * n1 * n2
+        return reduce_terms(out, a[1] * den)
+
+    return times
 
 
 def first_nonzero_entry(row: Row) -> tuple[int, int, Scalar] | None:
@@ -282,8 +293,23 @@ def conjugate_rep(rep: SpinRep, m: Matrix) -> SpinRep:
 def matrix_algebra(rep: SpinRep) -> tuple[Row, Times]:
     """The algebra of rep's matrices as rows: the identity row, and right
     multiplication of a row by S_a as a product with the generator's row."""
+    return _algebra(rep.dim, rep.rows)
+
+
+def spherical_algebra(rep: SpinRep) -> tuple[Row, Times]:
+    """The same algebra on the spherical generators: the identity row, and
+    right multiplication by S_+ = S_1 + i S_2 (axis 1), S_- = S_1 - i S_2
+    (axis 2) and S_3 (axis 3).  On a ladder representation S_+ and S_-
+    are one off-diagonal each, so every product of them is one diagonal."""
+    s1, s2, s3 = rep.rows
+    i_s2 = (times_key(s2[0], KEY_I), s2[1])
+    return _algebra(rep.dim, (combine_terms([(1, *s1), (1, *i_s2)]), combine_terms([(1, *s1), (-1, *i_s2)]), s3))
+
+
+def _algebra(dim: int, gens: Sequence[Row]) -> tuple[Row, Times]:
+    right = [_times_right(g) for g in gens]
 
     def times(row: Row, a: int) -> Row:
-        return row_matmul(row, rep.rows[a - 1])
+        return right[a - 1](row)
 
-    return ({(k, k, KEY_ONE): 1 for k in range(rep.dim)}, 1), times
+    return ({(k, k, KEY_ONE): 1 for k in range(dim)}, 1), times

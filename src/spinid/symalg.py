@@ -7,16 +7,23 @@ evaluation over whole tuple spaces cheap.
 
 One engine, ``SymSession``, builds the products from an algebra's unit and
 right multiplication by a generator: for a representation's matrices
-(``spinrep.matrix_algebra``) and for ordered words in ``rewrite``.  It
-owns no format: values are the rows of ``scalar``, and a matrix row is
+(``spinrep.matrix_algebra``), for the same matrices on the spherical
+generators S_+, S_-, S_3 (``spinrep.spherical_algebra``, which verification
+and discovery use) and for ordered words in ``rewrite``.  It owns no
+format: values are the rows of ``scalar``, and a matrix row is
 ``spinrep``'s, with cells (row, col, key).  ``SymSession.sym`` hands one
 out as a ``Matrix``, a view of the row.
+
+The generalized deltas come with a metric (``delta_weights``): the
+Cartesian delta_ij on S_1, S_2, S_3, and on S_+, S_-, S_3 the metric in
+which a (+, -) pair weighs 2 and a (3, 3) pair 1.  One closed form covers
+both.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .scalar import Row, combine_terms
@@ -69,8 +76,9 @@ class SymSession:
     The memo maps axis counts c to {c} as a row, built from the algebra's
     unit and right multiplication of a row by S_a alone:
     {c} = sum_a c_a {c - e_a} S_a.  ``SymSession(rep)`` works in the
-    matrices of rep (``matrix_algebra``); the rewriter passes the unit and
-    ``times`` of its ordered words instead.
+    matrices of rep (``matrix_algebra``); verification passes the unit and
+    ``times`` of ``spherical_algebra``, with S_+, S_-, S_3 as axes 1, 2, 3,
+    and the rewriter those of its ordered words.
 
     The cache is keyed on the index multiset, so exhaustive verification
     over all D-tuples costs O(#multisets) products instead of O(3^D * D!).
@@ -103,10 +111,14 @@ class SymSession:
             # recursion is needed.
             below = (counts[:a] + (c - 1,) + counts[a + 1 :] for a, c in enumerate(counts) if c)
             boxes = [counts] if all(b in rows for b in below) else itertools.product(*(range(c + 1) for c in counts))
+            # A zero row stays zero: it is not multiplied.
             for box in boxes:
                 if box not in rows:
-                    rows[box] = combine_terms((c, *self._times(rows[box[:a] + (c - 1,) + box[a + 1 :]], a + 1))
-                                              for a, c in enumerate(box) if c)
+                    parts = []
+                    for a, c in enumerate(box):
+                        if c and (prev := rows[box[:a] + (c - 1,) + box[a + 1 :]])[0]:
+                            parts.append((c, *self._times(prev, a + 1)))
+                    rows[box] = combine_terms(parts)
         return rows[counts]
 
 
@@ -120,18 +132,41 @@ def pairing_count(n: int) -> int:
     return out
 
 
-def delta_weights(counts: tuple[int, int, int], p: int) -> dict[IndexMultiset, int]:
+Metric = tuple[int, int, int, int]  # (g11, g22, g33, g12)
+# delta_{ij} on S_1, S_2, S_3, and on S_+, S_-, S_3 the metric of
+# u.u = 4 alpha beta + gamma^2 for u.S = alpha S_+ + beta S_- + gamma S_3.
+CARTESIAN: Metric = (1, 1, 1, 0)
+SPHERICAL: Metric = (0, 0, 1, 2)
+
+
+def delta_weights(counts: tuple[int, int, int], p: int, metric: Metric = CARTESIAN) -> dict[IndexMultiset, int]:
     """Generalized deltas of a tuple with these axis counts, summed over
-    all 2p-subsets of positions, by the multiset left out: the C(c_a, e_a)
-    ways to take e_a indices of each axis a (all e_a even) leave c - e and
-    pair up in prod_a (e_a - 1)!! ways."""
+    all 2p-subsets of positions, by the multiset left out.
+
+    Each subset counts its perfect pairings, weighted by the product of
+    the metric over the pairs; pairs across axes exist only between axes
+    1 and 2 (g12).  With h_a pairs within axis a and k cross pairs, the
+    subset takes e = (2 h1 + k, 2 h2 + k, 2 h3) indices, in
+    prod_a C(c_a, e_a) ways, and leaves c - e; the cross pairs form in
+    C(e1, k) C(e2, k) k! ways and the rest in prod_a (2 h_a - 1)!! ways,
+    each weighing g11^h1 g22^h2 g33^h3 g12^k.  Terms of zero weight are
+    skipped, so in the Cartesian metric k = 0 and in the spherical one
+    h1 = h2 = 0."""
+    g11, g22, g33, g12 = metric
+    c1, c2, c3 = counts
     out: dict[IndexMultiset, int] = {}
-    for e1 in range(0, min(counts[0], 2 * p) + 1, 2):
-        for e2 in range(0, min(counts[1], 2 * p - e1) + 1, 2):
-            e = (e1, e2, 2 * p - e1 - e2)
-            if e[2] <= counts[2]:
-                rest = IndexMultiset(tuple(c - k for c, k in zip(counts, e)))
-                out[rest] = prod(comb(c, k) * pairing_count(k // 2) for c, k in zip(counts, e))
+    for h1 in range(p + 1 if g11 else 1):
+        for h2 in range(p + 1 - h1 if g22 else 1):
+            for k in range(p + 1 - h1 - h2 if g12 else 1):
+                h3 = p - h1 - h2 - k
+                e1, e2, e3 = 2 * h1 + k, 2 * h2 + k, 2 * h3
+                if e1 > c1 or e2 > c2 or e3 > c3 or (h3 and not g33):
+                    continue
+                w = (comb(c1, e1) * comb(c2, e2) * comb(c3, e3) * comb(e1, k) * comb(e2, k) * factorial(k)
+                     * pairing_count(h1) * pairing_count(h2) * pairing_count(h3)
+                     * g11**h1 * g22**h2 * g33**h3 * g12**k)
+                rest = IndexMultiset((c1 - e1, c2 - e2, c3 - e3))
+                out[rest] = out.get(rest, 0) + w
     return out
 
 

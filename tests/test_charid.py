@@ -6,6 +6,7 @@ from math import comb, factorial
 import pytest
 from test_symalg import brute_sym, dense_similarity
 
+from spinid import charid, spinrep, symalg
 from spinid.charid import (
     VerificationReport,
     a1_closed,
@@ -14,6 +15,7 @@ from spinid.charid import (
     an_closed,
     b_coeffs,
     build_identity,
+    cartesian_residual,
     char_coeffs,
     discover_identity,
     identity_to_json,
@@ -21,8 +23,8 @@ from spinid.charid import (
     power_sum,
     verify_identity,
 )
-from spinid.spinrep import Matrix, build_generators, conjugate_rep, eigenvalue_list
-from spinid.symalg import IndexMultiset, SymSession, all_multisets, delta_weights
+from spinid.spinrep import Matrix, build_generators, conjugate_rep, eigenvalue_list, spherical_algebra
+from spinid.symalg import CARTESIAN, SPHERICAL, IndexMultiset, SymSession, all_multisets, delta_weights
 
 REPS = {dim: build_generators(dim) for dim in range(1, 8)}
 
@@ -263,9 +265,10 @@ def test_default_mode_selection():
     assert report.ok  # even identity nests downward
 
 
-def _oracle_report(rep, ident):
-    """The exhaustive report rebuilt from literal symmetric sums (brute_sym)
-    and delta_weights, in Scalar matrix arithmetic throughout."""
+def _oracle_report(rep, ident, drawn=None):
+    """The report rebuilt from literal symmetric sums (brute_sym) and the
+    Cartesian delta_weights, in the reference arithmetic throughout: over
+    all tuples, or over the drawn ones of a sampled run."""
     cache, syms, witnesses = {}, {}, {}
 
     def sym(ms):
@@ -273,23 +276,28 @@ def _oracle_report(rep, ident):
             syms[ms] = brute_sym(rep, ms.letters(), cache)
         return syms[ms]
 
-    for ms in all_multisets(ident.dim):
-        total = sym(ms)
-        for p, b_p in enumerate(ident.b, start=1):
-            for rest, w in delta_weights(ms.counts, p).items():
-                total = total + sym(rest).scale(b_p * w)
-        witnesses[ms] = total.first_nonzero_entry()
+    if drawn is None:
+        tuples, mode, checked = itertools.product((1, 2, 3), repeat=ident.dim), "exhaustive", 3**ident.dim
+    else:
+        tuples, mode, checked = sorted(set(drawn)), "sampled", len(drawn)
     failures = []
-    for tup in itertools.product((1, 2, 3), repeat=ident.dim):
-        witness = witnesses[IndexMultiset.from_tuple(tup)]
-        if witness is not None:
-            failures.append((tup, witness))
-    return VerificationReport(ident.dim, rep.dim, "exhaustive", 3**ident.dim, failures).to_json()
+    for tup in tuples:
+        ms = IndexMultiset.from_tuple(tup)
+        if ms not in witnesses:
+            total = sym(ms)
+            for p, b_p in enumerate(ident.b, start=1):
+                for rest, w in delta_weights(ms.counts, p).items():
+                    total = total + sym(rest).scale(b_p * w)
+            witnesses[ms] = total.first_nonzero_entry()
+        if witnesses[ms] is not None:
+            failures.append((tup, witnesses[ms]))
+    return VerificationReport(ident.dim, rep.dim, mode, checked, failures).to_json()
 
 
 @pytest.mark.parametrize(
     "dim, rep_dim, conjugated",
-    [(d, r, False) for d, r in ((2, 2), (2, 4), (3, 3), (3, 5), (4, 2), (4, 6), (5, 3), (5, 7), (6, 4), (7, 7))]
+    [(d, r, False) for d, r in ((2, 2), (2, 4), (3, 3), (3, 5), (4, 2), (4, 6), (5, 3), (5, 7), (6, 4), (7, 7), (8, 2), (9, 1),
+                                (2, 1), (4, 3), (5, 2))]
     + [(d, r, True) for d, r in ((2, 2), (2, 4), (3, 3), (3, 5), (4, 2), (4, 4), (5, 5))],
 )
 def test_verify_matches_brute_force_oracle(dim, rep_dim, conjugated):
@@ -299,6 +307,78 @@ def test_verify_matches_brute_force_oracle(dim, rep_dim, conjugated):
         rep = conjugate_rep(rep, dense_similarity(rep_dim))
     ident = build_identity(dim)
     assert verify_identity(rep, ident, mode="exhaustive").to_json() == _oracle_report(rep, ident)
+
+
+@pytest.mark.parametrize(
+    "dim, rep_dim, conjugated, count, seed",
+    [(2, 4, False, 20, 1), (3, 3, False, 30, 2), (3, 5, False, 30, 3), (4, 6, False, 60, 4), (5, 3, False, 80, 5),
+     (6, 8, False, 50, 6), (8, 2, False, 40, 7), (3, 5, True, 30, 8), (4, 4, True, 40, 9)],
+)
+def test_sampled_verify_matches_brute_force_oracle(dim, rep_dim, conjugated, count, seed):
+    # A sampled report is the exhaustive oracle restricted to the tuples
+    # drawn: count draws of D axes each from random.Random(seed).
+    rep = build_generators(rep_dim)
+    if conjugated:
+        rep = conjugate_rep(rep, dense_similarity(rep_dim))
+    ident = build_identity(dim)
+    rng = random.Random(seed)
+    drawn = [tuple(rng.randint(1, 3) for _ in range(dim)) for _ in range(count)]
+    report = verify_identity(rep, ident, mode="sampled", count=count, seed=seed)
+    assert report.to_json() == _oracle_report(rep, ident, drawn)
+
+
+SPHERICAL_REPS = [(r, False) for r in range(1, 10)] + [(r, True) for r in range(2, 6)]
+
+
+@pytest.mark.parametrize("rep_dim, conjugated", SPHERICAL_REPS)
+def test_cartesian_residual_from_spherical_matches_direct(rep_dim, conjugated):
+    # Row for row: the Cartesian residual converted from the spherical ones
+    # against Identity.residual_int on a Cartesian session.
+    rep = build_generators(rep_dim)
+    if conjugated:
+        rep = conjugate_rep(rep, dense_similarity(rep_dim))
+    cartesian = SymSession(rep)
+    unit, times = spherical_algebra(rep)
+    spherical = SymSession(unit=unit, times=times)
+    for dim in range(2, 8):
+        ident = build_identity(dim)
+        rows = {ms.counts: ident.residual_int(spherical, ms.counts, SPHERICAL) for ms in all_multisets(dim)}
+        for ms in all_multisets(dim):
+            assert cartesian_residual(ms.counts, rows) == ident.residual_int(cartesian, ms.counts), (dim, ms)
+
+
+@pytest.mark.parametrize(
+    "dim, rep_dim, holds",
+    [(12, 12, True), (16, 16, True), (20, 20, True), (16, 4, True), (10, 12, False)],
+)
+def test_verify_at_large_dimension(dim, rep_dim, holds):
+    # "Arbitrary D": the identity on its own representation, nesting on a
+    # smaller one of the same parity, and minimality on D + 2.
+    report = verify_identity(build_generators(rep_dim), build_identity(dim), mode="exhaustive")
+    assert report.ok is holds
+    assert report.tuples_checked == 3**dim
+    if holds:
+        assert report.failures == []
+    else:
+        assert report.failures and all(len(t) == dim and not w[2].is_zero() for t, w in report.failures)
+
+
+def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
+    # No Cartesian delta weights and no product in the Cartesian algebra.
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix_algebra ran")
+
+    def spherical_only(counts, p, metric=CARTESIAN):
+        assert metric == SPHERICAL, "Cartesian delta_weights ran"
+        return delta_weights(counts, p, metric)
+
+    monkeypatch.setattr(symalg, "matrix_algebra", refuse)
+    monkeypatch.setattr(spinrep, "matrix_algebra", refuse)
+    monkeypatch.setattr(charid, "delta_weights", spherical_only)
+    for dim in range(2, 7):
+        assert verify_identity(REPS[dim], build_identity(dim), mode="exhaustive").ok
+        assert not verify_identity(REPS[dim], build_identity(dim + 1), mode="exhaustive").ok
+        assert discover_identity(REPS[dim]) == build_identity(dim)
 
 
 def test_report_json_shape():
@@ -337,6 +417,21 @@ def test_report_json_renders_each_witness_once():
 def test_discovery_recovers_coefficients(dim):
     found = discover_identity(REPS[dim])
     assert found == build_identity(dim)
+
+
+@pytest.mark.parametrize("dim", range(2, 6))
+def test_discovery_on_seeded_conjugations(dim):
+    # A seeded signed permutation times a dense rational similarity: the
+    # spherical equations are dense there, not one diagonal.
+    for seed in range(3):
+        rng = random.Random(100 * dim + seed)
+        perm = list(range(dim))
+        rng.shuffle(perm)
+        signed = Matrix.from_rational_rows(
+            [[rng.choice((-1, 1)) if perm[r] == c else 0 for c in range(dim)] for r in range(dim)]
+        )
+        rep = conjugate_rep(REPS[dim], signed * dense_similarity(dim))
+        assert discover_identity(rep) == build_identity(dim), (dim, seed)
 
 
 def test_discovery_needs_dimension_two():

@@ -3,7 +3,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +18,11 @@ from spinid.spinrep import (
     conjugate_rep,
     first_nonzero_entry,
     row_matmul,
+    spherical_algebra,
 )
 from spinid.symalg import (
+    CARTESIAN,
+    SPHERICAL,
     IndexMultiset,
     SymSession,
     all_multisets,
@@ -46,9 +49,18 @@ def brute_sym(rep, letters, cache=None):
     longer words stay cheap."""
     cache = {} if cache is None else cache
     total = R.Matrix.zero(rep.dim)
-    for perm in sorted(set(itertools.permutations(letters))):
-        total = total + R.word_matrix(rep, perm, cache)
+    for word in distinct_orderings(tuple(letters.count(a) for a in (1, 2, 3))):
+        total = total + R.word_matrix(rep, word, cache)
     return total.scale(prod(factorial(letters.count(a)) for a in (1, 2, 3)))
+
+
+def distinct_orderings(counts):
+    """Every word with these letter counts once, in lexicographic order:
+    sorted(set(itertools.permutations(letters))) without the n! tuples."""
+    if not any(counts):
+        return [()]
+    return [(a,) + word for a in (1, 2, 3) if counts[a - 1]
+            for word in distinct_orderings(tuple(c - (b == a) for b, c in enumerate(counts, start=1)))]
 
 
 def test_multiset_canonicalization():
@@ -110,6 +122,31 @@ def test_recursion_matches_brute_force(dim):
 def test_recursion_matches_brute_force_conjugated(dim):
     # dense rational entries, not just the ladder's sparsity
     _check_recursion(conjugate_rep(REPS[dim], dense_similarity(dim)))
+
+
+def test_distinct_orderings_match_permutations():
+    for counts in ((0, 0, 0), (2, 0, 1), (1, 2, 2), (3, 1, 2)):
+        letters = IndexMultiset(counts).letters()
+        assert distinct_orderings(counts) == sorted(set(itertools.permutations(letters)))
+
+
+@pytest.mark.parametrize("dim, conjugated", [(d, False) for d in range(1, 6)] + [(d, True) for d in range(2, 5)])
+def test_spherical_recursion_matches_brute_force(dim, conjugated):
+    # The spherical algebra's products against literal sums of words in
+    # S_+ = S_1 + i S_2, S_- = S_1 - i S_2 and S_3, built in the reference
+    # arithmetic; on the ladder each product lies on diagonal c_+ - c_-.
+    rep = conjugate_rep(REPS[dim], dense_similarity(dim)) if conjugated else REPS[dim]
+    s1, s2, s3 = (ref(m) for m in rep.S)
+    i_s2 = s2.scale(R.I)
+    cache = {(): R.Matrix.identity(dim), (1,): s1 + i_s2, (2,): s1 - i_s2, (3,): s3}
+    unit, times = spherical_algebra(rep)
+    session = SymSession(unit=unit, times=times)
+    for order in range(6):
+        for ms in all_multisets(order):
+            row = session.sym_int(ms.counts)
+            assert ref(Matrix._make(dim, row)) == brute_sym(rep, ms.letters(), cache), (dim, ms)
+            if not conjugated:
+                assert all(c - r == ms.counts[0] - ms.counts[1] for r, c, _ in row[0]), (dim, ms)
 
 
 def test_long_product_keeps_a_flat_stack():
@@ -213,6 +250,67 @@ def test_delta_weights_match_subset_enumeration(order):
                     )
                     brute[rest] = brute.get(rest, 0) + d
             assert delta_weights(ms.counts, p) == brute, (ms, p)
+            assert delta_weights(ms.counts, p, CARTESIAN) == brute, (ms, p)
+
+
+SPHERICAL_PAIR_WEIGHT = {(1, 2): 2, (2, 1): 2, (3, 3): 1}  # letters +, -, 3
+
+
+def weighted_pairings(idx, weight):
+    """Sum over the perfect pairings of idx of the product of the pair
+    weights, enumerated like gen_delta."""
+    if not idx:
+        return 1
+    first, tail = idx[0], idx[1:]
+    return sum(weight.get((first, other), 0) * weighted_pairings(tail[:j] + tail[j + 1 :], weight)
+               for j, other in enumerate(tail))
+
+
+@pytest.mark.parametrize("order", range(10))
+def test_spherical_delta_weights_match_weighted_pairings(order):
+    # Over the letters +, -, 3: a (+, -) pair weighs 2, a (3, 3) pair 1,
+    # any other pair 0; the subset sum by multiset left out is the oracle.
+    for ms in all_multisets(order):
+        idx = ms.letters()
+        for p in range(order // 2 + 1):
+            brute = {}
+            for subset in itertools.combinations(range(order), 2 * p):
+                d = weighted_pairings(tuple(idx[q] for q in subset), SPHERICAL_PAIR_WEIGHT)
+                if d:
+                    rest = IndexMultiset.from_tuple(idx[q] for q in range(order) if q not in subset)
+                    brute[rest] = brute.get(rest, 0) + d
+            assert delta_weights(ms.counts, p, SPHERICAL) == brute, (ms, p)
+            a, b, c = ms.counts
+            closed = {IndexMultiset((a - k, b - k, c - 2 * (p - k))):
+                      comb(a, k) * comb(b, k) * factorial(k) * 2**k * comb(c, 2 * (p - k)) * pairing_count(p - k)
+                      for k in range(min(a, b, p) + 1) if 2 * (p - k) <= c}
+            assert delta_weights(ms.counts, p, SPHERICAL) == closed, (ms, p)
+
+
+@pytest.mark.parametrize("metric", [(1, 2, 3, 5), (2, 0, 1, 3), (0, 3, 0, 1)])
+def test_delta_weights_under_a_general_metric(metric):
+    # Every factor of the closed form at once: pairs within axes 1, 2, 3
+    # and across 1-2 all weigh, as g11, g22, g33 and g12.
+    g11, g22, g33, g12 = metric
+    weight = {(1, 1): g11, (2, 2): g22, (3, 3): g33, (1, 2): g12, (2, 1): g12}
+    for order in range(8):
+        for ms in all_multisets(order):
+            idx = ms.letters()
+            for p in range(order // 2 + 1):
+                brute = {}
+                for subset in itertools.combinations(range(order), 2 * p):
+                    d = weighted_pairings(tuple(idx[q] for q in subset), weight)
+                    if d:
+                        rest = IndexMultiset.from_tuple(idx[q] for q in range(order) if q not in subset)
+                        brute[rest] = brute.get(rest, 0) + d
+                assert delta_weights(ms.counts, p, metric) == brute, (metric, ms, p)
+
+
+def test_weighted_pairings_reduce_to_gen_delta():
+    cartesian = {(a, a): 1 for a in (1, 2, 3)}
+    for n in range(4):
+        for tup in itertools.product((1, 2, 3), repeat=2 * n):
+            assert weighted_pairings(tup, cartesian) == gen_delta(tup)
 
 
 def brute_pairings(items):
