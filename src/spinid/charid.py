@@ -35,7 +35,7 @@ from typing import Literal, Sequence
 
 from .scalar import KEY_I, Row, Scalar, combine_terms, frac_str, times_key
 from .spinrep import Matrix, SpinRep, eigenvalue_list, first_nonzero_entry, spherical_algebra
-from .symalg import CARTESIAN, SPHERICAL, IndexMultiset, Metric, SymSession, all_multisets, delta_weights
+from .symalg import CARTESIAN, SPHERICAL, IndexMultiset, Metric, SymSession, all_multisets, delta_weights, pairing_count
 
 Witness = tuple[int, int, Scalar]
 Failure = tuple[tuple[int, ...], Witness]
@@ -115,10 +115,7 @@ def an1_closed(dim: int) -> Fraction:
     if dim < 2 or dim % 2:
         raise ValueError("a_{n+1} requires even dimension >= 2")
     n = dim // 2 - 1
-    dfac = 1
-    for k in range(1, 2 * n + 2, 2):
-        dfac *= k
-    return (-1) ** (n + 1) * Fraction(dfac, 2 ** (n + 1)) ** 2
+    return (-1) ** (n + 1) * Fraction(pairing_count(n + 1), 2 ** (n + 1)) ** 2
 
 
 def a2_closed(dim: int) -> Fraction:

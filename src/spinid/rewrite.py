@@ -120,6 +120,9 @@ class NCPolynomial:
             return NotImplemented
         return self._row == other._row
 
+    def __hash__(self) -> int:
+        return hash((frozenset(self._row[0].items()), self._row[1]))
+
     def __neg__(self) -> "NCPolynomial":
         terms, den = self._row
         return NCPolynomial._make(({t: -n for t, n in terms.items()}, den))

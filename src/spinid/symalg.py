@@ -21,7 +21,6 @@ both.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, Sequence
@@ -75,10 +74,11 @@ class SymSession:
 
     The memo maps axis counts c to {c} as a row, built from the algebra's
     unit and right multiplication of a row by S_a alone:
-    {c} = sum_a c_a {c - e_a} S_a.  ``SymSession(rep)`` works in the
-    matrices of rep (``matrix_algebra``); verification passes the unit and
-    ``times`` of ``spherical_algebra``, with S_+, S_-, S_3 as axes 1, 2, 3,
-    and the rewriter those of its ordered words.
+    {c} = sum_a c_a {c - e_a} S_a.  A request builds each missing entry
+    c' <= c once, from neighbours already built.  ``SymSession(rep)``
+    works in the matrices of rep (``matrix_algebra``); verification passes
+    the unit and ``times`` of ``spherical_algebra``, with S_+, S_-, S_3 as
+    axes 1, 2, 3, and the rewriter those of its ordered words.
 
     The cache is keyed on the index multiset, so exhaustive verification
     over all D-tuples costs O(#multisets) products instead of O(3^D * D!).
@@ -103,22 +103,22 @@ class SymSession:
         """The symmetric product for these axis counts, as a row."""
         rows = self._rows
         if counts not in rows:
-            # {n indices} = sum over positions j of {rest} * S_{i_j}; positions
-            # carrying equal letters contribute identical terms, hence the
-            # multiplicity factors.  If every counts - e_a is memoized, only
-            # counts is built; otherwise the whole box c <= counts is, in
-            # product order, where every c - e_a comes before c, so no
-            # recursion is needed.
-            below = (counts[:a] + (c - 1,) + counts[a + 1 :] for a, c in enumerate(counts) if c)
-            boxes = [counts] if all(b in rows for b in below) else itertools.product(*(range(c + 1) for c in counts))
-            # A zero row stays zero: it is not multiplied.
-            for box in boxes:
-                if box not in rows:
-                    parts = []
-                    for a, c in enumerate(box):
-                        if c and (prev := rows[box[:a] + (c - 1,) + box[a + 1 :]])[0]:
-                            parts.append((c, *self._times(prev, a + 1)))
-                    rows[box] = combine_terms(parts)
+            # {c} = sum_a c_a {c - e_a} S_a: any of the c_a positions carrying
+            # letter a may come last.  No recursion: the top of a work stack
+            # pushes its missing neighbours, or is built once all are memoized.
+            # Pushed entries are lower in order than all others, so none twice.
+            stack = [counts]
+            while stack:
+                x, y, z = top = stack[-1]
+                parts, pending = [], len(stack)
+                for a, c, b in ((1, x, (x - 1, y, z)), (2, y, (x, y - 1, z)), (3, z, (x, y, z - 1))):
+                    if c and (prev := rows.get(b)) is None:
+                        stack.append(b)
+                    elif c and prev[0]:  # a zero row stays zero: it is not multiplied
+                        parts.append((c, prev, a))
+                if len(stack) == pending:
+                    stack.pop()
+                    rows[top] = combine_terms([(c, *self._times(prev, a)) for c, prev, a in parts])
         return rows[counts]
 
 

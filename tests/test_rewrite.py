@@ -252,6 +252,12 @@ def test_normal_form_validation():
         NormalForm(parse("S1*S1"), 2)  # degree over the cap
 
 
+def test_normal_forms_hash_by_value():
+    # [S1, S2] = i S3, so both reduce to one normal form and one set element.
+    forms = {reduce_degree(parse("S1*S2 - S2*S1"), 3), reduce_degree(parse("i*S3"), 3)}
+    assert forms == {NormalForm(parse("i*S3"), 3)}
+
+
 @pytest.mark.parametrize("dim", (2, 3, 4))
 def test_reduce_soundness_random(dim):
     rng = random.Random(1000 + dim)
@@ -902,6 +908,7 @@ def test_plain_render_round_trips():
             terms[w] = terms.get(w, Scalar.of(0)) + c
         p = NCPolynomial(terms)
         assert parse(render(p)) == p
+        assert hash(parse(render(p))) == hash(p)
 
 
 def test_sym_words_matches_brace_parser():

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import reference as R
 from reference import lib, ref
+from spinid import symalg
+from spinid.charid import build_identity, verify_identity
 from spinid.scalar import Scalar, combine_terms
 from spinid.spinrep import (
     Matrix,
@@ -151,16 +153,42 @@ def test_spherical_recursion_matches_brute_force(dim, conjugated):
 
 def test_long_product_keeps_a_flat_stack():
     # {S3^n} = n! S3^n on spin 1/2; the memo is filled in a loop, so a limit
-    # just above the caller's depth is enough for 1200 indices.
+    # just above the caller's depth is enough for 1200 indices, and for the
+    # three-axis boxes of sampled D = 60 tuples.
     n = 1200
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 50)
     try:
         product = SymSession(REPS[2]).sym(IndexMultiset((0, 0, n)))
+        report = verify_identity(REPS[2], build_identity(60), mode="sampled", count=3, seed=1)
     finally:
         sys.setrecursionlimit(limit)
     q = Fraction(factorial(n), 2**n)
     assert product == Matrix([[Scalar.of(q), Scalar.zero()], [Scalar.zero(), Scalar.of(q * (-1) ** n)]])
+    assert report.ok
+
+
+def test_session_builds_each_missing_entry_once(monkeypatch):
+    # Cartesian counts (1, 4, 6) need the spherical keys (a, 5 - a, 6); their
+    # boxes overlap, and each entry of the union is built once.
+    built = []
+
+    def counting(parts):
+        built.append(1)
+        return combine_terms(parts)
+
+    monkeypatch.setattr(symalg, "combine_terms", counting)
+    unit, times = spherical_algebra(REPS[4])
+    session = SymSession(unit=unit, times=times)
+    keys = [(a, 5 - a, 6) for a in range(6)]
+    for key in keys:
+        session.sym_int(key)
+    union = {(x, y, z) for x in range(6) for y in range(6 - x) for z in range(7)}
+    assert set(session._rows) == union and len(union) == 147
+    assert len(built) == 146  # all but the unit
+    for key in keys:
+        session.sym_int(key)
+    assert len(built) == 146
 
 
 def test_session_reuses_results():
