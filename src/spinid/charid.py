@@ -150,27 +150,43 @@ class Identity:
 
     dim: int
     b: tuple[Fraction, ...]
+    # (counts, metric) -> ((rest counts, b_p * weight), ...) over every level:
+    # at most C(D+2, 2) entries per metric, filled by residual_int.
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def residual(self, session: SymSession, idx: Sequence[int]) -> Matrix:
         """Exact value of the identity's left side on one index tuple;
         the zero matrix iff the identity holds there."""
-        ms = IndexMultiset.from_tuple(idx)
-        if ms.order != self.dim:
-            raise ValueError(f"expected {self.dim} indices, got {ms.order}")
-        return Matrix._make(session.rep.dim, self.residual_int(session, ms.counts))
+        dim = session.matrix_dim()
+        return Matrix._make(dim, self.residual_int(session, IndexMultiset.from_tuple(idx).counts))
 
     def residual_int(self, session: SymSession, counts: tuple[int, int, int], metric: Metric = CARTESIAN) -> Row:
         """The residual for these axis counts, as a row of the session's
         algebra (matrices, or the rewriter's ordered words); with the
         SPHERICAL metric on a session over S_+, S_-, S_3, the residual of
-        the spherical counts (a, b, c)."""
+        the spherical counts (a, b, c).  The delta weights times b_p are
+        computed once per counts and metric (``_delta_levels``)."""
+        weights = self._weights.get((counts, metric))
+        if weights is None:
+            if sum(counts) != self.dim:
+                raise ValueError(f"expected {self.dim} indices, got {sum(counts)}")
+            levels = _delta_levels(counts, metric)
+            weights = tuple((rest, b_p * w) for b_p, level in zip(self.b, levels) for rest, w in level)
+            self._weights[(counts, metric)] = weights
         parts = [(1, *session.sym_int(counts))]
-        for p, b_p in enumerate(self.b, start=1):
-            for rest, w in delta_weights(counts, p, metric).items():
-                terms, den = session.sym_int(rest.counts)
-                if terms:
-                    parts.append((b_p * w, terms, den))
+        for rest, w in weights:
+            terms, den = session.sym_int(rest)
+            if terms:
+                parts.append((w, terms, den))
         return combine_terms(parts)
+
+
+@lru_cache(maxsize=1024)
+def _delta_levels(counts: tuple[int, int, int], metric: Metric) -> tuple[tuple[tuple[tuple[int, int, int], int], ...], ...]:
+    """``delta_weights(counts, p, metric)`` for p = 1 .. order // 2, as
+    (rest counts, weight) pairs: level p is entry p - 1."""
+    return tuple(tuple((rest.counts, w) for rest, w in delta_weights(counts, p, metric).items())
+                 for p in range(1, sum(counts) // 2 + 1))
 
 
 @lru_cache(maxsize=32)
@@ -205,10 +221,8 @@ def discover_identity(rep: SpinRep) -> Identity:
     pivots: dict[int, list[int]] = {}
     for ms in all_multisets(dim):
         counts = ms.counts
-        mats = [
-            combine_terms((w, *session.sym_int(rest.counts)) for rest, w in delta_weights(counts, p, SPHERICAL).items())
-            for p in range(1, k + 1)
-        ]
+        mats = [combine_terms((w, *session.sym_int(rest)) for rest, w in level)
+                for level in _delta_levels(counts, SPHERICAL)]
         mats.append(combine_terms([(-1, *session.sym_int(counts))]))
         # One equation per (row, col, key) coordinate, cleared of denominators.
         den = lcm(*(d for _, d in mats))
@@ -297,6 +311,9 @@ class VerificationReport:
     tuples_checked: int
     failures: list[Failure] = field(default_factory=list)
     elapsed: float = 0.0
+    # Counters of the run, off the wire like elapsed: multisets evaluated,
+    # spherical residuals computed and products memoized (the unit included).
+    stats: dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -357,11 +374,7 @@ def verify_identity(
             raise ValueError("sampled mode requires count and seed")
         if count < 1:
             raise ValueError(f"sampled mode needs a positive count, got {count}")
-        rng = random.Random(seed)
-        sampled = [
-            tuple(rng.randint(1, 3) for _ in range(d)) for _ in range(count)
-        ]
-        tuples = sorted(set(sampled))
+        tuples = sorted(set(_sample_tuples(random.Random(seed), d, count)))
         checked = count
     elif mode == "exhaustive":
         tuples = None  # generated lazily below
@@ -400,7 +413,31 @@ def verify_identity(
         tuples_checked=checked,
         failures=failures,
         elapsed=time.perf_counter() - t0,
+        stats={"multisets": len(keys), "spherical_residuals": len(spherical), "products": session.memo_size},
     )
+
+
+# randint(1, 3) reads one 32-bit word per draw and keeps its top two bits,
+# rejecting 3: the top byte b of a word maps to the axis (b >> 6) + 1, and
+# the bytes that map to 4 are deleted.
+_AXIS_OF_TOP_BYTE = bytes((b >> 6) + 1 for b in range(256))
+_REJECTED_TOP_BYTES = bytes(range(192, 256))
+_WORDS_PER_READ = 1 << 14
+
+
+def _sample_tuples(rng: random.Random, d: int, count: int) -> list[tuple[int, ...]]:
+    """count tuples of d axes, drawn from rng's stream exactly as
+    ``[tuple(rng.randint(1, 3) for _ in range(d)) for _ in range(count)]``
+    draws them, but read at most 2^14 words at a time: ``getrandbits(32 m)``
+    holds m successive words, the first in the lowest bits.  Words read
+    past the last axis go unused, so rng ends further on in its stream."""
+    need = d * count
+    axes = bytearray()
+    while len(axes) < need:
+        m = min(need - len(axes), _WORDS_PER_READ)
+        top = rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
+        axes += top.translate(_AXIS_OF_TOP_BYTE, _REJECTED_TOP_BYTES)
+    return [tuple(axes[i : i + d]) for i in range(0, need, d)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Callable, Sequence
 
 from .scalar import (
@@ -37,7 +38,10 @@ from .scalar import (
 )
 
 Cell = tuple[int, int, int]  # (row, col, key)
-Times = Callable[[Row, int], Row]  # right multiplication of a row by S_axis
+Part = tuple[int, Row, int]  # (weight, row, axis)
+# Right multiplication as a linear combination: the parts (w, row, a) give
+# the reduced row of sum w * row * S_a.
+Times = Callable[[Sequence[Part]], Row]
 
 
 class SingularMatrixError(ArithmeticError):
@@ -159,25 +163,48 @@ class Matrix:
 
 def row_matmul(a: Row, b: Row) -> Row:
     """The matrix product of two matrix rows."""
-    return _times_right(b)(a)
+    return _times_right((b,))([(1, a, 1)])
 
 
-def _times_right(b: Row) -> Callable[[Row], Row]:
-    """Right multiplication by the matrix row b, with b's cells indexed by
-    row once for every product taken."""
-    by_row: dict[int, list[tuple[int, int, int]]] = {}
-    for (k, c, key), n in b[0].items():
-        by_row.setdefault(k, []).append((c, key, n))
-    den = b[1]
+def _times_right(gens: Sequence[Row]) -> Times:
+    """Right multiplication by the matrix rows gens, axis a standing for
+    gens[a - 1]: the parts (w, row, a), with integer weights w, give the
+    row of sum w * row * gens[a - 1].
 
-    def times(a: Row) -> Row:
+    One loop accumulates every part's products over one common denominator
+    and the sum is reduced once.  A left cell (r, k, k1) meets the cells of
+    row k of its generator through a table of (col, key, f * n2), built the
+    first time (k, k1) is met and kept with the returned function, so the
+    inner loop makes no ``key_product`` call."""
+    cells: list[dict[int, list[tuple[int, int, int]]]] = []
+    for terms, _ in gens:
+        by_row: dict[int, list[tuple[int, int, int]]] = {}
+        for (k, c, key), n in terms.items():
+            by_row.setdefault(k, []).append((c, key, n))
+        cells.append(by_row)
+    tables: list[dict[tuple[int, int], list[tuple[int, int, int]]]] = [{} for _ in gens]
+    dens = [den for _, den in gens]
+
+    def times(parts: Sequence[Part]) -> Row:
+        den = 1
+        for _, (_, d), a in parts:
+            den = lcm(den, d * dens[a - 1])
         out: dict[Cell, int] = {}
-        for (r, k, k1), n1 in a[0].items():
-            for c, k2, n2 in by_row.get(k, ()):
-                f, key = key_product(k1, k2)
-                t = (r, c, key)
-                out[t] = out.get(t, 0) + f * n1 * n2
-        return reduce_terms(out, a[1] * den)
+        for w, (terms, d), a in parts:
+            by_row, table = cells[a - 1], tables[a - 1]
+            s = w * (den // (d * dens[a - 1]))
+            for (r, k, k1), n1 in terms.items():
+                products = table.get((k, k1))
+                if products is None:
+                    products = table[k, k1] = []
+                    for c, k2, n2 in by_row.get(k, ()):
+                        f, key = key_product(k1, k2)
+                        products.append((c, key, f * n2))
+                m = s * n1
+                for c, key, n in products:
+                    t = (r, c, key)
+                    out[t] = out.get(t, 0) + m * n
+        return reduce_terms(out, den)
 
     return times
 
@@ -292,7 +319,7 @@ def conjugate_rep(rep: SpinRep, m: Matrix) -> SpinRep:
 
 def matrix_algebra(rep: SpinRep) -> tuple[Row, Times]:
     """The algebra of rep's matrices as rows: the identity row, and right
-    multiplication of a row by S_a as a product with the generator's row."""
+    multiplication by the generators' rows (``Times``)."""
     return _algebra(rep.dim, rep.rows)
 
 
@@ -307,9 +334,4 @@ def spherical_algebra(rep: SpinRep) -> tuple[Row, Times]:
 
 
 def _algebra(dim: int, gens: Sequence[Row]) -> tuple[Row, Times]:
-    right = [_times_right(g) for g in gens]
-
-    def times(row: Row, a: int) -> Row:
-        return right[a - 1](row)
-
-    return ({(k, k, KEY_ONE): 1 for k in range(dim)}, 1), times
+    return ({(k, k, KEY_ONE): 1 for k in range(dim)}, 1), _times_right(gens)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .scalar import Row, combine_terms
+from .scalar import Row
 from .spinrep import Matrix, SpinRep, Times, matrix_algebra
 
 Axis = int  # one of 1, 2, 3
@@ -73,12 +73,14 @@ class SymSession:
     """Memoized symmetric products in one algebra.
 
     The memo maps axis counts c to {c} as a row, built from the algebra's
-    unit and right multiplication of a row by S_a alone:
-    {c} = sum_a c_a {c - e_a} S_a.  A request builds each missing entry
-    c' <= c once, from neighbours already built.  ``SymSession(rep)``
-    works in the matrices of rep (``matrix_algebra``); verification passes
-    the unit and ``times`` of ``spherical_algebra``, with S_+, S_-, S_3 as
-    axes 1, 2, 3, and the rewriter those of its ordered words.
+    unit and its right multiplication (``spinrep.Times``), which takes a
+    linear combination of rows times generators: each entry
+    {c} = sum_a c_a {c - e_a} S_a is one such call.  A request builds each
+    missing entry c' <= c once, from neighbours already built.
+    ``SymSession(rep)`` works in the matrices of rep (``matrix_algebra``);
+    verification passes the unit and ``times`` of ``spherical_algebra``,
+    with S_+, S_-, S_3 as axes 1, 2, 3, and the rewriter those of its
+    ordered words.
 
     The cache is keyed on the index multiset, so exhaustive verification
     over all D-tuples costs O(#multisets) products instead of O(3^D * D!).
@@ -97,7 +99,20 @@ class SymSession:
     def sym(self, idx: IndexMultiset | Sequence[Axis]) -> Matrix:
         if not isinstance(idx, IndexMultiset):
             idx = IndexMultiset.from_tuple(idx)
-        return Matrix._make(self.rep.dim, self.sym_int(idx.counts))
+        return Matrix._make(self.matrix_dim(), self.sym_int(idx.counts))
+
+    def matrix_dim(self) -> int:
+        """The dimension of the session's representation; a session built
+        from ``unit=``/``times=`` has none, and its values are rows only."""
+        if self.rep is None:
+            raise ValueError("this session has no representation: its values are rows, read them with "
+                             "sym_int (and Identity.residual_int)")
+        return self.rep.dim
+
+    @property
+    def memo_size(self) -> int:
+        """The number of products memoized, the unit included."""
+        return len(self._rows)
 
     def sym_int(self, counts: tuple[int, int, int]) -> Row:
         """The symmetric product for these axis counts, as a row."""
@@ -118,7 +133,7 @@ class SymSession:
                         parts.append((c, prev, a))
                 if len(stack) == pending:
                     stack.pop()
-                    rows[top] = combine_terms([(c, *self._times(prev, a)) for c, prev, a in parts])
+                    rows[top] = self._times(parts)
         return rows[counts]
 
 

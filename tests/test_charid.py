@@ -8,6 +8,7 @@ from test_symalg import brute_sym, dense_similarity
 
 from spinid import charid, spinrep, symalg
 from spinid.charid import (
+    Identity,
     VerificationReport,
     a1_closed,
     a2_closed,
@@ -368,17 +369,122 @@ def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("matrix_algebra ran")
 
+    calls = []
+
     def spherical_only(counts, p, metric=CARTESIAN):
         assert metric == SPHERICAL, "Cartesian delta_weights ran"
+        calls.append(counts)
         return delta_weights(counts, p, metric)
 
     monkeypatch.setattr(symalg, "matrix_algebra", refuse)
     monkeypatch.setattr(spinrep, "matrix_algebra", refuse)
     monkeypatch.setattr(charid, "delta_weights", spherical_only)
+    # Cold weight memos, so that every weight goes through the patch: the
+    # levels, and the identities that keep their weights times b_p.
+    charid._delta_levels.cache_clear()
+    build_identity.cache_clear()
     for dim in range(2, 7):
         assert verify_identity(REPS[dim], build_identity(dim), mode="exhaustive").ok
         assert not verify_identity(REPS[dim], build_identity(dim + 1), mode="exhaustive").ok
         assert discover_identity(REPS[dim]) == build_identity(dim)
+    assert {sum(c) for c in calls} == set(range(2, 8))
+    charid._delta_levels.cache_clear()  # no level computed under the patch outlives it
+    build_identity.cache_clear()
+
+
+def test_residual_weights_are_memoized_once():
+    # residual_int reads delta_weights(counts, p, metric) * b_p, computed once
+    # per counts and metric: at most C(D+2, 2) entries per metric, whatever
+    # the number of calls.  Order <= 12 in both metrics, on a session whose
+    # products are cheap (the 1-dimensional representation, all zero).
+    session = SymSession(REPS[1])
+    for dim in range(2, 13):
+        ident = Identity(dim, build_identity(dim).b)
+        multisets = all_multisets(dim)
+        for _ in range(2):
+            for metric in (CARTESIAN, SPHERICAL):
+                for ms in multisets:
+                    ident.residual_int(session, ms.counts, metric)
+        assert len(ident._weights) == 2 * len(multisets) == 2 * comb(dim + 2, 2)
+        for (counts, metric), weights in ident._weights.items():
+            expected = [(rest.counts, b_p * w) for p, b_p in enumerate(ident.b, start=1)
+                        for rest, w in delta_weights(counts, p, metric).items()]
+            assert list(weights) == expected, (dim, counts, metric)
+            levels = charid._delta_levels(counts, metric)
+            assert len(levels) == dim // 2
+            for p, level in enumerate(levels, start=1):
+                assert dict(level) == {rest.counts: w for rest, w in delta_weights(counts, p, metric).items()}
+        with pytest.raises(ValueError, match="expected"):
+            ident.residual_int(session, (dim, 1, 0))
+        assert len(ident._weights) == 2 * len(multisets)
+    info = charid._delta_levels.cache_info()
+    assert info.currsize <= info.maxsize
+
+
+def _oracle_draws(seed, d, count):
+    rng = random.Random(seed)
+    return [tuple(rng.randint(1, 3) for _ in range(d)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("d", (1, 3, 7, 20))
+def test_batched_sampler_is_the_randint_stream(d):
+    # The tuples of _sample_tuples are those randint(1, 3) draws, axis for
+    # axis.  A count of 40000 spans several 2^14-word reads; the full 30-seed
+    # grid at that count is 37 million randint calls (17 s on 2 cores,
+    # Python 3.11), so it runs for ten seeds at d = 1 and three at the
+    # other d (d = 20 crosses a read at a count of 1000 too).
+    for seed in range(30):
+        big = 40000 if seed < (10 if d == 1 else 3) else 1000
+        drawn = _oracle_draws(seed, d, big)
+        for count in (1, 1000, big):
+            assert charid._sample_tuples(random.Random(seed), d, count) == drawn[:count], (seed, d, count)
+
+
+def test_verify_reduces_each_product_once(monkeypatch):
+    # One reduce_terms per memo entry, per residual and per witness (the
+    # Cartesian residual and its entry), plus the spherical generators' two:
+    # no intermediate product of the kernel is reduced on its own.
+    from spinid import scalar
+
+    calls = []
+
+    def counting(terms, den):
+        calls.append(1)
+        return reduce_terms(terms, den)
+
+    reduce_terms = scalar.reduce_terms
+    conjugated = conjugate_rep(REPS[3], dense_similarity(3))
+    monkeypatch.setattr(scalar, "reduce_terms", counting)
+    monkeypatch.setattr(spinrep, "reduce_terms", counting)
+    for rep, dim in ((REPS[5], 5), (REPS[6], 4), (REPS[4], 6), (conjugated, 3), (conjugated, 5)):
+        calls.clear()
+        report = verify_identity(rep, build_identity(dim), mode="exhaustive")
+        stats = report.stats
+        witnesses = len({id(w) for _, w in report.failures})
+        assert report.ok is (witnesses == 0)
+        assert len(calls) <= stats["products"] - 1 + stats["spherical_residuals"] + 2 * witnesses + 2, (rep.dim, dim)
+
+
+def test_report_stats_stay_off_the_wire():
+    report = verify_identity(REPS[5], build_identity(5), mode="exhaustive")
+    # 21 multisets of order 5; their spherical counts are the same 21, and
+    # the memo holds every counts of order <= 5.
+    assert report.stats == {"multisets": 21, "spherical_residuals": 21, "products": comb(8, 3)}
+    assert set(report.to_json()) == {"dim", "rep_dim", "mode", "tuples_checked", "failures", "ok"}
+    sampled = verify_identity(REPS[3], build_identity(5), mode="sampled", count=3, seed=1)
+    assert sampled.stats["multisets"] <= 3
+    assert set(sampled.to_json()) == {"dim", "rep_dim", "mode", "tuples_checked", "failures", "ok"}
+
+
+def test_session_without_representation_refuses_matrices():
+    # A session built from unit= and times= holds rows only.
+    unit, times = spherical_algebra(REPS[3])
+    session = SymSession(unit=unit, times=times)
+    with pytest.raises(ValueError, match="no representation.*sym_int"):
+        session.sym((1, 2))
+    with pytest.raises(ValueError, match="no representation.*residual_int"):
+        build_identity(3).residual(session, (1, 2, 3))
+    assert build_identity(3).residual_int(session, (1, 1, 1), SPHERICAL) == ({}, 1)
 
 
 def test_report_json_shape():

@@ -19,6 +19,7 @@ from spinid.spinrep import (
     build_generators,
     conjugate_rep,
     first_nonzero_entry,
+    matrix_algebra,
     row_matmul,
     spherical_algebra,
 )
@@ -151,6 +152,30 @@ def test_spherical_recursion_matches_brute_force(dim, conjugated):
                 assert all(c - r == ms.counts[0] - ms.counts[1] for r, c, _ in row[0]), (dim, ms)
 
 
+@pytest.mark.parametrize("dim, conjugated", [(d, False) for d in range(1, 7)] + [(d, True) for d in range(2, 5)])
+def test_fused_kernel_matches_reference(dim, conjugated):
+    # Each memo entry is one call of the fused right multiplication, a sum
+    # over up to three parts (c_a, {c - e_a}, a).  Every product of order
+    # <= 7 of both algebras against the same recursion in the reference
+    # arithmetic (checked against literal sums of words up to order 5 above).
+    rep = conjugate_rep(REPS[dim], dense_similarity(dim)) if conjugated else REPS[dim]
+    s1, s2, s3 = (ref(m) for m in rep.S)
+    i_s2 = s2.scale(R.I)
+    for (unit, times), gens in ((matrix_algebra(rep), (s1, s2, s3)), (spherical_algebra(rep), (s1 + i_s2, s1 - i_s2, s3))):
+        session = SymSession(unit=unit, times=times)
+        expected = {(0, 0, 0): R.Matrix.identity(dim)}
+        for order in range(1, 8):
+            for ms in all_multisets(order):
+                c = ms.counts
+                total = R.Matrix.zero(dim)
+                for a in range(3):
+                    if c[a]:
+                        below = tuple(n - (b == a) for b, n in enumerate(c))
+                        total = total + (expected[below] * gens[a]).scale(c[a])
+                expected[c] = total
+                assert ref(Matrix._make(dim, session.sym_int(c))) == total, (dim, c)
+
+
 def test_long_product_keeps_a_flat_stack():
     # {S3^n} = n! S3^n on spin 1/2; the memo is filled in a loop, so a limit
     # just above the caller's depth is enough for 1200 indices, and for the
@@ -168,18 +193,18 @@ def test_long_product_keeps_a_flat_stack():
     assert report.ok
 
 
-def test_session_builds_each_missing_entry_once(monkeypatch):
+def test_session_builds_each_missing_entry_once():
     # Cartesian counts (1, 4, 6) need the spherical keys (a, 5 - a, 6); their
-    # boxes overlap, and each entry of the union is built once.
+    # boxes overlap, and each entry of the union is built once, by one call
+    # of the algebra's right multiplication.
     built = []
+    unit, times = spherical_algebra(REPS[4])
 
     def counting(parts):
         built.append(1)
-        return combine_terms(parts)
+        return times(parts)
 
-    monkeypatch.setattr(symalg, "combine_terms", counting)
-    unit, times = spherical_algebra(REPS[4])
-    session = SymSession(unit=unit, times=times)
+    session = SymSession(unit=unit, times=counting)
     keys = [(a, 5 - a, 6) for a in range(6)]
     for key in keys:
         session.sym_int(key)
