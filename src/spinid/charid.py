@@ -150,9 +150,6 @@ class Identity:
 
     dim: int
     b: tuple[Fraction, ...]
-    # (counts, metric) -> ((rest counts, b_p * weight), ...) over every level:
-    # at most C(D+2, 2) entries per metric, filled by residual_int.
-    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def residual(self, session: SymSession, idx: Sequence[int]) -> Matrix:
         """Exact value of the identity's left side on one index tuple;
@@ -164,20 +161,16 @@ class Identity:
         """The residual for these axis counts, as a row of the session's
         algebra (matrices, or the rewriter's ordered words); with the
         SPHERICAL metric on a session over S_+, S_-, S_3, the residual of
-        the spherical counts (a, b, c).  The delta weights times b_p are
-        computed once per counts and metric (``_delta_levels``)."""
-        weights = self._weights.get((counts, metric))
-        if weights is None:
-            if sum(counts) != self.dim:
-                raise ValueError(f"expected {self.dim} indices, got {sum(counts)}")
-            levels = _delta_levels(counts, metric)
-            weights = tuple((rest, b_p * w) for b_p, level in zip(self.b, levels) for rest, w in level)
-            self._weights[(counts, metric)] = weights
+        the spherical counts (a, b, c).  The delta weights are read from
+        ``_delta_levels``, computed once per counts and metric."""
+        if sum(counts) != self.dim:
+            raise ValueError(f"expected {self.dim} indices, got {sum(counts)}")
         parts = [(1, *session.sym_int(counts))]
-        for rest, w in weights:
-            terms, den = session.sym_int(rest)
-            if terms:
-                parts.append((w, terms, den))
+        for b_p, level in zip(self.b, _delta_levels(counts, metric)):
+            for rest, w in level:
+                terms, den = session.sym_int(rest)
+                if terms:
+                    parts.append((b_p * w, terms, den))
         return combine_terms(parts)
 
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import Iterator, Literal, Mapping, Sequence, Union
 
 from .charid import Identity, build_identity
@@ -441,7 +441,7 @@ def _ordered_form(u: Word, a: int, memo: dict[tuple[Word, int], Terms]) -> Terms
                 for c in (1, 2):
                     _ordered_form(u[:k], c, memo)
             v, b, l = u[:-1], u[-1], 6 - a - u[-1]
-            res, _ = _times_letters([(1, (_ordered_form(v, a, memo), 1), b)], memo)
+            res, _ = _times_letter((_ordered_form(v, a, memo), 1), b, memo)
             for t, n in times_key(_ordered_form(v, l, memo), KEY_I).items():
                 _add(res, t, epsilon(b, a, l) * n)
         else:
@@ -450,22 +450,20 @@ def _ordered_form(u: Word, a: int, memo: dict[tuple[Word, int], Terms]) -> Terms
     return res
 
 
-def _times_letters(parts: Sequence[Part], memo: dict[tuple[Word, int], Terms]) -> Row:
-    """Ordered form of sum w * row * S_a over the parts (w, row, a) of rows
-    of ordered words, by insertion, over the rows' common denominator and
-    not reduced."""
-    den = 1
-    for _, (_, d), _ in parts:
-        den = lcm(den, d)
+def _times_letter(row: Row, a: int, memo: dict[tuple[Word, int], Terms]) -> Row:
+    """Ordered form of (the row of ordered words) * S_a, by insertion."""
     out: Terms = {}
-    for w, (terms, d), a in parts:
-        s = w * (den // d)
-        for (u, k1), x in terms.items():
-            m = s * x
-            for (v, k2), y in _ordered_form(u, a, memo).items():
-                f, key = key_product(k1, k2)
-                _add(out, (v, key), f * m * y)
-    return out, den
+    for (u, k1), x in row[0].items():
+        for (w, k2), y in _ordered_form(u, a, memo).items():
+            f, key = key_product(k1, k2)
+            _add(out, (w, key), f * x * y)
+    return out, row[1]
+
+
+def _times_words(parts: Sequence[Part], memo: dict[tuple[Word, int], Terms]) -> Row:
+    """Right multiplication of rows of ordered words (``spinrep.Times``):
+    the ordered form of sum w * row * S_a over the parts (w, row, a)."""
+    return combine_terms((w, *_times_letter(row, a, memo)) for w, row, a in parts)
 
 
 def _fold(p: NCPolynomial, unit: Row, times: Times) -> Row:
@@ -490,7 +488,7 @@ def _fold(p: NCPolynomial, unit: Row, times: Times) -> Row:
 def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
     """Rewrite every word to ordered (non-decreasing) letters using the
     commutation relation, inserting each letter into the ordered words
-    folded so far (``_times_letters``).  Dimension-independent: the result
+    folded so far (``_times_letter``).  Dimension-independent: the result
     evaluates equal to the input on every representation.
 
     The memo keeps every (ordered prefix, letter) result for the whole
@@ -498,7 +496,7 @@ def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
     peak (2 cores, Python 3.11).  ``reduce_degree`` is the path bounded by D.
     """
     memo: dict[tuple[Word, int], Terms] = {}
-    return NCPolynomial._make(_fold(p, _ONE, lambda parts: _times_letters(parts, memo)))
+    return NCPolynomial._make(_fold(p, _ONE, lambda parts: _times_words(parts, memo)))
 
 
 def _identity_replacement(ident: Identity, u: Word, session: SymSession) -> Row:
@@ -538,12 +536,14 @@ class _RuleTable:
         self.rules: dict[tuple[Word, int], Row] = {}  # (v, key) -> basis(key) * rule for v
 
     def times(self, parts: Sequence[Part]) -> Row:
-        return reduce_terms(*_times_letters(parts, self.memo))
+        return _times_words(parts, self.memo)
 
     def step(self, parts: Sequence[Part]) -> Row:
-        """cap(order(sum w * row * S_a)) over the parts (w, row, a): every
-        ordered word of degree D replaced by its rule."""
-        terms, den = _times_letters(parts, self.memo)
+        """cap(order(row * S_a)) for the one part (1, row, a) that ``_fold``
+        passes: every ordered word of degree D replaced by its rule."""
+        ((w, row, a),) = parts
+        assert w == 1, "the fold steps by one letter"
+        terms, den = _times_letter(row, a, self.memo)
         parts = [(1, terms, den)]
         rules = self.rules
         for (v, k), n in terms.items():

@@ -84,9 +84,7 @@ def combine_terms(
     denominator (``reduce_terms``).  Only the numerators of equal cells
     meet, so the cells may be any keys: matrix cells or word cells."""
     parts = list(parts)
-    den = 1
-    for w, _, d in parts:
-        den = lcm(den, w.denominator * d)
+    den = lcm(*(w.denominator * d for w, _, d in parts))
     out: dict[Hashable, int] = {}
     for w, terms, d in parts:
         f = w.numerator * (den // (w.denominator * d))

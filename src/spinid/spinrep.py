@@ -195,11 +195,12 @@ def _times_right(gens: Sequence[Row]) -> Times:
             s = w * (den // (d * dens[a - 1]))
             for (r, k, k1), n1 in terms.items():
                 products = table.get((k, k1))
-                if products is None:
-                    products = table[k, k1] = []
+                if products is None:  # stored only when complete: a race at worst builds it twice
+                    products = []
                     for c, k2, n2 in by_row.get(k, ()):
                         f, key = key_product(k1, k2)
                         products.append((c, key, f * n2))
+                    table[k, k1] = products
                 m = s * n1
                 for c, key, n in products:
                     t = (r, c, key)

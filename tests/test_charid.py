@@ -8,7 +8,6 @@ from test_symalg import brute_sym, dense_similarity
 
 from spinid import charid, spinrep, symalg
 from spinid.charid import (
-    Identity,
     VerificationReport,
     a1_closed,
     a2_closed,
@@ -24,6 +23,7 @@ from spinid.charid import (
     power_sum,
     verify_identity,
 )
+from spinid.scalar import combine_terms
 from spinid.spinrep import Matrix, build_generators, conjugate_rep, eigenvalue_list, spherical_algebra
 from spinid.symalg import CARTESIAN, SPHERICAL, IndexMultiset, SymSession, all_multisets, delta_weights
 
@@ -379,46 +379,58 @@ def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
     monkeypatch.setattr(symalg, "matrix_algebra", refuse)
     monkeypatch.setattr(spinrep, "matrix_algebra", refuse)
     monkeypatch.setattr(charid, "delta_weights", spherical_only)
-    # Cold weight memos, so that every weight goes through the patch: the
-    # levels, and the identities that keep their weights times b_p.
+    # A cold weight memo, so that every weight goes through the patch.
     charid._delta_levels.cache_clear()
-    build_identity.cache_clear()
     for dim in range(2, 7):
         assert verify_identity(REPS[dim], build_identity(dim), mode="exhaustive").ok
         assert not verify_identity(REPS[dim], build_identity(dim + 1), mode="exhaustive").ok
         assert discover_identity(REPS[dim]) == build_identity(dim)
     assert {sum(c) for c in calls} == set(range(2, 8))
     charid._delta_levels.cache_clear()  # no level computed under the patch outlives it
-    build_identity.cache_clear()
 
 
-def test_residual_weights_are_memoized_once():
-    # residual_int reads delta_weights(counts, p, metric) * b_p, computed once
-    # per counts and metric: at most C(D+2, 2) entries per metric, whatever
-    # the number of calls.  Order <= 12 in both metrics, on a session whose
-    # products are cheap (the 1-dimensional representation, all zero).
-    session = SymSession(REPS[1])
+def test_residual_weights_are_memoized_once(monkeypatch):
+    # residual_int reads b_p times delta_weights(counts, p, metric), the
+    # weights computed once per counts and metric: C(D+2, 2) memo entries
+    # per metric at order D, whatever the number of calls.  Order <= 12 in
+    # both metrics, on a session whose products are cheap (D = 2), against
+    # the residual summed from delta_weights itself.
+    session = SymSession(REPS[2])
+    calls = []  # the memo's calls; the expected sums call delta_weights directly
+
+    def counted(counts, p, metric=CARTESIAN):
+        calls.append((counts, p, metric))
+        return delta_weights(counts, p, metric)
+
+    monkeypatch.setattr(charid, "delta_weights", counted)
+    charid._delta_levels.cache_clear()
+    entries = 0
     for dim in range(2, 13):
-        ident = Identity(dim, build_identity(dim).b)
+        ident = build_identity(dim)
         multisets = all_multisets(dim)
-        for _ in range(2):
-            for metric in (CARTESIAN, SPHERICAL):
-                for ms in multisets:
-                    ident.residual_int(session, ms.counts, metric)
-        assert len(ident._weights) == 2 * len(multisets) == 2 * comb(dim + 2, 2)
-        for (counts, metric), weights in ident._weights.items():
-            expected = [(rest.counts, b_p * w) for p, b_p in enumerate(ident.b, start=1)
-                        for rest, w in delta_weights(counts, p, metric).items()]
-            assert list(weights) == expected, (dim, counts, metric)
-            levels = charid._delta_levels(counts, metric)
-            assert len(levels) == dim // 2
-            for p, level in enumerate(levels, start=1):
-                assert dict(level) == {rest.counts: w for rest, w in delta_weights(counts, p, metric).items()}
+        for metric in (CARTESIAN, SPHERICAL):
+            for ms in multisets:
+                expected = [(1, *session.sym_int(ms.counts))]
+                expected += [(b_p * w, *session.sym_int(rest.counts)) for p, b_p in enumerate(ident.b, start=1)
+                             for rest, w in delta_weights(ms.counts, p, metric).items()]
+                assert ident.residual_int(session, ms.counts, metric) == combine_terms(expected), (ms, metric)
+                levels = charid._delta_levels(ms.counts, metric)
+                assert len(levels) == dim // 2
+                for p, level in enumerate(levels, start=1):
+                    assert dict(level) == {rest.counts: w for rest, w in delta_weights(ms.counts, p, metric).items()}
+        entries += 2 * len(multisets)
+        assert len(multisets) == comb(dim + 2, 2)
+        assert charid._delta_levels.cache_info().currsize == entries
+        n_calls = len(calls)
+        for metric in (CARTESIAN, SPHERICAL):
+            for ms in multisets:
+                ident.residual_int(session, ms.counts, metric)
+        assert len(calls) == n_calls, "a warm residual recomputed its weights"
         with pytest.raises(ValueError, match="expected"):
             ident.residual_int(session, (dim, 1, 0))
-        assert len(ident._weights) == 2 * len(multisets)
     info = charid._delta_levels.cache_info()
     assert info.currsize <= info.maxsize
+    charid._delta_levels.cache_clear()  # no level computed under the patch outlives it
 
 
 def _oracle_draws(seed, d, count):

@@ -30,7 +30,7 @@ from spinid.rewrite import (
     sym_words,
     to_json_dict,
 )
-from spinid.scalar import SCALAR_ONE, Scalar, reduce_terms, render_components
+from spinid.scalar import SCALAR_ONE, Scalar, render_components
 from spinid.spinrep import Matrix, build_generators
 from spinid.symalg import IndexMultiset, SymSession, all_multisets, delta_weights, epsilon
 
@@ -582,7 +582,7 @@ def test_word_session_evaluates_to_matrix_session(dim):
     # one engine in two algebras: {c} built from ordered words and from
     # matrices must be the same operator
     memo = {}
-    words = SymSession(unit=rewrite._ONE, times=lambda parts: reduce_terms(*rewrite._times_letters(parts, memo)))
+    words = SymSession(unit=rewrite._ONE, times=lambda parts: rewrite._times_words(parts, memo))
     matrices, cache = SymSession(REPS[dim]), {}
     for order in range(6):
         for ms in all_multisets(order):

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import random
 import sys
+import threading
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import reference as R
 from reference import lib, ref
-from spinid import symalg
+from spinid import spinrep
 from spinid.charid import build_identity, verify_identity
 from spinid.scalar import Scalar, combine_terms
 from spinid.spinrep import (
@@ -214,6 +215,69 @@ def test_session_builds_each_missing_entry_once():
     for key in keys:
         session.sym_int(key)
     assert len(built) == 146
+
+
+def test_threads_share_one_spherical_session():
+    # Threads may share a session and its algebra: the product tables of
+    # the right multiplication are stored only when complete, so a thread
+    # never reads one half built.  Four threads fill one cold session each
+    # round, switching often, against a serial fill.
+    rep = conjugate_rep(REPS[5], dense_similarity(5))
+    keys = [ms.counts for order in range(7) for ms in all_multisets(order)]
+    unit, times = spherical_algebra(rep)
+    serial = SymSession(unit=unit, times=times)
+    expected = [serial.sym_int(c) for c in keys]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the tables' updates
+    try:
+        for _ in range(3):
+            unit, times = spherical_algebra(rep)
+            session = SymSession(unit=unit, times=times)
+            start = threading.Barrier(4, timeout=60)
+            results = [None] * 4
+
+            def work(k):
+                start.wait()
+                results[k] = [session.sym_int(c) for c in keys]
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_product_tables_are_stored_complete(monkeypatch):
+    # A thread that meets a product table another thread is still building
+    # builds its own: the builder is held inside its first key_product call
+    # while the main thread takes the same product.
+    unit, times = spherical_algebra(REPS[3])
+    part = [(1, unit, 1)]
+    expected = spherical_algebra(REPS[3])[1](part)
+    entered, release = threading.Event(), threading.Event()
+    key_product = spinrep.key_product
+
+    def held(k1, k2):
+        if threading.current_thread() is builder:
+            entered.set()
+            release.wait(timeout=60)
+        return key_product(k1, k2)
+
+    monkeypatch.setattr(spinrep, "key_product", held)
+    results = []
+    builder = threading.Thread(target=lambda: results.append(times(part)))
+    builder.start()
+    try:
+        assert entered.wait(timeout=60)
+        assert times(part) == expected
+    finally:
+        release.set()
+        builder.join(timeout=60)
+    assert results == [expected]
 
 
 def test_session_reuses_results():
