@@ -27,15 +27,15 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from typing import Literal, Sequence
 
-from .scalar import KEY_I, Row, Scalar, combine_terms, frac_str, times_key
-from .spinrep import Matrix, SpinRep, eigenvalue_list, first_nonzero_entry, spherical_algebra
-from .symalg import CARTESIAN, SPHERICAL, IndexMultiset, Metric, SymSession, all_multisets, delta_weights, pairing_count
+from .scalar import KEY_I, Record, Row, Scalar, combine_terms, frac_str, times_key
+from .spinrep import Matrix, SpinRep, first_nonzero_entry, spherical_algebra
+from .symalg import CARTESIAN, SPHERICAL, IndexMultiset, Metric, SymSession, all_counts, delta_weights, pairing_count
 
 Witness = tuple[int, int, Scalar]
 Failure = tuple[tuple[int, ...], Witness]
@@ -45,12 +45,13 @@ class DiscoveryError(ArithmeticError):
     """The coefficient solve was inconsistent or underdetermined."""
 
 
-@dataclass(frozen=True)
-class CharCoeffs:
+class CharCoeffs(Record):
     """Coefficients a_1..a_floor(D/2) of the monic characteristic equation."""
 
-    dim: int
-    a: tuple[Fraction, ...]
+    __match_args__ = ("dim", "a")
+
+    def __init__(self, dim: int, a: tuple[Fraction, ...]) -> None:
+        super().__init__(dim, a)
 
 
 def char_coeffs(dim: int) -> CharCoeffs:
@@ -58,22 +59,42 @@ def char_coeffs(dim: int) -> CharCoeffs:
 
     Integer spin:      S (S^2 - 1)(S^2 - 4) ... (S^2 - n^2) = 0
     half-integral:     (S^2 - 1/4)(S^2 - 9/4) ... (S^2 - (2n+1)^2/4) = 0
+
+    In z = 4 S^2 the factors are z - t^2, t = 2m (``_char_z``), so
+    a_j = c_j / 4^j.
     """
+    return CharCoeffs(dim, tuple(Fraction(c, 4**j) for j, c in enumerate(_char_z(dim), start=1)))
+
+
+@lru_cache(maxsize=32)
+def _char_z(dim: int) -> tuple[int, ...]:
+    """c_1..c_k of prod (z - t^2) = z^k + c_1 z^(k-1) + ... + c_k over the
+    doubled nonzero eigenvalues t = 2m > 0, t = dim - 1, dim - 3, ..., in
+    integers.  Memoized like ``build_identity``: ``char_coeffs`` and
+    ``b_coeffs`` both read it."""
     if dim < 2:
         raise ValueError("no nontrivial identity below dimension 2")
-    coeffs = [Fraction(1)]  # polynomial in y = S^2, highest power first
-    for e in [m * m for m in eigenvalue_list(dim) if m > 0]:  # each nonzero square once
-        nxt = coeffs + [Fraction(0)]
-        for j in range(1, len(nxt)):
-            nxt[j] -= e * coeffs[j - 1]
-        coeffs = nxt
-    return CharCoeffs(dim=dim, a=tuple(coeffs[1:]))
+    c = [1]
+    for t in range(dim - 1, 0, -2):
+        sq = t * t
+        c = [x - sq * y for x, y in zip(c + [0], [0] + c)]
+    return tuple(c[1:])
+
+
+# power_sum's ladder takes O(r^2) exact steps on numbers of O(r) digits:
+# about 1.5 s at r = 500, 7 s at r = 1000 and 85 s at r = 2000 (2 cores,
+# Python 3.11), so larger r is refused.
+POWER_SUM_MAX_R = 500
 
 
 def power_sum(r: int, n: int) -> Fraction:
-    """Sum of q^r for q = 0..n, via the binomial-recursion ladder."""
+    """Sum of q^r for q = 0..n, via the binomial-recursion ladder; r is at
+    most ``POWER_SUM_MAX_R``."""
     if r < 0 or n < 0:
         raise ValueError("power_sum needs nonnegative arguments")
+    if r > POWER_SUM_MAX_R:
+        raise ValueError(f"power sum exponent r = {r} refused: above {POWER_SUM_MAX_R} the ladder of "
+                         "O(r^2) exact steps runs for seconds to minutes")
     return _power_sum(r, n)
 
 
@@ -132,11 +153,8 @@ def a2_closed(dim: int) -> Fraction:
 
 
 def b_coeffs(dim: int) -> list[Fraction]:
-    """Identity coefficients b_p = 2^p p! a_p."""
-    return [
-        (2**p) * factorial(p) * a
-        for p, a in enumerate(char_coeffs(dim).a, start=1)
-    ]
+    """Identity coefficients b_p = 2^p p! a_p = p! c_p / 2^p (``_char_z``)."""
+    return [Fraction(factorial(p) * c, 2**p) for p, c in enumerate(_char_z(dim), start=1)]
 
 
 @dataclass(frozen=True)
@@ -212,8 +230,7 @@ def discover_identity(rep: SpinRep) -> Identity:
 
     # pivots[j] = integer row with leading entry in column j (plus rhs).
     pivots: dict[int, list[int]] = {}
-    for ms in all_multisets(dim):
-        counts = ms.counts
+    for counts in all_counts(dim):
         mats = [combine_terms((w, *session.sym_int(rest)) for rest, w in level)
                 for level in _delta_levels(counts, SPHERICAL)]
         mats.append(combine_terms([(-1, *session.sym_int(counts))]))
@@ -294,19 +311,18 @@ def _spherical_weights(c1: int, c2: int) -> tuple[tuple[int, int, Fraction], ...
     return tuple(out)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of checking one identity against one representation."""
 
-    dim: int
-    rep_dim: int
-    mode: Literal["exhaustive", "sampled"]
-    tuples_checked: int
-    failures: list[Failure] = field(default_factory=list)
-    elapsed: float = 0.0
-    # Counters of the run, off the wire like elapsed: multisets evaluated,
-    # spherical residuals computed and products memoized (the unit included).
-    stats: dict[str, int] = field(default_factory=dict, compare=False)
+    __match_args__ = ("dim", "rep_dim", "mode", "tuples_checked", "failures", "elapsed")
+
+    def __init__(self, dim: int, rep_dim: int, mode: Literal["exhaustive", "sampled"], tuples_checked: int,
+                 failures: list[Failure] | None = None, elapsed: float = 0.0, stats: dict[str, int] | None = None):
+        super().__init__(dim, rep_dim, mode, tuples_checked, [] if failures is None else failures, elapsed)
+        # Counters of the run, off the wire like elapsed and outside equality:
+        # multisets evaluated, spherical residuals computed and products
+        # memoized (the unit included).
+        self.__dict__["stats"] = {} if stats is None else stats
 
     @property
     def ok(self) -> bool:
@@ -376,7 +392,7 @@ def verify_identity(
         raise ValueError(f"unknown mode {mode!r}")
 
     if tuples is None:
-        keys = [ms.counts for ms in all_multisets(d)]
+        keys = all_counts(d)
     else:
         keys = sorted({(t.count(1), t.count(2), t.count(3)) for t in tuples})
     unit, times = spherical_algebra(rep)

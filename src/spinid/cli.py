@@ -11,8 +11,11 @@ import argparse
 import json
 import os
 import sys
+from math import lgamma, log, log10
+from typing import Iterable
 
 from .charid import (
+    POWER_SUM_MAX_R,
     b_coeffs,
     build_identity,
     char_coeffs,
@@ -138,16 +141,61 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
+def _digit_limit() -> int:
+    """The most decimal digits this interpreter prints of one integer
+    (``sys.get_int_max_str_digits``; 0, or an interpreter without one, means
+    no limit)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _refuse_digits(command: str) -> ValueError:
+    return ValueError(f"{command}: refused, the output would hold a number of more than "
+                      f"{_digit_limit()} digits, the most this interpreter prints")
+
+
+def _admit_digits(command: str, log10_size: float) -> None:
+    """Refuse up front when the output will hold a number of magnitude
+    10^log10_size (a lower bound) that has too many digits to print.  The
+    margin of one digit absorbs float rounding; ``_decimal`` refuses the
+    rest exactly, after computing."""
+    limit = _digit_limit()
+    if limit and log10_size > limit + 1:
+        raise _refuse_digits(command)
+
+
+def _decimal(command: str, values: Iterable) -> str:
+    try:
+        return ", ".join(str(x) for x in values)
+    except ValueError:  # an integer past the digit limit
+        raise _refuse_digits(command) from None
+
+
+def _log10_last_b(dim: int) -> float:
+    """log10 |b_k|, k = dim // 2, the last number ``coeffs`` prints:
+    b_k = k! c_k / 2^k with |c_k| = ((dim - 1)!!)^2 (``charid._char_z``).
+    dim is capped at 10^12, so the floats stay finite for any input;
+    b_k there is already far past any digit limit."""
+    k = min(max(dim, 0), 10**12) // 2
+    # ln (dim - 1)!!: 2^k k! for odd dim, (2k)! / (2^k k!) for even
+    ln_dfact = k * log(2) + lgamma(k + 1) if dim % 2 else lgamma(2 * k + 1) - k * log(2) - lgamma(k + 1)
+    return (lgamma(k + 1) + 2 * ln_dfact - k * log(2)) / log(10)
+
+
 def cmd_coeffs(args: argparse.Namespace) -> int:
-    a = char_coeffs(args.dim).a
-    b = b_coeffs(args.dim)
-    print("a = (" + ", ".join(str(x) for x in a) + ")")
-    print("b = (" + ", ".join(str(x) for x in b) + ")")
+    command = f"coeffs {args.dim}"
+    _admit_digits(command, _log10_last_b(args.dim))
+    a = _decimal(command, char_coeffs(args.dim).a)
+    b = _decimal(command, b_coeffs(args.dim))
+    print(f"a = ({a})")
+    print(f"b = ({b})")
     return 0
 
 
 def cmd_sums(args: argparse.Namespace) -> int:
-    print(power_sum(args.r, args.n))
+    command = f"sums {args.r} {args.n}"
+    if args.n > 0 and args.r <= POWER_SUM_MAX_R:  # power_sum refuses a larger r
+        _admit_digits(command, args.r * log10(args.n))  # the sum is at least n^r
+    print(_decimal(command, [power_sum(args.r, args.n)]))
     return 0
 
 

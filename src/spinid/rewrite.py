@@ -19,7 +19,6 @@ is a view of the cells of its word.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -29,6 +28,7 @@ from .charid import Identity, build_identity
 from .scalar import (
     KEY_I,
     KEY_ONE,
+    Record,
     Row,
     Scalar,
     combine_terms,
@@ -161,20 +161,19 @@ class NCPolynomial:
         return f"NCPolynomial({render(self)})"
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Record):
     """An NCPolynomial in canonical shape for dimension D: every word
     ordered (non-decreasing letters) with degree <= D-1."""
 
-    poly: NCPolynomial
-    dim: int
+    __match_args__ = ("poly", "dim")
 
-    def __post_init__(self) -> None:
-        for w, _ in self.poly._row[0]:
-            if len(w) > self.dim - 1:
-                raise ValueError(f"word {w} exceeds degree {self.dim - 1}")
+    def __init__(self, poly: NCPolynomial, dim: int) -> None:
+        for w, _ in poly._row[0]:
+            if len(w) > dim - 1:
+                raise ValueError(f"word {w} exceeds degree {dim - 1}")
             if any(w[k] > w[k + 1] for k in range(len(w) - 1)):
                 raise ValueError(f"word {w} is not ordered")
+        super().__init__(poly, dim)
 
     def __str__(self) -> str:
         return render(self.poly)

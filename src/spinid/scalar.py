@@ -27,6 +27,36 @@ class UnsupportedInverseError(ArithmeticError):
     """Inverse requested outside the supported (Gaussian-rational) subset."""
 
 
+class Record:
+    """An immutable value.  A subclass names its fields in ``__match_args__``
+    and its ``__init__`` passes their values to ``Record.__init__``, once;
+    equality, hashing and repr go by those values, in that order.  A plain
+    class, not a dataclass: the package imports faster."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *values: object) -> None:
+        fields = self.__dict__
+        fields.update(zip(self.__match_args__, values))
+        fields["_values"] = values
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        self.__setattr__(name, None)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values == other._values if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values))
+        return f"{type(self).__name__}({fields})"
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = c*c*m with m squarefree; return (c, m).
 

@@ -12,7 +12,6 @@ in (``SpinRep.from_matrices``, ``conjugate_rep``) or asks for
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -21,6 +20,7 @@ from typing import Callable, Sequence
 from .scalar import (
     KEY_I,
     KEY_ONE,
+    Record,
     Row,
     Scalar,
     combine_terms,
@@ -226,12 +226,13 @@ def eigenvalue_list(dim: int) -> list[Fraction]:
     return [s - k for k in range(dim)]
 
 
-@dataclass(frozen=True)
-class SpinRep:
+class SpinRep(Record):
     """The D x D spin matrices (S_1, S_2, S_3) as matrix rows; ``S`` as Matrices."""
 
-    dim: int
-    rows: tuple[Row, Row, Row]
+    __match_args__ = ("dim", "rows")
+
+    def __init__(self, dim: int, rows: tuple[Row, Row, Row]) -> None:
+        super().__init__(dim, rows)
 
     @property
     def spin(self) -> Fraction:

@@ -21,25 +21,24 @@ both.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .scalar import Row
+from .scalar import Record, Row
 from .spinrep import Matrix, SpinRep, Times, matrix_algebra
 
 Axis = int  # one of 1, 2, 3
 
 
-@dataclass(frozen=True)
-class IndexMultiset:
+class IndexMultiset(Record):
     """Multiplicities of the axes 1, 2, 3; order is the total count."""
 
-    counts: tuple[int, int, int]
+    __match_args__ = ("counts",)
 
-    def __post_init__(self) -> None:
-        if len(self.counts) != 3 or any(c < 0 for c in self.counts):
+    def __init__(self, counts: tuple[int, int, int]) -> None:
+        if len(counts) != 3 or min(counts) < 0:
             raise ValueError("counts must be three nonnegative integers")
+        super().__init__(counts)
 
     @classmethod
     def from_tuple(cls, idx: Iterable[Axis]) -> "IndexMultiset":
@@ -60,13 +59,15 @@ class IndexMultiset:
         )
 
 
+def all_counts(order: int) -> list[tuple[int, int, int]]:
+    """The axis counts of every index multiset of the given order, in
+    lexicographic letter order."""
+    return [(c1, c2, order - c1 - c2) for c1 in range(order, -1, -1) for c2 in range(order - c1, -1, -1)]
+
+
 def all_multisets(order: int) -> list[IndexMultiset]:
-    """Every IndexMultiset of the given order, in lexicographic letter order."""
-    out = []
-    for c1 in range(order, -1, -1):
-        for c2 in range(order - c1, -1, -1):
-            out.append(IndexMultiset((c1, c2, order - c1 - c2)))
-    return out
+    """Every IndexMultiset of the given order (``all_counts``)."""
+    return [IndexMultiset(c) for c in all_counts(order)]
 
 
 class SymSession:

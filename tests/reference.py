@@ -4,14 +4,16 @@
 lists of ``Scalar``, merged entry by entry: no code is shared with the
 library's rows.  ``ref`` reads a library Scalar or Matrix into this
 arithmetic and ``lib`` writes a reference value back, so an oracle computes
-here and compares here.
+here and compares here.  ``char_coeffs`` and ``b_coeffs`` expand the
+characteristic equation in ``Fraction`` arithmetic, against the library's
+expansion in integers.
 """
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import spinid
 from spinid.scalar import UnsupportedInverseError, fraction_row, render_components, row_scalars, squarefree_decompose
-from spinid.spinrep import SingularMatrixError
+from spinid.spinrep import SingularMatrixError, eigenvalue_list
 
 
 class Radical:
@@ -218,3 +220,21 @@ def lib(x):
     if isinstance(x, Matrix):
         return spinid.Matrix([[lib(a) for a in r] for r in x.rows])
     return spinid.Scalar._make(fraction_row({(2 * m + (part == "im"),): c for (part, m), c in x.components().items()}))
+
+
+def char_coeffs(dim):
+    """a_1..a_floor(D/2) of the characteristic equation, expanding the
+    product of S^2 - m^2 over the nonzero eigenvalue squares in Fraction
+    arithmetic, highest power of S^2 first."""
+    coeffs = [Fraction(1)]
+    for e in [m * m for m in eigenvalue_list(dim) if m > 0]:
+        nxt = coeffs + [Fraction(0)]
+        for j in range(1, len(nxt)):
+            nxt[j] -= e * coeffs[j - 1]
+        coeffs = nxt
+    return tuple(coeffs[1:])
+
+
+def b_coeffs(dim):
+    """b_p = 2^p p! a_p from the reference a_p."""
+    return [2**p * factorial(p) * a for p, a in enumerate(char_coeffs(dim), start=1)]

@@ -1,13 +1,17 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+import reference
 from test_symalg import brute_sym, dense_similarity
 
 from spinid import charid, spinrep, symalg
 from spinid.charid import (
+    CharCoeffs,
+    Identity,
     VerificationReport,
     a1_closed,
     a2_closed,
@@ -23,8 +27,9 @@ from spinid.charid import (
     power_sum,
     verify_identity,
 )
+from spinid.rewrite import NormalForm, parse
 from spinid.scalar import combine_terms
-from spinid.spinrep import Matrix, build_generators, conjugate_rep, eigenvalue_list, spherical_algebra
+from spinid.spinrep import Matrix, SpinRep, build_generators, conjugate_rep, eigenvalue_list, spherical_algebra
 from spinid.symalg import CARTESIAN, SPHERICAL, IndexMultiset, SymSession, all_multisets, delta_weights
 
 REPS = {dim: build_generators(dim) for dim in range(1, 8)}
@@ -51,7 +56,13 @@ def test_every_eigenvalue_is_a_root(dim):
         assert value == 0
 
 
-@pytest.mark.parametrize("dim", range(2, 13))
+def test_integer_expansion_matches_fraction_oracle():
+    for dim in [*range(2, 121), 400, 401]:
+        assert char_coeffs(dim).a == reference.char_coeffs(dim), dim
+        assert b_coeffs(dim) == reference.b_coeffs(dim), dim
+
+
+@pytest.mark.parametrize("dim", range(2, 61))
 def test_closed_forms_match_expansion(dim):
     a = char_coeffs(dim).a
     assert a1_closed(dim) == a[0]
@@ -95,6 +106,8 @@ def test_power_sum_examples():
         power_sum(-1, 3)
     with pytest.raises(ValueError):
         power_sum(2, -1)
+    with pytest.raises(ValueError, match="r = 501"):
+        power_sum(charid.POWER_SUM_MAX_R + 1, 1)
 
 
 def test_power_sum_against_brute_force():
@@ -111,6 +124,52 @@ def test_power_sum_closed_forms():
         assert power_sum(4, n) == Fraction(
             n * (n + 1) * (2 * n + 1) * (3 * n**2 + 3 * n - 1), 30
         )
+
+
+# --- value classes -----------------------------------------------------------
+
+
+def _values():
+    """Two equal, separately built values of each plain value class."""
+    return [
+        (CharCoeffs(4, (Fraction(-5, 2), Fraction(9, 16))), char_coeffs(4)),
+        (IndexMultiset((1, 2, 0)), IndexMultiset.from_tuple((2, 1, 2))),
+        (build_generators(3), SpinRep(3, build_generators(3).rows)),
+        (NormalForm(parse("S1*S2 + 2"), 3), NormalForm(parse("2 + S1*S2"), 3)),
+        (VerificationReport(3, 3, "exhaustive", 27), VerificationReport(3, 3, "exhaustive", 27, [], 0.0)),
+    ]
+
+
+@pytest.mark.parametrize("x, y", _values(), ids=lambda v: type(v).__name__)
+def test_value_classes_compare_and_hash_by_value(x, y):
+    assert x == y and not x != y and not dataclasses.is_dataclass(x)
+    assert repr(x) == repr(y) and repr(x).startswith(type(x).__name__ + "(")
+    if isinstance(x, (SpinRep, VerificationReport)):  # rows hold dicts, failures is a list
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == hash(y) and {x: 1}[y] == 1
+    field = x.__match_args__[0]
+    with pytest.raises(AttributeError):
+        setattr(x, field, getattr(y, field))
+    with pytest.raises(AttributeError):
+        delattr(x, field)
+    assert x == y
+
+
+def test_report_equality_ignores_stats():
+    a = VerificationReport(3, 3, "exhaustive", 27, stats={"multisets": 10})
+    b = VerificationReport(3, 3, "exhaustive", 27, stats={"multisets": 4})
+    assert a == b and a.stats != b.stats
+    assert a != VerificationReport(3, 3, "exhaustive", 27, elapsed=1.0)
+
+
+def test_identity_stays_a_dataclass():
+    # a perturbed copy, as the benchmark's self-check builds one
+    ident = build_identity(5)
+    wrong = dataclasses.replace(ident, b=(ident.b[0] + 1, ident.b[1]))
+    assert isinstance(wrong, Identity) and wrong.dim == 5 and wrong.b != ident.b
+    assert build_identity(5).b == (-10, 32)
 
 
 # --- identity synthesis ------------------------------------------------------

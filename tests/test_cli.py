@@ -9,8 +9,8 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, timeout=None):
-    env = dict(os.environ, PYTHONPATH=SRC)
+def run_cli(*args, timeout=None, **env):
+    env = dict(os.environ, PYTHONPATH=SRC, **env)
     return subprocess.run(
         [sys.executable, "-m", "spinid", *args],
         env=env,
@@ -242,6 +242,54 @@ def test_sums():
     assert run_cli("sums", "2", "10").stdout.strip() == "385"
     assert run_cli("sums", "0", "0").stdout.strip() == "1"
     assert run_cli("sums", "-1", "4").returncode == 2
+
+
+def _refused(proc, command):
+    return (proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+            and proc.stderr.startswith(f"spinid: {command}: refused") and "4300 digits" in proc.stderr)
+
+
+@pytest.mark.parametrize("dim", [1176, 1177, 10**8, 10**400])
+def test_coeffs_refuses_numbers_past_the_digit_limit(dim):
+    # The longest number printed, the last b_p, has 4300 digits at D = 1176
+    # and 4302 at D = 1177; larger D is refused before any expansion.
+    proc = run_cli("coeffs", str(dim), timeout=60, PYTHONINTMAXSTRDIGITS="4300")
+    if dim == 1176:
+        assert proc.returncode == 0
+        last = proc.stdout.splitlines()[1].removesuffix(")").split(", ")[-1]
+        assert len(last.split("/")[0]) == 4300
+    else:
+        assert _refused(proc, f"coeffs {dim}"), proc.stderr
+
+
+def test_sums_refusals():
+    assert _refused(run_cli("sums", "500", "1000000000", PYTHONINTMAXSTRDIGITS="4300"), "sums 500 1000000000")
+    for r in (501, 10**400):
+        proc = run_cli("sums", str(r), "3", timeout=60)
+        assert proc.returncode == 2 and f"r = {r} refused" in proc.stderr and "Traceback" not in proc.stderr
+    # at the bound: about a second
+    proc = run_cli("sums", "500", "3", timeout=60)
+    assert proc.returncode == 0 and int(proc.stdout) == sum(q**500 for q in range(4))
+
+
+def test_digit_refusal_after_computing(capsys):
+    # A last b_p or a sum of limit + 1 digits passes the estimate made up
+    # front and is refused when printed.
+    from spinid import cli
+
+    limit = sys.get_int_max_str_digits()
+    try:
+        for argv, digits in ((["coeffs", "400"], len(str(cli.b_coeffs(400)[-1].numerator))),
+                             (["sums", "500", "20"], len(str(cli.power_sum(500, 20))))):
+            sys.set_int_max_str_digits(digits - 1)
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"spinid: {' '.join(argv)}: refused") and f"{digits - 1} digits" in err
+            sys.set_int_max_str_digits(digits)
+            assert cli.main(argv) == 0
+            capsys.readouterr()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_closed_stdout_exits_quietly():
