@@ -17,10 +17,16 @@ even e1 + e2 + e3 = 2p of prod_a C(c_a, e_a) (e_a - 1)!! {S over c - e}
 The identity is a symmetric tensor identity, so it holds iff its spherical
 components vanish: the residuals for counts (a, b, c) of S_+ = S_1 + i S_2,
 S_- = S_1 - i S_2 and S_3, with the deltas weighted by the SPHERICAL metric.
-``verify_identity`` and ``discover_identity`` evaluate those, in one
-SymSession over ``spinrep.spherical_algebra``; a failure's witness is read
-from the Cartesian residual, rebuilt exactly from the spherical ones
-(``cartesian_residual``).  The rewriter keeps the Cartesian residual.
+Contracted with u, the left side is D! times the polynomial
+F(u) = sum_j a_j (u.u)^j (u.S)^(D - 2j), and the spherical residuals are
+its coefficients.  ``verify_identity`` evaluates F by Horner's rule in
+(u.S)^2 over ``spinrep.spherical_algebra`` (``_sweep_residuals``), holding
+two orders of coefficients at a time and no delta weights; a failure's
+witness is read from the Cartesian residual, rebuilt exactly from the
+spherical ones (``cartesian_residual``).  ``discover_identity`` keeps the
+levels apart, since its b_p are the unknowns: it reads the delta weights
+and one SymSession, as ``Identity.residual_int`` does, which also serves
+the rewriter (with the Cartesian residual) and the tests as the oracle.
 """
 from __future__ import annotations
 
@@ -89,23 +95,20 @@ POWER_SUM_MAX_R = 500
 
 def power_sum(r: int, n: int) -> Fraction:
     """Sum of q^r for q = 0..n, via the binomial-recursion ladder; r is at
-    most ``POWER_SUM_MAX_R``."""
+    most ``POWER_SUM_MAX_R``.  The ladder of the sums for exponents 0..r
+    lives for one call only, so no state outlives it."""
     if r < 0 or n < 0:
         raise ValueError("power_sum needs nonnegative arguments")
     if r > POWER_SUM_MAX_R:
         raise ValueError(f"power sum exponent r = {r} refused: above {POWER_SUM_MAX_R} the ladder of "
                          "O(r^2) exact steps runs for seconds to minutes")
-    return _power_sum(r, n)
-
-
-@lru_cache(maxsize=None)
-def _power_sum(r: int, n: int) -> Fraction:
-    if r == 0:
-        return Fraction(n + 1)
-    acc = Fraction((n + 1) ** (r + 1))
-    for p in range(r):
-        acc -= comb(r + 1, p) * _power_sum(p, n)
-    return acc / (r + 1)
+    sums = [Fraction(n + 1)]  # sums[p] = sum of q^p, q = 0..n
+    for k in range(1, r + 1):
+        acc = Fraction((n + 1) ** (k + 1))
+        for p in range(k):
+            acc -= comb(k + 1, p) * sums[p]
+        sums.append(acc / (k + 1))
+    return sums[r]
 
 
 def a1_closed(dim: int) -> Fraction:
@@ -311,6 +314,49 @@ def _spherical_weights(c1: int, c2: int) -> tuple[tuple[int, int, Fraction], ...
     return tuple(out)
 
 
+def _sweep_residuals(rep: SpinRep, ident: Identity,
+                     targets: set[tuple[int, int, int]]) -> tuple[dict[tuple[int, int, int], Row], int]:
+    """The spherical residuals R(c) at the order-D counts ``targets``, and
+    the number of products taken, by Horner's rule on the contracted
+    identity.
+
+    Contracted with u, u.S = alpha S_+ + beta S_- + gamma S_3, the left
+    side is D! F with F = sum_j a_j (u.u)^j (u.S)^(D - 2j), u.u = 4 alpha
+    beta + gamma^2 and a_j = b_j / (2^j j!) (a_0 = 1), and R(c) is
+    Q_F(c) = c1! c2! c3! [alpha^c1 beta^c2 gamma^c3] F.  With Q normalized
+    so, a right factor u.S maps Q to Q'(c) = sum_a c_a Q(c - e_a) S_a, one
+    ``times`` call per entry, as ``SymSession`` builds {c}.  The sweep runs
+    G_0 = 1, G_j = G_(j-1) (u.S)^2 + a_j (u.u)^j and F = G_(D//2) (u.S)^(D%2):
+    the term a_j (u.u)^j adds a_j C(j, m) 4^m c! times the unit at
+    c = (m, m, 2(j - m)).  Only two orders are held at a time, and each
+    holds only the counts below some target."""
+    d = ident.dim
+    levels = [set(targets)]  # the downset of the targets, order d down to 0
+    for _ in range(d):
+        levels.append({b for x, y, z in levels[-1]
+                       for k, b in ((x, (x - 1, y, z)), (y, (x, y - 1, z)), (z, (x, y, z - 1))) if k})
+    unit, times = spherical_algebra(rep)
+    rows, products = {(0, 0, 0): unit}, 0
+    for n in range(1, d + 1):
+        below, rows = rows, {}
+        for x, y, z in levels[d - n]:
+            parts = []
+            for a, k, b in ((1, x, (x - 1, y, z)), (2, y, (x, y - 1, z)), (3, z, (x, y, z - 1))):
+                if k and below[b][0]:  # a zero row stays zero: it is not multiplied
+                    parts.append((k, below[b], a))
+            rows[x, y, z] = times(parts) if parts else ({}, 1)
+            products += bool(parts)
+        j = n // 2
+        if n % 2 == 0 and j <= len(ident.b):
+            a_j = ident.b[j - 1] / (2**j * factorial(j))
+            for m in range(j + 1):
+                c = (m, m, n - 2 * m)
+                if c in rows:
+                    w = a_j * (comb(j, m) * 4**m * factorial(m) ** 2 * factorial(n - 2 * m))
+                    rows[c] = combine_terms([(1, *rows[c]), (w, *unit)])
+    return rows, products
+
+
 class VerificationReport(Record):
     """Outcome of checking one identity against one representation."""
 
@@ -321,7 +367,7 @@ class VerificationReport(Record):
         super().__init__(dim, rep_dim, mode, tuples_checked, [] if failures is None else failures, elapsed)
         # Counters of the run, off the wire like elapsed and outside equality:
         # multisets evaluated, spherical residuals computed and products
-        # memoized (the unit included).
+        # taken by the sweep (``times`` calls).
         self.__dict__["stats"] = {} if stats is None else stats
 
     @property
@@ -365,7 +411,12 @@ def verify_identity(
     when some multiset fails.  A multiset c is evaluated through the
     spherical residuals with counts (a, c1 + c2 - a, c3): when they all
     vanish it holds, and otherwise its witness is the first nonzero entry
-    of ``cartesian_residual``.  Cross-dimension
+    of ``cartesian_residual``.  The spherical residuals come from one
+    Horner sweep of the contracted identity (``_sweep_residuals``), order
+    by order up to D, over every counts below the ones needed: all of
+    them when exhaustive, the downset of the drawn multisets when
+    sampled.  Memory holds two orders of rows, not the products of every
+    order.  Cross-dimension
     checks (ident.dim != rep.dim) are allowed and useful.  A failing
     identity yields a report, never an exception.
 
@@ -395,16 +446,10 @@ def verify_identity(
         keys = all_counts(d)
     else:
         keys = sorted({(t.count(1), t.count(2), t.count(3)) for t in tuples})
-    unit, times = spherical_algebra(rep)
-    session = SymSession(unit=unit, times=times)
-    spherical: dict[tuple[int, int, int], Row] = {}
+    groups = {c: [(a, c[0] + c[1] - a, c[2]) for a in range(c[0] + c[1] + 1)] for c in keys}
+    spherical, products = _sweep_residuals(rep, ident, {key for group in groups.values() for key in group})
     verdicts = {}
-    for c in keys:
-        n = c[0] + c[1]
-        group = [(a, n - a, c[2]) for a in range(n + 1)]
-        for key in group:
-            if key not in spherical:
-                spherical[key] = ident.residual_int(session, key, SPHERICAL)
+    for c, group in groups.items():
         held = not any(spherical[key][0] for key in group)
         verdicts[c] = None if held else first_nonzero_entry(cartesian_residual(c, spherical))
 
@@ -422,7 +467,7 @@ def verify_identity(
         tuples_checked=checked,
         failures=failures,
         elapsed=time.perf_counter() - t0,
-        stats={"multisets": len(keys), "spherical_residuals": len(spherical), "products": session.memo_size},
+        stats={"multisets": len(keys), "spherical_residuals": len(spherical), "products": products},
     )
 
 

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from math import lgamma, log, log10
-from typing import Iterable
+from typing import Callable
 
 from .charid import (
     POWER_SUM_MAX_R,
@@ -107,14 +107,16 @@ def _parse_verify_mode(value: str) -> tuple[str, int | None, int | None]:
 
 def cmd_identity(args: argparse.Namespace) -> int:
     # Every usage error is raised before anything is printed.
+    command = f"identity {args.dim}"
     verify = None if args.verify is None else _parse_verify_mode(args.verify)
+    _admit_digits(command, _log10_last_b(args.dim))
     ident = build_identity(args.dim)
     if verify is not None:
         rep = build_generators(args.rep_dim if args.rep_dim is not None else args.dim)
     if args.format == "json":
-        print(json.dumps(identity_to_json(ident, args.normalization)))
+        print(_rendered(command, lambda: json.dumps(identity_to_json(ident, args.normalization))))
     else:
-        print(identity_to_latex(ident, args.normalization, expand=args.expand))
+        print(_rendered(command, lambda: identity_to_latex(ident, args.normalization, expand=args.expand)))
     if verify is None:
         return 0
 
@@ -156,22 +158,25 @@ def _refuse_digits(command: str) -> ValueError:
 def _admit_digits(command: str, log10_size: float) -> None:
     """Refuse up front when the output will hold a number of magnitude
     10^log10_size (a lower bound) that has too many digits to print.  The
-    margin of one digit absorbs float rounding; ``_decimal`` refuses the
+    margin of one digit absorbs float rounding; ``_rendered`` refuses the
     rest exactly, after computing."""
     limit = _digit_limit()
     if limit and log10_size > limit + 1:
         raise _refuse_digits(command)
 
 
-def _decimal(command: str, values: Iterable) -> str:
+def _rendered(command: str, render: Callable[[], str]) -> str:
+    """The text render() makes of a command's computed output; an integer
+    in it past the digit limit is refused with the command named."""
     try:
-        return ", ".join(str(x) for x in values)
+        return render()
     except ValueError:  # an integer past the digit limit
         raise _refuse_digits(command) from None
 
 
 def _log10_last_b(dim: int) -> float:
-    """log10 |b_k|, k = dim // 2, the last number ``coeffs`` prints:
+    """log10 |b_k|, k = dim // 2, the last number ``coeffs`` and ``identity``
+    print (a lower bound on its integral rescaling too):
     b_k = k! c_k / 2^k with |c_k| = ((dim - 1)!!)^2 (``charid._char_z``).
     dim is capped at 10^12, so the floats stay finite for any input;
     b_k there is already far past any digit limit."""
@@ -184,10 +189,8 @@ def _log10_last_b(dim: int) -> float:
 def cmd_coeffs(args: argparse.Namespace) -> int:
     command = f"coeffs {args.dim}"
     _admit_digits(command, _log10_last_b(args.dim))
-    a = _decimal(command, char_coeffs(args.dim).a)
-    b = _decimal(command, b_coeffs(args.dim))
-    print(f"a = ({a})")
-    print(f"b = ({b})")
+    a, b = char_coeffs(args.dim).a, b_coeffs(args.dim)
+    print(_rendered(command, lambda: f"a = ({', '.join(map(str, a))})\nb = ({', '.join(map(str, b))})"))
     return 0
 
 
@@ -195,7 +198,8 @@ def cmd_sums(args: argparse.Namespace) -> int:
     command = f"sums {args.r} {args.n}"
     if args.n > 0 and args.r <= POWER_SUM_MAX_R:  # power_sum refuses a larger r
         _admit_digits(command, args.r * log10(args.n))  # the sum is at least n^r
-    print(_decimal(command, [power_sum(args.r, args.n)]))
+    total = power_sum(args.r, args.n)
+    print(_rendered(command, lambda: str(total)))
     return 0
 
 

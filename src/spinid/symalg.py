@@ -8,8 +8,10 @@ evaluation over whole tuple spaces cheap.
 One engine, ``SymSession``, builds the products from an algebra's unit and
 right multiplication by a generator: for a representation's matrices
 (``spinrep.matrix_algebra``), for the same matrices on the spherical
-generators S_+, S_-, S_3 (``spinrep.spherical_algebra``, which verification
-and discovery use) and for ordered words in ``rewrite``.  It owns no
+generators S_+, S_-, S_3 (``spinrep.spherical_algebra``, which discovery
+uses; verification runs the same step, sum_a c_a {c - e_a} S_a, in its
+Horner sweep, ``charid._sweep_residuals``) and for ordered words in
+``rewrite``.  It owns no
 format: values are the rows of ``scalar``, and a matrix row is
 ``spinrep``'s, with cells (row, col, key).  ``SymSession.sym`` hands one
 out as a ``Matrix``, a view of the row.
@@ -79,12 +81,12 @@ class SymSession:
     {c} = sum_a c_a {c - e_a} S_a is one such call.  A request builds each
     missing entry c' <= c once, from neighbours already built.
     ``SymSession(rep)`` works in the matrices of rep (``matrix_algebra``);
-    verification passes the unit and ``times`` of ``spherical_algebra``,
+    discovery passes the unit and ``times`` of ``spherical_algebra``,
     with S_+, S_-, S_3 as axes 1, 2, 3, and the rewriter those of its
     ordered words.
 
-    The cache is keyed on the index multiset, so exhaustive verification
-    over all D-tuples costs O(#multisets) products instead of O(3^D * D!).
+    The cache is keyed on the index multiset, so a pass over all D-tuples
+    costs O(#multisets) products instead of O(3^D * D!).
     ``sym``, for sessions on a representation, wraps a product's row as a
     Matrix.  Threads may share a session: an entry is complete before it is
     stored and never changed after, so a race at worst builds one twice.

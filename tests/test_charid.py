@@ -110,6 +110,23 @@ def test_power_sum_examples():
         power_sum(charid.POWER_SUM_MAX_R + 1, 1)
 
 
+def test_power_sum_keeps_no_state_between_calls():
+    # Each call builds its own ladder: calls at new n leave nothing held at
+    # module level (a cache on (r, n) kept r + 1 big fractions per n).
+    import tracemalloc
+
+    assert power_sum(60, 999) == sum(q**60 for q in range(1000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(1000, 1010):
+            assert power_sum(60, n) == sum(q**60 for q in range(n + 1))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 4096, held
+
+
 def test_power_sum_against_brute_force():
     for r in range(9):
         for n in range(51):
@@ -407,6 +424,42 @@ def test_cartesian_residual_from_spherical_matches_direct(rep_dim, conjugated):
             assert cartesian_residual(ms.counts, rows) == ident.residual_int(cartesian, ms.counts), (dim, ms)
 
 
+def _sweep_cases():
+    for dim in range(2, 10):
+        for rep_dim in sorted({dim, dim + 2, dim - 2, 3, 1} - {0}):
+            yield dim, rep_dim, False
+    for dim in range(2, 7):
+        yield dim, dim, True
+        yield dim, dim + 2 if dim < 4 else 3, True
+
+
+@pytest.mark.parametrize("dim, rep_dim, conjugated", list(_sweep_cases()))
+def test_sweep_matches_residual_oracle(dim, rep_dim, conjugated):
+    # Every order-D spherical residual of the Horner sweep against
+    # Identity.residual_int on a spherical SymSession (memo and delta
+    # weights): for the identity, for b_1 + 1 and for each b_p set to 0;
+    # and a sampled target set, whose downset sweep is the full sweep on
+    # those targets.
+    rep = build_generators(rep_dim)
+    if conjugated:
+        rep = conjugate_rep(rep, dense_similarity(rep_dim))
+    unit, times = spherical_algebra(rep)
+    session = SymSession(unit=unit, times=times)
+    b = build_identity(dim).b
+    idents = [Identity(dim, b), Identity(dim, (b[0] + 1, *b[1:]))]
+    idents += [Identity(dim, b[:p] + (Fraction(0),) + b[p + 1 :]) for p in range(len(b))]
+    keys = set(symalg.all_counts(dim))
+    rng = random.Random(dim * 100 + rep_dim)
+    for ident in idents:
+        rows, products = charid._sweep_residuals(rep, ident, keys)
+        assert set(rows) == keys
+        for c in keys:
+            assert rows[c] == ident.residual_int(session, c, SPHERICAL), (ident.b, c)
+        targets = set(rng.sample(sorted(keys), 3))
+        sampled, fewer = charid._sweep_residuals(rep, ident, targets)
+        assert sampled == {c: rows[c] for c in targets} and fewer <= products
+
+
 @pytest.mark.parametrize(
     "dim, rep_dim, holds",
     [(12, 12, True), (16, 16, True), (20, 20, True), (16, 4, True), (10, 12, False)],
@@ -424,7 +477,9 @@ def test_verify_at_large_dimension(dim, rep_dim, holds):
 
 
 def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
-    # No Cartesian delta weights and no product in the Cartesian algebra.
+    # No product in the Cartesian algebra; verification reads no delta
+    # weights at all (the sweep adds (u.u)^j by its own closed form), and
+    # discovery only spherical ones.
     def refuse(*args, **kwargs):
         raise AssertionError("matrix_algebra ran")
 
@@ -443,8 +498,11 @@ def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
     for dim in range(2, 7):
         assert verify_identity(REPS[dim], build_identity(dim), mode="exhaustive").ok
         assert not verify_identity(REPS[dim], build_identity(dim + 1), mode="exhaustive").ok
+        assert verify_identity(REPS[dim], build_identity(dim + 2), mode="sampled", count=30, seed=dim).ok
+    assert calls == [], "verification read delta weights"
+    for dim in range(2, 7):
         assert discover_identity(REPS[dim]) == build_identity(dim)
-    assert {sum(c) for c in calls} == set(range(2, 8))
+    assert {sum(c) for c in calls} == set(range(2, 7))
     charid._delta_levels.cache_clear()  # no level computed under the patch outlives it
 
 
@@ -512,7 +570,8 @@ def test_batched_sampler_is_the_randint_stream(d):
 
 
 def test_verify_reduces_each_product_once(monkeypatch):
-    # One reduce_terms per memo entry, per residual and per witness (the
+    # One reduce_terms per product of the sweep, per unit term it adds (at
+    # (m, m, 2 (j - m)) for j = 1 .. D // 2, m = 0 .. j) and per witness (the
     # Cartesian residual and its entry), plus the spherical generators' two:
     # no intermediate product of the kernel is reduced on its own.
     from spinid import scalar
@@ -533,17 +592,23 @@ def test_verify_reduces_each_product_once(monkeypatch):
         stats = report.stats
         witnesses = len({id(w) for _, w in report.failures})
         assert report.ok is (witnesses == 0)
-        assert len(calls) <= stats["products"] - 1 + stats["spherical_residuals"] + 2 * witnesses + 2, (rep.dim, dim)
+        unit_terms = sum(j + 1 for j in range(1, dim // 2 + 1))
+        assert len(calls) == stats["products"] + unit_terms + 2 * witnesses + 2, (rep.dim, dim)
 
 
 def test_report_stats_stay_off_the_wire():
     report = verify_identity(REPS[5], build_identity(5), mode="exhaustive")
     # 21 multisets of order 5; their spherical counts are the same 21, and
-    # the memo holds every counts of order <= 5.
-    assert report.stats == {"multisets": 21, "spherical_residuals": 21, "products": comb(8, 3)}
+    # the sweep takes one product for every counts of order 1 .. 5 (none of
+    # them has only zero neighbours on the 5-dimensional representation).
+    assert report.stats == {"multisets": 21, "spherical_residuals": 21, "products": comb(8, 3) - 1}
     assert set(report.to_json()) == {"dim", "rep_dim", "mode", "tuples_checked", "failures", "ok"}
-    sampled = verify_identity(REPS[3], build_identity(5), mode="sampled", count=3, seed=1)
+    sampled = verify_identity(REPS[5], build_identity(5), mode="sampled", count=3, seed=1)
+    # At most 3 multisets, each with its group of spherical counts, and a
+    # sweep restricted to their downset.
     assert sampled.stats["multisets"] <= 3
+    assert sampled.stats["spherical_residuals"] <= 3 * 6
+    assert sampled.stats["products"] < report.stats["products"]
     assert set(sampled.to_json()) == {"dim", "rep_dim", "mode", "tuples_checked", "failures", "ok"}
 
 

@@ -262,6 +262,14 @@ def test_coeffs_refuses_numbers_past_the_digit_limit(dim):
         assert _refused(proc, f"coeffs {dim}"), proc.stderr
 
 
+@pytest.mark.parametrize("fmt", ["latex", "json"])
+def test_identity_refuses_numbers_past_the_digit_limit(fmt):
+    # The last b_p of D = 1200 has more than 4300 digits: refused up front,
+    # with the command named, not with the interpreter's own message.
+    proc = run_cli("identity", "1200", "--format", fmt, timeout=60, PYTHONINTMAXSTRDIGITS="4300")
+    assert _refused(proc, "identity 1200"), proc.stderr
+
+
 def test_sums_refusals():
     assert _refused(run_cli("sums", "500", "1000000000", PYTHONINTMAXSTRDIGITS="4300"), "sums 500 1000000000")
     for r in (501, 10**400):
@@ -274,17 +282,20 @@ def test_sums_refusals():
 
 def test_digit_refusal_after_computing(capsys):
     # A last b_p or a sum of limit + 1 digits passes the estimate made up
-    # front and is refused when printed.
+    # front and is refused when printed, in the coefficient table and in the
+    # identity's LaTeX alike.
     from spinid import cli
 
     limit = sys.get_int_max_str_digits()
     try:
-        for argv, digits in ((["coeffs", "400"], len(str(cli.b_coeffs(400)[-1].numerator))),
-                             (["sums", "500", "20"], len(str(cli.power_sum(500, 20))))):
+        longest = len(str(cli.b_coeffs(400)[-1].numerator))
+        for argv, command, digits in ((["coeffs", "400"], "coeffs 400", longest),
+                                      (["identity", "400", "--format", "latex"], "identity 400", longest),
+                                      (["sums", "500", "20"], "sums 500 20", len(str(cli.power_sum(500, 20))))):
             sys.set_int_max_str_digits(digits - 1)
             assert cli.main(argv) == 2
             out, err = capsys.readouterr()
-            assert out == "" and err.startswith(f"spinid: {' '.join(argv)}: refused") and f"{digits - 1} digits" in err
+            assert out == "" and err.startswith(f"spinid: {command}: refused") and f"{digits - 1} digits" in err
             sys.set_int_max_str_digits(digits)
             assert cli.main(argv) == 0
             capsys.readouterr()
