@@ -33,11 +33,10 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .scalar import KEY_I, Record, Row, Scalar, combine_terms, frac_str, times_key
 from .spinrep import Matrix, SpinRep, first_nonzero_entry, spherical_algebra
@@ -160,8 +159,21 @@ def b_coeffs(dim: int) -> list[Fraction]:
     return [Fraction(factorial(p) * c, 2**p) for p, c in enumerate(_char_z(dim), start=1)]
 
 
-@dataclass(frozen=True)
-class Identity:
+class _DataclassFields:
+    """``__dataclass_fields__`` built on first access, from an equivalent
+    frozen dataclass, and then cached on the class: ``dataclasses.replace``,
+    ``fields``, ``asdict`` and ``is_dataclass`` work, and only code that
+    asks for them pays the ``dataclasses`` import."""
+
+    def __get__(self, obj: object, cls: type) -> dict:
+        import dataclasses
+
+        fields = dataclasses.make_dataclass(cls.__name__, cls.__match_args__, frozen=True).__dataclass_fields__
+        cls.__dataclass_fields__ = fields
+        return fields
+
+
+class Identity(Record):
     """The reduction identity for one dimension, monic normalization.
 
     ``b[p-1]`` multiplies level p, the delta terms over all 2p-subsets of
@@ -169,8 +181,11 @@ class Identity:
     sum_e prod_a C(c_a, e_a) (e_a - 1)!! {S over c - e} (``delta_weights``).
     """
 
-    dim: int
-    b: tuple[Fraction, ...]
+    __match_args__ = ("dim", "b")
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init__(self, dim: int, b: tuple[Fraction, ...]) -> None:
+        super().__init__(dim, b)
 
     def residual(self, session: SymSession, idx: Sequence[int]) -> Matrix:
         """Exact value of the identity's left side on one index tuple;
@@ -329,12 +344,16 @@ def _sweep_residuals(rep: SpinRep, ident: Identity,
     G_0 = 1, G_j = G_(j-1) (u.S)^2 + a_j (u.u)^j and F = G_(D//2) (u.S)^(D%2):
     the term a_j (u.u)^j adds a_j C(j, m) 4^m c! times the unit at
     c = (m, m, 2(j - m)).  Only two orders are held at a time, and each
-    holds only the counts below some target."""
+    holds only the counts below some target: every counts when the
+    targets are every order-D counts."""
     d = ident.dim
-    levels = [set(targets)]  # the downset of the targets, order d down to 0
-    for _ in range(d):
-        levels.append({b for x, y, z in levels[-1]
-                       for k, b in ((x, (x - 1, y, z)), (y, (x, y - 1, z)), (z, (x, y, z - 1))) if k})
+    if len(targets) == (d + 1) * (d + 2) // 2:
+        levels = [all_counts(n) for n in range(d, -1, -1)]
+    else:
+        levels = [set(targets)]  # the downset of the targets, order d down to 0
+        for _ in range(d):
+            levels.append({b for x, y, z in levels[-1]
+                           for k, b in ((x, (x - 1, y, z)), (y, (x, y - 1, z)), (z, (x, y, z - 1))) if k})
     unit, times = spherical_algebra(rep)
     rows, products = {(0, 0, 0): unit}, 0
     for n in range(1, d + 1):
@@ -416,7 +435,10 @@ def verify_identity(
     by order up to D, over every counts below the ones needed: all of
     them when exhaustive, the downset of the drawn multisets when
     sampled.  Memory holds two orders of rows, not the products of every
-    order.  Cross-dimension
+    order.  A sample is tallied as it is drawn, at most 2^14 random words
+    at a time.  Only a sample of one read keeps its distinct draws; a
+    longer one is drawn again from the seed when some multiset fails, to
+    list its failing tuples.  Cross-dimension
     checks (ident.dim != rep.dim) are allowed and useful.  A failing
     identity yields a report, never an exception.
 
@@ -434,18 +456,25 @@ def verify_identity(
             raise ValueError("sampled mode requires count and seed")
         if count < 1:
             raise ValueError(f"sampled mode needs a positive count, got {count}")
-        tuples = sorted(set(_sample_tuples(random.Random(seed), d, count)))
+
+        def reads() -> Iterator[set[bytes]]:
+            # The draws from the seed, afresh: the distinct ones of each read.
+            for chunk in _sample_chunks(random.Random(seed), d, count):
+                yield {chunk[i : i + d] for i in range(0, len(chunk), d)}
+
+        keys, first = set(), None
+        for k, drawn in enumerate(reads()):
+            keys.update((t.count(1), t.count(2), t.count(3)) for t in drawn)
+            first = drawn if k == 0 else None  # kept only while the sample is one read
+        del drawn  # not held through the sweep
+        keys = sorted(keys)
         checked = count
     elif mode == "exhaustive":
-        tuples = None  # generated lazily below
+        keys = all_counts(d)
         checked = 3**d
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    if tuples is None:
-        keys = all_counts(d)
-    else:
-        keys = sorted({(t.count(1), t.count(2), t.count(3)) for t in tuples})
     groups = {c: [(a, c[0] + c[1] - a, c[2]) for a in range(c[0] + c[1] + 1)] for c in keys}
     spherical, products = _sweep_residuals(rep, ident, {key for group in groups.values() for key in group})
     verdicts = {}
@@ -455,10 +484,15 @@ def verify_identity(
 
     failures: list[Failure] = []
     if any(w is not None for w in verdicts.values()):
-        for tup in tuples if tuples is not None else itertools.product((1, 2, 3), repeat=d):
-            witness = verdicts[(tup.count(1), tup.count(2), tup.count(3))]
-            if witness is not None:
-                failures.append((tup, witness))
+        # Every tuple in order, or the sample (drawn again from its seed when
+        # it took more than one read), each failing draw kept once and put
+        # in order.
+        if mode == "exhaustive":
+            tuples = itertools.product((1, 2, 3), repeat=d)
+        else:
+            tuples = first if first is not None else itertools.chain.from_iterable(reads())
+        found = ((t, w) for t in tuples if (w := verdicts[t.count(1), t.count(2), t.count(3)]) is not None)
+        failures = list(found) if mode == "exhaustive" else [(tuple(t), w) for t, w in sorted(dict(found).items())]
 
     return VerificationReport(
         dim=d,
@@ -479,19 +513,25 @@ _REJECTED_TOP_BYTES = bytes(range(192, 256))
 _WORDS_PER_READ = 1 << 14
 
 
-def _sample_tuples(rng: random.Random, d: int, count: int) -> list[tuple[int, ...]]:
-    """count tuples of d axes, drawn from rng's stream exactly as
-    ``[tuple(rng.randint(1, 3) for _ in range(d)) for _ in range(count)]``
-    draws them, but read at most 2^14 words at a time: ``getrandbits(32 m)``
-    holds m successive words, the first in the lowest bits.  Words read
-    past the last axis go unused, so rng ends further on in its stream."""
-    need = d * count
-    axes = bytearray()
-    while len(axes) < need:
-        m = min(need - len(axes), _WORDS_PER_READ)
+def _sample_chunks(rng: random.Random, d: int, count: int) -> Iterator[bytes]:
+    """The axes of count tuples of d axes, drawn from rng's stream exactly
+    as ``[tuple(rng.randint(1, 3) for _ in range(d)) for _ in range(count)]``
+    draws them, in chunks of whole tuples, one chunk per read of at most
+    2^14 words: ``getrandbits(32 m)`` holds m successive words, the first in
+    the lowest bits.  A quarter of the words are rejected, so a read asks
+    for half as many words again as axes are left, and a sample of fewer
+    axes than about 3/4 of 2^14 is one read.  Words read past the last
+    axis go unused, so rng ends further on in its stream."""
+    left, rest = d * count, b""
+    while left:
+        m = min(left + left // 2 + 64, _WORDS_PER_READ)
         top = rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
-        axes += top.translate(_AXIS_OF_TOP_BYTE, _REJECTED_TOP_BYTES)
-    return [tuple(axes[i : i + d]) for i in range(0, need, d)]
+        new = top.translate(_AXIS_OF_TOP_BYTE, _REJECTED_TOP_BYTES)[:left]
+        left -= len(new)
+        axes = rest + new
+        cut = len(axes) - len(axes) % d
+        rest = axes[cut:]
+        yield axes[:cut]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -187,6 +189,24 @@ def test_identity_stays_a_dataclass():
     wrong = dataclasses.replace(ident, b=(ident.b[0] + 1, ident.b[1]))
     assert isinstance(wrong, Identity) and wrong.dim == 5 and wrong.b != ident.b
     assert build_identity(5).b == (-10, 32)
+
+
+def test_identity_is_a_record_with_lazy_dataclass_fields():
+    ident, again = build_identity(5), discover_identity(REPS[5])
+    assert ident is not again and ident == again and not ident != again
+    assert hash(ident) == hash(again) == hash((5, ident.b)) and {ident: 1}[again] == 1
+    assert ident != Identity(5, (ident.b[0] + 1, ident.b[1])) and ident != (5, ident.b)
+    for field in ("dim", "b"):
+        with pytest.raises(AttributeError):
+            setattr(ident, field, getattr(ident, field))
+        with pytest.raises(AttributeError):
+            delattr(ident, field)
+    assert repr(ident) == "Identity(dim=5, b=(Fraction(-10, 1), Fraction(32, 1)))"
+    assert Identity(dim=5, b=ident.b) == Identity(5, ident.b) == ident
+    assert pickle.loads(pickle.dumps(ident)) == ident and copy.deepcopy(ident) == ident
+    assert [f.name for f in dataclasses.fields(ident)] == ["dim", "b"]
+    assert dataclasses.is_dataclass(ident) and dataclasses.is_dataclass(Identity)
+    assert dataclasses.asdict(ident) == {"dim": 5, "b": ident.b}
 
 
 # --- identity synthesis ------------------------------------------------------
@@ -389,11 +409,12 @@ def test_verify_matches_brute_force_oracle(dim, rep_dim, conjugated):
 @pytest.mark.parametrize(
     "dim, rep_dim, conjugated, count, seed",
     [(2, 4, False, 20, 1), (3, 3, False, 30, 2), (3, 5, False, 30, 3), (4, 6, False, 60, 4), (5, 3, False, 80, 5),
-     (6, 8, False, 50, 6), (8, 2, False, 40, 7), (3, 5, True, 30, 8), (4, 4, True, 40, 9)],
+     (6, 8, False, 50, 6), (8, 2, False, 40, 7), (3, 5, True, 30, 8), (4, 4, True, 40, 9), (6, 8, False, 5000, 10)],
 )
 def test_sampled_verify_matches_brute_force_oracle(dim, rep_dim, conjugated, count, seed):
     # A sampled report is the exhaustive oracle restricted to the tuples
-    # drawn: count draws of D axes each from random.Random(seed).
+    # drawn: count draws of D axes each from random.Random(seed).  A count
+    # of 5000 spans several reads, with failing draws that the first lacks.
     rep = build_generators(rep_dim)
     if conjugated:
         rep = conjugate_rep(rep, dense_similarity(rep_dim))
@@ -557,16 +578,37 @@ def _oracle_draws(seed, d, count):
 
 @pytest.mark.parametrize("d", (1, 3, 7, 20))
 def test_batched_sampler_is_the_randint_stream(d):
-    # The tuples of _sample_tuples are those randint(1, 3) draws, axis for
-    # axis.  A count of 40000 spans several 2^14-word reads; the full 30-seed
-    # grid at that count is 37 million randint calls (17 s on 2 cores,
-    # Python 3.11), so it runs for ten seeds at d = 1 and three at the
-    # other d (d = 20 crosses a read at a count of 1000 too).
+    # The chunks of _sample_chunks hold whole tuples, and together they are
+    # those randint(1, 3) draws, axis for axis.  A count of 40000 spans
+    # several 2^14-word reads; the full 30-seed grid at that count is 37
+    # million randint calls (17 s on 2 cores, Python 3.11), so it runs for
+    # ten seeds at d = 1 and three at the other d (d = 20 crosses a read at
+    # a count of 1000 too).
     for seed in range(30):
         big = 40000 if seed < (10 if d == 1 else 3) else 1000
         drawn = _oracle_draws(seed, d, big)
         for count in (1, 1000, big):
-            assert charid._sample_tuples(random.Random(seed), d, count) == drawn[:count], (seed, d, count)
+            chunks = list(charid._sample_chunks(random.Random(seed), d, count))
+            assert all(len(chunk) % d == 0 for chunk in chunks), (seed, d, count)
+            assert b"".join(chunks) == bytes(itertools.chain(*drawn[:count])), (seed, d, count)
+
+
+def test_sampled_verify_memory_does_not_grow_with_count():
+    # The draws are tallied as they stream in, and a sample that holds is
+    # never drawn again: ten times the count leaves the peak where it was.
+    import tracemalloc
+
+    rep, ident = build_generators(16), build_identity(16)
+    verify_identity(rep, ident, mode="sampled", count=30000, seed=1)  # fill the memos first
+    peaks = []
+    for count in (30000, 300000):
+        tracemalloc.start()
+        try:
+            assert verify_identity(rep, ident, mode="sampled", count=count, seed=1).ok
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_verify_reduces_each_product_once(monkeypatch):

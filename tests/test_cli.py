@@ -321,5 +321,15 @@ def test_closed_stdout_exits_quietly():
     assert proc.stderr == b""
 
 
+def test_cli_import_skips_dataclasses_and_inspect():
+    # Every command imports spinid.cli; the modules it loads are taken as a
+    # difference, so whatever site preloads does not count.
+    code = ("import sys; before = set(sys.modules); import spinid.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          text=True, capture_output=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_unknown_subcommand_usage_error():
     assert run_cli("frobnicate").returncode == 2
