@@ -40,7 +40,7 @@ from typing import Iterator, Literal, Sequence
 
 from .scalar import KEY_I, Record, Row, Scalar, combine_terms, frac_str, times_key
 from .spinrep import Matrix, SpinRep, first_nonzero_entry, spherical_algebra
-from .symalg import CARTESIAN, SPHERICAL, IndexMultiset, Metric, SymSession, all_counts, delta_weights, pairing_count
+from .symalg import CARTESIAN, SPHERICAL, Metric, SymSession, all_counts, axis_counts, delta_weights, pairing_count
 
 Witness = tuple[int, int, Scalar]
 Failure = tuple[tuple[int, ...], Witness]
@@ -191,7 +191,7 @@ class Identity(Record):
         """Exact value of the identity's left side on one index tuple;
         the zero matrix iff the identity holds there."""
         dim = session.matrix_dim()
-        return Matrix._make(dim, self.residual_int(session, IndexMultiset.from_tuple(idx).counts))
+        return Matrix._make(dim, self.residual_int(session, axis_counts(idx)))
 
     def residual_int(self, session: SymSession, counts: tuple[int, int, int], metric: Metric = CARTESIAN) -> Row:
         """The residual for these axis counts, as a row of the session's
@@ -214,8 +214,7 @@ class Identity(Record):
 def _delta_levels(counts: tuple[int, int, int], metric: Metric) -> tuple[tuple[tuple[tuple[int, int, int], int], ...], ...]:
     """``delta_weights(counts, p, metric)`` for p = 1 .. order // 2, as
     (rest counts, weight) pairs: level p is entry p - 1."""
-    return tuple(tuple((rest.counts, w) for rest, w in delta_weights(counts, p, metric).items())
-                 for p in range(1, sum(counts) // 2 + 1))
+    return tuple(tuple(delta_weights(counts, p, metric).items()) for p in range(1, sum(counts) // 2 + 1))
 
 
 @lru_cache(maxsize=32)

@@ -96,10 +96,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def _parse_verify_mode(value: str) -> tuple[str, int | None, int | None]:
     if value == "exhaustive":
         return "exhaustive", None, None
-    if value.startswith("sampled:"):
-        parts = value.split(":")
-        if len(parts) == 3 and int(parts[1]) >= 1:
-            return "sampled", int(parts[1]), int(parts[2])
+    try:
+        kind, count, seed = value.split(":")
+        if kind == "sampled" and int(count) >= 1:
+            return "sampled", int(count), int(seed)
+    except ValueError:  # not three fields, or a number that is no integer
+        pass
     raise ValueError(
         f"bad --verify value {value!r}: use 'exhaustive' or 'sampled:COUNT:SEED', COUNT >= 1"
     )

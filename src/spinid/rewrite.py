@@ -44,7 +44,7 @@ from .scalar import (
     times_key,
 )
 from .spinrep import Matrix, Part, SpinRep, Times, matrix_algebra
-from .symalg import IndexMultiset, SymSession, epsilon
+from .symalg import SymSession, epsilon
 
 Word = tuple[int, ...]
 ScalarLike = Union[Scalar, Fraction, int]
@@ -505,7 +505,7 @@ def _identity_replacement(ident: Identity, u: Word, session: SymSession) -> Row:
     It lies in the ideal of the relations, and because (1/D!){u} orders to
     u plus lower words it is -u plus words of degree <= D-1: added to c*u
     it caps u.  Equivalently, it is the rule u -> u + this."""
-    residual = ident.residual_int(session, IndexMultiset.from_tuple(u).counts)
+    residual = ident.residual_int(session, (u.count(1), u.count(2), u.count(3)))
     terms, den = combine_terms([(Fraction(-1, factorial(ident.dim)), *residual)])
     lead = (u, KEY_ONE)
     assert terms.get(lead) == -den, f"{u} is not the leading word of its rule"
@@ -519,8 +519,10 @@ _TABLES = 8
 
 class _RuleTable:
     """The rewriting rules of one dimension D, with what building them needs:
-    the identity, a SymSession over ordered words and the ordered-form memo,
-    all kept for the table's life (``reduce_degree`` states its bounds).
+    a SymSession over ordered words and the ordered-form memo, both kept
+    for the table's life (``reduce_degree`` states its bounds).  The
+    identity (``build_identity``, memoized) is fetched only when a rule is
+    built, so a table whose words stay below degree D never computes it.
 
     The fold caps every step and the session builds {c} of order D from
     rows of order <= D-1, so every word the memo meets is an ordered word
@@ -529,7 +531,6 @@ class _RuleTable:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.ident = build_identity(dim)
         self.memo: dict[tuple[Word, int], Terms] = {}
         self.session = SymSession(unit=_ONE, times=self.times)
         self.rules: dict[tuple[Word, int], Row] = {}  # (v, key) -> basis(key) * rule for v
@@ -549,7 +550,7 @@ class _RuleTable:
             if len(v) == self.dim:
                 if (v, k) not in rules:
                     if (v, KEY_ONE) not in rules:
-                        rules[(v, KEY_ONE)] = _identity_replacement(self.ident, v, self.session)
+                        rules[(v, KEY_ONE)] = _identity_replacement(build_identity(self.dim), v, self.session)
                     rule, rule_den = rules[(v, KEY_ONE)]
                     rules[(v, k)] = times_key(rule, k), rule_den
                 parts.append((Fraction(n, den), *rules[(v, k)]))

@@ -3,7 +3,9 @@
 The symmetric product {S_{i_1} ... S_{i_n}} is the sum over all n!
 orderings of the factors, repeats counted (so {S_i S_i} = 2 S_i^2).  It
 depends only on the multiset of indices, which is what makes memoized
-evaluation over whole tuple spaces cheap.
+evaluation over whole tuple spaces cheap.  A multiset is its axis counts
+(c1, c2, c3) throughout: the memo keys, the delta weights' keys and
+``all_counts``; ``axis_counts`` reads them off an index tuple.
 
 One engine, ``SymSession``, builds the products from an algebra's unit and
 right multiplication by a generator: for a representation's matrices
@@ -11,10 +13,9 @@ right multiplication by a generator: for a representation's matrices
 generators S_+, S_-, S_3 (``spinrep.spherical_algebra``, which discovery
 uses; verification runs the same step, sum_a c_a {c - e_a} S_a, in its
 Horner sweep, ``charid._sweep_residuals``) and for ordered words in
-``rewrite``.  It owns no
-format: values are the rows of ``scalar``, and a matrix row is
-``spinrep``'s, with cells (row, col, key).  ``SymSession.sym`` hands one
-out as a ``Matrix``, a view of the row.
+``rewrite``.  It owns no format: values are the rows of ``scalar``, and
+a matrix row is ``spinrep``'s, with cells (row, col, key).
+``SymSession.sym`` hands one out as a ``Matrix``, a view of the row.
 
 The generalized deltas come with a metric (``delta_weights``): the
 Cartesian delta_ij on S_1, S_2, S_3, and on S_+, S_-, S_3 the metric in
@@ -26,50 +27,26 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .scalar import Record, Row
+from .scalar import Row
 from .spinrep import Matrix, SpinRep, Times, matrix_algebra
 
 Axis = int  # one of 1, 2, 3
 
 
-class IndexMultiset(Record):
-    """Multiplicities of the axes 1, 2, 3; order is the total count."""
-
-    __match_args__ = ("counts",)
-
-    def __init__(self, counts: tuple[int, int, int]) -> None:
-        if len(counts) != 3 or min(counts) < 0:
-            raise ValueError("counts must be three nonnegative integers")
-        super().__init__(counts)
-
-    @classmethod
-    def from_tuple(cls, idx: Iterable[Axis]) -> "IndexMultiset":
-        counts = [0, 0, 0]
-        for a in idx:
-            if a not in (1, 2, 3):
-                raise ValueError(f"axis {a} not in {{1, 2, 3}}")
-            counts[a - 1] += 1
-        return cls(tuple(counts))
-
-    @property
-    def order(self) -> int:
-        return sum(self.counts)
-
-    def letters(self) -> tuple[Axis, ...]:
-        return tuple(
-            axis for axis in (1, 2, 3) for _ in range(self.counts[axis - 1])
-        )
+def axis_counts(idx: Iterable[Axis]) -> tuple[int, int, int]:
+    """The index multiset of a tuple, as its axis counts (c1, c2, c3)."""
+    counts = [0, 0, 0]
+    for a in idx:
+        if a not in (1, 2, 3):
+            raise ValueError(f"axis {a} not in {{1, 2, 3}}")
+        counts[a - 1] += 1
+    return tuple(counts)
 
 
 def all_counts(order: int) -> list[tuple[int, int, int]]:
     """The axis counts of every index multiset of the given order, in
     lexicographic letter order."""
     return [(c1, c2, order - c1 - c2) for c1 in range(order, -1, -1) for c2 in range(order - c1, -1, -1)]
-
-
-def all_multisets(order: int) -> list[IndexMultiset]:
-    """Every IndexMultiset of the given order (``all_counts``)."""
-    return [IndexMultiset(c) for c in all_counts(order)]
 
 
 class SymSession:
@@ -99,10 +76,8 @@ class SymSession:
         self._times = times
         self._rows: dict[tuple[int, int, int], Row] = {(0, 0, 0): unit}
 
-    def sym(self, idx: IndexMultiset | Sequence[Axis]) -> Matrix:
-        if not isinstance(idx, IndexMultiset):
-            idx = IndexMultiset.from_tuple(idx)
-        return Matrix._make(self.matrix_dim(), self.sym_int(idx.counts))
+    def sym(self, idx: Sequence[Axis]) -> Matrix:
+        return Matrix._make(self.matrix_dim(), self.sym_int(axis_counts(idx)))
 
     def matrix_dim(self) -> int:
         """The dimension of the session's representation; a session built
@@ -111,11 +86,6 @@ class SymSession:
             raise ValueError("this session has no representation: its values are rows, read them with "
                              "sym_int (and Identity.residual_int)")
         return self.rep.dim
-
-    @property
-    def memo_size(self) -> int:
-        """The number of products memoized, the unit included."""
-        return len(self._rows)
 
     def sym_int(self, counts: tuple[int, int, int]) -> Row:
         """The symmetric product for these axis counts, as a row."""
@@ -157,7 +127,7 @@ CARTESIAN: Metric = (1, 1, 1, 0)
 SPHERICAL: Metric = (0, 0, 1, 2)
 
 
-def delta_weights(counts: tuple[int, int, int], p: int, metric: Metric = CARTESIAN) -> dict[IndexMultiset, int]:
+def delta_weights(counts: tuple[int, int, int], p: int, metric: Metric = CARTESIAN) -> dict[tuple[int, int, int], int]:
     """Generalized deltas of a tuple with these axis counts, summed over
     all 2p-subsets of positions, by the multiset left out.
 
@@ -172,7 +142,7 @@ def delta_weights(counts: tuple[int, int, int], p: int, metric: Metric = CARTESI
     h1 = h2 = 0."""
     g11, g22, g33, g12 = metric
     c1, c2, c3 = counts
-    out: dict[IndexMultiset, int] = {}
+    out: dict[tuple[int, int, int], int] = {}
     for h1 in range(p + 1 if g11 else 1):
         for h2 in range(p + 1 - h1 if g22 else 1):
             for k in range(p + 1 - h1 - h2 if g12 else 1):
@@ -183,7 +153,7 @@ def delta_weights(counts: tuple[int, int, int], p: int, metric: Metric = CARTESI
                 w = (comb(c1, e1) * comb(c2, e2) * comb(c3, e3) * comb(e1, k) * comb(e2, k) * factorial(k)
                      * pairing_count(h1) * pairing_count(h2) * pairing_count(h3)
                      * g11**h1 * g22**h2 * g33**h3 * g12**k)
-                rest = IndexMultiset((c1 - e1, c2 - e2, c3 - e3))
+                rest = (c1 - e1, c2 - e2, c3 - e3)
                 out[rest] = out.get(rest, 0) + w
     return out
 

@@ -8,7 +8,7 @@ from math import comb, factorial
 
 import pytest
 import reference
-from test_symalg import brute_sym, dense_similarity
+from test_symalg import brute_sym, dense_similarity, letters
 
 from spinid import charid, spinrep, symalg
 from spinid.charid import (
@@ -32,7 +32,7 @@ from spinid.charid import (
 from spinid.rewrite import NormalForm, parse
 from spinid.scalar import combine_terms
 from spinid.spinrep import Matrix, SpinRep, build_generators, conjugate_rep, eigenvalue_list, spherical_algebra
-from spinid.symalg import CARTESIAN, SPHERICAL, IndexMultiset, SymSession, all_multisets, delta_weights
+from spinid.symalg import CARTESIAN, SPHERICAL, SymSession, all_counts, axis_counts, delta_weights
 
 REPS = {dim: build_generators(dim) for dim in range(1, 8)}
 
@@ -152,7 +152,6 @@ def _values():
     """Two equal, separately built values of each plain value class."""
     return [
         (CharCoeffs(4, (Fraction(-5, 2), Fraction(9, 16))), char_coeffs(4)),
-        (IndexMultiset((1, 2, 0)), IndexMultiset.from_tuple((2, 1, 2))),
         (build_generators(3), SpinRep(3, build_generators(3).rows)),
         (NormalForm(parse("S1*S2 + 2"), 3), NormalForm(parse("2 + S1*S2"), 3)),
         (VerificationReport(3, 3, "exhaustive", 27), VerificationReport(3, 3, "exhaustive", 27, [], 0.0)),
@@ -368,10 +367,10 @@ def _oracle_report(rep, ident, drawn=None):
     all tuples, or over the drawn ones of a sampled run."""
     cache, syms, witnesses = {}, {}, {}
 
-    def sym(ms):
-        if ms not in syms:
-            syms[ms] = brute_sym(rep, ms.letters(), cache)
-        return syms[ms]
+    def sym(counts):
+        if counts not in syms:
+            syms[counts] = brute_sym(rep, letters(counts), cache)
+        return syms[counts]
 
     if drawn is None:
         tuples, mode, checked = itertools.product((1, 2, 3), repeat=ident.dim), "exhaustive", 3**ident.dim
@@ -379,15 +378,15 @@ def _oracle_report(rep, ident, drawn=None):
         tuples, mode, checked = sorted(set(drawn)), "sampled", len(drawn)
     failures = []
     for tup in tuples:
-        ms = IndexMultiset.from_tuple(tup)
-        if ms not in witnesses:
-            total = sym(ms)
+        counts = axis_counts(tup)
+        if counts not in witnesses:
+            total = sym(counts)
             for p, b_p in enumerate(ident.b, start=1):
-                for rest, w in delta_weights(ms.counts, p).items():
+                for rest, w in delta_weights(counts, p).items():
                     total = total + sym(rest).scale(b_p * w)
-            witnesses[ms] = total.first_nonzero_entry()
-        if witnesses[ms] is not None:
-            failures.append((tup, witnesses[ms]))
+            witnesses[counts] = total.first_nonzero_entry()
+        if witnesses[counts] is not None:
+            failures.append((tup, witnesses[counts]))
     return VerificationReport(ident.dim, rep.dim, mode, checked, failures).to_json()
 
 
@@ -440,9 +439,9 @@ def test_cartesian_residual_from_spherical_matches_direct(rep_dim, conjugated):
     spherical = SymSession(unit=unit, times=times)
     for dim in range(2, 8):
         ident = build_identity(dim)
-        rows = {ms.counts: ident.residual_int(spherical, ms.counts, SPHERICAL) for ms in all_multisets(dim)}
-        for ms in all_multisets(dim):
-            assert cartesian_residual(ms.counts, rows) == ident.residual_int(cartesian, ms.counts), (dim, ms)
+        rows = {c: ident.residual_int(spherical, c, SPHERICAL) for c in all_counts(dim)}
+        for c in all_counts(dim):
+            assert cartesian_residual(c, rows) == ident.residual_int(cartesian, c), (dim, c)
 
 
 def _sweep_cases():
@@ -545,24 +544,24 @@ def test_residual_weights_are_memoized_once(monkeypatch):
     entries = 0
     for dim in range(2, 13):
         ident = build_identity(dim)
-        multisets = all_multisets(dim)
+        multisets = all_counts(dim)
         for metric in (CARTESIAN, SPHERICAL):
-            for ms in multisets:
-                expected = [(1, *session.sym_int(ms.counts))]
-                expected += [(b_p * w, *session.sym_int(rest.counts)) for p, b_p in enumerate(ident.b, start=1)
-                             for rest, w in delta_weights(ms.counts, p, metric).items()]
-                assert ident.residual_int(session, ms.counts, metric) == combine_terms(expected), (ms, metric)
-                levels = charid._delta_levels(ms.counts, metric)
+            for c in multisets:
+                expected = [(1, *session.sym_int(c))]
+                expected += [(b_p * w, *session.sym_int(rest)) for p, b_p in enumerate(ident.b, start=1)
+                             for rest, w in delta_weights(c, p, metric).items()]
+                assert ident.residual_int(session, c, metric) == combine_terms(expected), (c, metric)
+                levels = charid._delta_levels(c, metric)
                 assert len(levels) == dim // 2
                 for p, level in enumerate(levels, start=1):
-                    assert dict(level) == {rest.counts: w for rest, w in delta_weights(ms.counts, p, metric).items()}
+                    assert level == tuple(delta_weights(c, p, metric).items())
         entries += 2 * len(multisets)
         assert len(multisets) == comb(dim + 2, 2)
         assert charid._delta_levels.cache_info().currsize == entries
         n_calls = len(calls)
         for metric in (CARTESIAN, SPHERICAL):
-            for ms in multisets:
-                ident.residual_int(session, ms.counts, metric)
+            for c in multisets:
+                ident.residual_int(session, c, metric)
         assert len(calls) == n_calls, "a warm residual recomputed its weights"
         with pytest.raises(ValueError, match="expected"):
             ident.residual_int(session, (dim, 1, 0))

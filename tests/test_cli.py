@@ -134,6 +134,16 @@ def test_identity_verify_rejects_empty_sample(mode):
     assert "COUNT" in proc.stderr
 
 
+@pytest.mark.parametrize("mode", ["sampled:abc:1", "sampled:5:x", "sampled:1:1e3"])
+def test_identity_verify_rejects_a_malformed_number(mode):
+    # a COUNT or SEED that is no integer gets the usage message, not Python's
+    proc = run_cli("identity", "3", "--verify", mode)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"spinid: bad --verify value {mode!r}: use 'exhaustive' or "
+                           "'sampled:COUNT:SEED', COUNT >= 1\n")
+
+
 def test_identity_latex_large_dimension():
     # the collapsed form never enumerates the 2^39 position subsets
     proc = run_cli("identity", "40", "--format", "latex")

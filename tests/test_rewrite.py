@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import reference as R
 from reference import lib, ref
+from test_symalg import letters as sorted_letters
 from spinid import rewrite
 from spinid.charid import build_identity, discover_identity, verify_identity
 from spinid.rewrite import (
@@ -32,7 +33,7 @@ from spinid.rewrite import (
 )
 from spinid.scalar import SCALAR_ONE, Scalar, render_components
 from spinid.spinrep import Matrix, build_generators
-from spinid.symalg import IndexMultiset, SymSession, all_multisets, delta_weights, epsilon
+from spinid.symalg import SymSession, all_counts, axis_counts, delta_weights, epsilon
 
 REPS = {dim: build_generators(dim) for dim in range(1, 7)}
 
@@ -328,11 +329,11 @@ def _reference_ordered_form(w, memo):
 
 def _reference_replacement(ident, letters):
     """(1/D!)(R - {letters}) for D sorted letters, by word."""
-    counts = IndexMultiset.from_tuple(letters).counts
+    counts = axis_counts(letters)
     inv = Fraction(1, factorial(ident.dim))
     terms = [(letters, -inv)]
     for p, b_p in enumerate(ident.b, start=1):
-        terms += [(r.letters(), -inv * b_p * w) for r, w in delta_weights(counts, p).items()]
+        terms += [(sorted_letters(r), -inv * b_p * w) for r, w in delta_weights(counts, p).items()]
     return {perm: R.Scalar(c * n) for sym, c in terms for perm, n in Counter(itertools.permutations(sym)).items()}
 
 
@@ -535,6 +536,21 @@ def test_rule_tables_are_evicted_least_recently_used_first():
     assert rewrite._rule_table.cache_info().currsize == 8
 
 
+def test_rule_table_builds_the_identity_only_for_a_rule(monkeypatch):
+    # Words below degree D need no rule, so no identity: at D = 10^6, whose
+    # identity would take hours to expand, a short input reduces at once.
+    def refuse(dim):
+        raise RuntimeError(f"identity of dimension {dim} built")
+
+    monkeypatch.setattr(rewrite, "build_identity", refuse)
+    expr = parse("S1*S2 + {S1 S3}")
+    assert render(reduce_degree(expr, 10**6)) == "S1*S2 + 2*S1*S3 + i*S2"
+    rewrite._rule_table.cache_clear()
+    with pytest.raises(RuntimeError, match="dimension 3 built"):
+        reduce_degree(parse("S1*S1*S1"), 3)
+    rewrite._rule_table.cache_clear()
+
+
 def test_threads_share_one_table():
     dim = 5
     rng = random.Random(55)
@@ -585,9 +601,9 @@ def test_word_session_evaluates_to_matrix_session(dim):
     words = SymSession(unit=rewrite._ONE, times=lambda parts: rewrite._times_words(parts, memo))
     matrices, cache = SymSession(REPS[dim]), {}
     for order in range(6):
-        for ms in all_multisets(order):
-            poly = NCPolynomial._make(words.sym_int(ms.counts))
-            assert evaluate(poly, REPS[dim], cache) == matrices.sym(ms), (dim, ms)
+        for counts in all_counts(order):
+            poly = NCPolynomial._make(words.sym_int(counts))
+            assert evaluate(poly, REPS[dim], cache) == matrices.sym(sorted_letters(counts)), (dim, counts)
 
 
 def test_evaluate_identity_operator():

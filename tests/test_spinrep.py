@@ -21,7 +21,7 @@ from spinid.spinrep import (
     eigenvalue_list,
     is_hermitian,
 )
-from spinid.symalg import SymSession, all_multisets
+from spinid.symalg import SymSession, all_counts
 
 HALF = Fraction(1, 2)
 
@@ -132,7 +132,7 @@ def test_representation_layer_runs_without_scalar_arithmetic(monkeypatch):
         with pytest.raises(ValueError):
             SpinRep.from_matrices(triple)
     session = SymSession(rep)
-    assert all(session.sym_int(ms.counts)[0] for ms in all_multisets(4))
+    assert all(session.sym_int(c)[0] for c in all_counts(4))
     assert verify_identity(rep, build_identity(dim), mode="exhaustive").ok
     failing = verify_identity(rep, build_identity(3), mode="exhaustive")
     assert not failing.ok and failing.to_json()["failures"]

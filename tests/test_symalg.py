@@ -27,9 +27,9 @@ from spinid.spinrep import (
 from spinid.symalg import (
     CARTESIAN,
     SPHERICAL,
-    IndexMultiset,
     SymSession,
-    all_multisets,
+    all_counts,
+    axis_counts,
     delta_weights,
     epsilon,
     gen_delta,
@@ -58,6 +58,11 @@ def brute_sym(rep, letters, cache=None):
     return total.scale(prod(factorial(letters.count(a)) for a in (1, 2, 3)))
 
 
+def letters(counts):
+    """The sorted index tuple of a multiset given by its axis counts."""
+    return tuple(axis for axis in (1, 2, 3) for _ in range(counts[axis - 1]))
+
+
 def distinct_orderings(counts):
     """Every word with these letter counts once, in lexicographic order:
     sorted(set(itertools.permutations(letters))) without the n! tuples."""
@@ -68,22 +73,26 @@ def distinct_orderings(counts):
 
 
 def test_multiset_canonicalization():
-    a = IndexMultiset.from_tuple((3, 1, 2, 1))
-    b = IndexMultiset.from_tuple((1, 1, 2, 3))
-    assert a == b
-    assert a.order == 4
-    assert a.letters() == (1, 1, 2, 3)
-    with pytest.raises(ValueError):
-        IndexMultiset.from_tuple((0, 1))
-    with pytest.raises(ValueError):
-        IndexMultiset((1, -1, 0))
+    # A tuple's multiset is its axis counts; the entry points that take
+    # index tuples from outside refuse an axis outside {1, 2, 3}.
+    assert axis_counts((3, 1, 2, 1)) == axis_counts((1, 1, 2, 3)) == (2, 1, 1)
+    assert axis_counts(()) == (0, 0, 0)
+    assert letters((2, 1, 1)) == (1, 1, 2, 3)
+    session, ident = SymSession(REPS[2]), build_identity(2)
+    for bad in ((0, 1), (1, 4)):
+        with pytest.raises(ValueError, match="not in"):
+            axis_counts(bad)
+        with pytest.raises(ValueError, match="not in"):
+            session.sym(bad)
+        with pytest.raises(ValueError, match="not in"):
+            ident.residual(session, bad)
 
 
-def test_all_multisets_counts():
-    for order in range(6):
-        ms = all_multisets(order)
-        assert len(ms) == (order + 1) * (order + 2) // 2
-        assert len(set(ms)) == len(ms)
+def test_all_counts_lists_each_multiset_once():
+    for order in range(8):
+        counts = all_counts(order)
+        assert len(counts) == len(set(counts)) == (order + 1) * (order + 2) // 2
+        assert all(len(c) == 3 and min(c) >= 0 and sum(c) == order for c in counts)
 
 
 def test_anticommutator_on_pauli():
@@ -113,8 +122,8 @@ def test_order_zero_is_identity():
 def _check_recursion(rep):
     session, cache = SymSession(rep), {}
     for order in range(6):
-        for ms in all_multisets(order):
-            assert ref(session.sym(ms)) == brute_sym(rep, ms.letters(), cache), (rep.dim, ms)
+        for counts in all_counts(order):
+            assert ref(session.sym(letters(counts))) == brute_sym(rep, letters(counts), cache), (rep.dim, counts)
 
 
 @pytest.mark.parametrize("dim", range(1, 6))
@@ -130,8 +139,7 @@ def test_recursion_matches_brute_force_conjugated(dim):
 
 def test_distinct_orderings_match_permutations():
     for counts in ((0, 0, 0), (2, 0, 1), (1, 2, 2), (3, 1, 2)):
-        letters = IndexMultiset(counts).letters()
-        assert distinct_orderings(counts) == sorted(set(itertools.permutations(letters)))
+        assert distinct_orderings(counts) == sorted(set(itertools.permutations(letters(counts))))
 
 
 @pytest.mark.parametrize("dim, conjugated", [(d, False) for d in range(1, 6)] + [(d, True) for d in range(2, 5)])
@@ -146,11 +154,11 @@ def test_spherical_recursion_matches_brute_force(dim, conjugated):
     unit, times = spherical_algebra(rep)
     session = SymSession(unit=unit, times=times)
     for order in range(6):
-        for ms in all_multisets(order):
-            row = session.sym_int(ms.counts)
-            assert ref(Matrix._make(dim, row)) == brute_sym(rep, ms.letters(), cache), (dim, ms)
+        for counts in all_counts(order):
+            row = session.sym_int(counts)
+            assert ref(Matrix._make(dim, row)) == brute_sym(rep, letters(counts), cache), (dim, counts)
             if not conjugated:
-                assert all(c - r == ms.counts[0] - ms.counts[1] for r, c, _ in row[0]), (dim, ms)
+                assert all(c - r == counts[0] - counts[1] for r, c, _ in row[0]), (dim, counts)
 
 
 @pytest.mark.parametrize("dim, conjugated", [(d, False) for d in range(1, 7)] + [(d, True) for d in range(2, 5)])
@@ -166,8 +174,7 @@ def test_fused_kernel_matches_reference(dim, conjugated):
         session = SymSession(unit=unit, times=times)
         expected = {(0, 0, 0): R.Matrix.identity(dim)}
         for order in range(1, 8):
-            for ms in all_multisets(order):
-                c = ms.counts
+            for c in all_counts(order):
                 total = R.Matrix.zero(dim)
                 for a in range(3):
                     if c[a]:
@@ -185,7 +192,7 @@ def test_long_product_keeps_a_flat_stack():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 50)
     try:
-        product = SymSession(REPS[2]).sym(IndexMultiset((0, 0, n)))
+        product = SymSession(REPS[2]).sym((3,) * n)
         report = verify_identity(REPS[2], build_identity(60), mode="sampled", count=3, seed=1)
     finally:
         sys.setrecursionlimit(limit)
@@ -223,7 +230,7 @@ def test_threads_share_one_spherical_session():
     # never reads one half built.  Four threads fill one cold session each
     # round, switching often, against a serial fill.
     rep = conjugate_rep(REPS[5], dense_similarity(5))
-    keys = [ms.counts for order in range(7) for ms in all_multisets(order)]
+    keys = [c for order in range(7) for c in all_counts(order)]
     unit, times = spherical_algebra(rep)
     serial = SymSession(unit=unit, times=times)
     expected = [serial.sym_int(c) for c in keys]
@@ -355,19 +362,17 @@ def test_gen_delta_total_over_all_tuples(n):
 @pytest.mark.parametrize("order", range(10))
 def test_delta_weights_match_subset_enumeration(order):
     # the per-subset gen_delta sum is the brute-force oracle of the formula
-    for ms in all_multisets(order):
-        idx = ms.letters()
+    for counts in all_counts(order):
+        idx = letters(counts)
         for p in range(order // 2 + 1):
             brute = {}
             for subset in itertools.combinations(range(order), 2 * p):
                 d = gen_delta([idx[q] for q in subset])
                 if d:
-                    rest = IndexMultiset.from_tuple(
-                        idx[q] for q in range(order) if q not in subset
-                    )
+                    rest = axis_counts(idx[q] for q in range(order) if q not in subset)
                     brute[rest] = brute.get(rest, 0) + d
-            assert delta_weights(ms.counts, p) == brute, (ms, p)
-            assert delta_weights(ms.counts, p, CARTESIAN) == brute, (ms, p)
+            assert delta_weights(counts, p) == brute, (counts, p)
+            assert delta_weights(counts, p, CARTESIAN) == brute, (counts, p)
 
 
 SPHERICAL_PAIR_WEIGHT = {(1, 2): 2, (2, 1): 2, (3, 3): 1}  # letters +, -, 3
@@ -387,21 +392,21 @@ def weighted_pairings(idx, weight):
 def test_spherical_delta_weights_match_weighted_pairings(order):
     # Over the letters +, -, 3: a (+, -) pair weighs 2, a (3, 3) pair 1,
     # any other pair 0; the subset sum by multiset left out is the oracle.
-    for ms in all_multisets(order):
-        idx = ms.letters()
+    for counts in all_counts(order):
+        idx = letters(counts)
         for p in range(order // 2 + 1):
             brute = {}
             for subset in itertools.combinations(range(order), 2 * p):
                 d = weighted_pairings(tuple(idx[q] for q in subset), SPHERICAL_PAIR_WEIGHT)
                 if d:
-                    rest = IndexMultiset.from_tuple(idx[q] for q in range(order) if q not in subset)
+                    rest = axis_counts(idx[q] for q in range(order) if q not in subset)
                     brute[rest] = brute.get(rest, 0) + d
-            assert delta_weights(ms.counts, p, SPHERICAL) == brute, (ms, p)
-            a, b, c = ms.counts
-            closed = {IndexMultiset((a - k, b - k, c - 2 * (p - k))):
+            assert delta_weights(counts, p, SPHERICAL) == brute, (counts, p)
+            a, b, c = counts
+            closed = {(a - k, b - k, c - 2 * (p - k)):
                       comb(a, k) * comb(b, k) * factorial(k) * 2**k * comb(c, 2 * (p - k)) * pairing_count(p - k)
                       for k in range(min(a, b, p) + 1) if 2 * (p - k) <= c}
-            assert delta_weights(ms.counts, p, SPHERICAL) == closed, (ms, p)
+            assert delta_weights(counts, p, SPHERICAL) == closed, (counts, p)
 
 
 @pytest.mark.parametrize("metric", [(1, 2, 3, 5), (2, 0, 1, 3), (0, 3, 0, 1)])
@@ -411,16 +416,16 @@ def test_delta_weights_under_a_general_metric(metric):
     g11, g22, g33, g12 = metric
     weight = {(1, 1): g11, (2, 2): g22, (3, 3): g33, (1, 2): g12, (2, 1): g12}
     for order in range(8):
-        for ms in all_multisets(order):
-            idx = ms.letters()
+        for counts in all_counts(order):
+            idx = letters(counts)
             for p in range(order // 2 + 1):
                 brute = {}
                 for subset in itertools.combinations(range(order), 2 * p):
                     d = weighted_pairings(tuple(idx[q] for q in subset), weight)
                     if d:
-                        rest = IndexMultiset.from_tuple(idx[q] for q in range(order) if q not in subset)
+                        rest = axis_counts(idx[q] for q in range(order) if q not in subset)
                         brute[rest] = brute.get(rest, 0) + d
-                assert delta_weights(ms.counts, p, metric) == brute, (metric, ms, p)
+                assert delta_weights(counts, p, metric) == brute, (metric, counts, p)
 
 
 def test_weighted_pairings_reduce_to_gen_delta():
