@@ -24,9 +24,11 @@ its coefficients.  ``verify_identity`` evaluates F by Horner's rule in
 two orders of coefficients at a time and no delta weights; a failure's
 witness is read from the Cartesian residual, rebuilt exactly from the
 spherical ones (``cartesian_residual``).  ``discover_identity`` keeps the
-levels apart, since its b_p are the unknowns: it reads the delta weights
-and one SymSession, as ``Identity.residual_int`` does, which also serves
-the rewriter (with the Cartesian residual) and the tests as the oracle.
+levels apart, since its b_p are the unknowns, and needs one multiset only,
+(0, 0, D): on a representation of su(2) the identity holds everywhere iff
+it holds at F(e_3), the powers of S_3.  It reads the delta weights and one
+SymSession, as ``Identity.residual_int`` does, which also serves the
+rewriter (with the Cartesian residual) and the tests as the oracle.
 """
 from __future__ import annotations
 
@@ -39,8 +41,8 @@ from math import comb, factorial, gcd, lcm
 from typing import Iterator, Literal, Sequence
 
 from .scalar import KEY_I, Record, Row, Scalar, combine_terms, frac_str, times_key
-from .spinrep import Matrix, SpinRep, first_nonzero_entry, spherical_algebra
-from .symalg import CARTESIAN, SPHERICAL, Metric, SymSession, all_counts, axis_counts, delta_weights, pairing_count
+from .spinrep import Matrix, SpinRep, commutation_holds, first_nonzero_entry, spherical_algebra
+from .symalg import CARTESIAN, Metric, SymSession, all_counts, axis_counts, delta_weights, pairing_count
 
 Witness = tuple[int, int, Scalar]
 Failure = tuple[tuple[int, ...], Witness]
@@ -229,37 +231,47 @@ def build_identity(dim: int) -> Identity:
 def discover_identity(rep: SpinRep) -> Identity:
     """Recover the identity coefficients from the representation alone.
 
-    Sets up  {S_{i_1}..S_{i_D}} + sum_p c_p (delta patterns) = 0  over the
-    spanning family of all sorted index multisets and solves for the c_p by
-    fraction-free elimination (each matrix entry splits into its coordinates
-    on the {sqrt(m), i sqrt(m)} basis, one equation per coordinate).  This is
-    the independent check that the b_p really are 2^p p! a_p.  The
-    equations are the spherical ones, multisets of S_+, S_-, S_3 with the
-    SPHERICAL delta weights: an invertible change of the Cartesian system,
-    with the same solutions.
+    Sets up  {S_{i_1}..S_{i_D}} + sum_p c_p (delta patterns) = 0  and
+    solves for the c_p by fraction-free elimination (each matrix entry
+    splits into its coordinates on the {sqrt(m), i sqrt(m)} basis, one
+    equation per coordinate).  This is the independent check that the b_p
+    really are 2^p p! a_p: the c_p come from the delta weights, not from
+    that formula.
+
+    One index multiset suffices, every index 3: counts (0, 0, D).  The
+    identity is the polarization of F(u) = sum_j a_j (u.u)^j (u.S)^(D-2j).
+    On a representation of su(2), F is SL(2, C)-equivariant, the u with
+    u.u != 0 form one orbit up to scale and are Zariski-dense, and F(e_3)
+    is the identity at (0, 0, D): so a candidate holds on every multiset
+    iff it holds on that one, and both systems have the same solutions.
+    There the Cartesian and spherical weights agree, C(D, 2p) (2p - 1)!!,
+    and the products are powers of S_3 alone.  The commutation relation is
+    the theorem's premise, so a triple that fails it is refused with
+    ``DiscoveryError``, as is a system with no or many solutions.
     """
     dim = rep.dim
     if dim < 2:
         raise ValueError("no identity to discover below dimension 2")
+    if not commutation_holds(rep):
+        raise DiscoveryError("the matrices do not satisfy the su(2) commutation relation [S_a, S_b] = i "
+                             "epsilon_abc S_c, on which discovery from the multiset of S_3 alone rests")
     k = dim // 2
-    unit, times = spherical_algebra(rep)
-    session = SymSession(unit=unit, times=times)
-
+    session = SymSession(rep)
+    counts = (0, 0, dim)
+    mats = [combine_terms((w, *session.sym_int(rest)) for rest, w in level)
+            for level in _delta_levels(counts, CARTESIAN)]
+    mats.append(combine_terms([(-1, *session.sym_int(counts))]))
+    # One equation per (row, col, key) coordinate, cleared of denominators.
+    den = lcm(*(d for _, d in mats))
+    rows: dict[tuple[int, int, int], list[int]] = {}
+    for j, (terms, d) in enumerate(mats):
+        scale = den // d
+        for cell, n in terms.items():
+            rows.setdefault(cell, [0] * (k + 1))[j] = n * scale
     # pivots[j] = integer row with leading entry in column j (plus rhs).
     pivots: dict[int, list[int]] = {}
-    for counts in all_counts(dim):
-        mats = [combine_terms((w, *session.sym_int(rest)) for rest, w in level)
-                for level in _delta_levels(counts, SPHERICAL)]
-        mats.append(combine_terms([(-1, *session.sym_int(counts))]))
-        # One equation per (row, col, key) coordinate, cleared of denominators.
-        den = lcm(*(d for _, d in mats))
-        rows: dict[tuple[int, int, int], list[int]] = {}
-        for j, (terms, d) in enumerate(mats):
-            scale = den // d
-            for cell, n in terms.items():
-                rows.setdefault(cell, [0] * (k + 1))[j] = n * scale
-        for cell in sorted(rows):
-            _eliminate(rows[cell], pivots, k)
+    for cell in sorted(rows):
+        _eliminate(rows[cell], pivots, k)
     if len(pivots) < k:
         raise DiscoveryError("identity coefficients are not uniquely determined")
     solution = _back_substitute(pivots, k)
@@ -267,11 +279,17 @@ def discover_identity(rep: SpinRep) -> Identity:
 
 
 def _eliminate(row: list[int], pivots: dict[int, list[int]], k: int) -> None:
+    """Reduce row by the pivots and store it as a new pivot, or check that
+    it vanishes.  Each step divides the row by its content, which keeps
+    the integers from growing with the number of pivots met."""
     for j in range(k):
         if row[j] and j in pivots:
             f, prow = row[j], pivots[j]
             g = prow[j]
             row = [g * x - f * y for x, y in zip(row, prow)]
+            c = gcd(*row)
+            if c > 1:
+                row = [x // c for x in row]
     lead = next((j for j in range(k) if row[j]), None)
     if lead is None:
         if row[k]:

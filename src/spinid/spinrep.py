@@ -289,11 +289,12 @@ def build_generators(dim: int) -> SpinRep:
 
 def commutation_holds(rep: SpinRep) -> bool:
     """[S_a, S_b] = i S_c for the cyclic triples (a, b, c), checked exactly
-    on matrix rows."""
-    gens = rep.rows
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        bracket = combine_terms([(1, *row_matmul(gens[a], gens[b])), (-1, *row_matmul(gens[b], gens[a]))])
-        if bracket != (times_key(gens[c][0], KEY_I), gens[c][1]):
+    on matrix rows: each bracket is one fused call of right multiplication
+    by the generators, S_a S_b - S_b S_a, on tables the three share."""
+    gens, times = rep.rows, _times_right(rep.rows)
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        bracket = times([(1, gens[a - 1], b), (-1, gens[b - 1], a)])
+        if bracket != (times_key(gens[c - 1][0], KEY_I), gens[c - 1][1]):
             return False
     return True
 

@@ -9,12 +9,12 @@ evaluation over whole tuple spaces cheap.  A multiset is its axis counts
 
 One engine, ``SymSession``, builds the products from an algebra's unit and
 right multiplication by a generator: for a representation's matrices
-(``spinrep.matrix_algebra``), for the same matrices on the spherical
-generators S_+, S_-, S_3 (``spinrep.spherical_algebra``, which discovery
-uses; verification runs the same step, sum_a c_a {c - e_a} S_a, in its
-Horner sweep, ``charid._sweep_residuals``) and for ordered words in
-``rewrite``.  It owns no format: values are the rows of ``scalar``, and
-a matrix row is ``spinrep``'s, with cells (row, col, key).
+(``spinrep.matrix_algebra``, which discovery uses, for the powers of S_3;
+verification runs the same step, sum_a c_a {c - e_a} S_a, on the spherical
+generators S_+, S_-, S_3 of ``spinrep.spherical_algebra`` in its Horner
+sweep, ``charid._sweep_residuals``) and for ordered words in ``rewrite``.
+It owns no format: values are the rows of ``scalar``, and a matrix row is
+``spinrep``'s, with cells (row, col, key).
 ``SymSession.sym`` hands one out as a ``Matrix``, a view of the row.
 
 The generalized deltas come with a metric (``delta_weights``): the
@@ -57,10 +57,10 @@ class SymSession:
     linear combination of rows times generators: each entry
     {c} = sum_a c_a {c - e_a} S_a is one such call.  A request builds each
     missing entry c' <= c once, from neighbours already built.
-    ``SymSession(rep)`` works in the matrices of rep (``matrix_algebra``);
-    discovery passes the unit and ``times`` of ``spherical_algebra``,
-    with S_+, S_-, S_3 as axes 1, 2, 3, and the rewriter those of its
-    ordered words.
+    ``SymSession(rep)`` works in the matrices of rep (``matrix_algebra``),
+    as discovery does; ``unit=``/``times=`` take any other algebra, such as
+    ``spherical_algebra``'s, with S_+, S_-, S_3 as axes 1, 2, 3, or the
+    rewriter's ordered words.
 
     The cache is keyed on the index multiset, so a pass over all D-tuples
     costs O(#multisets) products instead of O(3^D * D!).

@@ -6,14 +6,19 @@ library's rows.  ``ref`` reads a library Scalar or Matrix into this
 arithmetic and ``lib`` writes a reference value back, so an oracle computes
 here and compares here.  ``char_coeffs`` and ``b_coeffs`` expand the
 characteristic equation in ``Fraction`` arithmetic, against the library's
-expansion in integers.
+expansion in integers.  ``discover_identity`` solves the equations of
+every multiset, where the library's solves one; it runs on the library's
+rows, since what it checks is that reduction.
 """
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import spinid
-from spinid.scalar import UnsupportedInverseError, fraction_row, render_components, row_scalars, squarefree_decompose
-from spinid.spinrep import SingularMatrixError, eigenvalue_list
+from spinid.charid import DiscoveryError
+from spinid.scalar import (UnsupportedInverseError, combine_terms, fraction_row, render_components, row_scalars,
+                           squarefree_decompose)
+from spinid.spinrep import SingularMatrixError, eigenvalue_list, spherical_algebra
+from spinid.symalg import SPHERICAL, SymSession, all_counts, delta_weights
 
 
 class Radical:
@@ -238,3 +243,46 @@ def char_coeffs(dim):
 def b_coeffs(dim):
     """b_p = 2^p p! a_p from the reference a_p."""
     return [2**p * factorial(p) * a for p, a in enumerate(char_coeffs(dim), start=1)]
+
+
+def discover_identity(rep):
+    """The identity's b_p by the all-multisets elimination: the equations
+    of every counts of order D, in the spherical algebra with the
+    spherical delta weights, one per (row, col, key) coordinate, solved
+    fraction-free.  The library solves the counts (0, 0, D) alone; this
+    is the slow path it must agree with, result for result and
+    ``DiscoveryError`` for ``DiscoveryError``, on every representation of
+    su(2).  It makes no commutation check."""
+    dim = rep.dim
+    k = dim // 2
+    unit, times = spherical_algebra(rep)
+    session = SymSession(unit=unit, times=times)
+    pivots = {}  # pivots[j]: integer row with leading entry in column j, rhs last
+    for counts in all_counts(dim):
+        mats = [combine_terms((w, *session.sym_int(rest)) for rest, w in delta_weights(counts, p, SPHERICAL).items())
+                for p in range(1, k + 1)]
+        mats.append(combine_terms([(-1, *session.sym_int(counts))]))
+        den = lcm(*(d for _, d in mats))
+        rows = {}
+        for j, (terms, d) in enumerate(mats):
+            for cell, n in terms.items():
+                rows.setdefault(cell, [0] * (k + 1))[j] = n * (den // d)
+        for cell in sorted(rows):
+            row = rows[cell]
+            for j in range(k):
+                if row[j] and j in pivots:
+                    row = [pivots[j][j] * x - row[j] * y for x, y in zip(row, pivots[j])]
+            lead = next((j for j in range(k) if row[j]), None)
+            if lead is None:
+                if row[k]:
+                    raise DiscoveryError("no coefficients satisfy the identity pattern")
+                continue
+            g = gcd(*row)
+            pivots[lead] = [x // g for x in row]
+    if len(pivots) < k:
+        raise DiscoveryError("identity coefficients are not uniquely determined")
+    b = [Fraction(0)] * k
+    for j in sorted(pivots, reverse=True):
+        row = pivots[j]
+        b[j] = (row[k] - sum(row[t] * b[t] for t in range(j + 1, k))) / Fraction(row[j])
+    return spinid.Identity(dim, tuple(b))

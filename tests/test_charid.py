@@ -31,7 +31,8 @@ from spinid.charid import (
 )
 from spinid.rewrite import NormalForm, parse
 from spinid.scalar import combine_terms
-from spinid.spinrep import Matrix, SpinRep, build_generators, conjugate_rep, eigenvalue_list, spherical_algebra
+from spinid.spinrep import (Matrix, SpinRep, build_generators, commutation_holds, conjugate_rep, eigenvalue_list,
+                            spherical_algebra)
 from spinid.symalg import CARTESIAN, SPHERICAL, SymSession, all_counts, axis_counts, delta_weights
 
 REPS = {dim: build_generators(dim) for dim in range(1, 8)}
@@ -497,9 +498,12 @@ def test_verify_at_large_dimension(dim, rep_dim, holds):
 
 
 def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
-    # No product in the Cartesian algebra; verification reads no delta
-    # weights at all (the sweep adds (u.u)^j by its own closed form), and
-    # discovery only spherical ones.
+    # Verification makes no product in the Cartesian algebra and reads no
+    # delta weights at all (the sweep adds (u.u)^j by its own closed form).
+    # Discovery reads the weights of the counts (0, 0, D) alone and
+    # multiplies by S_3 only: there the two algebras and metrics agree.
+    matrix_algebra = symalg.matrix_algebra
+
     def refuse(*args, **kwargs):
         raise AssertionError("matrix_algebra ran")
 
@@ -520,9 +524,34 @@ def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
         assert not verify_identity(REPS[dim], build_identity(dim + 1), mode="exhaustive").ok
         assert verify_identity(REPS[dim], build_identity(dim + 2), mode="sampled", count=30, seed=dim).ok
     assert calls == [], "verification read delta weights"
+
+    axes = []
+
+    def recorded(rep):
+        unit, times = matrix_algebra(rep)
+
+        def recording(parts):
+            axes.extend(a for _, _, a in parts)
+            return times(parts)
+
+        return unit, recording
+
+    def counted(counts, p, metric=CARTESIAN):
+        calls.append(counts)
+        return delta_weights(counts, p, metric)
+
+    def no_spherical(*args, **kwargs):
+        raise AssertionError("spherical_algebra ran")
+
+    monkeypatch.setattr(symalg, "matrix_algebra", recorded)
+    monkeypatch.setattr(charid, "delta_weights", counted)
+    monkeypatch.setattr(charid, "spherical_algebra", no_spherical)
     for dim in range(2, 7):
+        calls.clear()
+        axes.clear()
         assert discover_identity(REPS[dim]) == build_identity(dim)
-    assert {sum(c) for c in calls} == set(range(2, 7))
+        assert calls == [(0, 0, dim)] * (dim // 2), dim
+        assert axes == [3] * dim, dim  # S_3^n for n = 1 .. D, one product each
     charid._delta_levels.cache_clear()  # no level computed under the patch outlives it
 
 
@@ -696,25 +725,82 @@ def test_report_json_renders_each_witness_once():
 # --- discovery ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dim", range(2, 5))
+@pytest.mark.parametrize("dim", range(2, 41))
 def test_discovery_recovers_coefficients(dim):
-    found = discover_identity(REPS[dim])
+    # The paper's arbitrary D: one multiset keeps discovery cheap here.
+    found = discover_identity(build_generators(dim))
     assert found == build_identity(dim)
+    assert list(found.b) == reference.b_coeffs(dim)
+
+
+def _seeded_conjugation(dim, seed):
+    # A seeded signed permutation times a dense rational similarity: the
+    # equations are dense there, not one diagonal.
+    rng = random.Random(100 * dim + seed)
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    signed = Matrix.from_rational_rows(
+        [[rng.choice((-1, 1)) if perm[r] == c else 0 for c in range(dim)] for r in range(dim)]
+    )
+    return conjugate_rep(REPS[dim], signed * dense_similarity(dim))
 
 
 @pytest.mark.parametrize("dim", range(2, 6))
 def test_discovery_on_seeded_conjugations(dim):
-    # A seeded signed permutation times a dense rational similarity: the
-    # spherical equations are dense there, not one diagonal.
     for seed in range(3):
-        rng = random.Random(100 * dim + seed)
-        perm = list(range(dim))
-        rng.shuffle(perm)
-        signed = Matrix.from_rational_rows(
-            [[rng.choice((-1, 1)) if perm[r] == c else 0 for c in range(dim)] for r in range(dim)]
-        )
-        rep = conjugate_rep(REPS[dim], signed * dense_similarity(dim))
-        assert discover_identity(rep) == build_identity(dim), (dim, seed)
+        assert discover_identity(_seeded_conjugation(dim, seed)) == build_identity(dim), (dim, seed)
+
+
+def direct_sum(*dims):
+    """The block-diagonal sum of the ladder representations of dims, built
+    with ``SpinRep(dim, rows)``."""
+    blocks = [(build_generators(d).rows, sum(dims[:j])) for j, d in enumerate(dims)]
+    rows = tuple(combine_terms((1, {(r + o, c + o, key): n for (r, c, key), n in gens[a][0].items()}, gens[a][1])
+                               for gens, o in blocks)
+                 for a in range(3))
+    return SpinRep(sum(dims), rows)
+
+
+# Direct sums of ladder representations.  The b_p are determined iff S_3
+# has floor(D/2) distinct eigenvalue squares, zero counted only when D is
+# even; the first ten leave them free.
+DIRECT_SUMS = [(2, 2), (3, 3), (4, 2), (4, 4), (5, 3), (3, 1, 1), (2, 2, 2), (5, 3, 1), (6, 4), (6, 2),
+               (3, 1), (1, 3), (5, 1), (7, 1), (2, 1), (3, 2), (4, 1, 1)]
+
+
+def _discovered(rep, discover):
+    try:
+        return discover(rep)
+    except charid.DiscoveryError:
+        return charid.DiscoveryError
+
+
+def test_discovery_from_one_multiset_matches_the_all_multisets_oracle():
+    # The counts (0, 0, D) alone against the equations of every multiset:
+    # the same identity, or DiscoveryError from both, on ladder
+    # representations, seeded conjugations and direct sums.
+    reps = [REPS[dim] for dim in range(2, 8)]
+    reps += [_seeded_conjugation(dim, seed) for dim in range(2, 6) for seed in range(3)]
+    reps += [direct_sum(*dims) for dims in DIRECT_SUMS]
+    for rep in reps:
+        assert commutation_holds(rep)
+        assert _discovered(rep, discover_identity) == _discovered(rep, reference.discover_identity), rep.dim
+    found = {dims: _discovered(direct_sum(*dims), discover_identity) for dims in DIRECT_SUMS}
+    assert [dims for dims, ident in found.items() if ident is charid.DiscoveryError] == DIRECT_SUMS[:10]
+    assert found[(3, 2)] == Identity(5, (Fraction(-5, 2), Fraction(2)))
+    assert found[(3, 1)] == found[(1, 3)] == Identity(4, (Fraction(-2), Fraction(0)))  # S_3 = 1, 0, 0, -1
+
+
+def test_discovery_refuses_a_triple_off_the_commutation_relation():
+    # The reduction to one multiset rests on the commutation relation, so
+    # discovery checks it first, whatever the equations would give.
+    s1, s2, s3 = REPS[3].rows
+    doubled = combine_terms([(2, *s3)])
+    for rows in ((s1, s2, doubled), (s2, s1, s3), (s1, s2, ({}, 1))):
+        rep = SpinRep(3, rows)
+        assert not commutation_holds(rep)
+        with pytest.raises(charid.DiscoveryError, match="commutation relation"):
+            discover_identity(rep)
 
 
 def test_discovery_needs_dimension_two():
