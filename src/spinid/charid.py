@@ -16,7 +16,8 @@ even e1 + e2 + e3 = 2p of prod_a C(c_a, e_a) (e_a - 1)!! {S over c - e}
 
 The identity is a symmetric tensor identity, so it holds iff its spherical
 components vanish: the residuals for counts (a, b, c) of S_+ = S_1 + i S_2,
-S_- = S_1 - i S_2 and S_3, with the deltas weighted by the SPHERICAL metric.
+S_- = S_1 - i S_2 and S_3, whose deltas weigh a (+, -) pair 2 and a (3, 3)
+pair 1.
 Contracted with u, the left side is D! times the polynomial
 F(u) = sum_j a_j (u.u)^j (u.S)^(D - 2j), and the spherical residuals are
 its coefficients.  ``verify_identity`` evaluates F by Horner's rule in
@@ -27,8 +28,8 @@ spherical ones (``cartesian_residual``).  ``discover_identity`` keeps the
 levels apart, since its b_p are the unknowns, and needs one multiset only,
 (0, 0, D): on a representation of su(2) the identity holds everywhere iff
 it holds at F(e_3), the powers of S_3.  It reads the delta weights and one
-SymSession, as ``Identity.residual_int`` does, which also serves the
-rewriter (with the Cartesian residual) and the tests as the oracle.
+SymSession, as ``Identity.residual_int`` does, which serves the rewriter
+and the tests as the oracle.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from typing import Iterator, Literal, Sequence
 
 from .scalar import KEY_I, Record, Row, Scalar, combine_terms, frac_str, times_key
 from .spinrep import Matrix, SpinRep, commutation_holds, first_nonzero_entry, spherical_algebra
-from .symalg import CARTESIAN, Metric, SymSession, all_counts, axis_counts, delta_weights, pairing_count
+from .symalg import SymSession, all_counts, axis_counts, delta_weights, pairing_count
 
 Witness = tuple[int, int, Scalar]
 Failure = tuple[tuple[int, ...], Witness]
@@ -195,28 +196,19 @@ class Identity(Record):
         dim = session.matrix_dim()
         return Matrix._make(dim, self.residual_int(session, axis_counts(idx)))
 
-    def residual_int(self, session: SymSession, counts: tuple[int, int, int], metric: Metric = CARTESIAN) -> Row:
+    def residual_int(self, session: SymSession, counts: tuple[int, int, int]) -> Row:
         """The residual for these axis counts, as a row of the session's
-        algebra (matrices, or the rewriter's ordered words); with the
-        SPHERICAL metric on a session over S_+, S_-, S_3, the residual of
-        the spherical counts (a, b, c).  The delta weights are read from
-        ``_delta_levels``, computed once per counts and metric."""
+        algebra (matrices, or the rewriter's ordered words), with the
+        Cartesian ``delta_weights`` of each level."""
         if sum(counts) != self.dim:
             raise ValueError(f"expected {self.dim} indices, got {sum(counts)}")
         parts = [(1, *session.sym_int(counts))]
-        for b_p, level in zip(self.b, _delta_levels(counts, metric)):
-            for rest, w in level:
+        for p, b_p in enumerate(self.b, start=1):
+            for rest, w in delta_weights(counts, p).items():
                 terms, den = session.sym_int(rest)
                 if terms:
                     parts.append((b_p * w, terms, den))
         return combine_terms(parts)
-
-
-@lru_cache(maxsize=1024)
-def _delta_levels(counts: tuple[int, int, int], metric: Metric) -> tuple[tuple[tuple[tuple[int, int, int], int], ...], ...]:
-    """``delta_weights(counts, p, metric)`` for p = 1 .. order // 2, as
-    (rest counts, weight) pairs: level p is entry p - 1."""
-    return tuple(tuple(delta_weights(counts, p, metric).items()) for p in range(1, sum(counts) // 2 + 1))
 
 
 @lru_cache(maxsize=32)
@@ -258,8 +250,8 @@ def discover_identity(rep: SpinRep) -> Identity:
     k = dim // 2
     session = SymSession(rep)
     counts = (0, 0, dim)
-    mats = [combine_terms((w, *session.sym_int(rest)) for rest, w in level)
-            for level in _delta_levels(counts, CARTESIAN)]
+    mats = [combine_terms((w, *session.sym_int(rest)) for rest, w in delta_weights(counts, p).items())
+            for p in range(1, k + 1)]
     mats.append(combine_terms([(-1, *session.sym_int(counts))]))
     # One equation per (row, col, key) coordinate, cleared of denominators.
     den = lcm(*(d for _, d in mats))

@@ -17,14 +17,13 @@ It owns no format: values are the rows of ``scalar``, and a matrix row is
 ``spinrep``'s, with cells (row, col, key).
 ``SymSession.sym`` hands one out as a ``Matrix``, a view of the row.
 
-The generalized deltas come with a metric (``delta_weights``): the
-Cartesian delta_ij on S_1, S_2, S_3, and on S_+, S_-, S_3 the metric in
-which a (+, -) pair weighs 2 and a (3, 3) pair 1.  One closed form covers
-both.
+The generalized deltas (``delta_weights``) are Cartesian, delta_ij on
+S_1, S_2, S_3: a pair of indices weighs 1 if its axes are equal and 0
+otherwise.  Verification's sweep over S_+, S_-, S_3 reads no weights.
 """
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, prod
 from typing import Iterable, Sequence
 
 from .scalar import Row
@@ -59,8 +58,9 @@ class SymSession:
     missing entry c' <= c once, from neighbours already built.
     ``SymSession(rep)`` works in the matrices of rep (``matrix_algebra``),
     as discovery does; ``unit=``/``times=`` take any other algebra, such as
-    ``spherical_algebra``'s, with S_+, S_-, S_3 as axes 1, 2, 3, or the
-    rewriter's ordered words.
+    the rewriter's ordered words, or ``spherical_algebra``'s, with S_+,
+    S_-, S_3 as axes 1, 2, 3 (``delta_weights`` stay Cartesian there, so
+    ``Identity.residual_int`` on it is not the spherical residual).
 
     The cache is keyed on the index multiset, so a pass over all D-tuples
     costs O(#multisets) products instead of O(3^D * D!).
@@ -120,41 +120,22 @@ def pairing_count(n: int) -> int:
     return out
 
 
-Metric = tuple[int, int, int, int]  # (g11, g22, g33, g12)
-# delta_{ij} on S_1, S_2, S_3, and on S_+, S_-, S_3 the metric of
-# u.u = 4 alpha beta + gamma^2 for u.S = alpha S_+ + beta S_- + gamma S_3.
-CARTESIAN: Metric = (1, 1, 1, 0)
-SPHERICAL: Metric = (0, 0, 1, 2)
-
-
-def delta_weights(counts: tuple[int, int, int], p: int, metric: Metric = CARTESIAN) -> dict[tuple[int, int, int], int]:
+def delta_weights(counts: tuple[int, int, int], p: int) -> dict[tuple[int, int, int], int]:
     """Generalized deltas of a tuple with these axis counts, summed over
     all 2p-subsets of positions, by the multiset left out.
 
-    Each subset counts its perfect pairings, weighted by the product of
-    the metric over the pairs; pairs across axes exist only between axes
-    1 and 2 (g12).  With h_a pairs within axis a and k cross pairs, the
-    subset takes e = (2 h1 + k, 2 h2 + k, 2 h3) indices, in
-    prod_a C(c_a, e_a) ways, and leaves c - e; the cross pairs form in
-    C(e1, k) C(e2, k) k! ways and the rest in prod_a (2 h_a - 1)!! ways,
-    each weighing g11^h1 g22^h2 g33^h3 g12^k.  Terms of zero weight are
-    skipped, so in the Cartesian metric k = 0 and in the spherical one
-    h1 = h2 = 0."""
-    g11, g22, g33, g12 = metric
+    A subset counts its perfect pairings whose pairs carry equal axes.
+    With h_a pairs within axis a, h1 + h2 + h3 = p, it takes 2 h_a of the
+    c_a indices of axis a, in prod_a C(c_a, 2 h_a) ways, pairs them in
+    prod_a (2 h_a - 1)!! ways, and leaves c - 2h."""
     c1, c2, c3 = counts
     out: dict[tuple[int, int, int], int] = {}
-    for h1 in range(p + 1 if g11 else 1):
-        for h2 in range(p + 1 - h1 if g22 else 1):
-            for k in range(p + 1 - h1 - h2 if g12 else 1):
-                h3 = p - h1 - h2 - k
-                e1, e2, e3 = 2 * h1 + k, 2 * h2 + k, 2 * h3
-                if e1 > c1 or e2 > c2 or e3 > c3 or (h3 and not g33):
-                    continue
-                w = (comb(c1, e1) * comb(c2, e2) * comb(c3, e3) * comb(e1, k) * comb(e2, k) * factorial(k)
-                     * pairing_count(h1) * pairing_count(h2) * pairing_count(h3)
-                     * g11**h1 * g22**h2 * g33**h3 * g12**k)
-                rest = (c1 - e1, c2 - e2, c3 - e3)
-                out[rest] = out.get(rest, 0) + w
+    for h1 in range(min(p, c1 // 2) + 1):
+        for h2 in range(min(p - h1, c2 // 2) + 1):
+            h3 = p - h1 - h2
+            if 2 * h3 <= c3:
+                out[c1 - 2 * h1, c2 - 2 * h2, c3 - 2 * h3] = prod(
+                    comb(c, 2 * h) * pairing_count(h) for c, h in ((c1, h1), (c2, h2), (c3, h3)))
     return out
 
 

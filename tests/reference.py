@@ -8,9 +8,14 @@ here and compares here.  ``char_coeffs`` and ``b_coeffs`` expand the
 characteristic equation in ``Fraction`` arithmetic, against the library's
 expansion in integers.  ``discover_identity`` solves the equations of
 every multiset, where the library's solves one; it runs on the library's
-rows, since what it checks is that reduction.
+rows, since what it checks is that reduction.  ``spherical_delta_weights``
+enumerates weighted pairings, and ``spherical_residual`` sums with them the
+identity's left side over S_+, S_-, S_3, which the library's Horner sweep
+must match.
 """
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd, lcm
 
 import spinid
@@ -18,7 +23,7 @@ from spinid.charid import DiscoveryError
 from spinid.scalar import (UnsupportedInverseError, combine_terms, fraction_row, render_components, row_scalars,
                            squarefree_decompose)
 from spinid.spinrep import SingularMatrixError, eigenvalue_list, spherical_algebra
-from spinid.symalg import SPHERICAL, SymSession, all_counts, delta_weights
+from spinid.symalg import SymSession, all_counts
 
 
 class Radical:
@@ -245,6 +250,48 @@ def b_coeffs(dim):
     return [2**p * factorial(p) * a for p, a in enumerate(char_coeffs(dim), start=1)]
 
 
+SPHERICAL_PAIR_WEIGHT = {(1, 2): 2, (2, 1): 2, (3, 3): 1}  # letters +, -, 3
+
+
+def weighted_pairings(idx, weight):
+    """Sum over the perfect pairings of idx of the product of the pair
+    weights, enumerated like ``symalg.gen_delta``."""
+    if not idx:
+        return 1
+    first, tail = idx[0], idx[1:]
+    return sum(weight.get((first, other), 0) * weighted_pairings(tail[:j] + tail[j + 1 :], weight)
+               for j, other in enumerate(tail))
+
+
+@lru_cache(maxsize=None)
+def spherical_delta_weights(counts, p):
+    """The deltas over S_+, S_-, S_3 of a tuple with these counts, summed
+    over all 2p-subsets of positions by the counts left out: each subset
+    weighs the weighted pairings of its letters, where a (+, -) pair
+    weighs 2, a (3, 3) pair 1 and any other pair 0 (u.u = 4 alpha beta +
+    gamma^2 for u.S = alpha S_+ + beta S_- + gamma S_3)."""
+    idx = tuple(a for a, c in zip((1, 2, 3), counts) for _ in range(c))
+    pairings, out = {}, {}  # pairings by the subset's letters, in order
+    for subset in itertools.combinations(range(len(idx)), 2 * p):
+        letters = tuple(idx[q] for q in subset)
+        if letters not in pairings:
+            pairings[letters] = weighted_pairings(letters, SPHERICAL_PAIR_WEIGHT)
+        if pairings[letters]:
+            rest = tuple(c - letters.count(a) for a, c in zip((1, 2, 3), counts))
+            out[rest] = out.get(rest, 0) + pairings[letters]
+    return out
+
+
+def spherical_residual(ident, session, counts):
+    """The identity's left side at the spherical counts (a, b, c), as a row
+    of a session over ``spherical_algebra``: {c} plus b_p times the
+    spherical deltas of each level."""
+    parts = [(1, *session.sym_int(counts))]
+    parts += [(b_p * w, *session.sym_int(rest)) for p, b_p in enumerate(ident.b, start=1)
+              for rest, w in spherical_delta_weights(counts, p).items()]
+    return combine_terms(parts)
+
+
 def discover_identity(rep):
     """The identity's b_p by the all-multisets elimination: the equations
     of every counts of order D, in the spherical algebra with the
@@ -259,7 +306,7 @@ def discover_identity(rep):
     session = SymSession(unit=unit, times=times)
     pivots = {}  # pivots[j]: integer row with leading entry in column j, rhs last
     for counts in all_counts(dim):
-        mats = [combine_terms((w, *session.sym_int(rest)) for rest, w in delta_weights(counts, p, SPHERICAL).items())
+        mats = [combine_terms((w, *session.sym_int(rest)) for rest, w in spherical_delta_weights(counts, p).items())
                 for p in range(1, k + 1)]
         mats.append(combine_terms([(-1, *session.sym_int(counts))]))
         den = lcm(*(d for _, d in mats))

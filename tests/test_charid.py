@@ -33,7 +33,7 @@ from spinid.rewrite import NormalForm, parse
 from spinid.scalar import combine_terms
 from spinid.spinrep import (Matrix, SpinRep, build_generators, commutation_holds, conjugate_rep, eigenvalue_list,
                             spherical_algebra)
-from spinid.symalg import CARTESIAN, SPHERICAL, SymSession, all_counts, axis_counts, delta_weights
+from spinid.symalg import SymSession, all_counts, axis_counts, delta_weights
 
 REPS = {dim: build_generators(dim) for dim in range(1, 8)}
 
@@ -430,8 +430,8 @@ SPHERICAL_REPS = [(r, False) for r in range(1, 10)] + [(r, True) for r in range(
 
 @pytest.mark.parametrize("rep_dim, conjugated", SPHERICAL_REPS)
 def test_cartesian_residual_from_spherical_matches_direct(rep_dim, conjugated):
-    # Row for row: the Cartesian residual converted from the spherical ones
-    # against Identity.residual_int on a Cartesian session.
+    # Row for row: the Cartesian residual converted from the reference's
+    # spherical ones against Identity.residual_int on a Cartesian session.
     rep = build_generators(rep_dim)
     if conjugated:
         rep = conjugate_rep(rep, dense_similarity(rep_dim))
@@ -440,7 +440,7 @@ def test_cartesian_residual_from_spherical_matches_direct(rep_dim, conjugated):
     spherical = SymSession(unit=unit, times=times)
     for dim in range(2, 8):
         ident = build_identity(dim)
-        rows = {c: ident.residual_int(spherical, c, SPHERICAL) for c in all_counts(dim)}
+        rows = {c: reference.spherical_residual(ident, spherical, c) for c in all_counts(dim)}
         for c in all_counts(dim):
             assert cartesian_residual(c, rows) == ident.residual_int(cartesian, c), (dim, c)
 
@@ -456,9 +456,9 @@ def _sweep_cases():
 
 @pytest.mark.parametrize("dim, rep_dim, conjugated", list(_sweep_cases()))
 def test_sweep_matches_residual_oracle(dim, rep_dim, conjugated):
-    # Every order-D spherical residual of the Horner sweep against
-    # Identity.residual_int on a spherical SymSession (memo and delta
-    # weights): for the identity, for b_1 + 1 and for each b_p set to 0;
+    # Every order-D spherical residual of the Horner sweep against the
+    # reference's, on a spherical SymSession with the weighted pairings'
+    # delta weights: for the identity, for b_1 + 1 and for each b_p set to 0;
     # and a sampled target set, whose downset sweep is the full sweep on
     # those targets.
     rep = build_generators(rep_dim)
@@ -475,7 +475,7 @@ def test_sweep_matches_residual_oracle(dim, rep_dim, conjugated):
         rows, products = charid._sweep_residuals(rep, ident, keys)
         assert set(rows) == keys
         for c in keys:
-            assert rows[c] == ident.residual_int(session, c, SPHERICAL), (ident.b, c)
+            assert rows[c] == reference.spherical_residual(ident, session, c), (ident.b, c)
         targets = set(rng.sample(sorted(keys), 3))
         sampled, fewer = charid._sweep_residuals(rep, ident, targets)
         assert sampled == {c: rows[c] for c in targets} and fewer <= products
@@ -501,7 +501,8 @@ def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
     # Verification makes no product in the Cartesian algebra and reads no
     # delta weights at all (the sweep adds (u.u)^j by its own closed form).
     # Discovery reads the weights of the counts (0, 0, D) alone and
-    # multiplies by S_3 only: there the two algebras and metrics agree.
+    # multiplies by S_3 only: there the Cartesian and spherical algebras
+    # and deltas agree.
     matrix_algebra = symalg.matrix_algebra
 
     def refuse(*args, **kwargs):
@@ -509,16 +510,13 @@ def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
 
     calls = []
 
-    def spherical_only(counts, p, metric=CARTESIAN):
-        assert metric == SPHERICAL, "Cartesian delta_weights ran"
+    def counted(counts, p):
         calls.append(counts)
-        return delta_weights(counts, p, metric)
+        return delta_weights(counts, p)
 
     monkeypatch.setattr(symalg, "matrix_algebra", refuse)
     monkeypatch.setattr(spinrep, "matrix_algebra", refuse)
-    monkeypatch.setattr(charid, "delta_weights", spherical_only)
-    # A cold weight memo, so that every weight goes through the patch.
-    charid._delta_levels.cache_clear()
+    monkeypatch.setattr(charid, "delta_weights", counted)
     for dim in range(2, 7):
         assert verify_identity(REPS[dim], build_identity(dim), mode="exhaustive").ok
         assert not verify_identity(REPS[dim], build_identity(dim + 1), mode="exhaustive").ok
@@ -536,15 +534,10 @@ def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
 
         return unit, recording
 
-    def counted(counts, p, metric=CARTESIAN):
-        calls.append(counts)
-        return delta_weights(counts, p, metric)
-
     def no_spherical(*args, **kwargs):
         raise AssertionError("spherical_algebra ran")
 
     monkeypatch.setattr(symalg, "matrix_algebra", recorded)
-    monkeypatch.setattr(charid, "delta_weights", counted)
     monkeypatch.setattr(charid, "spherical_algebra", no_spherical)
     for dim in range(2, 7):
         calls.clear()
@@ -552,51 +545,22 @@ def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
         assert discover_identity(REPS[dim]) == build_identity(dim)
         assert calls == [(0, 0, dim)] * (dim // 2), dim
         assert axes == [3] * dim, dim  # S_3^n for n = 1 .. D, one product each
-    charid._delta_levels.cache_clear()  # no level computed under the patch outlives it
 
 
-def test_residual_weights_are_memoized_once(monkeypatch):
-    # residual_int reads b_p times delta_weights(counts, p, metric), the
-    # weights computed once per counts and metric: C(D+2, 2) memo entries
-    # per metric at order D, whatever the number of calls.  Order <= 12 in
-    # both metrics, on a session whose products are cheap (D = 2), against
-    # the residual summed from delta_weights itself.
+def test_residual_int_sums_the_delta_weights():
+    # residual_int is {c} plus b_p times the delta_weights(c, p) terms, for
+    # every counts of order D = 2 .. 12, on a session whose products are
+    # cheap (D = 2); a tuple of the wrong order is refused.
     session = SymSession(REPS[2])
-    calls = []  # the memo's calls; the expected sums call delta_weights directly
-
-    def counted(counts, p, metric=CARTESIAN):
-        calls.append((counts, p, metric))
-        return delta_weights(counts, p, metric)
-
-    monkeypatch.setattr(charid, "delta_weights", counted)
-    charid._delta_levels.cache_clear()
-    entries = 0
     for dim in range(2, 13):
         ident = build_identity(dim)
-        multisets = all_counts(dim)
-        for metric in (CARTESIAN, SPHERICAL):
-            for c in multisets:
-                expected = [(1, *session.sym_int(c))]
-                expected += [(b_p * w, *session.sym_int(rest)) for p, b_p in enumerate(ident.b, start=1)
-                             for rest, w in delta_weights(c, p, metric).items()]
-                assert ident.residual_int(session, c, metric) == combine_terms(expected), (c, metric)
-                levels = charid._delta_levels(c, metric)
-                assert len(levels) == dim // 2
-                for p, level in enumerate(levels, start=1):
-                    assert level == tuple(delta_weights(c, p, metric).items())
-        entries += 2 * len(multisets)
-        assert len(multisets) == comb(dim + 2, 2)
-        assert charid._delta_levels.cache_info().currsize == entries
-        n_calls = len(calls)
-        for metric in (CARTESIAN, SPHERICAL):
-            for c in multisets:
-                ident.residual_int(session, c, metric)
-        assert len(calls) == n_calls, "a warm residual recomputed its weights"
+        for c in all_counts(dim):
+            expected = [(1, *session.sym_int(c))]
+            expected += [(b_p * w, *session.sym_int(rest)) for p, b_p in enumerate(ident.b, start=1)
+                         for rest, w in delta_weights(c, p).items()]
+            assert ident.residual_int(session, c) == combine_terms(expected), c
         with pytest.raises(ValueError, match="expected"):
             ident.residual_int(session, (dim, 1, 0))
-    info = charid._delta_levels.cache_info()
-    assert info.currsize <= info.maxsize
-    charid._delta_levels.cache_clear()  # no level computed under the patch outlives it
 
 
 def _oracle_draws(seed, d, count):
@@ -683,14 +647,15 @@ def test_report_stats_stay_off_the_wire():
 
 
 def test_session_without_representation_refuses_matrices():
-    # A session built from unit= and times= holds rows only.
+    # A session built from unit= and times= holds rows only.  At (0, 0, 3)
+    # the Cartesian and spherical deltas agree, and the identity holds.
     unit, times = spherical_algebra(REPS[3])
     session = SymSession(unit=unit, times=times)
     with pytest.raises(ValueError, match="no representation.*sym_int"):
         session.sym((1, 2))
     with pytest.raises(ValueError, match="no representation.*residual_int"):
         build_identity(3).residual(session, (1, 2, 3))
-    assert build_identity(3).residual_int(session, (1, 1, 1), SPHERICAL) == ({}, 1)
+    assert build_identity(3).residual_int(session, (0, 0, 3)) == ({}, 1)
 
 
 def test_report_json_shape():

@@ -25,8 +25,6 @@ from spinid.spinrep import (
     spherical_algebra,
 )
 from spinid.symalg import (
-    CARTESIAN,
-    SPHERICAL,
     SymSession,
     all_counts,
     axis_counts,
@@ -372,67 +370,27 @@ def test_delta_weights_match_subset_enumeration(order):
                     rest = axis_counts(idx[q] for q in range(order) if q not in subset)
                     brute[rest] = brute.get(rest, 0) + d
             assert delta_weights(counts, p) == brute, (counts, p)
-            assert delta_weights(counts, p, CARTESIAN) == brute, (counts, p)
-
-
-SPHERICAL_PAIR_WEIGHT = {(1, 2): 2, (2, 1): 2, (3, 3): 1}  # letters +, -, 3
-
-
-def weighted_pairings(idx, weight):
-    """Sum over the perfect pairings of idx of the product of the pair
-    weights, enumerated like gen_delta."""
-    if not idx:
-        return 1
-    first, tail = idx[0], idx[1:]
-    return sum(weight.get((first, other), 0) * weighted_pairings(tail[:j] + tail[j + 1 :], weight)
-               for j, other in enumerate(tail))
 
 
 @pytest.mark.parametrize("order", range(10))
 def test_spherical_delta_weights_match_weighted_pairings(order):
-    # Over the letters +, -, 3: a (+, -) pair weighs 2, a (3, 3) pair 1,
-    # any other pair 0; the subset sum by multiset left out is the oracle.
+    # The reference's spherical weights, summed over the weighted pairings
+    # of every subset (a (+, -) pair weighs 2, a (3, 3) pair 1), against
+    # their closed form: k (+, -) pairs and p - k (3, 3) pairs.
     for counts in all_counts(order):
-        idx = letters(counts)
+        a, b, c = counts
         for p in range(order // 2 + 1):
-            brute = {}
-            for subset in itertools.combinations(range(order), 2 * p):
-                d = weighted_pairings(tuple(idx[q] for q in subset), SPHERICAL_PAIR_WEIGHT)
-                if d:
-                    rest = axis_counts(idx[q] for q in range(order) if q not in subset)
-                    brute[rest] = brute.get(rest, 0) + d
-            assert delta_weights(counts, p, SPHERICAL) == brute, (counts, p)
-            a, b, c = counts
             closed = {(a - k, b - k, c - 2 * (p - k)):
                       comb(a, k) * comb(b, k) * factorial(k) * 2**k * comb(c, 2 * (p - k)) * pairing_count(p - k)
                       for k in range(min(a, b, p) + 1) if 2 * (p - k) <= c}
-            assert delta_weights(counts, p, SPHERICAL) == closed, (counts, p)
-
-
-@pytest.mark.parametrize("metric", [(1, 2, 3, 5), (2, 0, 1, 3), (0, 3, 0, 1)])
-def test_delta_weights_under_a_general_metric(metric):
-    # Every factor of the closed form at once: pairs within axes 1, 2, 3
-    # and across 1-2 all weigh, as g11, g22, g33 and g12.
-    g11, g22, g33, g12 = metric
-    weight = {(1, 1): g11, (2, 2): g22, (3, 3): g33, (1, 2): g12, (2, 1): g12}
-    for order in range(8):
-        for counts in all_counts(order):
-            idx = letters(counts)
-            for p in range(order // 2 + 1):
-                brute = {}
-                for subset in itertools.combinations(range(order), 2 * p):
-                    d = weighted_pairings(tuple(idx[q] for q in subset), weight)
-                    if d:
-                        rest = axis_counts(idx[q] for q in range(order) if q not in subset)
-                        brute[rest] = brute.get(rest, 0) + d
-                assert delta_weights(counts, p, metric) == brute, (metric, counts, p)
+            assert R.spherical_delta_weights(counts, p) == closed, (counts, p)
 
 
 def test_weighted_pairings_reduce_to_gen_delta():
     cartesian = {(a, a): 1 for a in (1, 2, 3)}
     for n in range(4):
         for tup in itertools.product((1, 2, 3), repeat=2 * n):
-            assert weighted_pairings(tup, cartesian) == gen_delta(tup)
+            assert R.weighted_pairings(tup, cartesian) == gen_delta(tup)
 
 
 def brute_pairings(items):
