@@ -15,19 +15,21 @@ even e1 + e2 + e3 = 2p of prod_a C(c_a, e_a) (e_a - 1)!! {S over c - e}
 (``symalg.delta_weights``); position subsets appear only in emitted output.
 
 The identity is a symmetric tensor identity, so it holds iff its spherical
-components vanish: the residuals for counts (a, b, c) of S_+ = S_1 + i S_2,
-S_- = S_1 - i S_2 and S_3, whose deltas weigh a (+, -) pair 2 and a (3, 3)
-pair 1.
+components vanish: the residuals R(a, b, c) for counts (a, b, c) of
+S_+ = S_1 + i S_2, S_- = S_1 - i S_2 and S_3.
 Contracted with u, the left side is D! times the polynomial
 F(u) = sum_j a_j (u.u)^j (u.S)^(D - 2j), and the spherical residuals are
-its coefficients.  ``verify_identity`` evaluates F by Horner's rule in
-(u.S)^2 over ``spinrep.spherical_algebra`` (``_sweep_residuals``), holding
-two orders of coefficients at a time and no delta weights; a failure's
+its coefficients.  On a representation of su(2), ad S_+ and ad S_- act on
+F as derivations in u that kill u.u, so every residual of order D follows
+from R(0, 0, D) = D! q_D(S_3), q_D(x) = sum_j a_j x^(D - 2j), by
+commutators.  ``verify_identity`` checks the commutation relation,
+computes q_D(S_3) by Horner's rule in S_3^2 (``_q_of_s3``) and, when it is
+zero, certifies every tuple at once; otherwise it fills the residuals of
+order D by the adjoint recursion (``_adjoint_residuals``), and a failure's
 witness is read from the Cartesian residual, rebuilt exactly from the
 spherical ones (``cartesian_residual``).  ``discover_identity`` keeps the
 levels apart, since its b_p are the unknowns, and needs one multiset only,
-(0, 0, D): on a representation of su(2) the identity holds everywhere iff
-it holds at F(e_3), the powers of S_3.  It reads the delta weights and one
+(0, 0, D), by the same theorem.  It reads the delta weights and one
 SymSession, as ``Identity.residual_int`` does, which serves the rewriter
 and the tests as the oracle.
 """
@@ -41,8 +43,9 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from typing import Iterator, Literal, Sequence
 
-from .scalar import KEY_I, Record, Row, Scalar, combine_terms, frac_str, times_key
-from .spinrep import Matrix, SpinRep, commutation_holds, first_nonzero_entry, spherical_algebra
+from .scalar import KEY_I, KEY_ONE, Record, Row, Scalar, combine_terms, frac_str, times_key
+from .spinrep import (Matrix, SpinRep, commutation_holds, first_nonzero_entry, product_kernel, row_matmul,
+                      spherical_algebra)
 from .symalg import SymSession, all_counts, axis_counts, delta_weights, pairing_count
 
 Witness = tuple[int, int, Scalar]
@@ -338,50 +341,56 @@ def _spherical_weights(c1: int, c2: int) -> tuple[tuple[int, int, Fraction], ...
     return tuple(out)
 
 
-def _sweep_residuals(rep: SpinRep, ident: Identity,
-                     targets: set[tuple[int, int, int]]) -> tuple[dict[tuple[int, int, int], Row], int]:
-    """The spherical residuals R(c) at the order-D counts ``targets``, and
-    the number of products taken, by Horner's rule on the contracted
-    identity.
+def _q_of_s3(rep: SpinRep, ident: Identity) -> tuple[Row, int]:
+    """q_D(S_3) = sum_j a_j S_3^(D - 2j), a_0 = 1 and a_j = b_j / (2^j j!),
+    whose D! multiple is the spherical residual R(0, 0, D), and the number
+    of products taken.  Horner's rule in S_3^2 runs H_0 = 1,
+    H_j = H_(j-1) S_3^2 + a_j, each step one fused call with the unit term
+    as an axis-0 part, and a last factor S_3 when D is odd."""
+    d, s3 = ident.dim, rep.rows[2]
+    times = product_kernel((row_matmul(s3, s3), s3))
+    unit = {(k, k, KEY_ONE): 1 for k in range(rep.dim)}
+    h = (unit, 1)
+    for j in range(1, d // 2 + 1):
+        a_j = ident.b[j - 1] / (2**j * factorial(j)) if j <= len(ident.b) else 0
+        h = times([(1, h, 1), (a_j.numerator, (unit, a_j.denominator), 0)] if a_j else [(1, h, 1)])
+    if d % 2:
+        h = times([(1, h, 2)])
+    return h, 1 + d // 2 + d % 2
 
-    Contracted with u, u.S = alpha S_+ + beta S_- + gamma S_3, the left
-    side is D! F with F = sum_j a_j (u.u)^j (u.S)^(D - 2j), u.u = 4 alpha
-    beta + gamma^2 and a_j = b_j / (2^j j!) (a_0 = 1), and R(c) is
-    Q_F(c) = c1! c2! c3! [alpha^c1 beta^c2 gamma^c3] F.  With Q normalized
-    so, a right factor u.S maps Q to Q'(c) = sum_a c_a Q(c - e_a) S_a, one
-    ``times`` call per entry, as ``SymSession`` builds {c}.  The sweep runs
-    G_0 = 1, G_j = G_(j-1) (u.S)^2 + a_j (u.u)^j and F = G_(D//2) (u.S)^(D%2):
-    the term a_j (u.u)^j adds a_j C(j, m) 4^m c! times the unit at
-    c = (m, m, 2(j - m)).  Only two orders are held at a time, and each
-    holds only the counts below some target: every counts when the
-    targets are every order-D counts."""
-    d = ident.dim
-    if len(targets) == (d + 1) * (d + 2) // 2:
-        levels = [all_counts(n) for n in range(d, -1, -1)]
-    else:
-        levels = [set(targets)]  # the downset of the targets, order d down to 0
-        for _ in range(d):
-            levels.append({b for x, y, z in levels[-1]
-                           for k, b in ((x, (x - 1, y, z)), (y, (x, y - 1, z)), (z, (x, y, z - 1))) if k})
-    unit, times = spherical_algebra(rep)
-    rows, products = {(0, 0, 0): unit}, 0
-    for n in range(1, d + 1):
-        below, rows = rows, {}
-        for x, y, z in levels[d - n]:
-            parts = []
-            for a, k, b in ((1, x, (x - 1, y, z)), (2, y, (x, y - 1, z)), (3, z, (x, y, z - 1))):
-                if k and below[b][0]:  # a zero row stays zero: it is not multiplied
-                    parts.append((k, below[b], a))
-            rows[x, y, z] = times(parts) if parts else ({}, 1)
+
+def _adjoint_residuals(rep: SpinRep, d: int, top: Row) -> tuple[dict[tuple[int, int, int], Row], int]:
+    """Every spherical residual R(A, B, C) of order A + B + C = d from
+    R(0, 0, d) = ``top`` by the adjoint action, and the number of
+    commutators taken.
+
+    On u.S = alpha S_+ + beta S_- + gamma S_3, ad S_+ acts as the
+    derivation -gamma d/d(alpha) + 2 beta d/d(gamma) and ad S_- as
+    gamma d/d(beta) - 2 alpha d/d(gamma); both kill u.u, so on the
+    residuals
+        [S_-, R(A, B, C)] = C R(A, B + 1, C - 1) - 2A R(A - 1, B, C + 1),
+        [S_+, R(A, B, C)] = -C R(A + 1, B, C - 1) + 2B R(A, B - 1, C + 1).
+    The first column, A = 0, comes down from R(0, 0, d) by ad S_-, and each
+    step in A by ad S_+: one fused call of ``spherical_algebra``'s
+    two-sided multiplication per residual, the division by C taken into the
+    rows' denominators and the 2B term added as an axis-0 part.  A
+    combination of zero rows is zero and takes no call."""
+    _, times = spherical_algebra(rep)
+    rows, products = {(0, 0, d): top}, 0
+    for a in range(d + 1):
+        for b in range(d - a + 1):
+            c = d - a - b
+            if a:  # (c + 1) R(a, b, c) = -[S_+, R(a-1, b, c+1)] + 2b R(a-1, b-1, c+2)
+                x = rows[a - 1, b, c + 1]
+                parts = [(-1, x, -1), (1, x, 1), (2 * b, rows.get((a - 1, b - 1, c + 2), ({}, 1)), 0)]
+            elif b:  # (c + 1) R(0, b, c) = [S_-, R(0, b-1, c+1)]
+                x = rows[0, b - 1, c + 1]
+                parts = [(1, x, -2), (-1, x, 2)]
+            else:
+                continue
+            parts = [(w, (terms, den * (c + 1)), axis) for w, (terms, den), axis in parts if w and terms]
+            rows[a, b, c] = times(parts) if parts else ({}, 1)
             products += bool(parts)
-        j = n // 2
-        if n % 2 == 0 and j <= len(ident.b):
-            a_j = ident.b[j - 1] / (2**j * factorial(j))
-            for m in range(j + 1):
-                c = (m, m, n - 2 * m)
-                if c in rows:
-                    w = a_j * (comb(j, m) * 4**m * factorial(m) ** 2 * factorial(n - 2 * m))
-                    rows[c] = combine_terms([(1, *rows[c]), (w, *unit)])
     return rows, products
 
 
@@ -394,8 +403,10 @@ class VerificationReport(Record):
                  failures: list[Failure] | None = None, elapsed: float = 0.0, stats: dict[str, int] | None = None):
         super().__init__(dim, rep_dim, mode, tuples_checked, [] if failures is None else failures, elapsed)
         # Counters of the run, off the wire like elapsed and outside equality:
-        # multisets evaluated, spherical residuals computed and products
-        # taken by the sweep (``times`` calls).
+        # multisets covered (every one when exhaustive, those drawn when
+        # sampled), spherical residuals computed (R(0, 0, D) alone when
+        # q_D(S_3) vanishes) and products taken (``times`` calls: S_3^2, the
+        # Horner steps and the commutators).
         self.__dict__["stats"] = {} if stats is None else stats
 
     @property
@@ -433,23 +444,23 @@ def verify_identity(
     """Evaluate the identity's left side over index tuples and report every
     tuple where it fails to vanish.
 
-    The left side depends only on the multiset of the tuple, so each
-    distinct multiset is evaluated once and the verdict is shared by all
-    tuples mapping to it; tuples are enumerated only to list the failures
-    when some multiset fails.  A multiset c is evaluated through the
-    spherical residuals with counts (a, c1 + c2 - a, c3): when they all
-    vanish it holds, and otherwise its witness is the first nonzero entry
-    of ``cartesian_residual``.  The spherical residuals come from one
-    Horner sweep of the contracted identity (``_sweep_residuals``), order
-    by order up to D, over every counts below the ones needed: all of
-    them when exhaustive, the downset of the drawn multisets when
-    sampled.  Memory holds two orders of rows, not the products of every
-    order.  A sample is tallied as it is drawn, at most 2^14 random words
-    at a time.  Only a sample of one read keeps its distinct draws; a
-    longer one is drawn again from the seed when some multiset fails, to
-    list its failing tuples.  Cross-dimension
-    checks (ident.dim != rep.dim) are allowed and useful.  A failing
-    identity yields a report, never an exception.
+    The left side depends only on the multiset of the tuple, and on a
+    representation of su(2) every spherical residual of order D follows
+    from R(0, 0, D) = D! q_D(S_3) by the adjoint action
+    (``_adjoint_residuals``).  So the commutation relation is checked
+    first, and a triple off it is refused with ``ValueError``.  Then
+    q_D(S_3) is computed by Horner's rule in S_3^2 (``_q_of_s3``):
+    when it vanishes the identity holds at every tuple, and the report
+    says so at once.  Otherwise the recursion fills every residual of
+    order D, and a multiset c holds iff its spherical residuals with
+    counts (a, c1 + c2 - a, c3) all vanish; a failing one's witness is the
+    first nonzero entry of ``cartesian_residual``.  Tuples are enumerated
+    only to list the failures.  A sample is tallied as it is drawn, at
+    most 2^14 random words at a time.  Only a sample of one read keeps its
+    distinct draws; a longer one is drawn again from the seed when some
+    multiset fails, to list its failing tuples.  Cross-dimension checks
+    (ident.dim != rep.dim) are allowed and useful.  A failing identity
+    yields a report, never an exception.
 
     When mode is omitted: exhaustive through dimension 7, above that a
     1000-tuple sample (an explicit seed is then mandatory).
@@ -465,7 +476,13 @@ def verify_identity(
             raise ValueError("sampled mode requires count and seed")
         if count < 1:
             raise ValueError(f"sampled mode needs a positive count, got {count}")
+    elif mode != "exhaustive":
+        raise ValueError(f"unknown mode {mode!r}")
+    if not commutation_holds(rep):
+        raise ValueError("the matrices do not satisfy the su(2) commutation relation [S_a, S_b] = i "
+                         "epsilon_abc S_c, on which verification from the multiset of S_3 alone rests")
 
+    if mode == "sampled":
         def reads() -> Iterator[set[bytes]]:
             # The draws from the seed, afresh: the distinct ones of each read.
             for chunk in _sample_chunks(random.Random(seed), d, count):
@@ -475,33 +492,32 @@ def verify_identity(
         for k, drawn in enumerate(reads()):
             keys.update((t.count(1), t.count(2), t.count(3)) for t in drawn)
             first = drawn if k == 0 else None  # kept only while the sample is one read
-        del drawn  # not held through the sweep
+        del drawn  # not held through the residuals
         keys = sorted(keys)
-        checked = count
-    elif mode == "exhaustive":
-        keys = all_counts(d)
-        checked = 3**d
+        checked, multisets = count, len(keys)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        checked, multisets = 3**d, (d + 1) * (d + 2) // 2
 
-    groups = {c: [(a, c[0] + c[1] - a, c[2]) for a in range(c[0] + c[1] + 1)] for c in keys}
-    spherical, products = _sweep_residuals(rep, ident, {key for group in groups.values() for key in group})
-    verdicts = {}
-    for c, group in groups.items():
-        held = not any(spherical[key][0] for key in group)
-        verdicts[c] = None if held else first_nonzero_entry(cartesian_residual(c, spherical))
-
+    q, products = _q_of_s3(rep, ident)
+    stats = {"multisets": multisets, "spherical_residuals": 1, "products": products}
     failures: list[Failure] = []
-    if any(w is not None for w in verdicts.values()):
-        # Every tuple in order, or the sample (drawn again from its seed when
-        # it took more than one read), each failing draw kept once and put
-        # in order.
-        if mode == "exhaustive":
-            tuples = itertools.product((1, 2, 3), repeat=d)
-        else:
-            tuples = first if first is not None else itertools.chain.from_iterable(reads())
-        found = ((t, w) for t in tuples if (w := verdicts[t.count(1), t.count(2), t.count(3)]) is not None)
-        failures = list(found) if mode == "exhaustive" else [(tuple(t), w) for t, w in sorted(dict(found).items())]
+    if q[0]:
+        spherical, commutators = _adjoint_residuals(rep, d, combine_terms([(factorial(d), *q)]))
+        stats.update(spherical_residuals=len(spherical), products=products + commutators)
+        verdicts = {}
+        for c in all_counts(d) if mode == "exhaustive" else keys:
+            held = not any(spherical[a, c[0] + c[1] - a, c[2]][0] for a in range(c[0] + c[1] + 1))
+            verdicts[c] = None if held else first_nonzero_entry(cartesian_residual(c, spherical))
+        if any(w is not None for w in verdicts.values()):
+            # Every tuple in order, or the sample (drawn again from its seed
+            # when it took more than one read), each failing draw kept once
+            # and put in order.
+            if mode == "exhaustive":
+                tuples = itertools.product((1, 2, 3), repeat=d)
+            else:
+                tuples = first if first is not None else itertools.chain.from_iterable(reads())
+            found = ((t, w) for t in tuples if (w := verdicts[t.count(1), t.count(2), t.count(3)]) is not None)
+            failures = list(found) if mode == "exhaustive" else [(tuple(t), w) for t, w in sorted(dict(found).items())]
 
     return VerificationReport(
         dim=d,
@@ -510,7 +526,7 @@ def verify_identity(
         tuples_checked=checked,
         failures=failures,
         elapsed=time.perf_counter() - t0,
-        stats={"multisets": len(keys), "spherical_residuals": len(spherical), "products": products},
+        stats=stats,
     )
 
 

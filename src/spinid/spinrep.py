@@ -39,8 +39,9 @@ from .scalar import (
 
 Cell = tuple[int, int, int]  # (row, col, key)
 Part = tuple[int, Row, int]  # (weight, row, axis)
-# Right multiplication as a linear combination: the parts (w, row, a) give
-# the reduced row of sum w * row * S_a.
+# Multiplication as a linear combination: the parts (w, row, a) give the
+# reduced row of sum w * row * S_a, with S_(-a) * row for a negative axis
+# and row itself for axis 0 (``product_kernel``).
 Times = Callable[[Sequence[Part]], Row]
 
 
@@ -163,51 +164,86 @@ class Matrix:
 
 def row_matmul(a: Row, b: Row) -> Row:
     """The matrix product of two matrix rows."""
-    return _times_right((b,))([(1, a, 1)])
+    return product_kernel((b,))([(1, a, 1)])
 
 
-def _times_right(gens: Sequence[Row]) -> Times:
-    """Right multiplication by the matrix rows gens, axis a standing for
-    gens[a - 1]: the parts (w, row, a), with integer weights w, give the
-    row of sum w * row * gens[a - 1].
+def product_kernel(gens: Sequence[Row]) -> Times:
+    """Multiplication by the matrix rows gens on either side, axis a
+    standing for S_a = gens[a - 1] and axis 0 for the unit: the parts
+    (w, row, a), with integer weights w, give the row of the sum of
+    w * row * S_a for a > 0, w * S_(-a) * row for a < 0 and w * row for
+    a = 0.
 
     One loop accumulates every part's products over one common denominator
-    and the sum is reduced once.  A left cell (r, k, k1) meets the cells of
-    row k of its generator through a table of (col, key, f * n2), built the
-    first time (k, k1) is met and kept with the returned function, so the
-    inner loop makes no ``key_product`` call."""
-    cells: list[dict[int, list[tuple[int, int, int]]]] = []
+    and the sum is reduced once.  On the right, a cell (r, k, k1) of row
+    meets row k of its generator through a table of (col, key, f * n2); on
+    the left, a cell (k, c, k2) meets column k through a table of
+    (row, key, f * n1).  A table is built the first time its (k, key) is
+    met and kept with the returned function, so the inner loops make no
+    ``key_product`` call; the generators' columns are indexed on the first
+    left part."""
+    rows: list[dict[int, list[tuple[int, int, int]]]] = []  # cells of each generator by row: (col, key, n)
     for terms, _ in gens:
         by_row: dict[int, list[tuple[int, int, int]]] = {}
         for (k, c, key), n in terms.items():
             by_row.setdefault(k, []).append((c, key, n))
-        cells.append(by_row)
+        rows.append(by_row)
     tables: list[dict[tuple[int, int], list[tuple[int, int, int]]]] = [{} for _ in gens]
-    dens = [den for _, den in gens]
+    left: list[tuple[dict, dict]] | None = None  # per generator: its cells by column (``_by_column``), a table
+    dens = [1] + [den for _, den in gens]  # dens[abs(a)]: the unit's is 1
 
     def times(parts: Sequence[Part]) -> Row:
+        nonlocal left
         den = 1
         for _, (_, d), a in parts:
-            den = lcm(den, d * dens[a - 1])
+            den = lcm(den, d * dens[abs(a)])
         out: dict[Cell, int] = {}
         for w, (terms, d), a in parts:
-            by_row, table = cells[a - 1], tables[a - 1]
-            s = w * (den // (d * dens[a - 1]))
-            for (r, k, k1), n1 in terms.items():
-                products = table.get((k, k1))
-                if products is None:  # stored only when complete: a race at worst builds it twice
-                    products = []
-                    for c, k2, n2 in by_row.get(k, ()):
-                        f, key = key_product(k1, k2)
-                        products.append((c, key, f * n2))
-                    table[k, k1] = products
-                m = s * n1
-                for c, key, n in products:
-                    t = (r, c, key)
-                    out[t] = out.get(t, 0) + m * n
+            s = w * (den // (d * dens[abs(a)]))
+            if a > 0:
+                by_row, table = rows[a - 1], tables[a - 1]
+                for (r, k, k1), n1 in terms.items():
+                    products = table.get((k, k1))
+                    if products is None:  # stored only when complete: a race at worst builds it twice
+                        products = []
+                        for c, k2, n2 in by_row.get(k, ()):
+                            f, key = key_product(k1, k2)
+                            products.append((c, key, f * n2))
+                        table[k, k1] = products
+                    m = s * n1
+                    for c, key, n in products:
+                        t = (r, c, key)
+                        out[t] = out.get(t, 0) + m * n
+            elif a:
+                if left is None:  # assigned only when complete, as the tables are stored
+                    left = [(_by_column(gen), {}) for gen, _ in gens]
+                by_col, table = left[-a - 1]
+                for (k, c, k2), n2 in terms.items():
+                    products = table.get((k, k2))
+                    if products is None:
+                        products = []
+                        for r, k1, n1 in by_col.get(k, ()):
+                            f, key = key_product(k1, k2)
+                            products.append((r, key, f * n1))
+                        table[k, k2] = products
+                    m = s * n2
+                    for r, key, n in products:
+                        t = (r, c, key)
+                        out[t] = out.get(t, 0) + m * n
+            else:
+                for t, n in terms.items():
+                    out[t] = out.get(t, 0) + s * n
         return reduce_terms(out, den)
 
     return times
+
+
+def _by_column(terms: dict[Cell, int]) -> dict[int, list[tuple[int, int, int]]]:
+    """A matrix row's cells by column k, as (row, key, n)."""
+    out: dict[int, list[tuple[int, int, int]]] = {}
+    for (r, k, key), n in terms.items():
+        out.setdefault(k, []).append((r, key, n))
+    return out
 
 
 def first_nonzero_entry(row: Row) -> tuple[int, int, Scalar] | None:
@@ -291,7 +327,7 @@ def commutation_holds(rep: SpinRep) -> bool:
     """[S_a, S_b] = i S_c for the cyclic triples (a, b, c), checked exactly
     on matrix rows: each bracket is one fused call of right multiplication
     by the generators, S_a S_b - S_b S_a, on tables the three share."""
-    gens, times = rep.rows, _times_right(rep.rows)
+    gens, times = rep.rows, product_kernel(rep.rows)
     for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         bracket = times([(1, gens[a - 1], b), (-1, gens[b - 1], a)])
         if bracket != (times_key(gens[c - 1][0], KEY_I), gens[c - 1][1]):
@@ -321,20 +357,22 @@ def conjugate_rep(rep: SpinRep, m: Matrix) -> SpinRep:
 
 
 def matrix_algebra(rep: SpinRep) -> tuple[Row, Times]:
-    """The algebra of rep's matrices as rows: the identity row, and right
-    multiplication by the generators' rows (``Times``)."""
+    """The algebra of rep's matrices as rows: the identity row, and
+    multiplication by the generators' rows (``product_kernel``)."""
     return _algebra(rep.dim, rep.rows)
 
 
 def spherical_algebra(rep: SpinRep) -> tuple[Row, Times]:
     """The same algebra on the spherical generators: the identity row, and
-    right multiplication by S_+ = S_1 + i S_2 (axis 1), S_- = S_1 - i S_2
-    (axis 2) and S_3 (axis 3).  On a ladder representation S_+ and S_-
-    are one off-diagonal each, so every product of them is one diagonal."""
+    multiplication by S_+ = S_1 + i S_2 (axis 1), S_- = S_1 - i S_2
+    (axis 2) and S_3 (axis 3), so the commutator [S_a, X] is one call,
+    ``times([(1, X, -a), (-1, X, a)])``.  On a ladder representation S_+
+    and S_- are one off-diagonal each, so every product of them is one
+    diagonal."""
     s1, s2, s3 = rep.rows
     i_s2 = (times_key(s2[0], KEY_I), s2[1])
     return _algebra(rep.dim, (combine_terms([(1, *s1), (1, *i_s2)]), combine_terms([(1, *s1), (-1, *i_s2)]), s3))
 
 
 def _algebra(dim: int, gens: Sequence[Row]) -> tuple[Row, Times]:
-    return ({(k, k, KEY_ONE): 1 for k in range(dim)}, 1), _times_right(gens)
+    return ({(k, k, KEY_ONE): 1 for k in range(dim)}, 1), product_kernel(gens)

@@ -10,16 +10,17 @@ evaluation over whole tuple spaces cheap.  A multiset is its axis counts
 One engine, ``SymSession``, builds the products from an algebra's unit and
 right multiplication by a generator: for a representation's matrices
 (``spinrep.matrix_algebra``, which discovery uses, for the powers of S_3;
-verification runs the same step, sum_a c_a {c - e_a} S_a, on the spherical
-generators S_+, S_-, S_3 of ``spinrep.spherical_algebra`` in its Horner
-sweep, ``charid._sweep_residuals``) and for ordered words in ``rewrite``.
+the tests run it on the spherical generators S_+, S_-, S_3 of
+``spinrep.spherical_algebra`` as an oracle of verification's residuals)
+and for ordered words in ``rewrite``.
 It owns no format: values are the rows of ``scalar``, and a matrix row is
 ``spinrep``'s, with cells (row, col, key).
 ``SymSession.sym`` hands one out as a ``Matrix``, a view of the row.
 
 The generalized deltas (``delta_weights``) are Cartesian, delta_ij on
 S_1, S_2, S_3: a pair of indices weighs 1 if its axes are equal and 0
-otherwise.  Verification's sweep over S_+, S_-, S_3 reads no weights.
+otherwise.  Verification, from q_D(S_3) and commutators with S_+ and
+S_-, reads no weights and no symmetric product.
 """
 from __future__ import annotations
 

@@ -10,13 +10,15 @@ expansion in integers.  ``discover_identity`` solves the equations of
 every multiset, where the library's solves one; it runs on the library's
 rows, since what it checks is that reduction.  ``spherical_delta_weights``
 enumerates weighted pairings, and ``spherical_residual`` sums with them the
-identity's left side over S_+, S_-, S_3, which the library's Horner sweep
-must match.
+identity's left side over S_+, S_-, S_3.  ``sweep_residuals``, the Horner
+sweep over every counts below the targets, must match it; the library's
+residuals from q_D(S_3) by the adjoint action must match the sweep.  The
+sweep, too, runs on the library's rows.
 """
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 import spinid
 from spinid.charid import DiscoveryError
@@ -290,6 +292,52 @@ def spherical_residual(ident, session, counts):
     parts += [(b_p * w, *session.sym_int(rest)) for p, b_p in enumerate(ident.b, start=1)
               for rest, w in spherical_delta_weights(counts, p).items()]
     return combine_terms(parts)
+
+
+def sweep_residuals(rep, ident, targets):
+    """The spherical residuals R(c) at the order-D counts ``targets``, and
+    the number of products taken, by Horner's rule on the contracted
+    identity.
+
+    Contracted with u, u.S = alpha S_+ + beta S_- + gamma S_3, the left
+    side is D! F with F = sum_j a_j (u.u)^j (u.S)^(D - 2j), u.u = 4 alpha
+    beta + gamma^2 and a_j = b_j / (2^j j!) (a_0 = 1), and R(c) is
+    Q_F(c) = c1! c2! c3! [alpha^c1 beta^c2 gamma^c3] F.  With Q normalized
+    so, a right factor u.S maps Q to Q'(c) = sum_a c_a Q(c - e_a) S_a, one
+    ``times`` call per entry, as ``SymSession`` builds {c}.  The sweep runs
+    G_0 = 1, G_j = G_(j-1) (u.S)^2 + a_j (u.u)^j and F = G_(D//2) (u.S)^(D%2):
+    the term a_j (u.u)^j adds a_j C(j, m) 4^m c! times the unit at
+    c = (m, m, 2(j - m)).  Only two orders are held at a time, and each
+    holds only the counts below some target: every counts when the
+    targets are every order-D counts."""
+    d = ident.dim
+    if len(targets) == (d + 1) * (d + 2) // 2:
+        levels = [all_counts(n) for n in range(d, -1, -1)]
+    else:
+        levels = [set(targets)]  # the downset of the targets, order d down to 0
+        for _ in range(d):
+            levels.append({b for x, y, z in levels[-1]
+                           for k, b in ((x, (x - 1, y, z)), (y, (x, y - 1, z)), (z, (x, y, z - 1))) if k})
+    unit, times = spherical_algebra(rep)
+    rows, products = {(0, 0, 0): unit}, 0
+    for n in range(1, d + 1):
+        below, rows = rows, {}
+        for x, y, z in levels[d - n]:
+            parts = []
+            for a, k, b in ((1, x, (x - 1, y, z)), (2, y, (x, y - 1, z)), (3, z, (x, y, z - 1))):
+                if k and below[b][0]:  # a zero row stays zero: it is not multiplied
+                    parts.append((k, below[b], a))
+            rows[x, y, z] = times(parts) if parts else ({}, 1)
+            products += bool(parts)
+        j = n // 2
+        if n % 2 == 0 and j <= len(ident.b):
+            a_j = ident.b[j - 1] / (2**j * factorial(j))
+            for m in range(j + 1):
+                c = (m, m, n - 2 * m)
+                if c in rows:
+                    w = a_j * (comb(j, m) * 4**m * factorial(m) ** 2 * factorial(n - 2 * m))
+                    rows[c] = combine_terms([(1, *rows[c]), (w, *unit)])
+    return rows, products
 
 
 def discover_identity(rep):

@@ -454,31 +454,77 @@ def _sweep_cases():
         yield dim, dim + 2 if dim < 4 else 3, True
 
 
+def _varied_identities(dim):
+    """The identity, with b_1 + 1, and with each b_p set to 0."""
+    b = build_identity(dim).b
+    idents = [Identity(dim, b), Identity(dim, (b[0] + 1, *b[1:]))]
+    return idents + [Identity(dim, b[:p] + (Fraction(0),) + b[p + 1 :]) for p in range(len(b))]
+
+
 @pytest.mark.parametrize("dim, rep_dim, conjugated", list(_sweep_cases()))
 def test_sweep_matches_residual_oracle(dim, rep_dim, conjugated):
-    # Every order-D spherical residual of the Horner sweep against the
-    # reference's, on a spherical SymSession with the weighted pairings'
-    # delta weights: for the identity, for b_1 + 1 and for each b_p set to 0;
-    # and a sampled target set, whose downset sweep is the full sweep on
-    # those targets.
+    # Every order-D spherical residual of the reference's Horner sweep
+    # against its weighted-pairings sum, on a spherical SymSession: for the
+    # identity, for b_1 + 1 and for each b_p set to 0; and a sampled target
+    # set, whose downset sweep is the full sweep on those targets.
     rep = build_generators(rep_dim)
     if conjugated:
         rep = conjugate_rep(rep, dense_similarity(rep_dim))
     unit, times = spherical_algebra(rep)
     session = SymSession(unit=unit, times=times)
-    b = build_identity(dim).b
-    idents = [Identity(dim, b), Identity(dim, (b[0] + 1, *b[1:]))]
-    idents += [Identity(dim, b[:p] + (Fraction(0),) + b[p + 1 :]) for p in range(len(b))]
     keys = set(symalg.all_counts(dim))
     rng = random.Random(dim * 100 + rep_dim)
-    for ident in idents:
-        rows, products = charid._sweep_residuals(rep, ident, keys)
+    for ident in _varied_identities(dim):
+        rows, products = reference.sweep_residuals(rep, ident, keys)
         assert set(rows) == keys
         for c in keys:
             assert rows[c] == reference.spherical_residual(ident, session, c), (ident.b, c)
         targets = set(rng.sample(sorted(keys), 3))
-        sampled, fewer = charid._sweep_residuals(rep, ident, targets)
+        sampled, fewer = reference.sweep_residuals(rep, ident, targets)
         assert sampled == {c: rows[c] for c in targets} and fewer <= products
+
+
+def _adjoint_cases():
+    for dim in range(2, 10):
+        for rep_dim in range(1, 12):
+            yield dim, build_generators(rep_dim)
+    for rep_dim in range(2, 8):
+        rep = conjugate_rep(build_generators(rep_dim), dense_similarity(rep_dim))
+        for dim in (rep_dim, rep_dim + 2):
+            yield dim, rep
+    for dim in range(2, 6):
+        for seed in range(3):
+            yield dim, _seeded_conjugation(dim, seed)
+            yield dim + 2, _seeded_conjugation(dim, seed)
+    for dims in DIRECT_SUMS:
+        yield sum(dims), direct_sum(*dims)
+        yield sum(dims) + 1, direct_sum(*dims)
+
+
+def test_adjoint_residuals_match_the_sweep_oracle():
+    # R(0, 0, D) = D! q_D(S_3), and when it is nonzero every order-D
+    # residual by the adjoint action, against the reference's Horner sweep
+    # at every counts: on ladders D = 2..9 x R = 1..11, dense and seeded
+    # conjugations and direct sums, for the identity, b_1 + 1 and each b_p
+    # set to 0.  A zero q_D(S_3) comes with every residual zero; sampled
+    # targets read the same rows as the sweep of their downset.
+    rng = random.Random(21)
+    for dim, rep in _adjoint_cases():
+        keys = symalg.all_counts(dim)
+        for ident in _varied_identities(dim):
+            swept, _ = reference.sweep_residuals(rep, ident, set(keys))
+            q, _ = charid._q_of_s3(rep, ident)
+            top = combine_terms([(factorial(dim), *q)])
+            assert top == swept[0, 0, dim], (dim, rep.dim, ident.b)
+            if not q[0]:
+                assert not any(row[0] for row in swept.values()), (dim, rep.dim, ident.b)
+                continue
+            rows, commutators = charid._adjoint_residuals(rep, dim, top)
+            assert rows == swept, (dim, rep.dim, ident.b)
+            assert commutators <= len(keys) - 1
+            targets = set(rng.sample(keys, min(3, len(keys))))
+            sampled, _ = reference.sweep_residuals(rep, ident, targets)
+            assert sampled == {c: rows[c] for c in targets}, (dim, rep.dim, ident.b)
 
 
 @pytest.mark.parametrize(
@@ -499,7 +545,8 @@ def test_verify_at_large_dimension(dim, rep_dim, holds):
 
 def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
     # Verification makes no product in the Cartesian algebra and reads no
-    # delta weights at all (the sweep adds (u.u)^j by its own closed form).
+    # delta weights at all (q_D(S_3) adds its a_j as unit terms, and the
+    # commutators need none).
     # Discovery reads the weights of the counts (0, 0, D) alone and
     # multiplies by S_3 only: there the Cartesian and spherical algebras
     # and deltas agree.
@@ -604,10 +651,12 @@ def test_sampled_verify_memory_does_not_grow_with_count():
 
 
 def test_verify_reduces_each_product_once(monkeypatch):
-    # One reduce_terms per product of the sweep, per unit term it adds (at
-    # (m, m, 2 (j - m)) for j = 1 .. D // 2, m = 0 .. j) and per witness (the
-    # Cartesian residual and its entry), plus the spherical generators' two:
-    # no intermediate product of the kernel is reduced on its own.
+    # One reduce_terms per product (S_3^2, each Horner step of q_D(S_3) and
+    # each commutator of the adjoint recursion) and per commutation bracket
+    # (three); when q_D(S_3) is nonzero, one more for R(0, 0, D) = D! q_D(S_3)
+    # and two for the spherical generators; and two per witness (the
+    # Cartesian residual and its entry): no intermediate product of the
+    # kernel is reduced on its own.
     from spinid import scalar
 
     calls = []
@@ -626,24 +675,37 @@ def test_verify_reduces_each_product_once(monkeypatch):
         stats = report.stats
         witnesses = len({id(w) for _, w in report.failures})
         assert report.ok is (witnesses == 0)
-        unit_terms = sum(j + 1 for j in range(1, dim // 2 + 1))
-        assert len(calls) == stats["products"] + unit_terms + 2 * witnesses + 2, (rep.dim, dim)
+        assert len(calls) == stats["products"] + 3 + (0 if report.ok else 3) + 2 * witnesses, (rep.dim, dim)
 
 
 def test_report_stats_stay_off_the_wire():
     report = verify_identity(REPS[5], build_identity(5), mode="exhaustive")
-    # 21 multisets of order 5; their spherical counts are the same 21, and
-    # the sweep takes one product for every counts of order 1 .. 5 (none of
-    # them has only zero neighbours on the 5-dimensional representation).
-    assert report.stats == {"multisets": 21, "spherical_residuals": 21, "products": comb(8, 3) - 1}
+    # 21 multisets of order 5, all certified by q_5(S_3) = 0: one spherical
+    # residual, R(0, 0, 5), from four products (S_3^2, two Horner steps in
+    # it and a last factor S_3).  The triangle is never filled.
+    assert report.stats == {"multisets": 21, "spherical_residuals": 1, "products": 4}
     assert set(report.to_json()) == {"dim", "rep_dim", "mode", "tuples_checked", "failures", "ok"}
     sampled = verify_identity(REPS[5], build_identity(5), mode="sampled", count=3, seed=1)
-    # At most 3 multisets, each with its group of spherical counts, and a
-    # sweep restricted to their downset.
+    # At most 3 multisets drawn, certified the same way.
     assert sampled.stats["multisets"] <= 3
-    assert sampled.stats["spherical_residuals"] <= 3 * 6
-    assert sampled.stats["products"] < report.stats["products"]
+    assert sampled.stats["spherical_residuals"] == 1 and sampled.stats["products"] == 4
     assert set(sampled.to_json()) == {"dim", "rep_dim", "mode", "tuples_checked", "failures", "ok"}
+    # On D + 2 the residuals fill the triangle of order 5, one commutator
+    # for each residual but R(0, 0, 5) (none of them is zero there).
+    failing = verify_identity(build_generators(7), build_identity(5), mode="exhaustive")
+    assert failing.stats == {"multisets": 21, "spherical_residuals": 21, "products": 4 + 20}
+
+
+def test_verify_refuses_a_triple_off_the_commutation_relation():
+    # The certificate from q_D(S_3) rests on the commutation relation, so
+    # verification checks it first, as discovery does.
+    s1, s2, s3 = REPS[3].rows
+    doubled = combine_terms([(2, *s3)])
+    for rows in ((s1, s2, doubled), (s2, s1, s3), (s1, s2, ({}, 1))):
+        rep = SpinRep(3, rows)
+        for mode, count, seed in (("exhaustive", None, None), ("sampled", 10, 1)):
+            with pytest.raises(ValueError, match="commutation relation"):
+                verify_identity(rep, build_identity(3), mode=mode, count=count, seed=seed)
 
 
 def test_session_without_representation_refuses_matrices():

@@ -182,6 +182,31 @@ def test_fused_kernel_matches_reference(dim, conjugated):
                 assert ref(Matrix._make(dim, session.sym_int(c))) == total, (dim, c)
 
 
+@pytest.mark.parametrize("conjugated", [False, True])
+def test_two_sided_kernel_matches_reference(conjugated):
+    # A negative axis multiplies on the left and axis 0 adds the row as it
+    # is: left products by S_+, S_- and S_3, and the fused commutators
+    # [S_a, X] with an axis-0 part, against the reference arithmetic, for X
+    # every product of order <= 3, on the 5-dimensional ladder and a dense
+    # conjugation of it (whose rows carry denominators).
+    dim = 5
+    rep = conjugate_rep(REPS[dim], dense_similarity(dim)) if conjugated else REPS[dim]
+    s1, s2, s3 = (ref(m) for m in rep.S)
+    i_s2 = s2.scale(R.I)
+    gens = (s1 + i_s2, s1 - i_s2, s3)
+    unit, times = spherical_algebra(rep)
+    session = SymSession(unit=unit, times=times)
+    for order in range(4):
+        for c in all_counts(order):
+            x = session.sym_int(c)
+            rx = ref(Matrix._make(dim, x))
+            for a in (1, 2, 3):
+                assert ref(Matrix._make(dim, times([(1, x, -a)]))) == gens[a - 1] * rx, (c, a)
+                bracket = times([(2, x, -a), (-2, x, a), (3, x, 0)])
+                expected = (gens[a - 1] * rx - rx * gens[a - 1]).scale(2) + rx.scale(3)
+                assert ref(Matrix._make(dim, bracket)) == expected, (c, a)
+
+
 def test_long_product_keeps_a_flat_stack():
     # {S3^n} = n! S3^n on spin 1/2; the memo is filled in a loop, so a limit
     # just above the caller's depth is enough for 1200 indices, and for the
