@@ -27,11 +27,10 @@ computes q_D(S_3) by Horner's rule in S_3^2 (``_q_of_s3``) and, when it is
 zero, certifies every tuple at once; otherwise it fills the residuals of
 order D by the adjoint recursion (``_adjoint_residuals``), and a failure's
 witness is read from the Cartesian residual, rebuilt exactly from the
-spherical ones (``cartesian_residual``).  ``discover_identity`` keeps the
-levels apart, since its b_p are the unknowns, and needs one multiset only,
-(0, 0, D), by the same theorem.  It reads the delta weights and one
-SymSession, as ``Identity.residual_int`` does, which serves the rewriter
-and the tests as the oracle.
+spherical ones (``cartesian_residual``).  ``discover_identity`` solves
+q_D(S_3) = 0 for the a_j, by the same theorem, on the same ladder of
+powers of S_3^2 (``_s3_ladder``).  ``Identity.residual_int``, on the delta
+weights and a SymSession, serves the rewriter and the tests as the oracle.
 """
 from __future__ import annotations
 
@@ -44,9 +43,9 @@ from math import comb, factorial, gcd, lcm
 from typing import Iterator, Literal, Sequence
 
 from .scalar import KEY_I, KEY_ONE, Record, Row, Scalar, combine_terms, frac_str, times_key
-from .spinrep import (Matrix, SpinRep, commutation_holds, first_nonzero_entry, product_kernel, row_matmul,
+from .spinrep import (Matrix, SpinRep, Times, commutation_holds, first_nonzero_entry, product_kernel, row_matmul,
                       spherical_algebra)
-from .symalg import SymSession, all_counts, axis_counts, delta_weights, pairing_count
+from .symalg import SymSession, axis_counts, delta_weights, pairing_count
 
 Witness = tuple[int, int, Scalar]
 Failure = tuple[tuple[int, ...], Witness]
@@ -226,22 +225,20 @@ def build_identity(dim: int) -> Identity:
 def discover_identity(rep: SpinRep) -> Identity:
     """Recover the identity coefficients from the representation alone.
 
-    Sets up  {S_{i_1}..S_{i_D}} + sum_p c_p (delta patterns) = 0  and
-    solves for the c_p by fraction-free elimination (each matrix entry
-    splits into its coordinates on the {sqrt(m), i sqrt(m)} basis, one
-    equation per coordinate).  This is the independent check that the b_p
-    really are 2^p p! a_p: the c_p come from the delta weights, not from
-    that formula.
+    Solves  sum_p a_p S_3^(D - 2p) = -S_3^D  for the a_p by fraction-free
+    elimination (each matrix entry splits into its coordinates on the
+    {sqrt(m), i sqrt(m)} basis, one equation per coordinate) and returns
+    b_p = 2^p p! a_p.  The a_p come from the matrices, not from the
+    characteristic polynomial's product form.
 
     One index multiset suffices, every index 3: counts (0, 0, D).  The
     identity is the polarization of F(u) = sum_j a_j (u.u)^j (u.S)^(D-2j).
     On a representation of su(2), F is SL(2, C)-equivariant, the u with
     u.u != 0 form one orbit up to scale and are Zariski-dense, and F(e_3)
-    is the identity at (0, 0, D): so a candidate holds on every multiset
-    iff it holds on that one, and both systems have the same solutions.
-    There the Cartesian and spherical weights agree, C(D, 2p) (2p - 1)!!,
-    and the products are powers of S_3 alone.  The commutation relation is
-    the theorem's premise, so a triple that fails it is refused with
+    is the identity at (0, 0, D), D! q_D(S_3): so a candidate holds on
+    every multiset iff q_D(S_3) = 0.  The powers are the ladder of
+    ``_q_of_s3``, from S_3^(D mod 2) up by S_3^2.  The commutation relation
+    is the theorem's premise, so a triple that fails it is refused with
     ``DiscoveryError``, as is a system with no or many solutions.
     """
     dim = rep.dim
@@ -251,11 +248,12 @@ def discover_identity(rep: SpinRep) -> Identity:
         raise DiscoveryError("the matrices do not satisfy the su(2) commutation relation [S_a, S_b] = i "
                              "epsilon_abc S_c, on which discovery from the multiset of S_3 alone rests")
     k = dim // 2
-    session = SymSession(rep)
-    counts = (0, 0, dim)
-    mats = [combine_terms((w, *session.sym_int(rest)) for rest, w in delta_weights(counts, p).items())
-            for p in range(1, k + 1)]
-    mats.append(combine_terms([(-1, *session.sym_int(counts))]))
+    foot, times = _s3_ladder(rep, dim)
+    powers = [foot]  # powers[j] = S_3^(D mod 2 + 2j)
+    for _ in range(k):
+        powers.append(times([(1, powers[-1], 1)]))
+    # Column p - 1 is S_3^(D - 2p) = powers[k - p]; the right-hand side -S_3^D.
+    mats = powers[k - 1::-1] + [combine_terms([(-1, *powers[k])])]
     # One equation per (row, col, key) coordinate, cleared of denominators.
     den = lcm(*(d for _, d in mats))
     rows: dict[tuple[int, int, int], list[int]] = {}
@@ -269,8 +267,8 @@ def discover_identity(rep: SpinRep) -> Identity:
         _eliminate(rows[cell], pivots, k)
     if len(pivots) < k:
         raise DiscoveryError("identity coefficients are not uniquely determined")
-    solution = _back_substitute(pivots, k)
-    return Identity(dim=dim, b=tuple(solution))
+    a = _back_substitute(pivots, k)
+    return Identity(dim=dim, b=tuple(2**p * factorial(p) * a_p for p, a_p in enumerate(a, start=1)))
 
 
 def _eliminate(row: list[int], pivots: dict[int, list[int]], k: int) -> None:
@@ -341,22 +339,26 @@ def _spherical_weights(c1: int, c2: int) -> tuple[tuple[int, int, Fraction], ...
     return tuple(out)
 
 
+def _s3_ladder(rep: SpinRep, d: int) -> tuple[Row, Times]:
+    """The foot S_3^(d mod 2) of the ladder of powers S_3^(d - 2j), and the
+    kernel that climbs it: axis 1 multiplies by S_3^2 (one product), axis 0 adds a row."""
+    s3 = rep.rows[2]
+    foot = s3 if d % 2 else ({(k, k, KEY_ONE): 1 for k in range(rep.dim)}, 1)
+    return foot, product_kernel((row_matmul(s3, s3),))
+
+
 def _q_of_s3(rep: SpinRep, ident: Identity) -> tuple[Row, int]:
     """q_D(S_3) = sum_j a_j S_3^(D - 2j), a_0 = 1 and a_j = b_j / (2^j j!),
     whose D! multiple is the spherical residual R(0, 0, D), and the number
-    of products taken.  Horner's rule in S_3^2 runs H_0 = 1,
-    H_j = H_(j-1) S_3^2 + a_j, each step one fused call with the unit term
-    as an axis-0 part, and a last factor S_3 when D is odd."""
-    d, s3 = ident.dim, rep.rows[2]
-    times = product_kernel((row_matmul(s3, s3), s3))
-    unit = {(k, k, KEY_ONE): 1 for k in range(rep.dim)}
-    h = (unit, 1)
-    for j in range(1, d // 2 + 1):
+    of products taken.  Horner's rule in S_3^2 runs up the ladder from its
+    foot F = S_3^(D mod 2): H_0 = F, H_j = H_(j-1) S_3^2 + a_j F, each step
+    one fused call with a_j F as an axis-0 part."""
+    foot, times = _s3_ladder(rep, ident.dim)
+    h = foot
+    for j in range(1, ident.dim // 2 + 1):
         a_j = ident.b[j - 1] / (2**j * factorial(j)) if j <= len(ident.b) else 0
-        h = times([(1, h, 1), (a_j.numerator, (unit, a_j.denominator), 0)] if a_j else [(1, h, 1)])
-    if d % 2:
-        h = times([(1, h, 2)])
-    return h, 1 + d // 2 + d % 2
+        h = times([(1, h, 1), (a_j.numerator, (foot[0], foot[1] * a_j.denominator), 0)] if a_j else [(1, h, 1)])
+    return h, 1 + ident.dim // 2
 
 
 def _adjoint_residuals(rep: SpinRep, d: int, top: Row) -> tuple[dict[tuple[int, int, int], Row], int]:
@@ -403,8 +405,8 @@ class VerificationReport(Record):
                  failures: list[Failure] | None = None, elapsed: float = 0.0, stats: dict[str, int] | None = None):
         super().__init__(dim, rep_dim, mode, tuples_checked, [] if failures is None else failures, elapsed)
         # Counters of the run, off the wire like elapsed and outside equality:
-        # multisets covered (every one when exhaustive, those drawn when
-        # sampled), spherical residuals computed (R(0, 0, D) alone when
+        # multisets judged (every one when q_D(S_3) vanishes, else those the
+        # tuples met), spherical residuals computed (R(0, 0, D) alone when
         # q_D(S_3) vanishes) and products taken (``times`` calls: S_3^2, the
         # Horner steps and the commutators).
         self.__dict__["stats"] = {} if stats is None else stats
@@ -447,18 +449,14 @@ def verify_identity(
     The left side depends only on the multiset of the tuple, and on a
     representation of su(2) every spherical residual of order D follows
     from R(0, 0, D) = D! q_D(S_3) by the adjoint action
-    (``_adjoint_residuals``).  So the commutation relation is checked
-    first, and a triple off it is refused with ``ValueError``.  Then
-    q_D(S_3) is computed by Horner's rule in S_3^2 (``_q_of_s3``):
-    when it vanishes the identity holds at every tuple, and the report
-    says so at once.  Otherwise the recursion fills every residual of
-    order D, and a multiset c holds iff its spherical residuals with
-    counts (a, c1 + c2 - a, c3) all vanish; a failing one's witness is the
-    first nonzero entry of ``cartesian_residual``.  Tuples are enumerated
-    only to list the failures.  A sample is tallied as it is drawn, at
-    most 2^14 random words at a time.  Only a sample of one read keeps its
-    distinct draws; a longer one is drawn again from the seed when some
-    multiset fails, to list its failing tuples.  Cross-dimension checks
+    (``_adjoint_residuals``), so a triple off the commutation relation is
+    refused with ``ValueError``.  When q_D(S_3) (``_q_of_s3``) vanishes,
+    the identity holds at every tuple and the report says so at once, a
+    sample undrawn.  Otherwise one pass over the tuples (all, or the sample
+    as drawn, at most 2^14 random words at a time) judges each multiset c
+    the first time a tuple meets it: c holds iff its spherical residuals
+    (a, c1 + c2 - a, c3) all vanish, and a failing one's witness is the
+    first nonzero entry of ``cartesian_residual``.  Cross-dimension checks
     (ident.dim != rep.dim) are allowed and useful.  A failing identity
     yields a report, never an exception.
 
@@ -482,48 +480,35 @@ def verify_identity(
         raise ValueError("the matrices do not satisfy the su(2) commutation relation [S_a, S_b] = i "
                          "epsilon_abc S_c, on which verification from the multiset of S_3 alone rests")
 
-    if mode == "sampled":
-        def reads() -> Iterator[set[bytes]]:
-            # The draws from the seed, afresh: the distinct ones of each read.
-            for chunk in _sample_chunks(random.Random(seed), d, count):
-                yield {chunk[i : i + d] for i in range(0, len(chunk), d)}
-
-        keys, first = set(), None
-        for k, drawn in enumerate(reads()):
-            keys.update((t.count(1), t.count(2), t.count(3)) for t in drawn)
-            first = drawn if k == 0 else None  # kept only while the sample is one read
-        del drawn  # not held through the residuals
-        keys = sorted(keys)
-        checked, multisets = count, len(keys)
-    else:
-        checked, multisets = 3**d, (d + 1) * (d + 2) // 2
-
     q, products = _q_of_s3(rep, ident)
-    stats = {"multisets": multisets, "spherical_residuals": 1, "products": products}
+    stats = {"multisets": (d + 1) * (d + 2) // 2, "spherical_residuals": 1, "products": products}
     failures: list[Failure] = []
     if q[0]:
         spherical, commutators = _adjoint_residuals(rep, d, combine_terms([(factorial(d), *q)]))
-        stats.update(spherical_residuals=len(spherical), products=products + commutators)
-        verdicts = {}
-        for c in all_counts(d) if mode == "exhaustive" else keys:
-            held = not any(spherical[a, c[0] + c[1] - a, c[2]][0] for a in range(c[0] + c[1] + 1))
-            verdicts[c] = None if held else first_nonzero_entry(cartesian_residual(c, spherical))
-        if any(w is not None for w in verdicts.values()):
-            # Every tuple in order, or the sample (drawn again from its seed
-            # when it took more than one read), each failing draw kept once
-            # and put in order.
-            if mode == "exhaustive":
-                tuples = itertools.product((1, 2, 3), repeat=d)
-            else:
-                tuples = first if first is not None else itertools.chain.from_iterable(reads())
-            found = ((t, w) for t in tuples if (w := verdicts[t.count(1), t.count(2), t.count(3)]) is not None)
-            failures = list(found) if mode == "exhaustive" else [(tuple(t), w) for t, w in sorted(dict(found).items())]
+
+        @lru_cache(maxsize=None)
+        def verdict(c: tuple[int, int, int]) -> Witness | None:  # None when c holds
+            n = c[0] + c[1]
+            held = not any(spherical[a, n - a, c[2]][0] for a in range(n + 1))
+            return None if held else first_nonzero_entry(cartesian_residual(c, spherical))
+
+        # Every tuple in order, or the distinct draws of each read of the
+        # sample; each failing draw kept once and put in order.
+        if mode == "exhaustive":
+            tuples = itertools.product((1, 2, 3), repeat=d)
+        else:
+            chunks = _sample_chunks(random.Random(seed), d, count)
+            tuples = (t for chunk in chunks for t in {chunk[i : i + d] for i in range(0, len(chunk), d)})
+        found = ((t, w) for t in tuples if (w := verdict((t.count(1), t.count(2), t.count(3)))) is not None)
+        failures = list(found) if mode == "exhaustive" else [(tuple(t), w) for t, w in sorted(dict(found).items())]
+        stats.update(multisets=verdict.cache_info().currsize, spherical_residuals=len(spherical),
+                     products=products + commutators)
 
     return VerificationReport(
         dim=d,
         rep_dim=rep.dim,
         mode=mode,
-        tuples_checked=checked,
+        tuples_checked=3**d if mode == "exhaustive" else count,
         failures=failures,
         elapsed=time.perf_counter() - t0,
         stats=stats,
@@ -597,7 +582,8 @@ def _index_names(dim: int) -> list[str]:
 
 
 def _latex_term(names: list[str], subset: tuple[int, ...], dim: int) -> str:
-    inside = [names[q] for q in range(dim) if q not in subset]
+    skip = set(subset)
+    inside = [names[q] for q in range(dim) if q not in skip]
     delta = "\\delta_{" + " ".join(names[q] for q in subset) + "}"
     if not inside:
         return delta + " \\mathbbm{1}"

@@ -230,6 +230,10 @@ _GENERATORS = {"S1": 1, "S2": 2, "S3": 3}
 # sqrt(m) factors m by trial division up to sqrt(m): about 0.05 s at 10^12,
 # but minutes near 10^18.
 _SQRT_MAX = 10**12
+# An expansion past this many words, a brace's distinct orderings or a product's terms (at most
+# the product of its factors' term counts), is refused before it is built.  At --dim 3, {S1 S2 S3}
+# with each letter 4 times (34650 words) reduces in 1.7 s, 5 times (756756) in a minute.
+_MAX_WORDS = 10**5
 _FACTOR_START = {"INT", "NAME", "(", "{", "["}
 
 
@@ -275,12 +279,10 @@ class _Parser:
             tok = self.peek()
             if tok[0] == "*":
                 self.take()
-                acc = acc * self.factor()
-            elif tok[0] in _FACTOR_START:
-                # whitespace juxtaposition: "S1 S2" is a product
-                acc = acc * self.factor()
-            else:
+            elif tok[0] not in _FACTOR_START:
                 return acc
+            # "*" or whitespace juxtaposition: "S1 S2" is a product
+            acc = _product(acc, self.factor(), tok[2])
 
     def factor(self) -> NCPolynomial:
         tok = self.peek()
@@ -302,7 +304,7 @@ class _Parser:
             self.take(",")
             b = self.expression()
             self.take("]")
-            return a * b - b * a
+            return _product(a, b, tok[2]) - b * a
         what = f"{tok[1]!r}" if kind != "EOF" else "end of input"
         raise ParseError(f"expected a factor, found {what}", tok[2])
 
@@ -364,7 +366,17 @@ class _Parser:
             )
         if not letters:
             raise ParseError("empty symmetric braces", open_tok[2])
+        orderings = factorial(len(letters)) // prod(factorial(letters.count(a)) for a in (1, 2, 3))
+        if orderings > _MAX_WORDS:
+            raise ParseError(f"symmetric braces of {orderings} orderings refused: over {_MAX_WORDS} words",
+                             open_tok[2])
         return sym_words(tuple(letters))
+
+
+def _product(a: NCPolynomial, b: NCPolynomial, position: int) -> NCPolynomial:
+    if (n := len(a._row[0]) * len(b._row[0])) > _MAX_WORDS:
+        raise ParseError(f"product of up to {n} terms refused: over {_MAX_WORDS} words", position)
+    return a * b
 
 
 def parse(text: str) -> NCPolynomial:
@@ -373,7 +385,8 @@ def parse(text: str) -> NCPolynomial:
     Terms are separated by +/-, factors by '*' or whitespace.  Atoms:
     S1 S2 S3, I, i, integers, rationals p/q, sqrt(m), symmetric braces
     { S1 S2 ... }, commutators [A, B]; parentheses group.  Radicands, also
-    of the products of roots in the result, are at most 10^12.
+    of the products of roots in the result, are at most 10^12, and
+    expansions at most 10^5 words (``_MAX_WORDS``).
     """
     parser = _Parser(text)
     try:

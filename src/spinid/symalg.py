@@ -9,10 +9,9 @@ evaluation over whole tuple spaces cheap.  A multiset is its axis counts
 
 One engine, ``SymSession``, builds the products from an algebra's unit and
 right multiplication by a generator: for a representation's matrices
-(``spinrep.matrix_algebra``, which discovery uses, for the powers of S_3;
-the tests run it on the spherical generators S_+, S_-, S_3 of
-``spinrep.spherical_algebra`` as an oracle of verification's residuals)
-and for ordered words in ``rewrite``.
+(``spinrep.matrix_algebra``; the tests run it on the spherical generators
+S_+, S_-, S_3 of ``spinrep.spherical_algebra`` as an oracle of
+verification's residuals) and for ordered words in ``rewrite``.
 It owns no format: values are the rows of ``scalar``, and a matrix row is
 ``spinrep``'s, with cells (row, col, key).
 ``SymSession.sym`` hands one out as a ``Matrix``, a view of the row.
@@ -20,7 +19,8 @@ It owns no format: values are the rows of ``scalar``, and a matrix row is
 The generalized deltas (``delta_weights``) are Cartesian, delta_ij on
 S_1, S_2, S_3: a pair of indices weighs 1 if its axes are equal and 0
 otherwise.  Verification, from q_D(S_3) and commutators with S_+ and
-S_-, reads no weights and no symmetric product.
+S_-, and discovery, from the powers of S_3, read no weights and no
+symmetric product.
 """
 from __future__ import annotations
 
@@ -57,8 +57,8 @@ class SymSession:
     linear combination of rows times generators: each entry
     {c} = sum_a c_a {c - e_a} S_a is one such call.  A request builds each
     missing entry c' <= c once, from neighbours already built.
-    ``SymSession(rep)`` works in the matrices of rep (``matrix_algebra``),
-    as discovery does; ``unit=``/``times=`` take any other algebra, such as
+    ``SymSession(rep)`` works in the matrices of rep (``matrix_algebra``);
+    ``unit=``/``times=`` take any other algebra, such as
     the rewriter's ordered words, or ``spherical_algebra``'s, with S_+,
     S_-, S_3 as axes 1, 2, 3 (``delta_weights`` stay Cartesian there, so
     ``Identity.residual_int`` on it is not the spherical residual).

@@ -32,7 +32,7 @@ from spinid.charid import (
 from spinid.rewrite import NormalForm, parse
 from spinid.scalar import combine_terms
 from spinid.spinrep import (Matrix, SpinRep, build_generators, commutation_holds, conjugate_rep, eigenvalue_list,
-                            spherical_algebra)
+                            product_kernel, row_matmul, spherical_algebra)
 from spinid.symalg import SymSession, all_counts, axis_counts, delta_weights
 
 REPS = {dim: build_generators(dim) for dim in range(1, 8)}
@@ -547,11 +547,9 @@ def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
     # Verification makes no product in the Cartesian algebra and reads no
     # delta weights at all (q_D(S_3) adds its a_j as unit terms, and the
     # commutators need none).
-    # Discovery reads the weights of the counts (0, 0, D) alone and
-    # multiplies by S_3 only: there the Cartesian and spherical algebras
-    # and deltas agree.
-    matrix_algebra = symalg.matrix_algebra
-
+    # Discovery reads no weights either and runs neither algebra: it takes
+    # S_3^2 and one step up the ladder of its powers per coefficient, 1 +
+    # D // 2 products in all.
     def refuse(*args, **kwargs):
         raise AssertionError("matrix_algebra ran")
 
@@ -570,28 +568,32 @@ def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
         assert verify_identity(REPS[dim], build_identity(dim + 2), mode="sampled", count=30, seed=dim).ok
     assert calls == [], "verification read delta weights"
 
-    axes = []
+    products = []
 
-    def recorded(rep):
-        unit, times = matrix_algebra(rep)
+    def counted_matmul(a, b):
+        products.append("S_3^2")
+        return row_matmul(a, b)
 
-        def recording(parts):
-            axes.extend(a for _, _, a in parts)
+    def counted_kernel(gens):
+        times = product_kernel(gens)
+
+        def counting(parts):
+            products.append([a for _, _, a in parts])
             return times(parts)
 
-        return unit, recording
+        return counting
 
     def no_spherical(*args, **kwargs):
         raise AssertionError("spherical_algebra ran")
 
-    monkeypatch.setattr(symalg, "matrix_algebra", recorded)
     monkeypatch.setattr(charid, "spherical_algebra", no_spherical)
-    for dim in range(2, 7):
-        calls.clear()
-        axes.clear()
+    monkeypatch.setattr(charid, "row_matmul", counted_matmul)
+    monkeypatch.setattr(charid, "product_kernel", counted_kernel)
+    for dim in range(2, 8):
+        products.clear()
         assert discover_identity(REPS[dim]) == build_identity(dim)
-        assert calls == [(0, 0, dim)] * (dim // 2), dim
-        assert axes == [3] * dim, dim  # S_3^n for n = 1 .. D, one product each
+        assert products == ["S_3^2"] + [[1]] * (dim // 2), dim
+    assert calls == [], "discovery read delta weights"
 
 
 def test_residual_int_sums_the_delta_weights():
@@ -633,8 +635,8 @@ def test_batched_sampler_is_the_randint_stream(d):
 
 
 def test_sampled_verify_memory_does_not_grow_with_count():
-    # The draws are tallied as they stream in, and a sample that holds is
-    # never drawn again: ten times the count leaves the peak where it was.
+    # q_16(S_3) = 0 certifies every tuple, so a sample that holds is never
+    # drawn: ten times the count leaves the peak where it was.
     import tracemalloc
 
     rep, ident = build_generators(16), build_identity(16)
@@ -681,19 +683,34 @@ def test_verify_reduces_each_product_once(monkeypatch):
 def test_report_stats_stay_off_the_wire():
     report = verify_identity(REPS[5], build_identity(5), mode="exhaustive")
     # 21 multisets of order 5, all certified by q_5(S_3) = 0: one spherical
-    # residual, R(0, 0, 5), from four products (S_3^2, two Horner steps in
-    # it and a last factor S_3).  The triangle is never filled.
-    assert report.stats == {"multisets": 21, "spherical_residuals": 1, "products": 4}
+    # residual, R(0, 0, 5), from three products (S_3^2 and two Horner steps
+    # up from S_3).  The triangle is never filled.
+    assert report.stats == {"multisets": 21, "spherical_residuals": 1, "products": 3}
     assert set(report.to_json()) == {"dim", "rep_dim", "mode", "tuples_checked", "failures", "ok"}
     sampled = verify_identity(REPS[5], build_identity(5), mode="sampled", count=3, seed=1)
-    # At most 3 multisets drawn, certified the same way.
-    assert sampled.stats["multisets"] <= 3
-    assert sampled.stats["spherical_residuals"] == 1 and sampled.stats["products"] == 4
+    # Certified the same way, all 21 multisets, none drawn.
+    assert sampled.stats == report.stats
     assert set(sampled.to_json()) == {"dim", "rep_dim", "mode", "tuples_checked", "failures", "ok"}
     # On D + 2 the residuals fill the triangle of order 5, one commutator
-    # for each residual but R(0, 0, 5) (none of them is zero there).
+    # for each residual but R(0, 0, 5) (none of them is zero there), and
+    # every multiset is met.
     failing = verify_identity(build_generators(7), build_identity(5), mode="exhaustive")
-    assert failing.stats == {"multisets": 21, "spherical_residuals": 21, "products": 4 + 20}
+    assert failing.stats == {"multisets": 21, "spherical_residuals": 21, "products": 3 + 20}
+    # A sample judges only the multisets its tuples meet: at most 3.
+    drawn = verify_identity(build_generators(7), build_identity(5), mode="sampled", count=3, seed=1)
+    assert 1 <= drawn.stats["multisets"] <= 3
+    assert drawn.stats["spherical_residuals"] == 21 and drawn.stats["products"] == 3 + 20
+
+
+def test_a_sample_that_holds_is_never_drawn(monkeypatch):
+    # q_5(S_3) = 0 certifies every tuple, so no tuple is drawn, whatever the
+    # count.
+    def refuse(*args):
+        raise AssertionError("the sample was drawn")
+
+    monkeypatch.setattr(charid, "_sample_chunks", refuse)
+    report = verify_identity(REPS[5], build_identity(5), "sampled", 10**12, 1)
+    assert report.ok and report.tuples_checked == 10**12
 
 
 def test_verify_refuses_a_triple_off_the_commutation_relation():

@@ -205,6 +205,15 @@ def test_reduce_refuses_a_huge_combined_radicand():
     assert "combined sqrt radicand" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_reduce_refuses_an_expansion_of_minutes_quickly():
+    # Each letter five times: 756756 orderings, a minute to reduce at
+    # --dim 3, so the brace is refused before it is expanded.
+    proc = run_cli("reduce", "{" + "S1 S2 S3 " * 5 + "}", "--dim", "3", timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "756756 orderings refused" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_reduce_long_word():
     # 450 letters: the letter fold keeps the rewriting depth bounded by D.
     from spinid.rewrite import evaluate, parse

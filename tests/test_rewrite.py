@@ -95,6 +95,29 @@ def test_parse_refuses_a_huge_combined_radicand():
     assert parse(render(p)) == p
 
 
+def test_parse_refuses_expansions_past_the_word_bound():
+    # A brace of more than 10^5 distinct orderings, or a product whose
+    # factors' term counts multiply past 10^5, is refused before expanding;
+    # the bound itself is admitted.
+    assert len(parse("{" + "S1 S2 S3 " * 4 + "}").terms()) == 34650
+    with pytest.raises(ParseError, match="756756 orderings refused") as err:
+        parse("S1 + {" + "S1 S2 S3 " * 5 + "}")
+    assert err.value.position == len("S1 + ")
+    assert len(parse("{" + "S1 " * 10**5 + "}").terms()) == 1
+    sums = "(S1 + S2 + S3)"
+    assert len(parse(sums * 10).terms()) == 3**10
+    with pytest.raises(ParseError, match="177147 terms refused") as err:
+        parse(sums * 11)
+    assert err.value.position == len(sums * 10)
+    with pytest.raises(ParseError, match="refused"):
+        parse(f"2 * {sums * 10} * {sums}")
+    nine = "{S1 S1 S1 S2 S2 S2 S3 S3 S3}"  # 1680 orderings
+    assert parse(f"{nine} * {{S1 S2}}") == parse(nine) * parse("{S1 S2}")
+    with pytest.raises(ParseError, match="2822400 terms refused") as err:
+        parse(f"S1 + [{nine}, {nine}]")
+    assert err.value.position == len("S1 + ")
+
+
 def test_parse_juxtaposition_and_grouping():
     assert parse("S1 S2") == parse("S1*S2")
     assert parse("(S1 + S2) * S3") == S1 * S3 + S2 * S3
