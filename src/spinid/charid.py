@@ -22,14 +22,17 @@ F(u) = sum_j a_j (u.u)^j (u.S)^(D - 2j), and the spherical residuals are
 its coefficients.  On a representation of su(2), ad S_+ and ad S_- act on
 F as derivations in u that kill u.u, so every residual of order D follows
 from R(0, 0, D) = D! q_D(S_3), q_D(x) = sum_j a_j x^(D - 2j), by
-commutators.  ``verify_identity`` checks the commutation relation,
-computes q_D(S_3) by Horner's rule in S_3^2 (``_q_of_s3``) and, when it is
-zero, certifies every tuple at once; otherwise it fills the residuals of
-order D by the adjoint recursion (``_adjoint_residuals``), and a failure's
-witness is read from the Cartesian residual, rebuilt exactly from the
-spherical ones (``cartesian_residual``).  ``discover_identity`` solves
-q_D(S_3) = 0 for the a_j, by the same theorem, on the same ladder of
-powers of S_3^2 (``_s3_ladder``).  ``Identity.residual_int``, on the delta
+commutators.  ``verify_identity`` reads the representation's verdict on
+the commutation relation (``SpinRep.commutes``, computed once per
+representation), computes q_D(S_3) by Horner's rule in S_3^2
+(``_q_of_s3``) and, when it is zero, certifies every tuple at once;
+otherwise it fills the residuals of order D by the adjoint recursion
+(``_adjoint_residuals``), and a failure's witness is read from the
+Cartesian residual, rebuilt exactly from the spherical ones
+(``cartesian_residual``).  An exhaustive report keeps its failures by
+multiset (``ExhaustiveFailures``) and lists their tuples only when read.
+``discover_identity`` solves q_D(S_3) = 0 for the a_j, by the same
+theorem, on the same ladder of powers of S_3^2 (``_s3_ladder``).  ``Identity.residual_int``, on the delta
 weights and a SymSession, serves the rewriter and the tests as the oracle.
 """
 from __future__ import annotations
@@ -43,9 +46,8 @@ from math import comb, factorial, gcd, lcm
 from typing import Iterator, Literal, Sequence
 
 from .scalar import KEY_I, KEY_ONE, Record, Row, Scalar, combine_terms, frac_str, times_key
-from .spinrep import (Matrix, SpinRep, Times, commutation_holds, first_nonzero_entry, product_kernel, row_matmul,
-                      spherical_algebra)
-from .symalg import SymSession, axis_counts, delta_weights, pairing_count
+from .spinrep import Matrix, SpinRep, Times, first_nonzero_entry, product_kernel, row_matmul, spherical_algebra
+from .symalg import SymSession, all_counts, axis_counts, delta_weights, pairing_count
 
 Witness = tuple[int, int, Scalar]
 Failure = tuple[tuple[int, ...], Witness]
@@ -238,13 +240,14 @@ def discover_identity(rep: SpinRep) -> Identity:
     is the identity at (0, 0, D), D! q_D(S_3): so a candidate holds on
     every multiset iff q_D(S_3) = 0.  The powers are the ladder of
     ``_q_of_s3``, from S_3^(D mod 2) up by S_3^2.  The commutation relation
-    is the theorem's premise, so a triple that fails it is refused with
-    ``DiscoveryError``, as is a system with no or many solutions.
+    is the theorem's premise (``SpinRep.commutes``), so a triple that fails
+    it is refused with ``DiscoveryError``, as is a system with no or many
+    solutions.
     """
     dim = rep.dim
     if dim < 2:
         raise ValueError("no identity to discover below dimension 2")
-    if not commutation_holds(rep):
+    if not rep.commutes:
         raise DiscoveryError("the matrices do not satisfy the su(2) commutation relation [S_a, S_b] = i "
                              "epsilon_abc S_c, on which discovery from the multiset of S_3 alone rests")
     k = dim // 2
@@ -396,24 +399,115 @@ def _adjoint_residuals(rep: SpinRep, d: int, top: Row) -> tuple[dict[tuple[int, 
     return rows, products
 
 
+class ExhaustiveFailures:
+    """The failing tuples of an exhaustive report, kept by multiset: the
+    witness of each failing counts c, which its D! / (c1! c2! c3!) tuples
+    share.  A read-only sequence of (tuple, witness) in tuple order, listed
+    only when read (``_in_tuple_order``), so a slice reads only as far as it
+    reaches.  ``total`` is the number of tuples as an int of any size;
+    ``len`` is the same number but, like any Python sequence's, raises
+    ``OverflowError`` past ``sys.maxsize`` (3^40 > 2^63 - 1).  It equals
+    another such sequence with the same witnesses, and a list of the same
+    pairs."""
+
+    __slots__ = ("dim", "witnesses", "total")
+
+    def __init__(self, dim: int, witnesses: dict[tuple[int, int, int], Witness]) -> None:
+        self.dim, self.witnesses = dim, witnesses
+        self.total = sum(factorial(dim) // (factorial(c1) * factorial(c2) * factorial(c3)) for c1, c2, c3 in witnesses)
+
+    def __len__(self) -> int:
+        return self.total
+
+    def __bool__(self) -> bool:
+        return bool(self.witnesses)
+
+    def __iter__(self) -> Iterator[Failure]:
+        return _in_tuple_order(self.dim, self.witnesses)
+
+    def __getitem__(self, key: int | slice) -> Failure | list[Failure]:
+        picked = range(self.total)[key]  # normalized as a list's would be; IndexError past the end
+        if isinstance(picked, int):
+            return next(itertools.islice(self, picked, None))
+        if not picked:
+            return []
+        first, last = sorted((picked[0], picked[-1]))
+        out = list(itertools.islice(self, first, last + 1, abs(picked.step)))
+        return out if picked.step > 0 else out[::-1]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ExhaustiveFailures):
+            return self.witnesses == other.witnesses
+        if isinstance(other, list):
+            return len(other) == self.total and list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ExhaustiveFailures(dim={self.dim}, witnesses={self.witnesses!r})"
+
+
+_TAIL = 6  # the axes ``_in_tuple_order`` reads from one table: 3^6 = 729 tails
+
+
+def _in_tuple_order(dim: int, accept: dict[tuple[int, int, int], object]) -> Iterator[tuple[tuple[int, ...], object]]:
+    """(t, accept[c]) for each tuple t of dim axes whose counts c are keys
+    of accept, in lexicographic order.
+
+    A tuple is a head and its last k = min(dim, _TAIL) axes.  The heads run
+    over the same walk one level down, restricted to the head counts u
+    that some tail completes into accept; the tails of each u met are the
+    table of all 3^k tails filtered once by u + counts in accept.  So a
+    head is read only if some tuple follows it, and every head costs one
+    table lookup: where only (0, 0, D) is accepted, the first tuple comes at
+    once, and where all is, each tuple is one concatenation."""
+    k = min(dim, _TAIL)
+    tails = [(t, (t.count(1), t.count(2), t.count(3))) for t in itertools.product((1, 2, 3), repeat=k)]
+    if k == dim:
+        yield from ((t, accept[c]) for t, c in tails if c in accept)
+        return
+    heads, tail_counts = {}, all_counts(k)
+    for c1, c2, c3 in accept:
+        for e1, e2, e3 in tail_counts:
+            if e1 <= c1 and e2 <= c2 and e3 <= c3:
+                u = (c1 - e1, c2 - e2, c3 - e3)
+                heads[u] = u
+    completions: dict[tuple[int, int, int], list] = {}
+    for head, (u1, u2, u3) in _in_tuple_order(dim - k, heads):
+        done = completions.get((u1, u2, u3))
+        if done is None:
+            done = completions[u1, u2, u3] = [(t, accept[c]) for t, (e1, e2, e3) in tails
+                                             if (c := (u1 + e1, u2 + e2, u3 + e3)) in accept]
+        for t, value in done:
+            yield head + t, value
+
+
 class VerificationReport(Record):
-    """Outcome of checking one identity against one representation."""
+    """Outcome of checking one identity against one representation.  An
+    exhaustive report's ``failures`` is an ``ExhaustiveFailures``, a
+    sampled one's a list; equality does not depend on which."""
 
     __match_args__ = ("dim", "rep_dim", "mode", "tuples_checked", "failures", "elapsed")
 
     def __init__(self, dim: int, rep_dim: int, mode: Literal["exhaustive", "sampled"], tuples_checked: int,
-                 failures: list[Failure] | None = None, elapsed: float = 0.0, stats: dict[str, int] | None = None):
+                 failures: Sequence[Failure] | None = None, elapsed: float = 0.0,
+                 stats: dict[str, int] | None = None):
         super().__init__(dim, rep_dim, mode, tuples_checked, [] if failures is None else failures, elapsed)
         # Counters of the run, off the wire like elapsed and outside equality:
-        # multisets judged (every one when q_D(S_3) vanishes, else those the
-        # tuples met), spherical residuals computed (R(0, 0, D) alone when
-        # q_D(S_3) vanishes) and products taken (``times`` calls: S_3^2, the
-        # Horner steps and the commutators).
+        # multisets judged (every one, but those its draws met for a sample
+        # with q_D(S_3) nonzero), spherical residuals computed (R(0, 0, D)
+        # alone when q_D(S_3) vanishes) and products taken (``times`` calls:
+        # S_3^2, the Horner steps and the commutators).
         self.__dict__["stats"] = {} if stats is None else stats
 
     @property
+    def failure_count(self) -> int:
+        """The number of failing tuples, past ``sys.maxsize`` too."""
+        failures = self.failures
+        return failures.total if isinstance(failures, ExhaustiveFailures) else len(failures)
+
+    @property
     def ok(self) -> bool:
-        return not self.failures
+        return self.failure_count == 0
 
     def to_json(self) -> dict:
         # elapsed stays off the wire so seeded reports are byte-for-byte
@@ -450,15 +544,19 @@ def verify_identity(
     representation of su(2) every spherical residual of order D follows
     from R(0, 0, D) = D! q_D(S_3) by the adjoint action
     (``_adjoint_residuals``), so a triple off the commutation relation is
-    refused with ``ValueError``.  When q_D(S_3) (``_q_of_s3``) vanishes,
-    the identity holds at every tuple and the report says so at once, a
-    sample undrawn.  Otherwise one pass over the tuples (all, or the sample
-    as drawn, at most 2^14 random words at a time) judges each multiset c
-    the first time a tuple meets it: c holds iff its spherical residuals
-    (a, c1 + c2 - a, c3) all vanish, and a failing one's witness is the
-    first nonzero entry of ``cartesian_residual``.  Cross-dimension checks
-    (ident.dim != rep.dim) are allowed and useful.  A failing identity
-    yields a report, never an exception.
+    refused with ``ValueError``; the verdict on the relation is read from
+    ``SpinRep.commutes``, computed once per representation.  When q_D(S_3)
+    (``_q_of_s3``) vanishes, the identity holds at every tuple and the
+    report says so at once, a sample undrawn.  Otherwise a multiset c holds
+    iff its spherical residuals (a, c1 + c2 - a, c3) all vanish, and a
+    failing one's witness is the first nonzero entry of
+    ``cartesian_residual``.  Exhaustive mode judges every multiset once and
+    keeps the failing ones' witnesses (``ExhaustiveFailures``), no tuple
+    enumerated; sampled mode judges each multiset the first time a draw
+    meets it, in one pass over the sample as drawn, at most 2^14 random
+    words at a time.  Cross-dimension checks (ident.dim != rep.dim) are
+    allowed and useful.  A failing identity yields a report, never an
+    exception.
 
     When mode is omitted: exhaustive through dimension 7, above that a
     1000-tuple sample (an explicit seed is then mandatory).
@@ -476,33 +574,33 @@ def verify_identity(
             raise ValueError(f"sampled mode needs a positive count, got {count}")
     elif mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
-    if not commutation_holds(rep):
+    if not rep.commutes:
         raise ValueError("the matrices do not satisfy the su(2) commutation relation [S_a, S_b] = i "
                          "epsilon_abc S_c, on which verification from the multiset of S_3 alone rests")
 
     q, products = _q_of_s3(rep, ident)
     stats = {"multisets": (d + 1) * (d + 2) // 2, "spherical_residuals": 1, "products": products}
-    failures: list[Failure] = []
+    failures: Sequence[Failure] = ExhaustiveFailures(d, {}) if mode == "exhaustive" else []
     if q[0]:
         spherical, commutators = _adjoint_residuals(rep, d, combine_terms([(factorial(d), *q)]))
 
-        @lru_cache(maxsize=None)
         def verdict(c: tuple[int, int, int]) -> Witness | None:  # None when c holds
             n = c[0] + c[1]
             held = not any(spherical[a, n - a, c[2]][0] for a in range(n + 1))
             return None if held else first_nonzero_entry(cartesian_residual(c, spherical))
 
-        # Every tuple in order, or the distinct draws of each read of the
-        # sample; each failing draw kept once and put in order.
         if mode == "exhaustive":
-            tuples = itertools.product((1, 2, 3), repeat=d)
+            failures = ExhaustiveFailures(d, {c: w for c in all_counts(d) if (w := verdict(c)) is not None})
         else:
+            # The distinct draws of each read of the sample; each failing
+            # draw kept once and put in order.
+            verdict = lru_cache(maxsize=None)(verdict)
             chunks = _sample_chunks(random.Random(seed), d, count)
             tuples = (t for chunk in chunks for t in {chunk[i : i + d] for i in range(0, len(chunk), d)})
-        found = ((t, w) for t in tuples if (w := verdict((t.count(1), t.count(2), t.count(3)))) is not None)
-        failures = list(found) if mode == "exhaustive" else [(tuple(t), w) for t, w in sorted(dict(found).items())]
-        stats.update(multisets=verdict.cache_info().currsize, spherical_residuals=len(spherical),
-                     products=products + commutators)
+            found = ((t, w) for t in tuples if (w := verdict((t.count(1), t.count(2), t.count(3)))) is not None)
+            failures = [(tuple(t), w) for t, w in sorted(dict(found).items())]
+            stats["multisets"] = verdict.cache_info().currsize
+        stats.update(spherical_residuals=len(spherical), products=products + commutators)
 
     return VerificationReport(
         dim=d,

@@ -127,7 +127,7 @@ def cmd_identity(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(report.to_json()))
     else:
-        status = "ok" if report.ok else f"{len(report.failures)} failures"
+        status = "ok" if report.ok else f"{report.failure_count} failures"
         print(
             f"% verify rep_dim={report.rep_dim}: {report.tuples_checked} tuples checked, {status}"
         )

@@ -278,6 +278,14 @@ class SpinRep(Record):
     def S(self) -> tuple[Matrix, Matrix, Matrix]:
         return tuple(Matrix._make(self.dim, row) for row in self.rows)
 
+    @cached_property
+    def commutes(self) -> bool:
+        """Whether the triple satisfies the su(2) commutation relation
+        (``commutation_holds``), computed on first use and kept: the
+        relation is a property of the representation, so verification and
+        discovery read it here.  ``_checked`` fills it as it builds."""
+        return commutation_holds(self)
+
     def matrix(self, axis: int) -> Matrix:
         if axis not in (1, 2, 3):
             raise ValueError("axis must be 1, 2 or 3")
@@ -298,7 +306,7 @@ class SpinRep(Record):
     @classmethod
     def _checked(cls, dim: int, rows: tuple[Row, Row, Row]) -> "SpinRep":
         rep = cls(dim, rows)
-        if not commutation_holds(rep):
+        if not rep.commutes:
             raise ValueError("matrices do not satisfy the su(2) commutation relation")
         return rep
 
@@ -336,7 +344,8 @@ def commutation_holds(rep: SpinRep) -> bool:
 
 
 def casimir(rep: SpinRep) -> Matrix:
-    return Matrix._make(rep.dim, combine_terms((1, *row_matmul(g, g)) for g in rep.rows))
+    """S_1^2 + S_2^2 + S_3^2, one fused call of right multiplication."""
+    return Matrix._make(rep.dim, product_kernel(rep.rows)([(1, g, a) for a, g in enumerate(rep.rows, start=1)]))
 
 
 def is_hermitian(mat: Matrix) -> bool:

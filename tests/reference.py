@@ -13,7 +13,9 @@ enumerates weighted pairings, and ``spherical_residual`` sums with them the
 identity's left side over S_+, S_-, S_3.  ``sweep_residuals``, the Horner
 sweep over every counts below the targets, must match it; the library's
 residuals from q_D(S_3) by the adjoint action must match the sweep.  The
-sweep, too, runs on the library's rows.
+sweep, too, runs on the library's rows.  ``eager_failures`` lists a failing
+exhaustive report's tuples by filtering every tuple, against the library's
+walk over heads and tails that reads only tuples that fail.
 """
 import itertools
 from fractions import Fraction
@@ -338,6 +340,14 @@ def sweep_residuals(rep, ident, targets):
                     w = a_j * (comb(j, m) * 4**m * factorial(m) ** 2 * factorial(n - 2 * m))
                     rows[c] = combine_terms([(1, *rows[c]), (w, *unit)])
     return rows, products
+
+
+def eager_failures(dim, witnesses):
+    """An exhaustive report's failures as verification listed them before
+    it kept them by multiset: ``itertools.product`` filtered by the
+    verdicts, here the failing counts' ``witnesses``."""
+    tuples = itertools.product((1, 2, 3), repeat=dim)
+    return [(t, witnesses[c]) for t in tuples if (c := (t.count(1), t.count(2), t.count(3))) in witnesses]
 
 
 def discover_identity(rep):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from test_symalg import brute_sym, dense_similarity, letters
 from spinid import charid, spinrep, symalg
 from spinid.charid import (
     CharCoeffs,
+    ExhaustiveFailures,
     Identity,
     VerificationReport,
     a1_closed,
@@ -30,7 +32,7 @@ from spinid.charid import (
     verify_identity,
 )
 from spinid.rewrite import NormalForm, parse
-from spinid.scalar import combine_terms
+from spinid.scalar import Scalar, combine_terms
 from spinid.spinrep import (Matrix, SpinRep, build_generators, commutation_holds, conjugate_rep, eigenvalue_list,
                             product_kernel, row_matmul, spherical_algebra)
 from spinid.symalg import SymSession, all_counts, axis_counts, delta_weights
@@ -654,11 +656,13 @@ def test_sampled_verify_memory_does_not_grow_with_count():
 
 def test_verify_reduces_each_product_once(monkeypatch):
     # One reduce_terms per product (S_3^2, each Horner step of q_D(S_3) and
-    # each commutator of the adjoint recursion) and per commutation bracket
-    # (three); when q_D(S_3) is nonzero, one more for R(0, 0, D) = D! q_D(S_3)
-    # and two for the spherical generators; and two per witness (the
-    # Cartesian residual and its entry): no intermediate product of the
-    # kernel is reduced on its own.
+    # each commutator of the adjoint recursion); when q_D(S_3) is nonzero,
+    # one more for R(0, 0, D) = D! q_D(S_3) and two for the spherical
+    # generators; and two per witness (the Cartesian residual and its
+    # entry): no intermediate product of the kernel is reduced on its own.
+    # The three commutation brackets are reduced once per representation:
+    # on the first verification of a ladder built here (so no earlier test
+    # has checked it), and never for a conjugation, checked as it was built.
     from spinid import scalar
 
     calls = []
@@ -668,16 +672,21 @@ def test_verify_reduces_each_product_once(monkeypatch):
         return reduce_terms(terms, den)
 
     reduce_terms = scalar.reduce_terms
-    conjugated = conjugate_rep(REPS[3], dense_similarity(3))
+    conjugated = conjugate_rep(build_generators(3), dense_similarity(3))
+    ladders = {dim: build_generators(dim) for dim in (4, 5, 6)}
     monkeypatch.setattr(scalar, "reduce_terms", counting)
     monkeypatch.setattr(spinrep, "reduce_terms", counting)
-    for rep, dim in ((REPS[5], 5), (REPS[6], 4), (REPS[4], 6), (conjugated, 3), (conjugated, 5)):
+    checked = {id(conjugated)}
+    for rep, dim in ((ladders[5], 5), (ladders[6], 4), (ladders[4], 6), (conjugated, 3), (conjugated, 5),
+                     (ladders[5], 7), (ladders[6], 6)):
         calls.clear()
         report = verify_identity(rep, build_identity(dim), mode="exhaustive")
         stats = report.stats
         witnesses = len({id(w) for _, w in report.failures})
         assert report.ok is (witnesses == 0)
-        assert len(calls) == stats["products"] + 3 + (0 if report.ok else 3) + 2 * witnesses, (rep.dim, dim)
+        brackets = 0 if id(rep) in checked else 3
+        checked.add(id(rep))
+        assert len(calls) == stats["products"] + brackets + (0 if report.ok else 3) + 2 * witnesses, (rep.dim, dim)
 
 
 def test_report_stats_stay_off_the_wire():
@@ -715,14 +724,57 @@ def test_a_sample_that_holds_is_never_drawn(monkeypatch):
 
 def test_verify_refuses_a_triple_off_the_commutation_relation():
     # The certificate from q_D(S_3) rests on the commutation relation, so
-    # verification checks it first, as discovery does.
+    # verification reads its verdict first, as discovery does; the verdict
+    # is kept on the representation, and it refuses on every call.
     s1, s2, s3 = REPS[3].rows
     doubled = combine_terms([(2, *s3)])
     for rows in ((s1, s2, doubled), (s2, s1, s3), (s1, s2, ({}, 1))):
         rep = SpinRep(3, rows)
-        for mode, count, seed in (("exhaustive", None, None), ("sampled", 10, 1)):
-            with pytest.raises(ValueError, match="commutation relation"):
-                verify_identity(rep, build_identity(3), mode=mode, count=count, seed=seed)
+        for _ in range(2):
+            for mode, count, seed in (("exhaustive", None, None), ("sampled", 10, 1)):
+                with pytest.raises(ValueError, match="commutation relation"):
+                    verify_identity(rep, build_identity(3), mode=mode, count=count, seed=seed)
+            with pytest.raises(charid.DiscoveryError, match="commutation relation"):
+                discover_identity(rep)
+        assert rep.commutes is False
+
+
+def test_relation_is_checked_once_per_representation(monkeypatch):
+    # A ladder is checked on first use, once across two verifications and a
+    # discovery; a conjugation as it is built, and never again.
+    calls = []
+
+    def counted(rep):
+        calls.append(rep.dim)
+        return commutation_holds(rep)
+
+    monkeypatch.setattr(spinrep, "commutation_holds", counted)
+    ladder = build_generators(5)
+    assert calls == []
+    assert verify_identity(ladder, build_identity(5), mode="exhaustive").ok
+    assert not verify_identity(ladder, build_identity(3), mode="sampled", count=50, seed=2).ok
+    assert discover_identity(ladder) == build_identity(5)
+    assert calls == [5]
+    conjugated = conjugate_rep(build_generators(4), dense_similarity(4))
+    assert calls == [5, 4]
+    assert verify_identity(conjugated, build_identity(4), mode="exhaustive").ok
+    assert not verify_identity(conjugated, build_identity(2), mode="exhaustive").ok
+    assert discover_identity(conjugated) == build_identity(4)
+    assert calls == [5, 4]
+    # The verdict is not a field: it leaves equality and repr alone.
+    assert conjugated == SpinRep(4, conjugated.rows) and "commutes" not in repr(conjugated)
+
+
+def test_a_conjugation_takes_no_bracket_product_in_verification_or_discovery(monkeypatch):
+    def refuse(rep):
+        raise AssertionError("the commutation relation was checked again")
+
+    reps = [_seeded_conjugation(dim, seed) for dim in range(2, 6) for seed in range(2)]
+    monkeypatch.setattr(spinrep, "commutation_holds", refuse)
+    for rep in reps:
+        assert verify_identity(rep, build_identity(rep.dim), mode="exhaustive").ok
+        assert not verify_identity(rep, build_identity(rep.dim + 1), mode="sampled", count=20, seed=1).ok
+        assert discover_identity(rep) == build_identity(rep.dim)
 
 
 def test_session_without_representation_refuses_matrices():
@@ -735,6 +787,77 @@ def test_session_without_representation_refuses_matrices():
     with pytest.raises(ValueError, match="no representation.*residual_int"):
         build_identity(3).residual(session, (1, 2, 3))
     assert build_identity(3).residual_int(session, (0, 0, 3)) == ({}, 1)
+
+
+def _perturbed(dim, p, value):
+    b = list(build_identity(dim).b)
+    b[p - 1] = value(b[p - 1])
+    return Identity(dim, tuple(b))
+
+
+def test_lazy_failure_listing_matches_the_eager_one():
+    # The failures kept by multiset, listed by merging each multiset's
+    # orderings, against itertools.product filtered by the same verdicts:
+    # the same pairs in the same order, count, slices, JSON bytes and
+    # report, on ladders, seeded conjugations, direct sums, and perturbed
+    # identities whose multisets partly hold.
+    cases = [(build_generators(r), build_identity(d)) for d in range(2, 8) for r in range(1, 10)]
+    cases += [(_seeded_conjugation(dim, seed), build_identity(d))
+              for dim in range(2, 6) for seed in range(2) for d in (dim - 1, dim + 1, dim + 2) if d >= 2]
+    cases += [(direct_sum(*dims), build_identity(d))
+              for dims in ((3, 1), (3, 2), (4, 2), (2, 2, 2)) for d in (2, 3, 4, 5)]
+    cases += [(build_generators(r), _perturbed(d, p, value)) for d in range(2, 7) for r in (d, d + 2)
+              for p in range(1, d // 2 + 1) for value in (lambda b: b + 1, lambda b: 0)]
+    mixed = 0
+    for rep, ident in cases:
+        d = ident.dim
+        report = verify_identity(rep, ident, mode="exhaustive")
+        failures = report.failures
+        eager = reference.eager_failures(d, failures.witnesses)
+        assert list(failures) == eager, (rep.dim, ident)
+        assert failures.total == len(failures) == report.failure_count == len(eager)
+        assert report.ok is (eager == []) is (not failures)
+        for key in (slice(5), slice(2, 9, 3), slice(None, None, -4), slice(-3, None), slice(7, 2, -2)):
+            assert failures[key] == eager[key], (rep.dim, ident, key)
+        for k in (0, 1, -1, len(eager) // 2):
+            if eager:
+                assert failures[k] == eager[k]
+        stored = VerificationReport(d, rep.dim, "exhaustive", 3**d, eager, report.elapsed)
+        assert json.dumps(report.to_json()) == json.dumps(stored.to_json())
+        assert report == stored and stored == report and failures == eager
+        mixed += 0 < len(eager) < 3**d
+    assert mixed > 20
+
+
+def test_lazy_failure_listing_reads_only_what_it_returns():
+    # One failing multiset, (0, 0, 40): its single tuple comes first, where
+    # a filter over itertools.product would scan 3^40 - 1 tuples before it.
+    witness = (0, 0, Scalar.of(1))
+    only = ExhaustiveFailures(40, {(0, 0, 40): witness})
+    assert only[:1] == [((3,) * 40, witness)] == list(only)
+    assert only.total == len(only) == 1 and only[-1] == only[0]
+    two = ExhaustiveFailures(40, {(0, 0, 40): witness, (0, 1, 39): witness})
+    assert [t for t, _ in two[:3]] == [(2,) + (3,) * 39] + [(3,) * k + (2,) + (3,) * (39 - k) for k in (1, 2)]
+    assert two.total == 41 and two[-1] == ((3,) * 40, witness)
+    assert two != only and two == ExhaustiveFailures(40, dict(two.witnesses)) and two != list(two)[:-1]
+    with pytest.raises(IndexError):
+        two[41]
+
+
+def test_failing_report_at_dimension_forty():
+    # Every one of the 3^40 tuples fails on the representation of dimension
+    # 42, a count past sys.maxsize: len() cannot return it, failure_count
+    # can, and the first five come in tuple order.
+    report = verify_identity(build_generators(42), build_identity(40), mode="exhaustive")
+    assert report.ok is False
+    assert report.failure_count == report.failures.total == report.tuples_checked == 3**40
+    with pytest.raises(OverflowError):
+        len(report.failures)
+    first = list(itertools.islice(itertools.product((1, 2, 3), repeat=40), 5))
+    witnesses = report.failures.witnesses
+    assert len(witnesses) == 41 * 42 // 2
+    assert report.failures[:5] == [(t, witnesses[axis_counts(t)]) for t in first]
+    assert all(0 <= r < 42 and 0 <= c < 42 and not v.is_zero() for r, c, v in witnesses.values())
 
 
 def test_report_json_shape():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -108,6 +109,19 @@ def test_identity_minimality_failure_exit_one():
     assert report["failures"], "expected witness tuples"
     first = report["failures"][0]
     assert len(first["tuple"]) == 4 and first["value"] != "0"
+
+
+def test_identity_failing_latex_report_reads_five_failures():
+    # Every one of the 3^13 tuples fails on the 15-dimensional
+    # representation: the status line counts them all, and only the first
+    # five, in tuple order, are listed.
+    proc = run_cli("identity", "13", "--verify", "exhaustive", "--rep-dim", "15", "--format", "latex", timeout=60)
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 7
+    assert lines[1] == f"% verify rep_dim=15: {3**13} tuples checked, {3**13} failures"
+    first = itertools.islice(itertools.product((1, 2, 3), repeat=13), 5)
+    assert [line.split(": entry")[0] for line in lines[2:]] == [f"%   failure at tuple {t}" for t in first]
 
 
 def test_identity_verify_sampled_deterministic():

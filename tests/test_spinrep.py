@@ -9,7 +9,7 @@ from test_symalg import dense_similarity
 import reference as R
 from reference import lib, ref
 from spinid.charid import build_identity, discover_identity, verify_identity
-from spinid.scalar import Scalar, UnsupportedInverseError
+from spinid.scalar import Scalar, UnsupportedInverseError, combine_terms
 from spinid.spinrep import (
     Matrix,
     SingularMatrixError,
@@ -20,6 +20,7 @@ from spinid.spinrep import (
     conjugate_rep,
     eigenvalue_list,
     is_hermitian,
+    row_matmul,
 )
 from spinid.symalg import SymSession, all_counts
 
@@ -168,6 +169,18 @@ def test_dimension_three_ladder_entries():
 def test_zero_dimension_rejected():
     with pytest.raises(ValueError):
         build_generators(0)
+
+
+def test_casimir_is_one_fused_call():
+    # The rows of the fused sum equal those of the three products combined,
+    # and the reference sum of squares, on ladders and conjugations.
+    reps = [build_generators(dim) for dim in range(1, 11)]
+    reps += [conjugate_rep(build_generators(dim), dense_similarity(dim)) for dim in range(2, 8)]
+    for rep in reps:
+        combined = combine_terms((1, *row_matmul(g, g)) for g in rep.rows)
+        assert casimir(rep).row == combined, rep.dim
+        s = [ref(g) for g in rep.S]
+        assert ref(casimir(rep)) == s[0] * s[0] + s[1] * s[1] + s[2] * s[2], rep.dim
 
 
 @pytest.mark.parametrize("dim", range(1, 11))
