@@ -27,10 +27,11 @@ the commutation relation (``SpinRep.commutes``, computed once per
 representation), computes q_D(S_3) by Horner's rule in S_3^2
 (``_q_of_s3``) and, when it is zero, certifies every tuple at once;
 otherwise it fills the residuals of order D by the adjoint recursion
-(``_adjoint_residuals``), and a failure's witness is read from the
-Cartesian residual, rebuilt exactly from the spherical ones
-(``cartesian_residual``).  An exhaustive report keeps its failures by
-multiset (``ExhaustiveFailures``) and lists their tuples only when read.
+(``_adjoint_residuals``), and a failure's witness, the first nonzero entry
+of the Cartesian residual, is read from the spherical ones position by
+position up to that entry (``_first_witness``).  An exhaustive report
+keeps its failures by multiset (``ExhaustiveFailures``) and lists their
+tuples only when read.
 ``discover_identity`` solves q_D(S_3) = 0 for the a_j, by the same
 theorem, on the same ladder of powers of S_3^2 (``_s3_ladder``).  ``Identity.residual_int``, on the delta
 weights and a SymSession, serves the rewriter and the tests as the oracle.
@@ -46,7 +47,7 @@ from math import comb, factorial, gcd, lcm
 from typing import Iterator, Literal, Sequence
 
 from .scalar import KEY_I, KEY_ONE, Record, Row, Scalar, combine_terms, frac_str, times_key
-from .spinrep import Matrix, SpinRep, Times, first_nonzero_entry, product_kernel, row_matmul, spherical_algebra
+from .spinrep import Matrix, SpinRep, Times, product_kernel, row_matmul, spherical_algebra
 from .symalg import SymSession, all_counts, axis_counts, delta_weights, pairing_count
 
 Witness = tuple[int, int, Scalar]
@@ -310,9 +311,43 @@ def _back_substitute(pivots: dict[int, list[int]], k: int) -> list[Fraction]:
 # Verification
 
 
-def cartesian_residual(counts: tuple[int, int, int], spherical: dict[tuple[int, int, int], Row]) -> Row:
-    """The residual at Cartesian counts c from the spherical residuals
-    R(a, b, c3) with a + b = n = c1 + c2 (``spherical``, keyed by counts):
+def _first_witness(counts: tuple[int, int, int], spherical: dict[tuple[int, int, int], Row],
+                   by_position: dict[tuple[int, int, int], tuple]) -> Witness | None:
+    """The first nonzero entry, in row-major order, of the residual at
+    Cartesian counts c, or None if it is zero.  That residual is a
+    combination of the spherical residuals R(a, b, c3) with a + b = c1 + c2
+    (``spherical``, keyed by counts) with the weights of
+    ``_spherical_weights``, times i if c2 is odd.  It is read position by
+    position: the parts' sorted positions are merged, and the walk stops at
+    the first position whose combination is nonzero.  ``by_position`` keeps
+    each spherical residual's cells grouped by position and its positions
+    sorted, once per call of ``verify_identity``, for every multiset that
+    reads it."""
+    import heapq  # only a failing verification merges: spared the import of every CLI process
+
+    c1, c2, c3 = counts
+    parts = []
+    for a, b, w in _spherical_weights(c1, c2):
+        grouped = by_position.get((a, b, c3))
+        if grouped is None:
+            terms, den = spherical[a, b, c3]
+            at: dict[tuple[int, int], dict[tuple[int], int]] = {}
+            for (r, col, key), n in terms.items():
+                at.setdefault((r, col), {})[(key,)] = n
+            grouped = by_position[a, b, c3] = sorted(at), at, den
+        if grouped[0]:
+            parts.append((w, *grouped))
+    for pos, _ in itertools.groupby(heapq.merge(*(order for _, order, _, _ in parts))):
+        terms, den = combine_terms((w, cells[pos], d) for w, _, cells, d in parts if pos in cells)
+        if terms:
+            return (*pos, Scalar._make(((times_key(terms, KEY_I) if c2 % 2 else terms), den)))
+    return None
+
+
+@lru_cache(maxsize=None)
+def _spherical_weights(c1: int, c2: int) -> tuple[tuple[int, int, Fraction], ...]:
+    """(a, b, weight) of the nonzero terms of the residual at Cartesian
+    counts c from the spherical ones R(a, b, c3), a + b = n = c1 + c2:
 
         c1! c2! / 2^n sum_{a+b=n} 1/(a! b!)
             sum_{x+y=c2} C(a, x) C(b, y) (-1)^x i^(x+y) R(a, b, c3),
@@ -321,16 +356,8 @@ def cartesian_residual(counts: tuple[int, int, int], spherical: dict[tuple[int, 
     and beta = (u1 + i u2)/2: in the contracted identity, R(c) / (c1! c2!)
     is the coefficient of u1^c1 u2^c2 and R(a, b, c3) / (a! b!) that of
     alpha^a beta^b.  i^(x+y) = i^c2 is one factor: its sign goes into the
-    weights, its i into the keys."""
-    c1, c2, c3 = counts
-    terms, den = combine_terms((w, *spherical[(a, b, c3)]) for a, b, w in _spherical_weights(c1, c2))
-    return (times_key(terms, KEY_I) if c2 % 2 else terms), den
-
-
-@lru_cache(maxsize=None)
-def _spherical_weights(c1: int, c2: int) -> tuple[tuple[int, int, Fraction], ...]:
-    """(a, b, weight) of ``cartesian_residual``'s nonzero terms, the sign
-    of i^c2 included; bounded by the orders verified."""
+    weights, its i into the keys (``_first_witness``).  Bounded by the
+    orders verified."""
     n = c1 + c2
     scale = Fraction(factorial(c1) * factorial(c2) * (-1) ** (c2 // 2), 2**n)
     out = []
@@ -549,13 +576,13 @@ def verify_identity(
     (``_q_of_s3``) vanishes, the identity holds at every tuple and the
     report says so at once, a sample undrawn.  Otherwise a multiset c holds
     iff its spherical residuals (a, c1 + c2 - a, c3) all vanish, and a
-    failing one's witness is the first nonzero entry of
-    ``cartesian_residual``.  Exhaustive mode judges every multiset once and
-    keeps the failing ones' witnesses (``ExhaustiveFailures``), no tuple
-    enumerated; sampled mode judges each multiset the first time a draw
-    meets it, in one pass over the sample as drawn, at most 2^14 random
-    words at a time.  Cross-dimension checks (ident.dim != rep.dim) are
-    allowed and useful.  A failing identity yields a report, never an
+    failing one's witness is the first nonzero entry of its Cartesian
+    residual (``_first_witness``).  Exhaustive mode judges every multiset
+    once and keeps the failing ones' witnesses (``ExhaustiveFailures``), no
+    tuple enumerated; sampled mode judges each multiset the first time a
+    draw meets it, in one pass over the sample as drawn, at most 2^14
+    random words at a time.  Cross-dimension checks (ident.dim != rep.dim)
+    are allowed and useful.  A failing identity yields a report, never an
     exception.
 
     When mode is omitted: exhaustive through dimension 7, above that a
@@ -583,11 +610,12 @@ def verify_identity(
     failures: Sequence[Failure] = ExhaustiveFailures(d, {}) if mode == "exhaustive" else []
     if q[0]:
         spherical, commutators = _adjoint_residuals(rep, d, combine_terms([(factorial(d), *q)]))
+        by_position: dict[tuple[int, int, int], tuple] = {}
 
         def verdict(c: tuple[int, int, int]) -> Witness | None:  # None when c holds
             n = c[0] + c[1]
             held = not any(spherical[a, n - a, c[2]][0] for a in range(n + 1))
-            return None if held else first_nonzero_entry(cartesian_residual(c, spherical))
+            return None if held else _first_witness(c, spherical, by_position)
 
         if mode == "exhaustive":
             failures = ExhaustiveFailures(d, {c: w for c in all_counts(d) if (w := verdict(c)) is not None})

@@ -8,11 +8,12 @@ commutation relation orders the letters, and the dimension-D reduction
 identity caps the degree.  Words are folded letter by letter, each letter
 inserted into ordered words, so no unordered word is stored.
 ``reduce_degree`` caps every step by a rule table, one rule per ordered
-word of degree D; each dimension's table is built on demand and shared by
-all later reductions at that D (the 8 most recently used dimensions are
-kept).  The form it reaches is unique modulo the relations, so
-it does not depend on the order of the rewriting steps.  ``evaluate``
-folds the words the same way in the rows of a representation's matrices.
+word of degree D, and keeps each capped step of one ordered word by one
+letter; each dimension's table is built on demand and shared by all later
+reductions at that D (the 8 most recently used dimensions are kept).  The
+form it reaches is unique modulo the relations, so it does not depend on
+the order of the rewriting steps.  ``evaluate`` folds the words the same
+way in the rows of a representation's matrices.
 Parsing and printing work on the rows; a coefficient read as a ``Scalar``
 is a view of the cells of its word.
 """
@@ -531,15 +532,21 @@ _TABLES = 8
 
 
 class _RuleTable:
-    """The rewriting rules of one dimension D, with what building them needs:
-    a SymSession over ordered words and the ordered-form memo, both kept
-    for the table's life (``reduce_degree`` states its bounds).  The
-    identity (``build_identity``, memoized) is fetched only when a rule is
-    built, so a table whose words stay below degree D never computes it.
+    """The rewriting rules of one dimension D, the capped steps built from
+    them, and what building them needs: a SymSession over ordered words and
+    the ordered-form memo, all kept for the table's life (``reduce_degree``
+    states its bounds).  The identity (``build_identity``, memoized) is
+    fetched only when a rule is built, so a table whose words stay below
+    degree D never computes it.
 
-    The fold caps every step and the session builds {c} of order D from
-    rows of order <= D-1, so every word the memo meets is an ordered word
-    of degree <= D-1; fold rows only carry the keys of 1 and i.  Each value
+    ``capped[(u, a, k)]`` is the row of NF(basis(k) u S_a) for an ordered
+    word u of degree <= D-1, a letter a and k the key of 1 or i: the cell
+    (u, k) ordered times S_a, each ordered word of degree D in it replaced
+    by its rule.  A fold step is then one combination of the entries of
+    its row's cells, and there are at most 6 C(D+2, 3) entries.  The fold
+    caps every step and the session builds {c} of order D from rows of
+    order <= D-1, so every word the memo meets is an ordered word of
+    degree <= D-1; fold rows only carry the keys of 1 and i.  Each value
     is complete before it is stored and never changed after."""
 
     def __init__(self, dim: int):
@@ -547,27 +554,45 @@ class _RuleTable:
         self.memo: dict[tuple[Word, int], Terms] = {}
         self.session = SymSession(unit=_ONE, times=self.times)
         self.rules: dict[tuple[Word, int], Row] = {}  # (v, key) -> basis(key) * rule for v
+        self.capped: dict[tuple[Word, int, int], Row] = {}  # (u, a, key) -> NF(basis(key) * u * S_a)
 
     def times(self, parts: Sequence[Part]) -> Row:
         return _times_words(parts, self.memo)
 
     def step(self, parts: Sequence[Part]) -> Row:
-        """cap(order(row * S_a)) for the one part (1, row, a) that ``_fold``
-        passes: every ordered word of degree D replaced by its rule."""
-        ((w, row, a),) = parts
+        """NF(row * S_a) for the one part (1, row, a) that ``_fold``
+        passes: the row's cells' capped steps, combined."""
+        ((w, (terms, den), a),) = parts
         assert w == 1, "the fold steps by one letter"
-        terms, den = _times_letter(row, a, self.memo)
-        parts = [(1, terms, den)]
+        capped = self.capped
+        steps = []
+        for (u, k), n in terms.items():
+            entry = capped.get((u, a, k))
+            if entry is None:
+                entry = self._capped_step(u, a, k)
+            steps.append((n, entry[0], entry[1] * den))
+        return combine_terms(steps)
+
+    def _capped_step(self, u: Word, a: int, k: int) -> Row:
+        """Build and store ``capped[(u, a, k)]``: the cell ordered times S_a,
+        then every ordered word of degree D replaced by its rule.  Where
+        there is none, the entry is the ordered form itself: integer
+        coefficients over 1, already reduced."""
+        terms = _ordered_form(u, a, self.memo)
+        if k != KEY_ONE:
+            terms = times_key(terms, k)
+        parts = [(1, terms, 1)]
         rules = self.rules
-        for (v, k), n in terms.items():
+        for (v, kv), n in terms.items():
             if len(v) == self.dim:
-                if (v, k) not in rules:
+                if (v, kv) not in rules:
                     if (v, KEY_ONE) not in rules:
                         rules[(v, KEY_ONE)] = _identity_replacement(build_identity(self.dim), v, self.session)
                     rule, rule_den = rules[(v, KEY_ONE)]
-                    rules[(v, k)] = times_key(rule, k), rule_den
-                parts.append((Fraction(n, den), *rules[(v, k)]))
-        return combine_terms(parts)
+                    rules[(v, kv)] = times_key(rule, kv), rule_den
+                parts.append((n, *rules[(v, kv)]))
+        entry = self.capped[(u, a, k)] = combine_terms(parts) if len(parts) > 1 else (terms, 1)
+        return entry
 
 
 @lru_cache(maxsize=_TABLES)
@@ -585,17 +610,20 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     u - (1/D!) (the identity's left side at u), of degree <= D-1
     (``_identity_replacement``).  The rules form a table of at most
     C(D+2, 2) entries, built on demand from the symmetric products of a
-    SymSession over ordered words.  Arithmetic is in Gaussian integers over a
-    common denominator; each word's coefficient is multiplied in once, at
-    the end (``_fold``).
+    SymSession over ordered words.  Both maps are linear, so a step is the
+    combination of the capped steps NF(basis(k) u S_a) of its row's cells
+    (u, k), each built once, on first use.  Arithmetic is in Gaussian
+    integers over a common denominator; each word's coefficient is
+    multiplied in once, at the end (``_fold``).
 
-    Rules, products and ordered forms live in one table per dimension
-    (``_RuleTable``), shared by every reduction at that D for the life of
-    the process; the tables of the ``_TABLES`` = 8 most recently used
-    dimensions are kept.  A table holds at most 3 C(D+2, 3) ordered forms and
-    2 C(D+2, 2) rules whatever its inputs, and threads may reduce at one
-    D together: a stored entry is never changed, so a race at worst
-    computes one twice, with equal values.
+    Capped steps, rules, products and ordered forms live in one table per
+    dimension (``_RuleTable``), shared by every reduction at that D for the
+    life of the process; the tables of the ``_TABLES`` = 8 most recently
+    used dimensions are kept.  A table holds at most 6 C(D+2, 3) capped
+    steps, 3 C(D+2, 3) ordered forms and 2 C(D+2, 2) rules whatever its
+    inputs, and threads may reduce at one D together: a stored entry is
+    never changed, so a race at worst computes one twice, with equal
+    values.
 
     The result does not depend on the order of the rewriting steps.  Every
     step changes its argument by an element of the two-sided ideal J of the

@@ -16,6 +16,11 @@ residuals from q_D(S_3) by the adjoint action must match the sweep.  The
 sweep, too, runs on the library's rows.  ``eager_failures`` lists a failing
 exhaustive report's tuples by filtering every tuple, against the library's
 walk over heads and tails that reads only tuples that fail.
+``cartesian_residual`` rebuilds a whole Cartesian residual from the
+spherical ones, whose first nonzero entry is the witness the library reads
+position by position.  ``capped_step`` is the rewriter's fold step as a
+whole row: ordered times the letter, then every degree-D word capped by its
+rule, against the library's combination of memoized one-cell steps.
 """
 import itertools
 from fractions import Fraction
@@ -23,9 +28,10 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
 import spinid
-from spinid.charid import DiscoveryError
-from spinid.scalar import (UnsupportedInverseError, combine_terms, fraction_row, render_components, row_scalars,
-                           squarefree_decompose)
+from spinid import rewrite
+from spinid.charid import DiscoveryError, _spherical_weights
+from spinid.scalar import (KEY_I, UnsupportedInverseError, combine_terms, fraction_row, render_components, row_scalars,
+                           squarefree_decompose, times_key)
 from spinid.spinrep import SingularMatrixError, eigenvalue_list, spherical_algebra
 from spinid.symalg import SymSession, all_counts
 
@@ -293,6 +299,30 @@ def spherical_residual(ident, session, counts):
     parts = [(1, *session.sym_int(counts))]
     parts += [(b_p * w, *session.sym_int(rest)) for p, b_p in enumerate(ident.b, start=1)
               for rest, w in spherical_delta_weights(counts, p).items()]
+    return combine_terms(parts)
+
+
+def cartesian_residual(counts, spherical):
+    """The residual at Cartesian counts c from the spherical residuals
+    R(a, b, c3) with a + b = c1 + c2 (``spherical``, keyed by counts): their
+    combination with the library's ``_spherical_weights``, times i if c2 is
+    odd, as one whole row."""
+    c1, c2, c3 = counts
+    terms, den = combine_terms((w, *spherical[(a, b, c3)]) for a, b, w in _spherical_weights(c1, c2))
+    return (times_key(terms, KEY_I) if c2 % 2 else terms), den
+
+
+def capped_step(table, row, a):
+    """NF(row * S_a) as the rewriter took it one whole row at a time: the
+    row ordered times S_a (``_times_letter``), then every ordered word of
+    degree D in the result replaced by its rule (``_identity_replacement``),
+    built anew on the table's session of ordered words."""
+    terms, den = rewrite._times_letter(row, a, table.memo)
+    parts = [(1, terms, den)]
+    for (v, k), n in terms.items():
+        if len(v) == table.dim:
+            rule, rule_den = rewrite._identity_replacement(spinid.build_identity(table.dim), v, table.session)
+            parts.append((Fraction(n, den), times_key(rule, k), rule_den))
     return combine_terms(parts)
 
 

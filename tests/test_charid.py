@@ -23,7 +23,6 @@ from spinid.charid import (
     an_closed,
     b_coeffs,
     build_identity,
-    cartesian_residual,
     char_coeffs,
     discover_identity,
     identity_to_json,
@@ -32,9 +31,9 @@ from spinid.charid import (
     verify_identity,
 )
 from spinid.rewrite import NormalForm, parse
-from spinid.scalar import Scalar, combine_terms
+from spinid.scalar import KEY_I, KEY_ONE, Scalar, combine_terms
 from spinid.spinrep import (Matrix, SpinRep, build_generators, commutation_holds, conjugate_rep, eigenvalue_list,
-                            product_kernel, row_matmul, spherical_algebra)
+                            first_nonzero_entry, product_kernel, row_matmul, spherical_algebra)
 from spinid.symalg import SymSession, all_counts, axis_counts, delta_weights
 
 REPS = {dim: build_generators(dim) for dim in range(1, 8)}
@@ -444,7 +443,7 @@ def test_cartesian_residual_from_spherical_matches_direct(rep_dim, conjugated):
         ident = build_identity(dim)
         rows = {c: reference.spherical_residual(ident, spherical, c) for c in all_counts(dim)}
         for c in all_counts(dim):
-            assert cartesian_residual(c, rows) == ident.residual_int(cartesian, c), (dim, c)
+            assert reference.cartesian_residual(c, rows) == ident.residual_int(cartesian, c), (dim, c)
 
 
 def _sweep_cases():
@@ -658,8 +657,10 @@ def test_verify_reduces_each_product_once(monkeypatch):
     # One reduce_terms per product (S_3^2, each Horner step of q_D(S_3) and
     # each commutator of the adjoint recursion); when q_D(S_3) is nonzero,
     # one more for R(0, 0, D) = D! q_D(S_3) and two for the spherical
-    # generators; and two per witness (the Cartesian residual and its
-    # entry): no intermediate product of the kernel is reduced on its own.
+    # generators; and one per witness, the combination at the position the
+    # walk reads (on these representations no witness's first position
+    # cancels): no intermediate product of the kernel is reduced on its own,
+    # and no witness builds a whole Cartesian residual.
     # The three commutation brackets are reduced once per representation:
     # on the first verification of a ladder built here (so no earlier test
     # has checked it), and never for a conjugation, checked as it was built.
@@ -686,7 +687,7 @@ def test_verify_reduces_each_product_once(monkeypatch):
         assert report.ok is (witnesses == 0)
         brackets = 0 if id(rep) in checked else 3
         checked.add(id(rep))
-        assert len(calls) == stats["products"] + brackets + (0 if report.ok else 3) + 2 * witnesses, (rep.dim, dim)
+        assert len(calls) == stats["products"] + brackets + (0 if report.ok else 3) + witnesses, (rep.dim, dim)
 
 
 def test_report_stats_stay_off_the_wire():
@@ -827,6 +828,74 @@ def test_lazy_failure_listing_matches_the_eager_one():
         assert report == stored and stored == report and failures == eager
         mixed += 0 < len(eager) < 3**d
     assert mixed > 20
+
+
+def _reference_witnesses(rep, ident):
+    """Every failing multiset's witness as verification read it before the
+    walk: the first nonzero entry of the whole Cartesian residual, rebuilt
+    from the spherical residuals by ``reference.cartesian_residual``."""
+    d = ident.dim
+    q, _ = charid._q_of_s3(rep, ident)
+    if not q[0]:
+        return {}
+    spherical, _ = charid._adjoint_residuals(rep, d, combine_terms([(factorial(d), *q)]))
+    out = {}
+    for c in all_counts(d):
+        n = c[0] + c[1]
+        if any(spherical[a, n - a, c[2]][0] for a in range(n + 1)):
+            witness = first_nonzero_entry(reference.cartesian_residual(c, spherical))
+            if witness is not None:
+                out[c] = witness
+    return out
+
+
+def test_witness_walk_matches_the_whole_cartesian_residual():
+    # Witnesses and JSON bytes of exhaustive reports against the first
+    # nonzero entry of each whole Cartesian residual, on ladders, seeded
+    # conjugations, direct sums, and b-perturbed identities whose multisets
+    # partly hold.
+    cases = [(build_generators(r), build_identity(d)) for d in range(2, 10) for r in range(1, 12)]
+    cases += [(_seeded_conjugation(dim, seed), build_identity(d))
+              for dim in range(2, 6) for seed in range(2) for d in (dim - 1, dim + 1, dim + 2) if d >= 2]
+    cases += [(direct_sum(*dims), build_identity(d)) for dims in DIRECT_SUMS for d in (2, 3, 4, 5)]
+    cases += [(build_generators(r), _perturbed(d, p, value)) for d in range(2, 7) for r in (d, d + 2)
+              for p in range(1, d // 2 + 1) for value in (lambda b: b + 1, lambda b: 0)]
+    failing = 0
+    for rep, ident in cases:
+        d = ident.dim
+        report = verify_identity(rep, ident, mode="exhaustive")
+        expected = _reference_witnesses(rep, ident)
+        assert report.failures.witnesses == expected, (rep.dim, ident)
+        stored = VerificationReport(d, rep.dim, "exhaustive", 3**d, ExhaustiveFailures(d, expected))
+        assert json.dumps(report.to_json()) == json.dumps(stored.to_json()), (rep.dim, ident)
+        failing += bool(expected)
+    assert failing > 100
+
+
+def test_witness_walk_skips_positions_that_cancel():
+    # At counts (1, 1, 0) the residual is i (R(0, 2, 0) - R(2, 0, 0)) / 4:
+    # hand-built spherical rows that agree at their first positions cancel
+    # there, and the walk reads on to the first position that does not,
+    # one the other part lacks included.  Rows that agree everywhere give None.
+    assert charid._spherical_weights(1, 1) == ((0, 2, Fraction(1, 4)), (2, 0, Fraction(-1, 4)))
+    one, i = KEY_ONE, KEY_I
+    left = ({(0, 0, one): 2, (0, 1, i): -1, (1, 0, one): 3, (2, 2, one): 1}, 1)
+    cases = [
+        ({(0, 0, one): 4, (0, 1, i): -2, (1, 0, one): 5, (1, 1, i): 7}, 2),  # (1, 0): (5/2 - 3) i / 4
+        ({(0, 0, one): 2, (0, 1, i): -1, (1, 1, i): 7}, 1),  # (1, 0) in the left part alone
+        ({(0, 0, one): 2, (0, 1, i): -1, (1, 0, one): 3, (2, 2, one): 1}, 1),  # all cancel
+        ({}, 1),  # the first position of the left part alone
+    ]
+    for right in cases:
+        spherical = {(2, 0, 0): left, (0, 2, 0): right, (1, 1, 0): ({(0, 0, one): 9}, 1)}
+        by_position = {}
+        walked = charid._first_witness((1, 1, 0), spherical, by_position)
+        assert walked == first_nonzero_entry(reference.cartesian_residual((1, 1, 0), spherical)), right
+        assert set(by_position) == {(2, 0, 0), (0, 2, 0)}  # the zero-weight R(1, 1, 0) is not read
+    walked = [charid._first_witness((1, 1, 0), {(2, 0, 0): left, (0, 2, 0): right, (1, 1, 0): ({}, 1)}, {})
+              for right in cases]
+    assert walked[0][:2] == walked[1][:2] == (1, 0) and walked[2] is None and walked[3][:2] == (0, 0)
+    assert walked[0][2] == Scalar(0, Fraction(-1, 8)) and walked[1][2] == Scalar(0, Fraction(-3, 4))
 
 
 def test_lazy_failure_listing_reads_only_what_it_returns():

@@ -31,7 +31,7 @@ from spinid.rewrite import (
     sym_words,
     to_json_dict,
 )
-from spinid.scalar import SCALAR_ONE, Scalar, render_components
+from spinid.scalar import KEY_I, KEY_ONE, SCALAR_ONE, Scalar, reduce_terms, render_components
 from spinid.spinrep import Matrix, build_generators
 from spinid.symalg import SymSession, all_counts, axis_counts, delta_weights, epsilon
 
@@ -545,6 +545,33 @@ def test_rule_table_is_bounded_by_its_dimension(dim):
     assert all(len(u) < dim and list(u) == sorted(u) for u, _ in table.memo)
     assert len(table.memo) <= 3 * comb(dim + 2, 3)
     assert len(table.rules) <= 2 * comb(dim + 2, 2)
+    assert len(table.capped) <= 6 * comb(dim + 2, 3)
+    assert all(len(u) < dim and list(u) == sorted(u) for u, _, _ in table.capped)
+
+
+def _ordered_row(rng, dim):
+    """A row of a few ordered words of degree <= D-1 with keys of 1 and i,
+    integer numerators over a denominator, as the fold passes to a step."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        word = tuple(sorted(rng.choice((1, 2, 3)) for _ in range(rng.randint(0, dim - 1))))
+        terms[(word, rng.choice((KEY_ONE, KEY_I)))] = rng.choice((-1, 1)) * rng.randint(1, 40)
+    return reduce_terms(terms, rng.randint(1, 12))
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_capped_step_matches_the_whole_row_step(dim):
+    # The step as a combination of memoized one-cell entries against the
+    # whole row ordered and then capped, on seeded rows with keys 1 and i,
+    # through a cold table and again through the entries it stored.
+    rng = random.Random(700 + dim)
+    table = rewrite._RuleTable(dim)
+    cases = [(_ordered_row(rng, dim), rng.randint(1, 3)) for _ in range(60)]
+    for _ in range(2):
+        for row, a in cases:
+            assert table.step([(1, row, a)]) == R.capped_step(table, row, a), (dim, row, a)
+    assert table.rules
+    assert {k for _, _, k in table.capped} == {KEY_ONE, KEY_I}
 
 
 def test_rule_tables_are_evicted_least_recently_used_first():
