@@ -311,34 +311,21 @@ def _back_substitute(pivots: dict[int, list[int]], k: int) -> list[Fraction]:
 # Verification
 
 
-def _first_witness(counts: tuple[int, int, int], spherical: dict[tuple[int, int, int], Row],
-                   by_position: dict[tuple[int, int, int], tuple]) -> Witness | None:
+def _first_witness(counts: tuple[int, int, int], spherical: dict[tuple[int, int, int], Row]) -> Witness | None:
     """The first nonzero entry, in row-major order, of the residual at
     Cartesian counts c, or None if it is zero.  That residual is a
     combination of the spherical residuals R(a, b, c3) with a + b = c1 + c2
-    (``spherical``, keyed by counts) with the weights of
-    ``_spherical_weights``, times i if c2 is odd.  It is read position by
-    position: the parts' sorted positions are merged, and the walk stops at
-    the first position whose combination is nonzero.  ``by_position`` keeps
-    each spherical residual's cells grouped by position and its positions
-    sorted, once per call of ``verify_identity``, for every multiset that
-    reads it."""
+    (``spherical``, keyed by counts, each row's cells in row-major order)
+    with the weights of ``_spherical_weights``, times i if c2 is odd.  It is
+    read position by position: the parts' cells are merged, and the walk
+    stops at the first position whose combination is nonzero."""
     import heapq  # only a failing verification merges: spared the import of every CLI process
 
     c1, c2, c3 = counts
-    parts = []
-    for a, b, w in _spherical_weights(c1, c2):
-        grouped = by_position.get((a, b, c3))
-        if grouped is None:
-            terms, den = spherical[a, b, c3]
-            at: dict[tuple[int, int], dict[tuple[int], int]] = {}
-            for (r, col, key), n in terms.items():
-                at.setdefault((r, col), {})[(key,)] = n
-            grouped = by_position[a, b, c3] = sorted(at), at, den
-        if grouped[0]:
-            parts.append((w, *grouped))
-    for pos, _ in itertools.groupby(heapq.merge(*(order for _, order, _, _ in parts))):
-        terms, den = combine_terms((w, cells[pos], d) for w, _, cells, d in parts if pos in cells)
+    parts = [(w, *spherical[a, b, c3]) for a, b, w in _spherical_weights(c1, c2)]
+    cells = heapq.merge(*(zip(terms, itertools.repeat(j)) for j, (_, terms, _) in enumerate(parts)))
+    for pos, at in itertools.groupby(cells, key=lambda cell: cell[0][:2]):
+        terms, den = combine_terms((parts[j][0], {t[2:]: parts[j][1][t]}, parts[j][2]) for t, j in at)
         if terms:
             return (*pos, Scalar._make(((times_key(terms, KEY_I) if c2 % 2 else terms), den)))
     return None
@@ -575,9 +562,9 @@ def verify_identity(
     ``SpinRep.commutes``, computed once per representation.  When q_D(S_3)
     (``_q_of_s3``) vanishes, the identity holds at every tuple and the
     report says so at once, a sample undrawn.  Otherwise a multiset c holds
-    iff its spherical residuals (a, c1 + c2 - a, c3) all vanish, and a
-    failing one's witness is the first nonzero entry of its Cartesian
-    residual (``_first_witness``).  Exhaustive mode judges every multiset
+    if its spherical residuals (a, c1 + c2 - a, c3) all vanish; if not, the
+    walk for the first nonzero entry of its Cartesian residual, a failure's
+    witness, decides (``_first_witness``).  Exhaustive mode judges every multiset
     once and keeps the failing ones' witnesses (``ExhaustiveFailures``), no
     tuple enumerated; sampled mode judges each multiset the first time a
     draw meets it, in one pass over the sample as drawn, at most 2^14
@@ -610,12 +597,13 @@ def verify_identity(
     failures: Sequence[Failure] = ExhaustiveFailures(d, {}) if mode == "exhaustive" else []
     if q[0]:
         spherical, commutators = _adjoint_residuals(rep, d, combine_terms([(factorial(d), *q)]))
-        by_position: dict[tuple[int, int, int], tuple] = {}
+        for c, (terms, den) in spherical.items():  # row-major order, for the witness walk
+            spherical[c] = dict(sorted(terms.items())), den
 
         def verdict(c: tuple[int, int, int]) -> Witness | None:  # None when c holds
             n = c[0] + c[1]
             held = not any(spherical[a, n - a, c[2]][0] for a in range(n + 1))
-            return None if held else _first_witness(c, spherical, by_position)
+            return None if held else _first_witness(c, spherical)
 
         if mode == "exhaustive":
             failures = ExhaustiveFailures(d, {c: w for c in all_counts(d) if (w := verdict(c)) is not None})

@@ -23,7 +23,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterator, Literal, Mapping, Sequence, Union
+from typing import Callable, Iterator, Literal, Mapping, Sequence, Union
 
 from .charid import Identity, build_identity
 from .scalar import (
@@ -44,7 +44,7 @@ from .scalar import (
     squarefree_decompose,
     times_key,
 )
-from .spinrep import Matrix, Part, SpinRep, Times, matrix_algebra
+from .spinrep import Matrix, Part, SpinRep, matrix_algebra
 from .symalg import SymSession, epsilon
 
 Word = tuple[int, ...]
@@ -479,11 +479,11 @@ def _times_words(parts: Sequence[Part], memo: dict[tuple[Word, int], Terms]) -> 
     return combine_terms((w, *_times_letter(row, a, memo)) for w, row, a in parts)
 
 
-def _fold(p: NCPolynomial, unit: Row, times: Times) -> Row:
+def _fold(p: NCPolynomial, unit: Row, step: Callable[[Row, int], Row]) -> Row:
     """The value of p in an algebra given by its unit and right
-    multiplication by a letter, as a row of that algebra: each word of p
-    folded letter by letter from the unit, once, times the cells of its
-    coefficient, all combined over p's denominator."""
+    multiplication by a letter, step(row, a), as a row of that algebra:
+    each word of p folded letter by letter from the unit, once, times the
+    cells of its coefficient, all combined over p's denominator."""
     terms, den = p._row
     by_word: dict[Word, list[tuple[int, int]]] = {}
     for (w, key), n in terms.items():
@@ -492,7 +492,7 @@ def _fold(p: NCPolynomial, unit: Row, times: Times) -> Row:
     for w, items in by_word.items():
         row = unit
         for a in w:
-            row = times([(1, row, a)])
+            row = step(row, a)
         parts += [(n, times_key(row[0], key), row[1]) for key, n in items]
     out, d = combine_terms(parts)
     return reduce_terms(out, d * den)
@@ -509,7 +509,7 @@ def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
     peak (2 cores, Python 3.11).  ``reduce_degree`` is the path bounded by D.
     """
     memo: dict[tuple[Word, int], Terms] = {}
-    return NCPolynomial._make(_fold(p, _ONE, lambda parts: _times_words(parts, memo)))
+    return NCPolynomial._make(_fold(p, _ONE, lambda row, a: _times_letter(row, a, memo)))
 
 
 def _identity_replacement(ident: Identity, u: Word, session: SymSession) -> Row:
@@ -539,31 +539,29 @@ class _RuleTable:
     fetched only when a rule is built, so a table whose words stay below
     degree D never computes it.
 
-    ``capped[(u, a, k)]`` is the row of NF(basis(k) u S_a) for an ordered
-    word u of degree <= D-1, a letter a and k the key of 1 or i: the cell
-    (u, k) ordered times S_a, each ordered word of degree D in it replaced
-    by its rule.  A fold step is then one combination of the entries of
-    its row's cells, and there are at most 6 C(D+2, 3) entries.  The fold
-    caps every step and the session builds {c} of order D from rows of
-    order <= D-1, so every word the memo meets is an ordered word of
-    degree <= D-1; fold rows only carry the keys of 1 and i.  Each value
-    is complete before it is stored and never changed after."""
+    ``rules[v]`` is the rule of the ordered word v of degree D, at most
+    C(D+2, 2) of them.  ``capped[(u, a, k)]`` is the row of
+    NF(basis(k) u S_a) for an ordered word u of degree <= D-1, a letter a
+    and k the key of 1 or i, at most 6 C(D+2, 3) entries.  A fold step is
+    then one combination of the entries of its row's cells.  The fold caps
+    every step and the session builds {c} of order D from rows of order
+    <= D-1, so every word the memo meets is an ordered word of degree
+    <= D-1; fold rows only carry the keys of 1 and i.  Each value is
+    complete before it is stored and never changed after."""
 
     def __init__(self, dim: int):
         self.dim = dim
         self.memo: dict[tuple[Word, int], Terms] = {}
         self.session = SymSession(unit=_ONE, times=self.times)
-        self.rules: dict[tuple[Word, int], Row] = {}  # (v, key) -> basis(key) * rule for v
-        self.capped: dict[tuple[Word, int, int], Row] = {}  # (u, a, key) -> NF(basis(key) * u * S_a)
+        self.rules: dict[Word, Row] = {}
+        self.capped: dict[tuple[Word, int, int], Row] = {}
 
     def times(self, parts: Sequence[Part]) -> Row:
         return _times_words(parts, self.memo)
 
-    def step(self, parts: Sequence[Part]) -> Row:
-        """NF(row * S_a) for the one part (1, row, a) that ``_fold``
-        passes: the row's cells' capped steps, combined."""
-        ((w, (terms, den), a),) = parts
-        assert w == 1, "the fold steps by one letter"
+    def step(self, row: Row, a: int) -> Row:
+        """NF(row * S_a): the row's cells' capped steps, combined."""
+        terms, den = row
         capped = self.capped
         steps = []
         for (u, k), n in terms.items():
@@ -574,24 +572,21 @@ class _RuleTable:
         return combine_terms(steps)
 
     def _capped_step(self, u: Word, a: int, k: int) -> Row:
-        """Build and store ``capped[(u, a, k)]``: the cell ordered times S_a,
-        then every ordered word of degree D replaced by its rule.  Where
-        there is none, the entry is the ordered form itself: integer
-        coefficients over 1, already reduced."""
-        terms = _ordered_form(u, a, self.memo)
+        """Build and store ``capped[(u, a, k)]``: for k = i, i times the entry
+        of key 1; for key 1, the ordered form of u S_a over 1, plus, if u has
+        degree D-1, the rule of its one word of degree D, v = sorted(u + (a,)),
+        which has coefficient 1."""
         if k != KEY_ONE:
-            terms = times_key(terms, k)
-        parts = [(1, terms, 1)]
-        rules = self.rules
-        for (v, kv), n in terms.items():
-            if len(v) == self.dim:
-                if (v, kv) not in rules:
-                    if (v, KEY_ONE) not in rules:
-                        rules[(v, KEY_ONE)] = _identity_replacement(build_identity(self.dim), v, self.session)
-                    rule, rule_den = rules[(v, KEY_ONE)]
-                    rules[(v, kv)] = times_key(rule, kv), rule_den
-                parts.append((n, *rules[(v, kv)]))
-        entry = self.capped[(u, a, k)] = combine_terms(parts) if len(parts) > 1 else (terms, 1)
+            terms, den = self.capped.get((u, a, KEY_ONE)) or self._capped_step(u, a, KEY_ONE)
+            entry = times_key(terms, k), den
+        elif len(u) == self.dim - 1:
+            v = tuple(sorted(u + (a,)))
+            if v not in self.rules:
+                self.rules[v] = _identity_replacement(build_identity(self.dim), v, self.session)
+            entry = combine_terms([(1, _ordered_form(u, a, self.memo), 1), (1, *self.rules[v])])
+        else:
+            entry = _ordered_form(u, a, self.memo), 1
+        self.capped[(u, a, k)] = entry
         return entry
 
 
@@ -620,7 +615,7 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     dimension (``_RuleTable``), shared by every reduction at that D for the
     life of the process; the tables of the ``_TABLES`` = 8 most recently
     used dimensions are kept.  A table holds at most 6 C(D+2, 3) capped
-    steps, 3 C(D+2, 3) ordered forms and 2 C(D+2, 2) rules whatever its
+    steps, 3 C(D+2, 3) ordered forms and C(D+2, 2) rules whatever its
     inputs, and threads may reduce at one D together: a stored entry is
     never changed, so a race at worst computes one twice, with equal
     values.
@@ -653,7 +648,8 @@ def evaluate(
     """
     if isinstance(p, NormalForm):
         p = p.poly
-    return Matrix._make(rep.dim, _fold(p, *matrix_algebra(rep)))
+    unit, times = matrix_algebra(rep)
+    return Matrix._make(rep.dim, _fold(p, unit, lambda row, a: times([(1, row, a)])))
 
 
 # ---------------------------------------------------------------------------

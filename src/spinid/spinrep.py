@@ -246,14 +246,6 @@ def _by_column(terms: dict[Cell, int]) -> dict[int, list[tuple[int, int, int]]]:
     return out
 
 
-def first_nonzero_entry(row: Row) -> tuple[int, int, Scalar] | None:
-    """The first nonzero entry of a matrix row in row-major order."""
-    if not row[0]:
-        return None
-    r, c, _ = min(row[0])
-    return r, c, scalar_at(row, {(r, c)})
-
-
 def eigenvalue_list(dim: int) -> list[Fraction]:
     """Eigenvalues s, s-1, ..., -s of S_3 in descending order."""
     if dim < 1:

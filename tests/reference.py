@@ -17,10 +17,11 @@ sweep, too, runs on the library's rows.  ``eager_failures`` lists a failing
 exhaustive report's tuples by filtering every tuple, against the library's
 walk over heads and tails that reads only tuples that fail.
 ``cartesian_residual`` rebuilds a whole Cartesian residual from the
-spherical ones, whose first nonzero entry is the witness the library reads
-position by position.  ``capped_step`` is the rewriter's fold step as a
-whole row: ordered times the letter, then every degree-D word capped by its
-rule, against the library's combination of memoized one-cell steps.
+spherical ones, whose first nonzero entry (``first_nonzero_entry``) is the
+witness the library reads position by position.  ``capped_step`` is the
+rewriter's fold step as a whole row: ordered times the letter, then every
+degree-D word capped by its rule, against the library's combination of
+memoized one-cell steps.
 """
 import itertools
 from fractions import Fraction
@@ -31,7 +32,7 @@ import spinid
 from spinid import rewrite
 from spinid.charid import DiscoveryError, _spherical_weights
 from spinid.scalar import (KEY_I, UnsupportedInverseError, combine_terms, fraction_row, render_components, row_scalars,
-                           squarefree_decompose, times_key)
+                           scalar_at, squarefree_decompose, times_key)
 from spinid.spinrep import SingularMatrixError, eigenvalue_list, spherical_algebra
 from spinid.symalg import SymSession, all_counts
 
@@ -310,6 +311,15 @@ def cartesian_residual(counts, spherical):
     c1, c2, c3 = counts
     terms, den = combine_terms((w, *spherical[(a, b, c3)]) for a, b, w in _spherical_weights(c1, c2))
     return (times_key(terms, KEY_I) if c2 % 2 else terms), den
+
+
+def first_nonzero_entry(row):
+    """The first nonzero entry (row, col, Scalar) of a matrix row in
+    row-major order, or None."""
+    if not row[0]:
+        return None
+    r, c, _ = min(row[0])
+    return r, c, scalar_at(row, {(r, c)})
 
 
 def capped_step(table, row, a):

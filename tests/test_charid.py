@@ -9,6 +9,7 @@ from math import comb, factorial
 
 import pytest
 import reference
+from reference import first_nonzero_entry
 from test_symalg import brute_sym, dense_similarity, letters
 
 from spinid import charid, spinrep, symalg
@@ -33,7 +34,7 @@ from spinid.charid import (
 from spinid.rewrite import NormalForm, parse
 from spinid.scalar import KEY_I, KEY_ONE, Scalar, combine_terms
 from spinid.spinrep import (Matrix, SpinRep, build_generators, commutation_holds, conjugate_rep, eigenvalue_list,
-                            first_nonzero_entry, product_kernel, row_matmul, spherical_algebra)
+                            product_kernel, row_matmul, spherical_algebra)
 from spinid.symalg import SymSession, all_counts, axis_counts, delta_weights
 
 REPS = {dim: build_generators(dim) for dim in range(1, 8)}
@@ -315,6 +316,14 @@ def test_verify_failure_witness():
     # the eigenvalue-1 corner gives 3/2.
     assert (r, c) == (0, 0)
     assert str(value) == "3/2"
+    # All of a multiset's spherical residuals vanishing is enough for it to
+    # hold, not needed: on R = 1, R(1, 1, 0) is nonzero, yet (1, 1, 0) holds,
+    # and only the squares fail.
+    q, _ = charid._q_of_s3(REPS[1], build_identity(2))
+    spherical, _ = charid._adjoint_residuals(REPS[1], 2, combine_terms([(2, *q)]))
+    assert spherical[1, 1, 0][0]
+    report = verify_identity(REPS[1], build_identity(2), mode="exhaustive")
+    assert set(report.failures.witnesses) == {(2, 0, 0), (0, 2, 0), (0, 0, 2)}
 
 
 def test_verify_failures_sorted_lexicographically():
@@ -877,6 +886,7 @@ def test_witness_walk_skips_positions_that_cancel():
     # hand-built spherical rows that agree at their first positions cancel
     # there, and the walk reads on to the first position that does not,
     # one the other part lacks included.  Rows that agree everywhere give None.
+    # The rows are in row-major order, as ``verify_identity`` sorts them.
     assert charid._spherical_weights(1, 1) == ((0, 2, Fraction(1, 4)), (2, 0, Fraction(-1, 4)))
     one, i = KEY_ONE, KEY_I
     left = ({(0, 0, one): 2, (0, 1, i): -1, (1, 0, one): 3, (2, 2, one): 1}, 1)
@@ -888,14 +898,42 @@ def test_witness_walk_skips_positions_that_cancel():
     ]
     for right in cases:
         spherical = {(2, 0, 0): left, (0, 2, 0): right, (1, 1, 0): ({(0, 0, one): 9}, 1)}
-        by_position = {}
-        walked = charid._first_witness((1, 1, 0), spherical, by_position)
+        walked = charid._first_witness((1, 1, 0), spherical)
         assert walked == first_nonzero_entry(reference.cartesian_residual((1, 1, 0), spherical)), right
-        assert set(by_position) == {(2, 0, 0), (0, 2, 0)}  # the zero-weight R(1, 1, 0) is not read
-    walked = [charid._first_witness((1, 1, 0), {(2, 0, 0): left, (0, 2, 0): right, (1, 1, 0): ({}, 1)}, {})
+    walked = [charid._first_witness((1, 1, 0), {(2, 0, 0): left, (0, 2, 0): right, (1, 1, 0): ({}, 1)})
               for right in cases]
     assert walked[0][:2] == walked[1][:2] == (1, 0) and walked[2] is None and walked[3][:2] == (0, 0)
     assert walked[0][2] == Scalar(0, Fraction(-1, 8)) and walked[1][2] == Scalar(0, Fraction(-3, 4))
+
+
+def test_failing_verify_memory_is_about_the_residual_triangle():
+    # The witness walk merges the spherical residuals' sorted cells and
+    # keeps no index of its own: a failing verification's peak stays near
+    # the peak of computing q_D(S_3) and the residual triangle alone, with
+    # the memos both read filled first.
+    import tracemalloc
+
+    rep, ident = build_generators(32), build_identity(30)
+    for c in all_counts(30):
+        charid._spherical_weights(c[0], c[1])
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def residuals():
+        q, _ = charid._q_of_s3(rep, ident)
+        charid._adjoint_residuals(rep, 30, combine_terms([(factorial(30), *q)]))
+
+    residuals()  # the representation's tables and verdict on su(2), kept for its life
+    assert rep.commutes
+    triangle = peak(residuals)
+    verified = peak(lambda: verify_identity(rep, ident, mode="exhaustive"))
+    assert verified <= 1.5 * triangle, (verified, triangle)
 
 
 def test_lazy_failure_listing_reads_only_what_it_returns():

@@ -31,7 +31,7 @@ from spinid.rewrite import (
     sym_words,
     to_json_dict,
 )
-from spinid.scalar import KEY_I, KEY_ONE, SCALAR_ONE, Scalar, reduce_terms, render_components
+from spinid.scalar import KEY_I, KEY_ONE, SCALAR_ONE, Scalar, reduce_terms, render_components, times_key
 from spinid.spinrep import Matrix, build_generators
 from spinid.symalg import SymSession, all_counts, axis_counts, delta_weights, epsilon
 
@@ -544,9 +544,15 @@ def test_rule_table_is_bounded_by_its_dimension(dim):
     table = rewrite._rule_table(dim)
     assert all(len(u) < dim and list(u) == sorted(u) for u, _ in table.memo)
     assert len(table.memo) <= 3 * comb(dim + 2, 3)
-    assert len(table.rules) <= 2 * comb(dim + 2, 2)
+    assert len(table.rules) <= comb(dim + 2, 2)
+    assert all(len(v) == dim and list(v) == sorted(v) for v in table.rules)
     assert len(table.capped) <= 6 * comb(dim + 2, 3)
     assert all(len(u) < dim and list(u) == sorted(u) for u, _, _ in table.capped)
+    i_entries = [(u, a) for u, a, k in table.capped if k == KEY_I]
+    assert i_entries
+    for u, a in i_entries:
+        terms, den = table.capped[u, a, KEY_ONE]
+        assert table.capped[u, a, KEY_I] == (times_key(terms, KEY_I), den)
 
 
 def _ordered_row(rng, dim):
@@ -569,7 +575,7 @@ def test_capped_step_matches_the_whole_row_step(dim):
     cases = [(_ordered_row(rng, dim), rng.randint(1, 3)) for _ in range(60)]
     for _ in range(2):
         for row, a in cases:
-            assert table.step([(1, row, a)]) == R.capped_step(table, row, a), (dim, row, a)
+            assert table.step(row, a) == R.capped_step(table, row, a), (dim, row, a)
     assert table.rules
     assert {k for _, _, k in table.capped} == {KEY_ONE, KEY_I}
 

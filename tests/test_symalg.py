@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as R
-from reference import lib, ref
+from reference import first_nonzero_entry, lib, ref
 from spinid import spinrep
 from spinid.charid import build_identity, verify_identity
 from spinid.scalar import Scalar, combine_terms
@@ -19,7 +19,6 @@ from spinid.spinrep import (
     Matrix,
     build_generators,
     conjugate_rep,
-    first_nonzero_entry,
     matrix_algebra,
     row_matmul,
     spherical_algebra,
