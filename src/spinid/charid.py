@@ -28,10 +28,11 @@ representation), computes q_D(S_3) by Horner's rule in S_3^2
 (``_q_of_s3``) and, when it is zero, certifies every tuple at once;
 otherwise it fills the residuals of order D by the adjoint recursion
 (``_adjoint_residuals``), and a failure's witness, the first nonzero entry
-of the Cartesian residual, is read from the spherical ones position by
-position up to that entry (``_first_witness``).  An exhaustive report
-keeps its failures by multiset (``ExhaustiveFailures``) and lists their
-tuples only when read.
+of the Cartesian residual, is read from the spherical ones, weighted by
+integers from a binomial-product recurrence (``_spherical_weights``),
+position by position up to that entry (``_first_witness``).  An
+exhaustive report keeps its failures by multiset (``ExhaustiveFailures``)
+and lists their tuples only when read.
 ``discover_identity`` solves q_D(S_3) = 0 for the a_j, by the same
 theorem, on the same ladder of powers of S_3^2 (``_s3_ladder``).  ``Identity.residual_int``, on the delta
 weights and a SymSession, serves the rewriter and the tests as the oracle.
@@ -313,47 +314,43 @@ def _back_substitute(pivots: dict[int, list[int]], k: int) -> list[Fraction]:
 
 def _first_witness(counts: tuple[int, int, int], spherical: dict[tuple[int, int, int], Row]) -> Witness | None:
     """The first nonzero entry, in row-major order, of the residual at
-    Cartesian counts c, or None if it is zero.  That residual is a
-    combination of the spherical residuals R(a, b, c3) with a + b = c1 + c2
-    (``spherical``, keyed by counts, each row's cells in row-major order)
-    with the weights of ``_spherical_weights``, times i if c2 is odd.  It is
-    read position by position: the parts' cells are merged, and the walk
-    stops at the first position whose combination is nonzero."""
+    Cartesian counts c, or None if it is zero.  That residual is
+    i^c2 2^-n sum_a f_a R(a, n - a, c3), n = c1 + c2, over the spherical
+    residuals (``spherical``, keyed by counts, rows in row-major order) with
+    the integer weights of ``_spherical_weights``: the sign of i^c2 goes
+    into the weights, its i into the keys.  It is read position by position:
+    the parts' cells are merged, and the walk stops at the first position
+    whose combination is nonzero."""
     import heapq  # only a failing verification merges: spared the import of every CLI process
 
     c1, c2, c3 = counts
-    parts = [(w, *spherical[a, b, c3]) for a, b, w in _spherical_weights(c1, c2)]
+    n, sign = c1 + c2, (-1) ** (c2 // 2)
+    parts = [(sign * f, *spherical[a, n - a, c3]) for a, f in enumerate(_spherical_weights(c1, c2)) if f]
     cells = heapq.merge(*(zip(terms, itertools.repeat(j)) for j, (_, terms, _) in enumerate(parts)))
     for pos, at in itertools.groupby(cells, key=lambda cell: cell[0][:2]):
-        terms, den = combine_terms((parts[j][0], {t[2:]: parts[j][1][t]}, parts[j][2]) for t, j in at)
+        terms, den = combine_terms((parts[j][0], {t[2:]: parts[j][1][t]}, parts[j][2] << n) for t, j in at)
         if terms:
             return (*pos, Scalar._make(((times_key(terms, KEY_I) if c2 % 2 else terms), den)))
     return None
 
 
-@lru_cache(maxsize=None)
-def _spherical_weights(c1: int, c2: int) -> tuple[tuple[int, int, Fraction], ...]:
-    """(a, b, weight) of the nonzero terms of the residual at Cartesian
-    counts c from the spherical ones R(a, b, c3), a + b = n = c1 + c2:
+def _spherical_weights(c1: int, c2: int) -> list[int]:
+    """f_a for a = 0..n, n = c1 + c2: the coefficients of (1 + t)^c1 (1 - t)^c2.
 
-        c1! c2! / 2^n sum_{a+b=n} 1/(a! b!)
-            sum_{x+y=c2} C(a, x) C(b, y) (-1)^x i^(x+y) R(a, b, c3),
-
-    from u1 S_1 + u2 S_2 = alpha S_+ + beta S_- with alpha = (u1 - i u2)/2
-    and beta = (u1 + i u2)/2: in the contracted identity, R(c) / (c1! c2!)
-    is the coefficient of u1^c1 u2^c2 and R(a, b, c3) / (a! b!) that of
-    alpha^a beta^b.  i^(x+y) = i^c2 is one factor: its sign goes into the
-    weights, its i into the keys (``_first_witness``).  Bounded by the
-    orders verified."""
-    n = c1 + c2
-    scale = Fraction(factorial(c1) * factorial(c2) * (-1) ** (c2 // 2), 2**n)
-    out = []
-    for a in range(n + 1):
-        b = n - a
-        k = sum((-1) ** x * comb(a, x) * comb(b, c2 - x) for x in range(c2 + 1))
-        if k:
-            out.append((a, b, scale * Fraction(k, factorial(a) * factorial(b))))
-    return tuple(out)
+    From u1 S_1 + u2 S_2 = alpha S_+ + beta S_- with alpha = (u1 - i u2)/2
+    and beta = (u1 + i u2)/2, R(c) / (c1! c2!) is the coefficient of
+    u1^c1 u2^c2 and R(a, b, c3) / (a! b!) that of alpha^a beta^b, so
+    R(c) = i^c2 c1! c2! 2^-n sum_a k(a) R(a, b, c3) / (a! b!), with k(a) the
+    coefficient of t^c2 in (1 - t)^a (1 + t)^b.  The binary Krawtchouk
+    duality C(n, a) k(a) = C(n, c2) f_a makes each weight an integer,
+    c1! c2! k(a) / (a! b!) = f_a.  By (1 - t^2) g' = (c1 - c2 - n t) g for
+    g = (1 + t)^c1 (1 - t)^c2, f_0 = 1, f_1 = c1 - c2 and
+    (a + 1) f_(a+1) = (c1 - c2) f_a - (n - a + 1) f_(a-1), exactly."""
+    n, d = c1 + c2, c1 - c2
+    f = [1, d][: n + 1]
+    for a in range(1, n):
+        f.append((d * f[a] - (n - a + 1) * f[a - 1]) // (a + 1))
+    return f
 
 
 def _s3_ladder(rep: SpinRep, d: int) -> tuple[Row, Times]:

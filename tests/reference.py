@@ -17,11 +17,12 @@ sweep, too, runs on the library's rows.  ``eager_failures`` lists a failing
 exhaustive report's tuples by filtering every tuple, against the library's
 walk over heads and tails that reads only tuples that fail.
 ``cartesian_residual`` rebuilds a whole Cartesian residual from the
-spherical ones, whose first nonzero entry (``first_nonzero_entry``) is the
-witness the library reads position by position.  ``capped_step`` is the
-rewriter's fold step as a whole row: ordered times the letter, then every
-degree-D word capped by its rule, against the library's combination of
-memoized one-cell steps.
+spherical ones with ``spherical_weights``, binomial sums in ``Fraction``s
+against the library's integer recurrence; its first nonzero entry
+(``first_nonzero_entry``) is the witness the library reads position by
+position.  ``capped_step`` is the rewriter's fold step as a whole row:
+ordered times the letter, then every degree-D word capped by its rule,
+against the library's combination of memoized one-cell steps.
 """
 import itertools
 from fractions import Fraction
@@ -30,7 +31,7 @@ from math import comb, factorial, gcd, lcm
 
 import spinid
 from spinid import rewrite
-from spinid.charid import DiscoveryError, _spherical_weights
+from spinid.charid import DiscoveryError
 from spinid.scalar import (KEY_I, UnsupportedInverseError, combine_terms, fraction_row, render_components, row_scalars,
                            scalar_at, squarefree_decompose, times_key)
 from spinid.spinrep import SingularMatrixError, eigenvalue_list, spherical_algebra
@@ -303,13 +304,35 @@ def spherical_residual(ident, session, counts):
     return combine_terms(parts)
 
 
+def spherical_weights(c1, c2):
+    """(a, b, weight) of the nonzero terms of the residual at Cartesian
+    counts c from the spherical ones R(a, b, c3), a + b = n = c1 + c2:
+
+        c1! c2! / 2^n sum_{a+b=n} 1/(a! b!)
+            sum_{x+y=c2} C(a, x) C(b, y) (-1)^x i^(x+y) R(a, b, c3),
+
+    from u1 S_1 + u2 S_2 = alpha S_+ + beta S_- with alpha = (u1 - i u2)/2
+    and beta = (u1 + i u2)/2, summed in ``Fraction``s; i^(x+y) = i^c2 is one
+    factor, its sign in the weights and its i left to the caller.  The
+    library's integer weights f_a must equal weight 2^n (-1)^(c2 // 2)."""
+    n = c1 + c2
+    scale = Fraction(factorial(c1) * factorial(c2) * (-1) ** (c2 // 2), 2**n)
+    out = []
+    for a in range(n + 1):
+        b = n - a
+        k = sum((-1) ** x * comb(a, x) * comb(b, c2 - x) for x in range(c2 + 1))
+        if k:
+            out.append((a, b, scale * Fraction(k, factorial(a) * factorial(b))))
+    return tuple(out)
+
+
 def cartesian_residual(counts, spherical):
     """The residual at Cartesian counts c from the spherical residuals
     R(a, b, c3) with a + b = c1 + c2 (``spherical``, keyed by counts): their
-    combination with the library's ``_spherical_weights``, times i if c2 is
-    odd, as one whole row."""
+    combination with ``spherical_weights``, times i if c2 is odd, as one
+    whole row."""
     c1, c2, c3 = counts
-    terms, den = combine_terms((w, *spherical[(a, b, c3)]) for a, b, w in _spherical_weights(c1, c2))
+    terms, den = combine_terms((w, *spherical[(a, b, c3)]) for a, b, w in spherical_weights(c1, c2))
     return (times_key(terms, KEY_I) if c2 % 2 else terms), den
 
 

@@ -887,7 +887,8 @@ def test_witness_walk_skips_positions_that_cancel():
     # there, and the walk reads on to the first position that does not,
     # one the other part lacks included.  Rows that agree everywhere give None.
     # The rows are in row-major order, as ``verify_identity`` sorts them.
-    assert charid._spherical_weights(1, 1) == ((0, 2, Fraction(1, 4)), (2, 0, Fraction(-1, 4)))
+    assert charid._spherical_weights(1, 1) == [1, 0, -1]
+    assert reference.spherical_weights(1, 1) == ((0, 2, Fraction(1, 4)), (2, 0, Fraction(-1, 4)))
     one, i = KEY_ONE, KEY_I
     left = ({(0, 0, one): 2, (0, 1, i): -1, (1, 0, one): 3, (2, 2, one): 1}, 1)
     cases = [
@@ -906,16 +907,54 @@ def test_witness_walk_skips_positions_that_cancel():
     assert walked[0][2] == Scalar(0, Fraction(-1, 8)) and walked[1][2] == Scalar(0, Fraction(-3, 4))
 
 
-def test_failing_verify_memory_is_about_the_residual_triangle():
-    # The witness walk merges the spherical residuals' sorted cells and
-    # keeps no index of its own: a failing verification's peak stays near
-    # the peak of computing q_D(S_3) and the residual triangle alone, with
-    # the memos both read filled first.
+def test_spherical_weights_match_the_binomial_sums():
+    # The integer recurrence against the Fraction sum of binomials, by the
+    # Krawtchouk duality: (-1)^(c2 // 2) f_a / 2^n is the weight of
+    # R(a, n - a, c3), and f_a is zero exactly where the sum is.
+    for n in range(41):
+        for c2 in range(n + 1):
+            f = charid._spherical_weights(n - c2, c2)
+            assert len(f) == n + 1 and all(type(x) is int for x in f)
+            scaled = [(a, n - a, Fraction((-1) ** (c2 // 2) * x, 2**n)) for a, x in enumerate(f) if x]
+            assert tuple(scaled) == reference.spherical_weights(n - c2, c2), (n - c2, c2)
+    assert not hasattr(charid._spherical_weights, "cache_info")
+
+
+def test_failing_verify_keeps_no_state_once_its_report_is_dropped():
+    # Everything a failing verification builds, the residual triangle and
+    # the weights of each multiset included, goes with its report.  What
+    # stays is what a holding run keeps for the representation, and the
+    # products of basis keys that its commutators meet first (about 0.14
+    # MiB).  Collecting before each reading empties the interpreter's free
+    # lists, which are not state.
+    import gc
     import tracemalloc
 
     rep, ident = build_generators(32), build_identity(30)
-    for c in all_counts(30):
-        charid._spherical_weights(c[0], c[1])
+    assert verify_identity(rep, build_identity(32), mode="exhaustive").ok
+    assert not verify_identity(build_generators(4), build_identity(2), mode="exhaustive").ok  # the heapq import
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        report = verify_identity(rep, ident, mode="exhaustive")
+        assert not report.ok
+        del report
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 512 * 1024, held
+
+
+def test_failing_verify_memory_is_about_the_residual_triangle():
+    # The witness walk merges the spherical residuals' sorted cells and
+    # keeps no index of its own, and the weights of each multiset are n + 1
+    # integers: a failing verification's peak stays near the peak of
+    # computing q_D(S_3) and the residual triangle alone.
+    import tracemalloc
+
+    rep, ident = build_generators(32), build_identity(30)
 
     def peak(run):
         tracemalloc.start()
