@@ -6,10 +6,10 @@ over one denominator, keyed by (word, key).  The canonical form for dimension D
 keeps only ordered words S1^a S2^b S3^c of total degree <= D-1: the
 commutation relation orders the letters, and the dimension-D reduction
 identity caps the degree.  Words are folded letter by letter, each letter
-inserted into ordered words, so no unordered word is stored.
-``reduce_degree`` caps every step by a rule table, one rule per ordered
-word of degree D, and keeps each capped step of one ordered word by one
-letter; each dimension's table is built on demand and shared by all later
+inserted into ordered words through a table of each ordered word's
+product by each letter, built on first use, so no unordered word is
+stored.  ``reduce_degree``'s table caps every step by its dimension's
+rules, one per ordered word of degree D; it is shared by all later
 reductions at that D (the 8 most recently used dimensions are kept).  The
 form it reaches is unique modulo the relations, so it does not depend on
 the order of the rewriting steps.  ``evaluate`` folds the words the same
@@ -425,58 +425,65 @@ def sym_words(letters: tuple[int, ...]) -> NCPolynomial:
 # Commutators bring in +-i and the identity rational coefficients, so the
 # rows the fold builds from the unit only have the keys KEY_ONE and KEY_I;
 # the coefficients of a polynomial's words are multiplied in once, by _fold.
+# Ordered forms and capped steps are both tables of steps (``_Steps``).
 
 
-def _add(terms: Terms, t: tuple[Word, int], n: int) -> None:
-    n += terms.get(t, 0)
-    if n:
-        terms[t] = n
-    else:
-        terms.pop(t, None)
+class _Steps(dict):
+    """``steps[u, a, k]`` is the row of basis(k) u S_a, for an ordered word
+    u, a letter a and k the key of 1 or i, in some algebra of ordered words.
+    A missing entry is built on first use: the key-1 entry by build(u, a),
+    the key-i entry as i times the key-1 entry.  Each entry is stored once
+    it is complete and never changed after."""
+
+    def __init__(self, build: Callable[[Word, int], Row]):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key: tuple[Word, int, int]) -> Row:
+        u, a, k = key
+        if k == KEY_ONE:
+            entry = self.build(u, a)
+        else:
+            terms, den = self[u, a, KEY_ONE]
+            entry = times_key(terms, k), den
+        self[key] = entry
+        return entry
 
 
-def _ordered_form(u: Word, a: int, memo: dict[tuple[Word, int], Terms]) -> Terms:
+def _times_row(parts: Sequence[Part], steps: _Steps) -> Row:
+    """sum w * row * S_a over the parts (w, row, a) (``spinrep.Times``), for
+    rows of ordered words: each cell (u, k) of a row becomes the entry
+    steps[u, a, k], and all of them are combined at once."""
+    out = []
+    for w, (terms, den), a in parts:
+        for (u, k), n in terms.items():
+            t, d = steps[u, a, k]
+            out.append((w * n, t, d * den))
+    return combine_terms(out)
+
+
+def _ordered_form(u: Word, a: int, forms: _Steps) -> Row:
     """Ordered form of u S_a for an ordered word u, with Gaussian-integer
     coefficients: S_a is inserted into u.  If u = v S_b with b > a, the
     commutation relation S_b S_a = S_a S_b + i eps_bal S_l (the unique
-    l != a, b) gives NF(u S_a) = NF(v S_a) S_b + i eps_bal NF(v S_l).
-
-    Results are memoized by (u, a); no unordered word is ever formed.  The
-    memo keeps u S_a when it is already ordered too, so that the results
-    share one tuple per word.  The prefixes of u are done first, shortest
-    first, so the recursion on v finds them in the memo, and the nested
-    product by S_b only inserts larger letters: the Python stack stays flat
-    however long u is."""
-    res = memo.get((u, a))
-    if res is None:
-        if u and u[-1] > a:
-            for k in range(u.count(1), len(u)):  # 1^k S_c and u[:k] S_3 need no reordering
-                for c in (1, 2):
-                    _ordered_form(u[:k], c, memo)
-            v, b, l = u[:-1], u[-1], 6 - a - u[-1]
-            res, _ = _times_letter((_ordered_form(v, a, memo), 1), b, memo)
-            for t, n in times_key(_ordered_form(v, l, memo), KEY_I).items():
-                _add(res, t, epsilon(b, a, l) * n)
-        else:
-            res = {(u + (a,), KEY_ONE): 1}
-        memo[(u, a)] = res
-    return res
+    l != a, b) gives NF(u S_a) = NF(v S_a) S_b + eps_bal (i v) S_l, one
+    product through the table of ordered forms (``_forms``).  The prefixes
+    of u are done first, shortest first, so the recursion on v finds them in
+    the table, and the nested product by S_b only inserts larger letters:
+    the Python stack stays flat however long u is."""
+    if not u or u[-1] <= a:
+        return {(u + (a,), KEY_ONE): 1}, 1
+    for k in range(u.count(1), len(u)):  # 1^k S_c and u[:k] S_3 need no reordering
+        for c in (1, 2):
+            forms[u[:k], c, KEY_ONE]
+    v, b, l = u[:-1], u[-1], 6 - a - u[-1]
+    return _times_row([(1, forms[v, a, KEY_ONE], b), (epsilon(b, a, l), ({(v, KEY_I): 1}, 1), l)], forms)
 
 
-def _times_letter(row: Row, a: int, memo: dict[tuple[Word, int], Terms]) -> Row:
-    """Ordered form of (the row of ordered words) * S_a, by insertion."""
-    out: Terms = {}
-    for (u, k1), x in row[0].items():
-        for (w, k2), y in _ordered_form(u, a, memo).items():
-            f, key = key_product(k1, k2)
-            _add(out, (w, key), f * x * y)
-    return out, row[1]
-
-
-def _times_words(parts: Sequence[Part], memo: dict[tuple[Word, int], Terms]) -> Row:
-    """Right multiplication of rows of ordered words (``spinrep.Times``):
-    the ordered form of sum w * row * S_a over the parts (w, row, a)."""
-    return combine_terms((w, *_times_letter(row, a, memo)) for w, row, a in parts)
+def _forms() -> _Steps:
+    """An empty table of ordered forms: forms[u, a, k] = NF(basis(k) u S_a)."""
+    forms = _Steps(lambda u, a: _ordered_form(u, a, forms))
+    return forms
 
 
 def _fold(p: NCPolynomial, unit: Row, step: Callable[[Row, int], Row]) -> Row:
@@ -501,15 +508,17 @@ def _fold(p: NCPolynomial, unit: Row, step: Callable[[Row, int], Row]) -> Row:
 def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
     """Rewrite every word to ordered (non-decreasing) letters using the
     commutation relation, inserting each letter into the ordered words
-    folded so far (``_times_letter``).  Dimension-independent: the result
-    evaluates equal to the input on every representation.
+    folded so far through a table of ordered forms (``_ordered_form``).
+    Dimension-independent: the result evaluates equal to the input on
+    every representation.
 
-    The memo keeps every (ordered prefix, letter) result for the whole
-    call, with no bound: (S3 S2 S1)^20 took 77 s at a 317 MiB tracemalloc
-    peak (2 cores, Python 3.11).  ``reduce_degree`` is the path bounded by D.
+    The table keeps every (ordered word, letter, key) entry for the whole
+    call, with no bound: (S3 S2 S1)^10 takes 0.3 s at a 20 MiB tracemalloc
+    peak, (S3 S2 S1)^14 1.3 s at 90 MiB (2 cores, Python 3.11).
+    ``reduce_degree`` is the path bounded by D.
     """
-    memo: dict[tuple[Word, int], Terms] = {}
-    return NCPolynomial._make(_fold(p, _ONE, lambda row, a: _times_letter(row, a, memo)))
+    forms = _forms()
+    return NCPolynomial._make(_fold(p, _ONE, lambda row, a: _times_row([(1, row, a)], forms)))
 
 
 def _identity_replacement(ident: Identity, u: Word, session: SymSession) -> Row:
@@ -534,60 +543,44 @@ _TABLES = 8
 class _RuleTable:
     """The rewriting rules of one dimension D, the capped steps built from
     them, and what building them needs: a SymSession over ordered words and
-    the ordered-form memo, all kept for the table's life (``reduce_degree``
+    the ordered forms, all kept for the table's life (``reduce_degree``
     states its bounds).  The identity (``build_identity``, memoized) is
     fetched only when a rule is built, so a table whose words stay below
     degree D never computes it.
 
     ``rules[v]`` is the rule of the ordered word v of degree D, at most
-    C(D+2, 2) of them.  ``capped[(u, a, k)]`` is the row of
-    NF(basis(k) u S_a) for an ordered word u of degree <= D-1, a letter a
-    and k the key of 1 or i, at most 6 C(D+2, 3) entries.  A fold step is
-    then one combination of the entries of its row's cells.  The fold caps
-    every step and the session builds {c} of order D from rows of order
-    <= D-1, so every word the memo meets is an ordered word of degree
-    <= D-1; fold rows only carry the keys of 1 and i.  Each value is
-    complete before it is stored and never changed after."""
+    C(D+2, 2) of them.  ``forms[u, a, k]`` is NF(basis(k) u S_a) and
+    ``capped[u, a, k]`` the same with its word of degree D, if any,
+    replaced by its rule (``_Steps``); below degree D-1 a key-1 capped entry
+    is the ordered form itself.  A fold step is a product through
+    ``capped``, an entry of the session a product through ``forms``
+    (``_times_row``).  The fold caps every step and the session builds {c}
+    of order D from rows of order <= D-1, so every u either table meets is
+    an ordered word of degree <= D-1; fold rows only carry the keys of 1
+    and i."""
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.memo: dict[tuple[Word, int], Terms] = {}
-        self.session = SymSession(unit=_ONE, times=self.times)
+        self.forms = _forms()
+        self.capped = _Steps(self._capped_step)
         self.rules: dict[Word, Row] = {}
-        self.capped: dict[tuple[Word, int, int], Row] = {}
-
-    def times(self, parts: Sequence[Part]) -> Row:
-        return _times_words(parts, self.memo)
+        self.session = SymSession(unit=_ONE, times=lambda parts: _times_row(parts, self.forms))
 
     def step(self, row: Row, a: int) -> Row:
         """NF(row * S_a): the row's cells' capped steps, combined."""
-        terms, den = row
-        capped = self.capped
-        steps = []
-        for (u, k), n in terms.items():
-            entry = capped.get((u, a, k))
-            if entry is None:
-                entry = self._capped_step(u, a, k)
-            steps.append((n, entry[0], entry[1] * den))
-        return combine_terms(steps)
+        return _times_row([(1, row, a)], self.capped)
 
-    def _capped_step(self, u: Word, a: int, k: int) -> Row:
-        """Build and store ``capped[(u, a, k)]``: for k = i, i times the entry
-        of key 1; for key 1, the ordered form of u S_a over 1, plus, if u has
-        degree D-1, the rule of its one word of degree D, v = sorted(u + (a,)),
-        which has coefficient 1."""
-        if k != KEY_ONE:
-            terms, den = self.capped.get((u, a, KEY_ONE)) or self._capped_step(u, a, KEY_ONE)
-            entry = times_key(terms, k), den
-        elif len(u) == self.dim - 1:
-            v = tuple(sorted(u + (a,)))
-            if v not in self.rules:
-                self.rules[v] = _identity_replacement(build_identity(self.dim), v, self.session)
-            entry = combine_terms([(1, _ordered_form(u, a, self.memo), 1), (1, *self.rules[v])])
-        else:
-            entry = _ordered_form(u, a, self.memo), 1
-        self.capped[(u, a, k)] = entry
-        return entry
+    def _capped_step(self, u: Word, a: int) -> Row:
+        """The ordered form of u S_a, plus, if u has degree D-1, the rule of
+        its one word of degree D, v = sorted(u + (a,)), which has
+        coefficient 1."""
+        form = self.forms[u, a, KEY_ONE]
+        if len(u) < self.dim - 1:
+            return form
+        v = tuple(sorted(u + (a,)))
+        if v not in self.rules:
+            self.rules[v] = _identity_replacement(build_identity(self.dim), v, self.session)
+        return combine_terms([(1, *form), (1, *self.rules[v])])
 
 
 @lru_cache(maxsize=_TABLES)
@@ -606,19 +599,19 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     (``_identity_replacement``).  The rules form a table of at most
     C(D+2, 2) entries, built on demand from the symmetric products of a
     SymSession over ordered words.  Both maps are linear, so a step is the
-    combination of the capped steps NF(basis(k) u S_a) of its row's cells
-    (u, k), each built once, on first use.  Arithmetic is in Gaussian
-    integers over a common denominator; each word's coefficient is
-    multiplied in once, at the end (``_fold``).
+    product of its row through the table of capped steps NF(basis(k) u S_a)
+    of its cells (u, k), each built once, on first use (``_times_row``).
+    Arithmetic is in Gaussian integers over a common denominator; each
+    word's coefficient is multiplied in once, at the end (``_fold``).
 
     Capped steps, rules, products and ordered forms live in one table per
     dimension (``_RuleTable``), shared by every reduction at that D for the
     life of the process; the tables of the ``_TABLES`` = 8 most recently
     used dimensions are kept.  A table holds at most 6 C(D+2, 3) capped
-    steps, 3 C(D+2, 3) ordered forms and C(D+2, 2) rules whatever its
-    inputs, and threads may reduce at one D together: a stored entry is
-    never changed, so a race at worst computes one twice, with equal
-    values.
+    steps, 6 C(D+2, 3) ordered forms (keys 1 and i of at most 3 C(D+2, 3)
+    ordered words and letters) and C(D+2, 2) rules whatever its inputs, and
+    threads may reduce at one D together: a stored entry is never changed,
+    so a race at worst computes one twice, with equal values.
 
     The result does not depend on the order of the rewriting steps.  Every
     step changes its argument by an element of the two-sided ideal J of the

@@ -21,8 +21,8 @@ spherical ones with ``spherical_weights``, binomial sums in ``Fraction``s
 against the library's integer recurrence; its first nonzero entry
 (``first_nonzero_entry``) is the witness the library reads position by
 position.  ``capped_step`` is the rewriter's fold step as a whole row:
-ordered times the letter, then every degree-D word capped by its rule,
-against the library's combination of memoized one-cell steps.
+each cell ordered times the letter, then every degree-D word capped by its
+rule, against the library's product through its table of capped steps.
 """
 import itertools
 from fractions import Fraction
@@ -346,11 +346,14 @@ def first_nonzero_entry(row):
 
 
 def capped_step(table, row, a):
-    """NF(row * S_a) as the rewriter took it one whole row at a time: the
-    row ordered times S_a (``_times_letter``), then every ordered word of
-    degree D in the result replaced by its rule (``_identity_replacement``),
-    built anew on the table's session of ordered words."""
-    terms, den = rewrite._times_letter(row, a, table.memo)
+    """NF(row * S_a) as the rewriter took it one whole row at a time: each
+    cell's word ordered times S_a (``_ordered_form``) and times the cell's
+    key, combined, then every ordered word of degree D in the result
+    replaced by its rule (``_identity_replacement``), built anew on the
+    table's session of ordered words."""
+    cells, row_den = row
+    terms, den = combine_terms((n, times_key(t, k), d * row_den) for (u, k), n in cells.items()
+                               for t, d in [rewrite._ordered_form(u, a, table.forms)])
     parts = [(1, terms, den)]
     for (v, k), n in terms.items():
         if len(v) == table.dim:

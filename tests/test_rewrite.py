@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import reference as R
 from reference import lib, ref
+from test_oracles import reference_evaluate
 from test_symalg import letters as sorted_letters
 from spinid import rewrite
 from spinid.charid import build_identity, discover_identity, verify_identity
@@ -542,17 +543,20 @@ def test_rule_table_is_bounded_by_its_dimension(dim):
     for _ in range(40):
         reduce_degree(NCPolynomial({tuple(rng.randint(1, 3) for _ in range(3 * dim)): 1}), dim)
     table = rewrite._rule_table(dim)
-    assert all(len(u) < dim and list(u) == sorted(u) for u, _ in table.memo)
-    assert len(table.memo) <= 3 * comb(dim + 2, 3)
+    assert len({(u, a) for u, a, _ in table.forms}) <= 3 * comb(dim + 2, 3)
     assert len(table.rules) <= comb(dim + 2, 2)
     assert all(len(v) == dim and list(v) == sorted(v) for v in table.rules)
     assert len(table.capped) <= 6 * comb(dim + 2, 3)
-    assert all(len(u) < dim and list(u) == sorted(u) for u, _, _ in table.capped)
-    i_entries = [(u, a) for u, a, k in table.capped if k == KEY_I]
-    assert i_entries
-    for u, a in i_entries:
-        terms, den = table.capped[u, a, KEY_ONE]
-        assert table.capped[u, a, KEY_I] == (times_key(terms, KEY_I), den)
+    for steps in (table.forms, table.capped):
+        assert all(len(u) < dim and list(u) == sorted(u) for u, _, _ in steps)
+        i_entries = [(u, a) for u, a, k in steps if k == KEY_I]
+        assert i_entries
+        for u, a in i_entries:
+            terms, den = steps[u, a, KEY_ONE]
+            assert steps[u, a, KEY_I] == (times_key(terms, KEY_I), den)
+    below = [(u, a) for u, a, k in table.capped if k == KEY_ONE and len(u) < dim - 1]
+    assert below
+    assert all(table.capped[u, a, KEY_ONE] is table.forms.get((u, a, KEY_ONE)) for u, a in below)
 
 
 def _ordered_row(rng, dim):
@@ -578,6 +582,44 @@ def test_capped_step_matches_the_whole_row_step(dim):
             assert table.step(row, a) == R.capped_step(table, row, a), (dim, row, a)
     assert table.rules
     assert {k for _, _, k in table.capped} == {KEY_ONE, KEY_I}
+
+
+@pytest.mark.parametrize("dim", range(2, 6))
+def test_times_row_is_the_product_by_the_letter(dim):
+    # The row kernel through a table of ordered forms and through the
+    # rule table's capped steps, against the reference ring: on every
+    # representation the ordered form is the same operator, and on V_D so
+    # is the capped one.  Rows have keys 1 and i, denominators above 1, and
+    # cells that cancel; the empty row stays empty.
+    rng = random.Random(900 + dim)
+    forms, table = rewrite._forms(), rewrite._RuleTable(dim)
+    caches = {r: {} for r in range(2, 6)}
+
+    def value(row, r, letter=()):
+        return reference_evaluate(NCPolynomial._make(row), REPS[r], caches[r]) * R.word_matrix(REPS[r], letter, caches[r])
+
+    rows = [_ordered_row(rng, dim) for _ in range(15)] + [({}, 1)]
+    for row in rows:
+        for a in (1, 2, 3):
+            for steps, reps in ((forms, range(2, 6)), (table.capped, (dim,))):
+                out = rewrite._times_row([(1, row, a)], steps)
+                for r in reps:
+                    assert value(out, r) == value(row, r, (a,)), (dim, row, a, r)
+    assert rewrite._times_row([(1, ({}, 1), 2)], forms) == ({}, 1)
+    assert any(den > 1 for _, den in rows)
+    assert {k for terms, _ in rows for _, k in terms} == {KEY_ONE, KEY_I}
+    # S2 S2 S1 + S3 S3 S1 = S1 S2 S2 + S1 S3 S3: the cells of S2 S3 and S1
+    # in the two ordered forms cancel.
+    for key in (KEY_ONE, KEY_I):
+        row = ({((2, 2), key): 3, ((3, 3), key): 3}, 7)
+        assert rewrite._times_row([(1, row, 1)], forms) == ({((1, 2, 2), key): 3, ((1, 3, 3), key): 3}, 7)
+    # several weighted parts at once, as the word session passes them
+    parts = [(rng.randint(-3, 3) or 1, _ordered_row(rng, dim), rng.randint(1, 3)) for _ in range(4)]
+    for r in range(2, 6):
+        want = R.Matrix.zero(r)
+        for w, row, a in parts:
+            want = want + value(row, r, (a,)).scale(w)
+        assert value(rewrite._times_row(parts, forms), r) == want
 
 
 def test_rule_tables_are_evicted_least_recently_used_first():
@@ -653,8 +695,7 @@ def test_evaluate_long_word():
 def test_word_session_evaluates_to_matrix_session(dim):
     # one engine in two algebras: {c} built from ordered words and from
     # matrices must be the same operator
-    memo = {}
-    words = SymSession(unit=rewrite._ONE, times=lambda parts: rewrite._times_words(parts, memo))
+    words = rewrite._RuleTable(dim).session
     matrices, cache = SymSession(REPS[dim]), {}
     for order in range(6):
         for counts in all_counts(order):
