@@ -43,7 +43,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, gcd, lcm
 from typing import Iterator, Literal, Sequence
 
@@ -544,7 +544,7 @@ class VerificationReport(Record):
 def verify_identity(
     rep: SpinRep,
     ident: Identity,
-    mode: Literal["exhaustive", "sampled"] | None = None,
+    mode: Literal["exhaustive", "sampled"] = "exhaustive",
     count: int | None = None,
     seed: int | None = None,
 ) -> VerificationReport:
@@ -559,25 +559,18 @@ def verify_identity(
     ``SpinRep.commutes``, computed once per representation.  When q_D(S_3)
     (``_q_of_s3``) vanishes, the identity holds at every tuple and the
     report says so at once, a sample undrawn.  Otherwise a multiset c holds
-    if its spherical residuals (a, c1 + c2 - a, c3) all vanish; if not, the
-    walk for the first nonzero entry of its Cartesian residual, a failure's
-    witness, decides (``_first_witness``).  Exhaustive mode judges every multiset
-    once and keeps the failing ones' witnesses (``ExhaustiveFailures``), no
-    tuple enumerated; sampled mode judges each multiset the first time a
+    unless the walk for the first nonzero entry of its Cartesian residual
+    finds one, a failure's witness (``_first_witness``).  Exhaustive mode,
+    the default at every dimension, judges every multiset once and keeps
+    the failing ones' witnesses (``ExhaustiveFailures``), no tuple
+    enumerated; sampled mode judges each multiset the first time a
     draw meets it, in one pass over the sample as drawn, at most 2^14
     random words at a time.  Cross-dimension checks (ident.dim != rep.dim)
     are allowed and useful.  A failing identity yields a report, never an
     exception.
-
-    When mode is omitted: exhaustive through dimension 7, above that a
-    1000-tuple sample (an explicit seed is then mandatory).
     """
     t0 = time.perf_counter()
     d = ident.dim
-    if mode is None:
-        mode = "exhaustive" if d <= 7 else "sampled"
-        if mode == "sampled" and count is None:
-            count = 1000
     if mode == "sampled":
         if count is None or seed is None:
             raise ValueError("sampled mode requires count and seed")
@@ -596,18 +589,13 @@ def verify_identity(
         spherical, commutators = _adjoint_residuals(rep, d, combine_terms([(factorial(d), *q)]))
         for c, (terms, den) in spherical.items():  # row-major order, for the witness walk
             spherical[c] = dict(sorted(terms.items())), den
-
-        def verdict(c: tuple[int, int, int]) -> Witness | None:  # None when c holds
-            n = c[0] + c[1]
-            held = not any(spherical[a, n - a, c[2]][0] for a in range(n + 1))
-            return None if held else _first_witness(c, spherical)
-
         if mode == "exhaustive":
-            failures = ExhaustiveFailures(d, {c: w for c in all_counts(d) if (w := verdict(c)) is not None})
+            failures = ExhaustiveFailures(d, {c: w for c in all_counts(d)
+                                              if (w := _first_witness(c, spherical)) is not None})
         else:
             # The distinct draws of each read of the sample; each failing
             # draw kept once and put in order.
-            verdict = lru_cache(maxsize=None)(verdict)
+            verdict = lru_cache(maxsize=None)(partial(_first_witness, spherical=spherical))
             chunks = _sample_chunks(random.Random(seed), d, count)
             tuples = (t for chunk in chunks for t in {chunk[i : i + d] for i in range(0, len(chunk), d)})
             found = ((t, w) for t in tuples if (w := verdict((t.count(1), t.count(2), t.count(3)))) is not None)

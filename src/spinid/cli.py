@@ -3,7 +3,9 @@ reduction identities, reduce expressions, print coefficient tables.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error, 141
 (128 + SIGPIPE) when the reader of stdout goes away.
-Data goes to stdout, diagnostics to stderr.
+Data goes to stdout, diagnostics to stderr.  A closed standard output is
+refused with exit 2 before any work; a diagnostic that cannot be written,
+standard error being closed, is dropped, and the exit code stays 2.
 """
 from __future__ import annotations
 
@@ -205,7 +207,21 @@ def cmd_sums(args: argparse.Namespace) -> int:
     return 0
 
 
+def _diagnose(message: str) -> None:
+    """Write a diagnostic line to stderr.  One that cannot be written,
+    stderr being closed or full, is dropped: the exit code stands."""
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:
+        pass
+
+
 def main(argv: list[str] | None = None) -> int:
+    if sys.stderr is None:  # descriptor 2 closed at start-up: diagnostics go nowhere, not to stdout
+        sys.stderr = open(os.devnull, "w")
+    if sys.stdout is None:  # descriptor 1 was closed at start-up
+        _diagnose("spinid: standard output is closed")
+        return 2
     args = build_arg_parser().parse_args(argv)
     try:
         code = args.func(args)
@@ -216,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (ValueError, ArithmeticError) as exc:  # ParseError is a ValueError
-        print(f"spinid: {exc}", file=sys.stderr)
+        _diagnose(f"spinid: {exc}")
         return 2
 
 

@@ -44,7 +44,7 @@ from .scalar import (
     squarefree_decompose,
     times_key,
 )
-from .spinrep import Matrix, Part, SpinRep, matrix_algebra
+from .spinrep import Matrix, Part, SpinRep, Times, matrix_algebra
 from .symalg import SymSession, epsilon
 
 Word = tuple[int, ...]
@@ -425,41 +425,41 @@ def sym_words(letters: tuple[int, ...]) -> NCPolynomial:
 # Commutators bring in +-i and the identity rational coefficients, so the
 # rows the fold builds from the unit only have the keys KEY_ONE and KEY_I;
 # the coefficients of a polynomial's words are multiplied in once, by _fold.
-# Ordered forms and capped steps are both tables of steps (``_Steps``).
+# Ordered forms and capped steps are both tables of steps (``_Steps``), and
+# a table is its algebra's right multiplication (``spinrep.Times``), like
+# ``matrix_algebra``'s: one fold and one SymSession serve every algebra.
 
 
 class _Steps(dict):
     """``steps[u, a, k]`` is the row of basis(k) u S_a, for an ordered word
     u, a letter a and k the key of 1 or i, in some algebra of ordered words.
-    A missing entry is built on first use: the key-1 entry by build(u, a),
-    the key-i entry as i times the key-1 entry.  Each entry is stored once
-    it is complete and never changed after."""
+    A missing entry is built on first use, by build(u, a, k), and stored once
+    it is complete; it is never changed after.
 
-    def __init__(self, build: Callable[[Word, int], Row]):
+    Called on parts (w, row, a), a table is that algebra's right
+    multiplication (``spinrep.Times``): sum w * row * S_a, each cell (u, k)
+    of a row replaced by the entry steps[u, a, k], all combined at once."""
+
+    def __init__(self, build: Callable[[Word, int, int], Row]):
         super().__init__()
         self.build = build
 
     def __missing__(self, key: tuple[Word, int, int]) -> Row:
-        u, a, k = key
-        if k == KEY_ONE:
-            entry = self.build(u, a)
-        else:
-            terms, den = self[u, a, KEY_ONE]
-            entry = times_key(terms, k), den
-        self[key] = entry
+        entry = self[key] = self.build(*key)
         return entry
 
+    def __call__(self, parts: Sequence[Part]) -> Row:
+        out = []
+        for w, (terms, den), a in parts:
+            for (u, k), n in terms.items():
+                t, d = self[u, a, k]
+                out.append((w * n, t, d * den))
+        return combine_terms(out)
 
-def _times_row(parts: Sequence[Part], steps: _Steps) -> Row:
-    """sum w * row * S_a over the parts (w, row, a) (``spinrep.Times``), for
-    rows of ordered words: each cell (u, k) of a row becomes the entry
-    steps[u, a, k], and all of them are combined at once."""
-    out = []
-    for w, (terms, den), a in parts:
-        for (u, k), n in terms.items():
-            t, d = steps[u, a, k]
-            out.append((w * n, t, d * den))
-    return combine_terms(out)
+    def key_entry(self, u: Word, a: int, k: int) -> Row:
+        """The entry of key k as basis(k) times the entry of key 1."""
+        terms, den = self[u, a, KEY_ONE]
+        return times_key(terms, k), den
 
 
 def _ordered_form(u: Word, a: int, forms: _Steps) -> Row:
@@ -477,20 +477,21 @@ def _ordered_form(u: Word, a: int, forms: _Steps) -> Row:
         for c in (1, 2):
             forms[u[:k], c, KEY_ONE]
     v, b, l = u[:-1], u[-1], 6 - a - u[-1]
-    return _times_row([(1, forms[v, a, KEY_ONE], b), (epsilon(b, a, l), ({(v, KEY_I): 1}, 1), l)], forms)
+    return forms([(1, forms[v, a, KEY_ONE], b), (epsilon(b, a, l), ({(v, KEY_I): 1}, 1), l)])
 
 
 def _forms() -> _Steps:
     """An empty table of ordered forms: forms[u, a, k] = NF(basis(k) u S_a)."""
-    forms = _Steps(lambda u, a: _ordered_form(u, a, forms))
+    forms = _Steps(lambda u, a, k: _ordered_form(u, a, forms) if k == KEY_ONE else forms.key_entry(u, a, k))
     return forms
 
 
-def _fold(p: NCPolynomial, unit: Row, step: Callable[[Row, int], Row]) -> Row:
+def _fold(p: NCPolynomial, unit: Row, times: Times) -> Row:
     """The value of p in an algebra given by its unit and right
-    multiplication by a letter, step(row, a), as a row of that algebra:
-    each word of p folded letter by letter from the unit, once, times the
-    cells of its coefficient, all combined over p's denominator."""
+    multiplication (``spinrep.Times``), as a row of that algebra: each word
+    of p folded letter by letter from the unit, once, a step being
+    times([(1, row, a)]), times the cells of its coefficient, all combined
+    over p's denominator."""
     terms, den = p._row
     by_word: dict[Word, list[tuple[int, int]]] = {}
     for (w, key), n in terms.items():
@@ -499,7 +500,7 @@ def _fold(p: NCPolynomial, unit: Row, step: Callable[[Row, int], Row]) -> Row:
     for w, items in by_word.items():
         row = unit
         for a in w:
-            row = step(row, a)
+            row = times([(1, row, a)])
         parts += [(n, times_key(row[0], key), row[1]) for key, n in items]
     out, d = combine_terms(parts)
     return reduce_terms(out, d * den)
@@ -517,8 +518,7 @@ def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
     peak, (S3 S2 S1)^14 1.3 s at 90 MiB (2 cores, Python 3.11).
     ``reduce_degree`` is the path bounded by D.
     """
-    forms = _forms()
-    return NCPolynomial._make(_fold(p, _ONE, lambda row, a: _times_row([(1, row, a)], forms)))
+    return NCPolynomial._make(_fold(p, _ONE, _forms()))
 
 
 def _identity_replacement(ident: Identity, u: Word, session: SymSession) -> Row:
@@ -551,10 +551,10 @@ class _RuleTable:
     ``rules[v]`` is the rule of the ordered word v of degree D, at most
     C(D+2, 2) of them.  ``forms[u, a, k]`` is NF(basis(k) u S_a) and
     ``capped[u, a, k]`` the same with its word of degree D, if any,
-    replaced by its rule (``_Steps``); below degree D-1 a key-1 capped entry
-    is the ordered form itself.  A fold step is a product through
-    ``capped``, an entry of the session a product through ``forms``
-    (``_times_row``).  The fold caps every step and the session builds {c}
+    replaced by its rule (``_Steps``); below degree D-1 a capped entry, of
+    either key, is the ordered form itself.  The fold multiplies through
+    ``capped``, the session through ``forms``: each table is its algebra's
+    ``spinrep.Times``.  The fold caps every step and the session builds {c}
     of order D from rows of order <= D-1, so every u either table meets is
     an ordered word of degree <= D-1; fold rows only carry the keys of 1
     and i."""
@@ -564,19 +564,18 @@ class _RuleTable:
         self.forms = _forms()
         self.capped = _Steps(self._capped_step)
         self.rules: dict[Word, Row] = {}
-        self.session = SymSession(unit=_ONE, times=lambda parts: _times_row(parts, self.forms))
+        self.session = SymSession(unit=_ONE, times=self.forms)
 
-    def step(self, row: Row, a: int) -> Row:
-        """NF(row * S_a): the row's cells' capped steps, combined."""
-        return _times_row([(1, row, a)], self.capped)
-
-    def _capped_step(self, u: Word, a: int) -> Row:
-        """The ordered form of u S_a, plus, if u has degree D-1, the rule of
-        its one word of degree D, v = sorted(u + (a,)), which has
-        coefficient 1."""
-        form = self.forms[u, a, KEY_ONE]
+    def _capped_step(self, u: Word, a: int, k: int) -> Row:
+        """The ordered form of basis(k) u S_a, the ``forms`` entry itself
+        below degree D-1; at degree D-1 the ordered form of u S_a plus the
+        rule of its one word of degree D, v = sorted(u + (a,)), which has
+        coefficient 1, and the key-i entry i times that."""
         if len(u) < self.dim - 1:
-            return form
+            return self.forms[u, a, k]
+        if k != KEY_ONE:
+            return self.capped.key_entry(u, a, k)
+        form = self.forms[u, a, KEY_ONE]
         v = tuple(sorted(u + (a,)))
         if v not in self.rules:
             self.rules[v] = _identity_replacement(build_identity(self.dim), v, self.session)
@@ -600,16 +599,17 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     C(D+2, 2) entries, built on demand from the symmetric products of a
     SymSession over ordered words.  Both maps are linear, so a step is the
     product of its row through the table of capped steps NF(basis(k) u S_a)
-    of its cells (u, k), each built once, on first use (``_times_row``).
+    of its cells (u, k), each built once, on first use (``_Steps``).
     Arithmetic is in Gaussian integers over a common denominator; each
     word's coefficient is multiplied in once, at the end (``_fold``).
 
     Capped steps, rules, products and ordered forms live in one table per
     dimension (``_RuleTable``), shared by every reduction at that D for the
     life of the process; the tables of the ``_TABLES`` = 8 most recently
-    used dimensions are kept.  A table holds at most 6 C(D+2, 3) capped
-    steps, 6 C(D+2, 3) ordered forms (keys 1 and i of at most 3 C(D+2, 3)
-    ordered words and letters) and C(D+2, 2) rules whatever its inputs, and
+    used dimensions are kept.  A table holds at most 6 C(D+2, 3) ordered
+    forms (keys 1 and i of at most 3 C(D+2, 3) ordered words and letters),
+    as many capped steps, which below degree D-1 are the ordered forms
+    themselves, and C(D+2, 2) rules whatever its inputs, and
     threads may reduce at one D together: a stored entry is never changed,
     so a race at worst computes one twice, with equal values.
 
@@ -625,7 +625,7 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     """
     if dim < 2:
         raise ValueError("reduction requires dimension >= 2")
-    return NormalForm(NCPolynomial._make(_fold(p, _ONE, _rule_table(dim).step)), dim)
+    return NormalForm(NCPolynomial._make(_fold(p, _ONE, _rule_table(dim).capped)), dim)
 
 
 def evaluate(
@@ -641,8 +641,7 @@ def evaluate(
     """
     if isinstance(p, NormalForm):
         p = p.poly
-    unit, times = matrix_algebra(rep)
-    return Matrix._make(rep.dim, _fold(p, unit, lambda row, a: times([(1, row, a)])))
+    return Matrix._make(rep.dim, _fold(p, *matrix_algebra(rep)))
 
 
 # ---------------------------------------------------------------------------

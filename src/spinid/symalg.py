@@ -24,6 +24,7 @@ symmetric product.
 """
 from __future__ import annotations
 
+import itertools
 from math import comb, prod
 from typing import Iterable, Sequence
 
@@ -93,21 +94,15 @@ class SymSession:
         rows = self._rows
         if counts not in rows:
             # {c} = sum_a c_a {c - e_a} S_a: any of the c_a positions carrying
-            # letter a may come last.  No recursion: the top of a work stack
-            # pushes its missing neighbours, or is built once all are memoized.
-            # Pushed entries are lower in order than all others, so none twice.
-            stack = [counts]
-            while stack:
-                x, y, z = top = stack[-1]
-                parts, pending = [], len(stack)
-                for a, c, b in ((1, x, (x - 1, y, z)), (2, y, (x, y - 1, z)), (3, z, (x, y, z - 1))):
-                    if c and (prev := rows.get(b)) is None:
-                        stack.append(b)
-                    elif c and prev[0]:  # a zero row stays zero: it is not multiplied
-                        parts.append((c, prev, a))
-                if len(stack) == pending:
-                    stack.pop()
-                    rows[top] = self._times(parts)
+            # letter a may come last.  The memo holds every c'' <= c' of each
+            # entry c', so the missing entries are those of the box c' <= c
+            # not yet stored.  Lexicographic order puts each neighbour c' - e_a
+            # first, so one pass builds each of them once, from neighbours
+            # already stored; a zero row stays zero: it is not multiplied.
+            for x, y, z in itertools.product(*(range(n + 1) for n in counts)):
+                if (x, y, z) not in rows:
+                    near = ((x, (x - 1, y, z), 1), (y, (x, y - 1, z), 2), (z, (x, y, z - 1), 3))
+                    rows[x, y, z] = self._times([(n, rows[b], a) for n, b, a in near if n and rows[b][0]])
         return rows[counts]
 
 

@@ -363,12 +363,9 @@ def test_sampled_mode_requires_count_and_seed():
 
 def test_default_mode_selection():
     assert verify_identity(REPS[3], build_identity(3)).mode == "exhaustive"
-    # above dimension 7 the default is a 1000-tuple sample with mandatory seed
-    big = build_identity(8)
-    with pytest.raises(ValueError):
-        verify_identity(REPS[2], big)
-    report = verify_identity(REPS[2], big, seed=3)
-    assert report.mode == "sampled" and report.tuples_checked == 1000
+    # exhaustive at every dimension: above 7 too, with no seed
+    report = verify_identity(REPS[2], build_identity(8))
+    assert report.mode == "exhaustive" and report.tuples_checked == 3**8
     assert report.ok  # even identity nests downward
 
 

@@ -354,6 +354,34 @@ def test_closed_stdout_exits_quietly():
     assert proc.stderr == b""
 
 
+@pytest.mark.parametrize("redirect, args", [
+    (">&-", ("coeffs", "9")),
+    (">&-", ("identity", "3", "--verify", "exhaustive", "--rep-dim", "5")),
+    ("2>&-", ("identity", "0")),
+    ("2>&-", ("frobnicate",)),
+    ("2>/dev/full", ("identity", "0")),
+])
+def test_closed_standard_stream_exits_two(redirect, args):
+    # The stream is closed (or, on /dev/full, unwritable) before the
+    # interpreter starts.  A closed stdout is refused before any work; a
+    # diagnostic that cannot be written leaves the exit code at 2, and
+    # nothing spills onto the other stream.
+    if redirect.endswith("/dev/full") and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable, "-m", "spinid", *args],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        check=False,
+    )
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stdout + proc.stderr
+    if redirect == ">&-":
+        assert proc.stderr == b"spinid: standard output is closed\n"
+    else:
+        assert proc.stdout == b""
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     # Every command imports spinid.cli; the modules it loads are taken as a
     # difference, so whatever site preloads does not count.

@@ -33,7 +33,7 @@ from spinid.rewrite import (
     to_json_dict,
 )
 from spinid.scalar import KEY_I, KEY_ONE, SCALAR_ONE, Scalar, reduce_terms, render_components, times_key
-from spinid.spinrep import Matrix, build_generators
+from spinid.spinrep import Matrix, build_generators, matrix_algebra
 from spinid.symalg import SymSession, all_counts, axis_counts, delta_weights, epsilon
 
 REPS = {dim: build_generators(dim) for dim in range(1, 7)}
@@ -554,9 +554,9 @@ def test_rule_table_is_bounded_by_its_dimension(dim):
         for u, a in i_entries:
             terms, den = steps[u, a, KEY_ONE]
             assert steps[u, a, KEY_I] == (times_key(terms, KEY_I), den)
-    below = [(u, a) for u, a, k in table.capped if k == KEY_ONE and len(u) < dim - 1]
-    assert below
-    assert all(table.capped[u, a, KEY_ONE] is table.forms.get((u, a, KEY_ONE)) for u, a in below)
+    below = [(u, a, k) for u, a, k in table.capped if len(u) < dim - 1]
+    assert {k for _, _, k in below} == {KEY_ONE, KEY_I}
+    assert all(table.capped[key] is table.forms.get(key) for key in below)
 
 
 def _ordered_row(rng, dim):
@@ -579,7 +579,7 @@ def test_capped_step_matches_the_whole_row_step(dim):
     cases = [(_ordered_row(rng, dim), rng.randint(1, 3)) for _ in range(60)]
     for _ in range(2):
         for row, a in cases:
-            assert table.step(row, a) == R.capped_step(table, row, a), (dim, row, a)
+            assert table.capped([(1, row, a)]) == R.capped_step(table, row, a), (dim, row, a)
     assert table.rules
     assert {k for _, _, k in table.capped} == {KEY_ONE, KEY_I}
 
@@ -602,24 +602,39 @@ def test_times_row_is_the_product_by_the_letter(dim):
     for row in rows:
         for a in (1, 2, 3):
             for steps, reps in ((forms, range(2, 6)), (table.capped, (dim,))):
-                out = rewrite._times_row([(1, row, a)], steps)
+                out = steps([(1, row, a)])
                 for r in reps:
                     assert value(out, r) == value(row, r, (a,)), (dim, row, a, r)
-    assert rewrite._times_row([(1, ({}, 1), 2)], forms) == ({}, 1)
+    assert forms([(1, ({}, 1), 2)]) == ({}, 1)
     assert any(den > 1 for _, den in rows)
     assert {k for terms, _ in rows for _, k in terms} == {KEY_ONE, KEY_I}
     # S2 S2 S1 + S3 S3 S1 = S1 S2 S2 + S1 S3 S3: the cells of S2 S3 and S1
     # in the two ordered forms cancel.
     for key in (KEY_ONE, KEY_I):
         row = ({((2, 2), key): 3, ((3, 3), key): 3}, 7)
-        assert rewrite._times_row([(1, row, 1)], forms) == ({((1, 2, 2), key): 3, ((1, 3, 3), key): 3}, 7)
+        assert forms([(1, row, 1)]) == ({((1, 2, 2), key): 3, ((1, 3, 3), key): 3}, 7)
     # several weighted parts at once, as the word session passes them
     parts = [(rng.randint(-3, 3) or 1, _ordered_row(rng, dim), rng.randint(1, 3)) for _ in range(4)]
     for r in range(2, 6):
         want = R.Matrix.zero(r)
         for w, row, a in parts:
             want = want + value(row, r, (a,)).scale(w)
-        assert value(rewrite._times_row(parts, forms), r) == want
+        assert value(forms(parts), r) == want
+
+
+@pytest.mark.parametrize("dim", range(2, 6))
+def test_fold_through_the_matrix_algebra_is_evaluate(dim):
+    # The one fold over a representation's right multiplication, as
+    # matrix_algebra hands it out, is evaluate, and both agree with the
+    # reference ring; coefficients have keys 1 and i and denominators.
+    rng = random.Random(1000 + dim)
+    cache = {}
+    for _ in range(8):
+        row = _ordered_row(rng, dim + 2)
+        p = NCPolynomial._make(row) * NCPolynomial({tuple(rng.choice((1, 2, 3)) for _ in range(3)): 1})
+        folded = rewrite._fold(p, *matrix_algebra(REPS[dim]))
+        assert evaluate(p, REPS[dim]) == Matrix._make(dim, folded)
+        assert ref(Matrix._make(dim, folded)) == reference_evaluate(p, REPS[dim], cache)
 
 
 def test_rule_tables_are_evicted_least_recently_used_first():
