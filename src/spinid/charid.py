@@ -47,7 +47,7 @@ from functools import lru_cache, partial
 from math import comb, factorial, gcd, lcm
 from typing import Iterator, Literal, Sequence
 
-from .scalar import KEY_I, KEY_ONE, Record, Row, Scalar, combine_terms, frac_str, times_key
+from .scalar import KEY_I, KEY_ONE, Record, Row, Scalar, combine_terms, times_key
 from .spinrep import Matrix, SpinRep, Times, product_kernel, row_matmul, spherical_algebra
 from .symalg import SymSession, all_counts, axis_counts, delta_weights, pairing_count
 
@@ -692,6 +692,11 @@ def _latex_term(names: list[str], subset: tuple[int, ...], dim: int) -> str:
     return sym + " " + delta
 
 
+def _frac_latex(q: Fraction) -> str:
+    """A nonnegative rational in LaTeX: an integer, or \\frac{p}{q}."""
+    return str(q.numerator) if q.denominator == 1 else f"\\frac{{{q.numerator}}}{{{q.denominator}}}"
+
+
 def identity_to_latex(
     ident: Identity,
     normalization: Literal["monic", "integral"] = "monic",
@@ -710,7 +715,7 @@ def identity_to_latex(
         coeff = b * factor
         sign = " - " if coeff < 0 else " + "
         mag = abs(coeff)
-        coeff_str = "" if mag == 1 else frac_str(mag, latex=True) + " "
+        coeff_str = "" if mag == 1 else _frac_latex(mag) + " "
         # Trailing-position deltas first, matching the displayed general form
         # { S_{i_1} .. S_{i_{D-2p}} } delta_{i_{D-2p+1} .. i_D}.
         count = comb(dim, 2 * p)

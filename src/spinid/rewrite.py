@@ -142,6 +142,10 @@ class NCPolynomial:
         if not isinstance(other, NCPolynomial):
             return NotImplemented
         (a, da), (b, db) = self._row, other._row
+        if db == 1 and len(b) == 1:
+            ((w2, k2), n2), = b.items()
+            if k2 == KEY_ONE and n2 == 1:  # times one word: cells map one to one, the row stays reduced
+                return NCPolynomial._make(({(w1 + w2, k1): n1 for (w1, k1), n1 in a.items()}, da))
         out: Terms = {}
         for (w1, k1), n1 in a.items():
             for (w2, k2), n2 in b.items():
@@ -291,7 +295,7 @@ class _Parser:
         if kind == "INT":
             return NCPolynomial._make(fraction_row({((), KEY_ONE): self.rational()}))
         if kind == "NAME":
-            return self.atom()
+            return self.letters() if tok[1] in _GENERATORS else self.atom()
         if kind == "(":
             self.take()
             p = self.expression()
@@ -320,11 +324,21 @@ class _Parser:
             return Fraction(num, den)
         return Fraction(num)
 
+    def letters(self) -> NCPolynomial:
+        """A run of generators joined by "*" or whitespace, as one word; a
+        "*" not followed by a generator is left to ``term``."""
+        word = []
+        while True:
+            word.append(_GENERATORS[self.take()[1]])
+            k = self.k + (self.tokens[self.k][0] == "*")
+            kind, name, _ = self.tokens[k]
+            if kind != "NAME" or name not in _GENERATORS:
+                return NCPolynomial._make(({(tuple(word), KEY_ONE): 1}, 1))
+            self.k = k
+
     def atom(self) -> NCPolynomial:
         tok = self.take("NAME")
         name = tok[1]
-        if name in _GENERATORS:
-            return NCPolynomial.generator(_GENERATORS[name])
         if name == "I":
             return NCPolynomial.one()
         if name == "i":
@@ -438,7 +452,10 @@ class _Steps(dict):
 
     Called on parts (w, row, a), a table is that algebra's right
     multiplication (``spinrep.Times``): sum w * row * S_a, each cell (u, k)
-    of a row replaced by the entry steps[u, a, k], all combined at once."""
+    of a row replaced by the entry steps[u, a, k], all combined at once.
+    One part of one cell, a fold step's usual case, is a read: the stored
+    entry itself when w times the cell's numerator and the row's
+    denominator are 1, else that entry scaled once in integers."""
 
     def __init__(self, build: Callable[[Word, int, int], Row]):
         super().__init__()
@@ -449,6 +466,15 @@ class _Steps(dict):
         return entry
 
     def __call__(self, parts: Sequence[Part]) -> Row:
+        if len(parts) == 1 and len(parts[0][1][0]) == 1:  # one cell: a table read
+            w, (terms, den), a = parts[0]
+            ((u, k), n), = terms.items()
+            entry = self[u, a, k]
+            f = w * n
+            if f == 1 and den == 1:
+                return entry
+            t, d = entry
+            return reduce_terms({c: f * m for c, m in t.items()}, d * den)
         out = []
         for w, (terms, den), a in parts:
             for (u, k), n in terms.items():
@@ -656,24 +682,24 @@ def _latex_word(w: Word) -> str:
     return " ".join(parts)
 
 
-def _term(w: Word, comps: list[tuple[Fraction, int, bool]], latex: bool) -> tuple[int, str]:
+def _term(w: Word, comps: list[tuple[int, int, int, bool]], latex: bool) -> tuple[int, str]:
     """(sign, body) of one term; the sign goes outside the body when it can."""
     word, sep = (_latex_word(w), " ") if latex else ("*".join(f"S{a}" for a in w), "*")
     tail = sep + word if w else ""
     if len(comps) > 1:
         c = render_components(comps, latex=latex)
         return 1, (f"\\left( {c} \\right)" if latex else f"({c})") + tail
-    (coef, m, imag) = comps[0]
-    sign = -1 if coef < 0 else 1
-    if abs(coef) == 1 and m == 1 and not imag:
+    (n, d, m, imag) = comps[0]
+    sign = -1 if n < 0 else 1
+    if abs(n) == 1 and d == 1 and m == 1 and not imag:
         if w:
             return sign, word
         if latex:
             return sign, "\\mathbbm{1}"
-    return sign, render_components([(abs(coef), m, imag)], latex=latex) + tail
+    return sign, render_components([(abs(n), d, m, imag)], latex=latex) + tail
 
 
-def _graded_terms(p: NCPolynomial | NormalForm) -> list[tuple[Word, list[tuple[Fraction, int, bool]]]]:
+def _graded_terms(p: NCPolynomial | NormalForm) -> list[tuple[Word, list[tuple[int, int, int, bool]]]]:
     """(word, coefficient components) in graded-lexicographic order: the
     highest degree first, lexicographic within a degree."""
     if isinstance(p, NormalForm):

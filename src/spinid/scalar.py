@@ -169,14 +169,17 @@ def scalar_at(row: Row, positions: Container[tuple]) -> "Scalar":
     return Scalar._make(reduce_terms(out, row[1]))
 
 
-def row_components(row: Row) -> dict[tuple, list[tuple[Fraction, int, bool]]]:
-    """The components (coefficient, radicand, imaginary?) at each position
-    of a row, in the order they print (real parts first, each sorted by
-    radicand), without building Scalars."""
+def row_components(row: Row) -> dict[tuple, list[tuple[int, int, int, bool]]]:
+    """The components (numerator, denominator, radicand, imaginary?) at
+    each position of a row, each coefficient in lowest terms with a
+    positive denominator, in the order they print (real parts first, each
+    sorted by radicand), without building Scalars."""
     terms, den = row
     out: dict[tuple, list] = {}
     for t in sorted(terms, key=lambda t: (t[-1] & 1, t[-1] >> 1)):
-        out.setdefault(t[:-1], []).append((Fraction(terms[t], den), t[-1] >> 1, bool(t[-1] & 1)))
+        n, k = terms[t], t[-1]
+        g = gcd(n, den)
+        out.setdefault(t[:-1], []).append((n // g, den // g, k >> 1, bool(k & 1)))
     return out
 
 
@@ -304,37 +307,26 @@ def sqrt_of_rational(q: RationalLike) -> Scalar:
     return Scalar._make(reduce_terms({(2 * m,): c}, q.denominator))
 
 
-def frac_str(q: Fraction, latex: bool = False) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    if latex:
-        sign = "-" if q < 0 else ""
-        return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
-    return f"{q.numerator}/{q.denominator}"
-
-
-def render_components(
-    comps: Iterable[tuple[Fraction, int, bool]], latex: bool = False
-) -> str:
-    """Render a sum of (coefficient, radicand, imaginary?) components in the
-    plain expression grammar (or LaTeX), e.g. ``1/2*sqrt(3) + 2*i``."""
-    comps = list(comps)
-    if not comps:
-        return "0"
+def render_components(comps: Iterable[tuple[int, int, int, bool]], latex: bool = False) -> str:
+    """Render a sum of (numerator, denominator, radicand, imaginary?)
+    components (``row_components``) in the plain expression grammar (or
+    LaTeX), e.g. ``1/2*sqrt(3) + 2*i``."""
     out = []
-    for c, m, imag in comps:
-        mag = abs(c)
+    for n, d, m, imag in comps:
+        mag = abs(n)
         parts = []
-        if mag != 1 or (m == 1 and not imag):
-            parts.append(frac_str(mag, latex=latex))
+        if d != 1:
+            parts.append(f"\\frac{{{mag}}}{{{d}}}" if latex else f"{mag}/{d}")
+        elif mag != 1 or (m == 1 and not imag):
+            parts.append(str(mag))
         if m != 1:
             parts.append(f"\\sqrt{{{m}}}" if latex else f"sqrt({m})")
         if imag:
             parts.append("i")
         body = (" " if latex else "*").join(parts)
         if out:
-            out.append(" - " if c < 0 else " + ")
-        elif c < 0:
+            out.append(" - " if n < 0 else " + ")
+        elif n < 0:
             out.append("-")
         out.append(body)
-    return "".join(out)
+    return "".join(out) if out else "0"

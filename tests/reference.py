@@ -23,6 +23,8 @@ against the library's integer recurrence; its first nonzero entry
 position.  ``capped_step`` is the rewriter's fold step as a whole row:
 each cell ordered times the letter, then every degree-D word capped by its
 rule, against the library's product through its table of capped steps.
+``row_components`` and ``render_components`` print a row's coefficients
+from ``Fraction``s, against the library's printer on integer numerators.
 """
 import itertools
 from fractions import Fraction
@@ -32,10 +34,55 @@ from math import comb, factorial, gcd, lcm
 import spinid
 from spinid import rewrite
 from spinid.charid import DiscoveryError
-from spinid.scalar import (KEY_I, UnsupportedInverseError, combine_terms, fraction_row, render_components, row_scalars,
-                           scalar_at, squarefree_decompose, times_key)
+from spinid.scalar import (KEY_I, UnsupportedInverseError, combine_terms, fraction_row, row_scalars, scalar_at,
+                           squarefree_decompose, times_key)
 from spinid.spinrep import SingularMatrixError, eigenvalue_list, spherical_algebra
 from spinid.symalg import SymSession, all_counts
+
+
+def row_components(row):
+    """The components (coefficient, radicand, imaginary?) at each position
+    of a library row, coefficients as ``Fraction``s, in the order they print
+    (real parts first, each sorted by radicand)."""
+    terms, den = row
+    out = {}
+    for t in sorted(terms, key=lambda t: (t[-1] & 1, t[-1] >> 1)):
+        out.setdefault(t[:-1], []).append((Fraction(terms[t], den), t[-1] >> 1, bool(t[-1] & 1)))
+    return out
+
+
+def frac_str(q, latex=False):
+    if q.denominator == 1:
+        return str(q.numerator)
+    if latex:
+        sign = "-" if q < 0 else ""
+        return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+    return f"{q.numerator}/{q.denominator}"
+
+
+def render_components(comps, latex=False):
+    """A sum of (coefficient, radicand, imaginary?) components in the plain
+    expression grammar (or LaTeX), e.g. ``1/2*sqrt(3) + 2*i``."""
+    comps = list(comps)
+    if not comps:
+        return "0"
+    out = []
+    for c, m, imag in comps:
+        mag = abs(c)
+        parts = []
+        if mag != 1 or (m == 1 and not imag):
+            parts.append(frac_str(mag, latex=latex))
+        if m != 1:
+            parts.append(f"\\sqrt{{{m}}}" if latex else f"sqrt({m})")
+        if imag:
+            parts.append("i")
+        body = (" " if latex else "*").join(parts)
+        if out:
+            out.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            out.append("-")
+        out.append(body)
+    return "".join(out)
 
 
 class Radical:

@@ -271,6 +271,10 @@ def test_identity_latex_layouts():
         " + S_{j} \\delta_{i k} + S_{k} \\delta_{i j} \\Big) = 0"
     )
 
+    assert identity_to_latex(build_identity(4)).endswith(" + \\frac{9}{2} \\delta_{i j k l} \\mathbbm{1} = 0")
+    six = identity_to_latex(build_identity(6))
+    assert " - \\frac{35}{2} \\Big( " in six and six.endswith(" - \\frac{675}{4} \\delta_{i j k l m n} \\mathbbm{1} = 0")
+
     five = identity_to_latex(build_identity(5))
     assert "(9 more similar terms)" in five
     assert "(4 more similar terms)" in five

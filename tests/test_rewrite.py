@@ -32,7 +32,7 @@ from spinid.rewrite import (
     sym_words,
     to_json_dict,
 )
-from spinid.scalar import KEY_I, KEY_ONE, SCALAR_ONE, Scalar, reduce_terms, render_components, times_key
+from spinid.scalar import KEY_I, KEY_ONE, SCALAR_ONE, Scalar, combine_terms, reduce_terms, times_key
 from spinid.spinrep import Matrix, build_generators, matrix_algebra
 from spinid.symalg import SymSession, all_counts, axis_counts, delta_weights, epsilon
 
@@ -124,6 +124,82 @@ def test_parse_juxtaposition_and_grouping():
     assert parse("(S1 + S2) * S3") == S1 * S3 + S2 * S3
     assert parse("[S1, S2]") == S1 * S2 - S2 * S1
     assert parse("[S1 + S2, S3]") == parse("[S1,S3] + [S2,S3]")
+
+
+def _letter_product(word):
+    p = NCPolynomial.one()
+    for a in word:
+        p = p * NCPolynomial.generator(a)
+    return p
+
+
+def test_parse_generator_runs_are_letter_products():
+    # A run of generators joined by "*", by spaces or by both is one word:
+    # the same row as the letter-by-letter product, next to coefficients,
+    # roots, braces, commutators and parentheses.
+    rng = random.Random(2900)
+    for _ in range(200):
+        word = tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 12)))
+        text = "".join(f"S{a}" + rng.choice(("*", " ", " * ", "  ")) for a in word)[:-1].strip(" *")
+        assert parse(text)._row == _letter_product(word)._row == NCPolynomial({word: 1})._row, text
+    S = _letter_product
+    cases = {
+        "2 S1 S2*S3": S((1, 2, 3)).scale(2),
+        "S1 S2 3/4": S((1, 2)).scale(Fraction(3, 4)),
+        "-2/3*S3 S1 i S2": S((3, 1, 2)).scale(Fraction(-2, 3) * I),
+        "sqrt(8) S1*S3 S2": S((1, 3, 2)).scale(Scalar.sqrt_int(8)),
+        "S1 S2 sqrt(3) S3 S3": S((1, 2, 3, 3)).scale(Scalar.sqrt_int(3)),
+        "S2 S1 {S1 S3} S3*S2": S((2, 1)) * (S((1, 3)) + S((3, 1))) * S((3, 2)),
+        "[S1 S2, S3*S1 S2] S2": (S((1, 2, 3, 1, 2)) - S((3, 1, 2, 1, 2))) * S2,
+        "(S1 S2 + S3) S1 S1": S((1, 2, 1, 1)) + S((3, 1, 1)),
+        "S1 (S2 S3) S1*(S1)": S((1, 2, 3, 1, 1)),
+        "S3 S3 - S1*S2 S3 + I S2": S((3, 3)) - S((1, 2, 3)) + S2,
+    }
+    for text, want in cases.items():
+        assert parse(text)._row == want._row, text
+
+
+def test_generator_runs_keep_parse_errors_in_place():
+    # Messages and positions are the letter-by-letter parser's: a "*" after
+    # a run is the product's, and what follows a run is parsed as before.
+    cases = {
+        "S1*": ("expected a factor, found end of input", 3),
+        "S1 S2 /3": ("unexpected '/'", 6),
+        "S1**S2": ("expected a factor, found '*'", 3),
+        "2*S1*": ("expected a factor, found end of input", 5),
+        "S1 sqrt(0)": ("sqrt of non-positive integer", 8),
+        "[S1 S2, ]": ("expected a factor, found ']'", 8),
+        "S1 * S2 S3 * (": ("expected a factor, found end of input", 14),
+        "S1 S2 x": ("unknown atom 'x'", 6),
+        "S1/S2": ("unexpected '/'", 2),
+        "S1 S2/S3": ("unexpected '/'", 5),
+    }
+    for text, (message, position) in cases.items():
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at position {position})", text
+        assert err.value.position == position
+    # A product refused past the word bound that ends in a letter run is
+    # refused at the run's first letter, or at the "*" before it.
+    big = "(S1 + S2 + S3)" * 10  # 59049 words
+    for text, n, tail in ((f"({big} + 2*{big}*S1*S3 + S2) S1 S2*S3", 118099, "S1 S2*S3"),
+                          (f"({big} + S2*{big}) * S1*S2 S3", 118098, "* S1*S2 S3")):
+        position = len(text) - len(tail)
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"product of up to {n} terms refused: over 100000 words (at position {position})"
+        assert err.value.position == position
+
+
+def test_product_by_one_word_is_the_general_product():
+    # Multiplying by a single word with coefficient 1 concatenates words;
+    # the general product (through a factor 2, then 1/2) gives the same row.
+    rng = random.Random(2901)
+    for _ in range(100):
+        p = NCPolynomial._make(_ordered_row(rng, 5)) * _mixed_radical_polynomial(rng)
+        for word in ((), (2,), (3, 1, 1)):
+            q = NCPolynomial({word: 1})
+            assert (p * q)._row == ((p * q.scale(2)) * Fraction(1, 2))._row
 
 
 def test_parse_numbers_and_units():
@@ -585,6 +661,34 @@ def test_capped_step_matches_the_whole_row_step(dim):
 
 
 @pytest.mark.parametrize("dim", range(2, 6))
+def test_one_cell_step_is_a_table_read(dim):
+    # A step from a one-cell row reads the table: the stored entry itself
+    # for weight x numerator 1 over denominator 1, else that entry scaled
+    # once, in integers; against the general combination of the stored
+    # entry, and for capped steps against the whole-row step.
+    rng = random.Random(1100 + dim)
+    forms, table = rewrite._forms(), rewrite._RuleTable(dim)
+    cases = [(1, 1, 1), (1, -3, 1), (1, 2, 5), (1, 1, 3), (-1, 1, 1), (-1, -1, 4), (-1, 4, 3), (0, 1, 1), (0, 5, 2),
+             (3, -1, 1), (-1, -1, 1)]
+    for steps in (forms, table.capped):
+        for _ in range(30):
+            u = tuple(sorted(rng.choice((1, 2, 3)) for _ in range(rng.randint(0, dim - 1))))
+            a = rng.randint(1, 3)
+            for key in (KEY_ONE, KEY_I):
+                for w, n, den in cases:
+                    row = ({(u, key): n}, den)
+                    out = steps([(w, row, a)])
+                    entry = steps[u, a, key]
+                    assert out == combine_terms([(w * n, entry[0], entry[1] * den)]), (dim, u, a, key, w, n, den)
+                    assert all(type(x) is int for x in out[0].values()) and type(out[1]) is int
+                    if w * n == 1 and den == 1:
+                        assert out is entry
+                    if steps is table.capped:
+                        assert out == combine_terms([(w, *R.capped_step(table, row, a))])
+    assert table.rules
+
+
+@pytest.mark.parametrize("dim", range(2, 6))
 def test_times_row_is_the_product_by_the_letter(dim):
     # The row kernel through a table of ordered forms and through the
     # rule table's capped steps, against the reference ring: on every
@@ -918,7 +1022,7 @@ def _reference_plain_term(w, c):
     sign = -1 if coef < 0 else 1
     if w and abs(coef) == 1 and m == 1 and not imag:
         return sign, letters
-    body = render_components([(abs(coef), m, imag)])
+    body = R.render_components([(abs(coef), m, imag)])
     return sign, body + ("*" + letters if w else "")
 
 
@@ -934,7 +1038,7 @@ def _reference_latex_term(w, c):
         return sign, word
     if not w and trivial:
         return sign, "\\mathbbm{1}"
-    body = render_components([(abs(coef), m, imag)], latex=True)
+    body = R.render_components([(abs(coef), m, imag)], latex=True)
     return sign, body + (" " + word if w else "")
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,17 @@ from test_symalg import _component
 import reference as R
 from reference import lib, ref
 from spinid.scalar import (
+    KEY_I,
+    KEY_ONE,
     Scalar,
     UnsupportedInverseError,
+    reduce_terms,
+    render_components,
+    row_components,
     sqrt_of_rational,
     squarefree_decompose,
 )
-from spinid.spinrep import Matrix
+from spinid.spinrep import Matrix, build_generators
 
 
 rad = Scalar.sqrt_int
@@ -194,3 +200,36 @@ def test_rendering():
 def test_latex_rendering():
     assert Scalar.of(Fraction(1, 2)).latex() == "\\frac{1}{2}"
     assert (rad(3) * Fraction(-1, 2)).latex() == "-\\frac{1}{2} \\sqrt{3}"
+
+
+def test_printer_matches_the_reference_printer():
+    # The printer on integer numerators against the Fraction printer of the
+    # reference: seeded rows with several positions and components,
+    # negative values, p/q denominators, radicands and i; Scalars; and
+    # Matrix.to_strings of the generators, plain and LaTeX.
+    rng = random.Random(2902)
+    rows = [({}, 1), ({(0, KEY_ONE): 1}, 1), ({(0, KEY_ONE): -1}, 1), ({(0, KEY_I): -1}, 1), ({(0, 6): 1}, 1),
+            ({(0, 7): -1}, 1), ({(0, KEY_ONE): -1, (0, KEY_I): 1}, 2)]
+    for _ in range(1500):
+        terms = {(rng.randint(0, 3), 2 * rng.choice((1, 2, 3, 5, 6, 30)) + rng.randint(0, 1)):
+                 rng.choice((-1, 1)) * rng.choice((1, 1, 2, 3, 6, rng.randint(1, 60))) for _ in range(rng.randint(1, 6))}
+        rows.append(reduce_terms(terms, rng.choice((1, 1, 2, 3, 4, 6, rng.randint(1, 90)))))
+    assert any(len(c) > 2 for row in rows for c in row_components(row).values())
+    for row in rows:
+        got, want = row_components(row), R.row_components(row)
+        assert list(got) == list(want)
+        for pos, comps in got.items():
+            assert all(d > 0 and gcd(n, d) == 1 for n, d, _, _ in comps)
+            assert [(Fraction(n, d), m, imag) for n, d, m, imag in comps] == want[pos]
+            for latex in (False, True):
+                assert render_components(comps, latex) == R.render_components(want[pos], latex), (row, pos)
+        s = Scalar._make(reduce_terms({(k,): n for (pos, k), n in row[0].items() if pos == 0}, row[1]))
+        want = R.render_components(R.row_components(s.row).get((), []))
+        assert str(s) == want == str(ref(s))
+        assert s.latex() == R.render_components(R.row_components(s.row).get((), []), latex=True) == ref(s).latex()
+    for dim in range(2, 9):
+        for m in build_generators(dim).S:
+            comps = R.row_components(m.row)
+            for latex in (False, True):
+                assert m.to_strings(latex) == [[R.render_components(comps.get((r, c), []), latex) for c in range(dim)]
+                                               for r in range(dim)]
