@@ -318,19 +318,38 @@ def _first_witness(counts: tuple[int, int, int], spherical: dict[tuple[int, int,
     i^c2 2^-n sum_a f_a R(a, n - a, c3), n = c1 + c2, over the spherical
     residuals (``spherical``, keyed by counts, rows in row-major order) with
     the integer weights of ``_spherical_weights``: the sign of i^c2 goes
-    into the weights, its i into the keys.  It is read position by position:
-    the parts' cells are merged, and the walk stops at the first position
-    whose combination is nonzero."""
-    import heapq  # only a failing verification merges: spared the import of every CLI process
-
+    into the weights, its i into the keys.  It is read position by position.
+    The first position of any part is probed first, from the parts' leading
+    cells alone; if they cancel, the parts' cells are merged, and the walk
+    stops at the first position whose combination is nonzero."""
     c1, c2, c3 = counts
     n, sign = c1 + c2, (-1) ** (c2 // 2)
     parts = [(sign * f, *spherical[a, n - a, c3]) for a, f in enumerate(_spherical_weights(c1, c2)) if f]
+
+    def witness(pos: tuple[int, int], cells: Sequence[tuple[int, dict, int]]) -> Witness | None:
+        terms, den = combine_terms(cells)
+        return (*pos, Scalar._make(((times_key(terms, KEY_I) if c2 % 2 else terms), den))) if terms else None
+
+    first = min((next(iter(terms))[:2] for _, terms, _ in parts if terms), default=None)
+    if first is None:
+        return None
+    lead = []  # the cells at the first position lead their parts
+    for f, terms, den in parts:
+        at = {}
+        for t, m in terms.items():
+            if t[:2] != first:
+                break
+            at[t[2:]] = m
+        if at:
+            lead.append((f, at, den << n))
+    if found := witness(first, lead):
+        return found
+    import heapq  # only a failing verification whose leading cells cancel merges: spared the import elsewhere
+
     cells = heapq.merge(*(zip(terms, itertools.repeat(j)) for j, (_, terms, _) in enumerate(parts)))
     for pos, at in itertools.groupby(cells, key=lambda cell: cell[0][:2]):
-        terms, den = combine_terms((parts[j][0], {t[2:]: parts[j][1][t]}, parts[j][2] << n) for t, j in at)
-        if terms:
-            return (*pos, Scalar._make(((times_key(terms, KEY_I) if c2 % 2 else terms), den)))
+        if found := witness(pos, [(parts[j][0], {t[2:]: parts[j][1][t]}, parts[j][2] << n) for t, j in at]):
+            return found
     return None
 
 

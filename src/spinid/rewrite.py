@@ -20,9 +20,10 @@ is a view of the cells of its word.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 from typing import Callable, Iterator, Literal, Mapping, Sequence, Union
 
 from .charid import Identity, build_identity
@@ -33,7 +34,6 @@ from .scalar import (
     Row,
     Scalar,
     combine_terms,
-    fraction_row,
     key_product,
     reduce_terms,
     render_components,
@@ -141,18 +141,7 @@ class NCPolynomial:
             return self.scale(other)
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        (a, da), (b, db) = self._row, other._row
-        if db == 1 and len(b) == 1:
-            ((w2, k2), n2), = b.items()
-            if k2 == KEY_ONE and n2 == 1:  # times one word: cells map one to one, the row stays reduced
-                return NCPolynomial._make(({(w1 + w2, k1): n1 for (w1, k1), n1 in a.items()}, da))
-        out: Terms = {}
-        for (w1, k1), n1 in a.items():
-            for (w2, k2), n2 in b.items():
-                f, key = key_product(k1, k2)
-                t = (w1 + w2, key)
-                out[t] = out.get(t, 0) + f * n1 * n2
-        return NCPolynomial._make(reduce_terms(out, da * db))
+        return NCPolynomial._make(_row_product(self._row, other._row))
 
     __rmul__ = __mul__  # a scalar on the left; scalars commute
 
@@ -176,7 +165,7 @@ class NormalForm(Record):
         for w, _ in poly._row[0]:
             if len(w) > dim - 1:
                 raise ValueError(f"word {w} exceeds degree {dim - 1}")
-            if any(w[k] > w[k + 1] for k in range(len(w) - 1)):
+            if w != tuple(sorted(w)):
                 raise ValueError(f"word {w} is not ordered")
         super().__init__(poly, dim)
 
@@ -208,9 +197,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             k += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # the digits int() reads; not every isdigit() character is one
             j = k
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("INT", text[k:j], k))
             k = j
@@ -243,6 +232,15 @@ _FACTOR_START = {"INT", "NAME", "(", "{", "["}
 
 
 class _Parser:
+    """Recursive descent over the tokens.  Sums and products work on rows
+    (``scalar``), and a term's factors other than parentheses, braces and
+    commutators are multiplied into one monomial (num, den, key, word), a
+    row of one cell only at the end of the term or before a grouped
+    factor.  A product is refused, like the letter-by-letter product,
+    where its factors' term counts multiply past ``_MAX_WORDS``: a monomial
+    factor has one term (none when zero), and a monomial keeps a row's
+    terms distinct."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.k = 0
@@ -259,48 +257,67 @@ class _Parser:
         return tok
 
     def parse(self) -> NCPolynomial:
-        p = self.expression()
+        row = self.expression()
         tok = self.peek()
         if tok[0] != "EOF":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        if any(key >> 1 > _SQRT_MAX for _, key in p._row[0]):  # render would not parse back
+        if any(key >> 1 > _SQRT_MAX for _, key in row[0]):  # render would not parse back
             raise ParseError(f"combined sqrt radicand exceeds {_SQRT_MAX}", 0)
-        return p
+        return NCPolynomial._make(row)
 
-    def expression(self) -> NCPolynomial:
-        sign = self.take()[0] if self.peek()[0] in ("+", "-") else "+"
-        acc = self.term()
-        if sign == "-":
-            acc = -acc
+    def expression(self) -> Row:
+        """The signed terms, combined once."""
+        sign = -1 if self.peek()[0] == "-" else 1
+        if self.peek()[0] in ("+", "-"):
+            self.take()
+        parts = [(sign, *self.term())]
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            t = self.term()
-            acc = acc + (t if op == "+" else -t)
-        return acc
+            sign = -1 if self.take()[0] == "-" else 1
+            parts.append((sign, *self.term()))
+        if len(parts) == 1 and sign == 1:
+            return parts[0][1:]
+        return combine_terms(parts)
 
-    def term(self) -> NCPolynomial:
-        acc = self.factor()
+    def term(self) -> Row:
+        """Factors joined by "*" or whitespace: "S1 S2" is a product."""
+        row = None  # the product up to the last grouped factor, if any
+        num, den, key, word = 1, 1, KEY_ONE, ()  # times this monomial
+        position = None  # where the product by the next factor is refused: none for the first
         while True:
+            f = self.factor()
+            if position is not None:
+                size = (1 if row is None else len(row[0])) * (num != 0)
+                _admit_product(size * (len(f[0]) if len(f) == 2 else f[0] != 0), position)
+            if len(f) == 2:  # a grouped factor's row
+                left = _times_monomial(row, num, den, key, word)
+                row = f if left is None else _row_product(left, f)
+                num, den, key, word = 1, 1, KEY_ONE, ()
+            else:
+                n, d, k, w = f
+                if k != KEY_ONE:
+                    g, key = key_product(key, k)
+                    n *= g
+                num, den, word = num * n, den * d, word + w
             tok = self.peek()
             if tok[0] == "*":
                 self.take()
             elif tok[0] not in _FACTOR_START:
-                return acc
-            # "*" or whitespace juxtaposition: "S1 S2" is a product
-            acc = _product(acc, self.factor(), tok[2])
+                return _times_monomial(row, num, den, key, word) or _ONE
+            position = tok[2]
 
-    def factor(self) -> NCPolynomial:
+    def factor(self) -> Row | tuple[int, int, int, Word]:
+        """A grouped factor's row, or a monomial (num, den, key, word)."""
         tok = self.peek()
         kind = tok[0]
         if kind == "INT":
-            return NCPolynomial._make(fraction_row({((), KEY_ONE): self.rational()}))
+            return self.rational()
         if kind == "NAME":
             return self.letters() if tok[1] in _GENERATORS else self.atom()
         if kind == "(":
             self.take()
-            p = self.expression()
+            row = self.expression()
             self.take(")")
-            return p
+            return row
         if kind == "{":
             return self.symmetric_braces()
         if kind == "[":
@@ -309,22 +326,30 @@ class _Parser:
             self.take(",")
             b = self.expression()
             self.take("]")
-            return _product(a, b, tok[2]) - b * a
+            _admit_product(len(a[0]) * len(b[0]), tok[2])
+            return combine_terms([(1, *_row_product(a, b)), (-1, *_row_product(b, a))])
         what = f"{tok[1]!r}" if kind != "EOF" else "end of input"
         raise ParseError(f"expected a factor, found {what}", tok[2])
 
-    def rational(self) -> Fraction:
-        num = int(self.take("INT")[1])
+    def integer(self) -> tuple[int, int]:
+        """An INT token's value and position."""
+        tok = self.take("INT")
+        try:
+            return int(tok[1]), tok[2]
+        except ValueError:  # past the interpreter's digit limit
+            raise ParseError(f"integer of {len(tok[1])} digits exceeds this interpreter's limit of "
+                             f"{sys.get_int_max_str_digits()} digits", tok[2]) from None
+
+    def rational(self) -> tuple[int, int, int, Word]:
+        num, den = self.integer()[0], 1
         if self.peek()[0] == "/":
             self.take()
-            tok = self.take("INT")
-            den = int(tok[1])
+            den, position = self.integer()
             if den == 0:
-                raise ParseError("zero denominator", tok[2])
-            return Fraction(num, den)
-        return Fraction(num)
+                raise ParseError("zero denominator", position)
+        return num, den, KEY_ONE, ()
 
-    def letters(self) -> NCPolynomial:
+    def letters(self) -> tuple[int, int, int, Word]:
         """A run of generators joined by "*" or whitespace, as one word; a
         "*" not followed by a generator is left to ``term``."""
         word = []
@@ -333,34 +358,34 @@ class _Parser:
             k = self.k + (self.tokens[self.k][0] == "*")
             kind, name, _ = self.tokens[k]
             if kind != "NAME" or name not in _GENERATORS:
-                return NCPolynomial._make(({(tuple(word), KEY_ONE): 1}, 1))
+                return 1, 1, KEY_ONE, tuple(word)
             self.k = k
 
-    def atom(self) -> NCPolynomial:
+    def atom(self) -> tuple[int, int, int, Word]:
         tok = self.take("NAME")
         name = tok[1]
         if name == "I":
-            return NCPolynomial.one()
+            return 1, 1, KEY_ONE, ()
         if name == "i":
-            return NCPolynomial._make(({((), KEY_I): 1}, 1))
+            return 1, 1, KEY_I, ()
         if name == "sqrt":
             self.take("(")
             sign = 1
             if self.peek()[0] == "-":
                 self.take()
                 sign = -1
-            itok = self.take("INT")
-            m = sign * int(itok[1])
+            m, position = self.integer()
+            m *= sign
             self.take(")")
             if m <= 0:
-                raise ParseError("sqrt of non-positive integer", itok[2])
+                raise ParseError("sqrt of non-positive integer", position)
             if m > _SQRT_MAX:
-                raise ParseError(f"sqrt argument exceeds {_SQRT_MAX}", itok[2])
+                raise ParseError(f"sqrt argument exceeds {_SQRT_MAX}", position)
             c, sf = squarefree_decompose(m)  # sqrt(m) = c sqrt(sf), basis key 2 sf
-            return NCPolynomial._make(({((), 2 * sf): c}, 1))
+            return c, 1, 2 * sf, ()
         raise ParseError(f"unknown atom {name!r}", tok[2])
 
-    def symmetric_braces(self) -> NCPolynomial:
+    def symmetric_braces(self) -> Row:
         open_tok = self.take("{")
         letters = []
         while True:
@@ -385,20 +410,54 @@ class _Parser:
         if orderings > _MAX_WORDS:
             raise ParseError(f"symmetric braces of {orderings} orderings refused: over {_MAX_WORDS} words",
                              open_tok[2])
-        return sym_words(tuple(letters))
+        return sym_words(tuple(letters))._row
 
 
-def _product(a: NCPolynomial, b: NCPolynomial, position: int) -> NCPolynomial:
-    if (n := len(a._row[0]) * len(b._row[0])) > _MAX_WORDS:
+def _monomial_row(num: int, den: int, key: int, word: Word) -> Row:
+    """The row of num/den basis(key) word, reduced by one gcd."""
+    if not num:
+        return {}, 1
+    g = gcd(num, den)
+    return {(word, key): num // g}, den // g
+
+
+def _times_monomial(row: Row | None, num: int, den: int, key: int, word: Word) -> Row | None:
+    """row times the monomial num/den basis(key) word, where no row is 1:
+    still none when the monomial is 1 too."""
+    if num == den and key == KEY_ONE and not word:
+        return row
+    mono = _monomial_row(num, den, key, word)
+    return mono if row is None else _row_product(row, mono)
+
+
+def _row_product(a: Row, b: Row) -> Row:
+    """The product of two word rows: words concatenated, keys multiplied."""
+    (a, da), (b, db) = a, b
+    if db == 1 and len(b) == 1:
+        ((w2, k2), n2), = b.items()
+        if k2 == KEY_ONE and n2 == 1:  # times one word: cells map one to one, the row stays reduced
+            return {(w1 + w2, k1): n1 for (w1, k1), n1 in a.items()}, da
+    out: Terms = {}
+    for (w1, k1), n1 in a.items():
+        for (w2, k2), n2 in b.items():
+            f, key = key_product(k1, k2)
+            t = (w1 + w2, key)
+            out[t] = out.get(t, 0) + f * n1 * n2
+    return reduce_terms(out, da * db)
+
+
+def _admit_product(n: int, position: int) -> None:
+    """Refuse a product whose factors' term counts multiply to n past the bound."""
+    if n > _MAX_WORDS:
         raise ParseError(f"product of up to {n} terms refused: over {_MAX_WORDS} words", position)
-    return a * b
 
 
 def parse(text: str) -> NCPolynomial:
     """Parse the plain expression grammar into an NCPolynomial.
 
     Terms are separated by +/-, factors by '*' or whitespace.  Atoms:
-    S1 S2 S3, I, i, integers, rationals p/q, sqrt(m), symmetric braces
+    S1 S2 S3, I, i, integers (decimal digits, at most the interpreter's
+    digit limit), rationals p/q, sqrt(m), symmetric braces
     { S1 S2 ... }, commutators [A, B]; parentheses group.  Radicands, also
     of the products of roots in the result, are at most 10^12, and
     expansions at most 10^5 words (``_MAX_WORDS``).
@@ -455,7 +514,9 @@ class _Steps(dict):
     of a row replaced by the entry steps[u, a, k], all combined at once.
     One part of one cell, a fold step's usual case, is a read: the stored
     entry itself when w times the cell's numerator and the row's
-    denominator are 1, else that entry scaled once in integers."""
+    denominator are 1, else that entry scaled once in integers.  More cells
+    are added in one pass, each entry read once, over the lcm of the
+    denominators met so far, and reduced once."""
 
     def __init__(self, build: Callable[[Word, int, int], Row]):
         super().__init__()
@@ -475,12 +536,22 @@ class _Steps(dict):
                 return entry
             t, d = entry
             return reduce_terms({c: f * m for c, m in t.items()}, d * den)
-        out = []
-        for w, (terms, den), a in parts:
+        out: Terms = {}
+        den = 1  # the lcm of the denominators so far; out is over it
+        for w, (terms, d0), a in parts:
             for (u, k), n in terms.items():
                 t, d = self[u, a, k]
-                out.append((w * n, t, d * den))
-        return combine_terms(out)
+                d *= d0
+                if den % d:
+                    m = lcm(den, d)
+                    s = m // den
+                    for c in out:
+                        out[c] *= s
+                    den = m
+                f = w * n * (den // d)
+                for c, v in t.items():
+                    out[c] = out.get(c, 0) + f * v
+        return reduce_terms(out, den)
 
     def key_entry(self, u: Word, a: int, k: int) -> Row:
         """The entry of key k as basis(k) times the entry of key 1."""

@@ -25,16 +25,18 @@ each cell ordered times the letter, then every degree-D word capped by its
 rule, against the library's product through its table of capped steps.
 ``row_components`` and ``render_components`` print a row's coefficients
 from ``Fraction``s, against the library's printer on integer numerators.
+``Parser`` builds one ``NCPolynomial`` per factor and adds terms one by
+one, against the library's parser on rows.
 """
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 
 import spinid
 from spinid import rewrite
 from spinid.charid import DiscoveryError
-from spinid.scalar import (KEY_I, UnsupportedInverseError, combine_terms, fraction_row, row_scalars, scalar_at,
+from spinid.scalar import (KEY_I, KEY_ONE, UnsupportedInverseError, combine_terms, fraction_row, row_scalars, scalar_at,
                            squarefree_decompose, times_key)
 from spinid.spinrep import SingularMatrixError, eigenvalue_list, spherical_algebra
 from spinid.symalg import SymSession, all_counts
@@ -504,3 +506,167 @@ def discover_identity(rep):
         row = pivots[j]
         b[j] = (row[k] - sum(row[t] * b[t] for t in range(j + 1, k))) / Fraction(row[j])
     return spinid.Identity(dim, tuple(b))
+
+
+class Parser:
+    """The expression grammar parsed one ``NCPolynomial`` per factor: every
+    product through ``NCPolynomial.__mul__``, every sum through ``+`` and
+    a negated copy, every number a ``Fraction``.  The library's parser must
+    give the same row, or the same ``ParseError`` message and position; it
+    keeps a monomial per term and combines each sum once.  The bounds are
+    read from ``rewrite`` when used, so a test may lower them for both."""
+
+    def __init__(self, text):
+        self.tokens = rewrite._tokenize(text)
+        self.k = 0
+
+    def peek(self):
+        return self.tokens[self.k]
+
+    def take(self, kind=None):
+        tok = self.tokens[self.k]
+        if kind is not None and tok[0] != kind:
+            what = f"{tok[1]!r}" if tok[0] != "EOF" else "end of input"
+            raise rewrite.ParseError(f"expected {kind}, found {what}", tok[2])
+        self.k += 1
+        return tok
+
+    def parse(self):
+        p = self.expression()
+        tok = self.peek()
+        if tok[0] != "EOF":
+            raise rewrite.ParseError(f"unexpected {tok[1]!r}", tok[2])
+        if any(key >> 1 > rewrite._SQRT_MAX for _, key in p._row[0]):
+            raise rewrite.ParseError(f"combined sqrt radicand exceeds {rewrite._SQRT_MAX}", 0)
+        return p
+
+    def expression(self):
+        sign = self.take()[0] if self.peek()[0] in ("+", "-") else "+"
+        acc = self.term()
+        if sign == "-":
+            acc = -acc
+        while self.peek()[0] in ("+", "-"):
+            op = self.take()[0]
+            t = self.term()
+            acc = acc + (t if op == "+" else -t)
+        return acc
+
+    def term(self):
+        acc = self.factor()
+        while True:
+            tok = self.peek()
+            if tok[0] == "*":
+                self.take()
+            elif tok[0] not in rewrite._FACTOR_START:
+                return acc
+            acc = self.product(acc, self.factor(), tok[2])
+
+    @staticmethod
+    def product(a, b, position):
+        if (n := len(a._row[0]) * len(b._row[0])) > rewrite._MAX_WORDS:
+            raise rewrite.ParseError(f"product of up to {n} terms refused: over {rewrite._MAX_WORDS} words",
+                                     position)
+        return a * b
+
+    def factor(self):
+        tok = self.peek()
+        kind = tok[0]
+        if kind == "INT":
+            return spinid.NCPolynomial._make(fraction_row({((), KEY_ONE): self.rational()}))
+        if kind == "NAME":
+            return self.letters() if tok[1] in rewrite._GENERATORS else self.atom()
+        if kind == "(":
+            self.take()
+            p = self.expression()
+            self.take(")")
+            return p
+        if kind == "{":
+            return self.symmetric_braces()
+        if kind == "[":
+            self.take()
+            a = self.expression()
+            self.take(",")
+            b = self.expression()
+            self.take("]")
+            return self.product(a, b, tok[2]) - b * a
+        what = f"{tok[1]!r}" if kind != "EOF" else "end of input"
+        raise rewrite.ParseError(f"expected a factor, found {what}", tok[2])
+
+    def rational(self):
+        num = int(self.take("INT")[1])
+        if self.peek()[0] == "/":
+            self.take()
+            tok = self.take("INT")
+            den = int(tok[1])
+            if den == 0:
+                raise rewrite.ParseError("zero denominator", tok[2])
+            return Fraction(num, den)
+        return Fraction(num)
+
+    def letters(self):
+        word = []
+        while True:
+            word.append(rewrite._GENERATORS[self.take()[1]])
+            k = self.k + (self.tokens[self.k][0] == "*")
+            kind, name, _ = self.tokens[k]
+            if kind != "NAME" or name not in rewrite._GENERATORS:
+                return spinid.NCPolynomial._make(({(tuple(word), KEY_ONE): 1}, 1))
+            self.k = k
+
+    def atom(self):
+        tok = self.take("NAME")
+        name = tok[1]
+        if name == "I":
+            return spinid.NCPolynomial.one()
+        if name == "i":
+            return spinid.NCPolynomial._make(({((), KEY_I): 1}, 1))
+        if name == "sqrt":
+            self.take("(")
+            sign = 1
+            if self.peek()[0] == "-":
+                self.take()
+                sign = -1
+            itok = self.take("INT")
+            m = sign * int(itok[1])
+            self.take(")")
+            if m <= 0:
+                raise rewrite.ParseError("sqrt of non-positive integer", itok[2])
+            if m > rewrite._SQRT_MAX:
+                raise rewrite.ParseError(f"sqrt argument exceeds {rewrite._SQRT_MAX}", itok[2])
+            c, sf = squarefree_decompose(m)
+            return spinid.NCPolynomial._make(({((), 2 * sf): c}, 1))
+        raise rewrite.ParseError(f"unknown atom {name!r}", tok[2])
+
+    def symmetric_braces(self):
+        open_tok = self.take("{")
+        letters = []
+        while True:
+            tok = self.peek()
+            if tok[0] == "}":
+                self.take()
+                break
+            if tok[0] == "*":
+                self.take()
+                continue
+            if tok[0] == "NAME" and tok[1] in rewrite._GENERATORS:
+                self.take()
+                letters.append(rewrite._GENERATORS[tok[1]])
+                continue
+            what = f"{tok[1]!r}" if tok[0] != "EOF" else "end of input"
+            raise rewrite.ParseError(f"symmetric braces admit only S1, S2, S3; found {what}", tok[2])
+        if not letters:
+            raise rewrite.ParseError("empty symmetric braces", open_tok[2])
+        orderings = factorial(len(letters)) // prod(factorial(letters.count(a)) for a in (1, 2, 3))
+        if orderings > rewrite._MAX_WORDS:
+            raise rewrite.ParseError(
+                f"symmetric braces of {orderings} orderings refused: over {rewrite._MAX_WORDS} words", open_tok[2])
+        return spinid.sym_words(tuple(letters))
+
+
+def parse(text):
+    """``Parser`` on text, with the library's refusal of deep nesting."""
+    parser = Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise rewrite.ParseError("expression nested too deeply", parser.peek()[2]) from None

@@ -196,6 +196,16 @@ def test_reduce_parse_error_reports_position():
     assert "position 6" in proc.stderr
 
 
+@pytest.mark.parametrize("expr, position", [("S1*\u00b2", 3), ("1" * 5000 + "*S1", 0)])
+def test_reduce_refuses_a_number_int_cannot_read(expr, position):
+    # A superscript digit, and a literal past the interpreter's digit limit,
+    # are parse errors at their position: exit 2, nothing on stdout.
+    proc = run_cli("reduce", expr, "--dim", "3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"(at position {position})" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_reduce_deep_nesting_is_a_parse_error():
     proc = run_cli("reduce", "(" * 3000 + "S1" + ")" * 3000, "--dim", "3")
     assert proc.returncode == 2

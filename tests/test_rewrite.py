@@ -225,6 +225,113 @@ def test_parse_rejects_junk():
         parse("S1 ; S2")
 
 
+def _draw_factor(rng, depth):
+    kind = rng.randrange(10 if depth < 2 else 7)
+    if kind == 0:
+        return str(rng.choice((0, 1, 2, 3, 6, 12)))
+    if kind == 1:
+        return f"{rng.randint(0, 9)}/{rng.randint(1, 9)}"
+    if kind == 2:
+        return f"sqrt({rng.choice((1, 2, 3, 4, 6, 8, 12, 18))})"
+    if kind == 3:
+        return rng.choice(("i", "I"))
+    if kind in (4, 5):
+        return rng.choice(("*", " ", " * ")).join(rng.choice(("S1", "S2", "S3")) for _ in range(rng.randint(1, 4)))
+    if kind == 6:
+        letters = [rng.choice(("S1", "S2", "S3")) for _ in range(rng.randint(1, 5))]
+        return "{" + " ".join(letters + ["*"] * rng.randint(0, 1)) + "}"
+    if kind == 7:
+        return f"[{_draw_expression(rng, depth + 1)}, {_draw_expression(rng, depth + 1)}]"
+    return ("0*" if kind == 8 and rng.random() < 0.3 else "") + f"({_draw_expression(rng, depth + 1)})"
+
+
+def _draw_expression(rng, depth=0):
+    """A seeded expression over every production: leading and inner signs,
+    products by "*" and by juxtaposition, integers, p/q, sqrt, i, I,
+    generator runs, braces, commutators, nested parentheses and 0*(...)."""
+    text = rng.choice(("", "", "-", "+ "))
+    for j in range(rng.randint(1, 3)):
+        if j:
+            text += rng.choice((" + ", " - ", "+", "-"))
+        text += rng.choice(("*", " ", " * ")).join(_draw_factor(rng, depth) for _ in range(rng.randint(1, 4)))
+    return text
+
+
+def _parse_outcome(parser, text):
+    """The row parsed, or the ParseError's message and position."""
+    try:
+        return parser(text)._row
+    except ParseError as err:
+        return str(err), err.position
+
+
+_INSERTED = ("+", "-", "*", "/", "(", ")", "{", "}", "[", "]", ",", "S1", "S3", "0", "2", "3/4", "i", "I", "sqrt",
+             "sqrt(2)", "x", "1/0")
+
+
+@pytest.mark.parametrize("max_words, sqrt_max", [(300, 10**12), (20, 10**12), (4, 5)])
+def test_parser_matches_the_reference_parser(monkeypatch, max_words, sqrt_max):
+    # The parser on rows against the parser of one NCPolynomial per factor
+    # (``R.Parser``): seeded expressions over every production, and each
+    # with one token deleted or one inserted, give the same row or the same
+    # ParseError message and position.  Lowered bounds make products,
+    # braces and roots refused often, each at the reference's position; the
+    # largest bound keeps every expansion small enough to draw many.
+    monkeypatch.setattr(rewrite, "_MAX_WORDS", max_words)
+    monkeypatch.setattr(rewrite, "_SQRT_MAX", sqrt_max)
+    rng = random.Random(3000 + max_words)
+    outcomes = Counter()
+    for _ in range(150):
+        text = _draw_expression(rng)
+        texts = [text]
+        tokens = rewrite._tokenize(text)
+        for _, name, position in rng.sample(tokens[:-1], min(8, len(tokens) - 1)):
+            texts.append(text[:position] + text[position + len(name):])
+        for _, _, position in rng.sample(tokens, min(8, len(tokens))):
+            texts.append(f"{text[:position]} {rng.choice(_INSERTED)} {text[position:]}")
+        for t in texts:
+            want = _parse_outcome(R.parse, t)
+            assert _parse_outcome(parse, t) == want, t
+            outcomes[want[0].split(" (at")[0].split(" of ")[0] if isinstance(want[0], str) else "row"] += 1
+    # A first factor past the bound, then factors of one term or none; and
+    # nesting too deep for the interpreter's stack.
+    words = [w for n in (1, 2, 3) for w in itertools.product(("S1", "S2", "S3"), repeat=n)]
+    big = "(" + " + ".join(" ".join(w) for w in words[:25]) + ")"
+    for t in (f"{big} 0 S1", f"{big}*0/5*S1", f"{big} S1 0", f"0*{big}{big}", f"{big} sqrt(2) 0", f"I {big}",
+              f"{big} I", f"2 {big} S1*S2 {big}", "(" * 3000 + "S1" + ")" * 3000):
+        assert _parse_outcome(parse, t) == _parse_outcome(R.parse, t), t
+    assert outcomes["row"] > 150 and outcomes["product"] > 20
+    if max_words < 300:
+        assert outcomes["symmetric braces"] > 5
+    if sqrt_max < 10**12:
+        assert outcomes["sqrt argument exceeds 5"] and outcomes["combined sqrt radicand exceeds 5"]
+
+
+def test_parse_refuses_non_decimal_digits_in_place():
+    # A character that isdigit() admits but int() rejects is no digit: it
+    # is refused where it stands.  Other decimal digits read as int() does.
+    for text, position in (("S1*²", 3), ("S1*①", 3), ("12² S1", 2), ("sqrt(2²)", 6), ("3/⁴", 2)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"unexpected character {text[position]!r} (at position {position})", text
+    assert parse("٣*S1") == parse("3*S1")
+    assert parse("1/١٢ S2") == parse("1/12*S2")
+
+
+def test_parse_refuses_a_literal_past_the_digit_limit():
+    # A literal the interpreter will not convert is refused at the literal,
+    # as a numerator, a denominator or a radicand; the limit itself parses.
+    limit = sys.get_int_max_str_digits()
+    assert limit, "the interpreter's default limit is on"
+    assert parse("1" * limit + "*S1") == NCPolynomial({(1,): int("1" * limit)})
+    digits = "1" * (limit + 1)
+    for prefix, suffix in (("", "*S1"), ("S2 + 2/", ""), ("S3 sqrt(", ")")):
+        with pytest.raises(ParseError) as err:
+            parse(prefix + digits + suffix)
+        assert str(err.value) == (f"integer of {limit + 1} digits exceeds this interpreter's limit of {limit} digits"
+                                  f" (at position {len(prefix)})")
+
+
 # --- pbw ordering ---------------------------------------------------------------
 
 
@@ -685,6 +792,32 @@ def test_one_cell_step_is_a_table_read(dim):
                         assert out is entry
                     if steps is table.capped:
                         assert out == combine_terms([(w, *R.capped_step(table, row, a))])
+    assert table.rules
+
+
+@pytest.mark.parametrize("dim", range(2, 6))
+def test_multi_cell_step_is_one_combination(dim):
+    # A step of several cells, or of several parts, accumulates each cell's
+    # stored entry in one pass over a running lcm of the denominators: the
+    # same row as ``combine_terms`` of the entries, with keys 1 and i,
+    # weights and numerators of both signs, denominators above 1 in rows
+    # and in entries, and cells that cancel.
+    rng = random.Random(3100 + dim)
+    forms, table = rewrite._forms(), rewrite._RuleTable(dim)
+    for steps in (forms, table.capped):
+        entry_dens = set()
+        for _ in range(40):
+            parts = [(rng.choice((-3, -1, 1, 2)), _ordered_row(rng, dim), rng.randint(1, 3))
+                     for _ in range(rng.choice((1, 1, 2, 3)))]
+            if len(parts) == 1 and len(parts[0][1][0]) == 1:
+                continue
+            entries = [(w * n, *steps[u, a, k], den) for w, (terms, den), a in parts for (u, k), n in terms.items()]
+            want = combine_terms([(f, t, d * den) for f, t, d, den in entries])
+            assert steps(parts) == want, (dim, parts)
+            entry_dens.update(d for _, _, d, _ in entries)
+            # the same cells twice over, once negated: they cancel
+            assert steps(parts + [(-w, row, a) for w, row, a in parts]) == ({}, 1)
+        assert steps is forms or max(entry_dens) > 1
     assert table.rules
 
 
