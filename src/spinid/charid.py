@@ -229,11 +229,13 @@ def build_identity(dim: int) -> Identity:
 def discover_identity(rep: SpinRep) -> Identity:
     """Recover the identity coefficients from the representation alone.
 
-    Solves  sum_p a_p S_3^(D - 2p) = -S_3^D  for the a_p by fraction-free
-    elimination (each matrix entry splits into its coordinates on the
-    {sqrt(m), i sqrt(m)} basis, one equation per coordinate) and returns
-    b_p = 2^p p! a_p.  The a_p come from the matrices, not from the
-    characteristic polynomial's product form.
+    Solves  sum_p a_p S_3^(D - 2p) = -S_3^D  for the a_p and returns
+    b_p = 2^p p! a_p (``_solve_ladder``): each matrix entry splits into its
+    coordinates on the {sqrt(m), i sqrt(m)} basis, one equation per
+    coordinate; fraction-free elimination stops once floor(D/2) pivots
+    stand, and one linear combination of the powers, no product, certifies
+    the back-substituted candidate.  The a_p come from the matrices, not
+    from the characteristic polynomial's product form.
 
     One index multiset suffices, every index 3: counts (0, 0, D).  The
     identity is the polarization of F(u) = sum_j a_j (u.u)^j (u.S)^(D-2j).
@@ -252,14 +254,28 @@ def discover_identity(rep: SpinRep) -> Identity:
     if not rep.commutes:
         raise DiscoveryError("the matrices do not satisfy the su(2) commutation relation [S_a, S_b] = i "
                              "epsilon_abc S_c, on which discovery from the multiset of S_3 alone rests")
-    k = dim // 2
     foot, times = _s3_ladder(rep, dim)
     powers = [foot]  # powers[j] = S_3^(D mod 2 + 2j)
-    for _ in range(k):
+    for _ in range(dim // 2):
         powers.append(times([(1, powers[-1], 1)]))
-    # Column p - 1 is S_3^(D - 2p) = powers[k - p]; the right-hand side -S_3^D.
+    a = _solve_ladder(powers)
+    return Identity(dim=dim, b=tuple(2**p * factorial(p) * a_p for p, a_p in enumerate(a, start=1)))
+
+
+def _solve_ladder(powers: list[Row]) -> list[Fraction]:
+    """The a_p, p = 1..k for k = len(powers) - 1, with
+    powers[k] + sum_p a_p powers[k - p] = 0.
+
+    Each (row, col, key) coordinate gives one equation, cleared of
+    denominators; in sorted order they are eliminated fraction-free until k
+    pivots stand (``_eliminate``).  Back-substitution then gives the only
+    candidate the whole system allows, and one combination of the powers
+    certifies it against every equation.  A contradiction, met in
+    elimination or by the certificate, raises "no coefficients satisfy";
+    fewer than k pivots, "not uniquely determined"."""
+    k = len(powers) - 1
+    # Column p - 1 is powers[k - p]; the right-hand side -powers[k].
     mats = powers[k - 1::-1] + [combine_terms([(-1, *powers[k])])]
-    # One equation per (row, col, key) coordinate, cleared of denominators.
     den = lcm(*(d for _, d in mats))
     rows: dict[tuple[int, int, int], list[int]] = {}
     for j, (terms, d) in enumerate(mats):
@@ -270,10 +286,14 @@ def discover_identity(rep: SpinRep) -> Identity:
     pivots: dict[int, list[int]] = {}
     for cell in sorted(rows):
         _eliminate(rows[cell], pivots, k)
-    if len(pivots) < k:
+        if len(pivots) == k:
+            break
+    else:
         raise DiscoveryError("identity coefficients are not uniquely determined")
     a = _back_substitute(pivots, k)
-    return Identity(dim=dim, b=tuple(2**p * factorial(p) * a_p for p, a_p in enumerate(a, start=1)))
+    if combine_terms([(1, *powers[k])] + [(a_p, *powers[k - p]) for p, a_p in enumerate(a, start=1)])[0]:
+        raise DiscoveryError("no coefficients satisfy the identity pattern")
+    return a
 
 
 def _eliminate(row: list[int], pivots: dict[int, list[int]], k: int) -> None:

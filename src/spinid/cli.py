@@ -141,9 +141,9 @@ def cmd_identity(args: argparse.Namespace) -> int:
 def cmd_reduce(args: argparse.Namespace) -> int:
     nf = reduce_degree(parse(args.expr), args.dim)
     if args.format == "json":
-        print(json.dumps(to_json_dict(nf)))
+        print(_rendered("reduce", lambda: json.dumps(to_json_dict(nf))))
     else:
-        print(render(nf, args.format))
+        print(_rendered("reduce", lambda: render(nf, args.format)))
     return 0
 
 

@@ -235,8 +235,7 @@ class Scalar:
         """Multiplicative inverse, supported on Gaussian rationals only:
         den (a - b i) / (a^2 + b^2) for (a + b i) / den.
 
-        That subset is all the engine ever divides by (matrix elimination
-        pivots of rational matrices).
+        ``Matrix.inverse`` divides only by Gaussian pivots, the same subset.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")

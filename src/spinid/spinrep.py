@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .scalar import (
@@ -23,6 +23,7 @@ from .scalar import (
     Record,
     Row,
     Scalar,
+    UnsupportedInverseError,
     combine_terms,
     fraction_row,
     key_product,
@@ -30,7 +31,6 @@ from .scalar import (
     render_components,
     row_components,
     row_of_scalars,
-    row_scalars,
     scalar_at,
     squarefree_decompose,
     times_key,
@@ -49,6 +49,13 @@ class SingularMatrixError(ArithmeticError):
     """Exact elimination found no inverse."""
 
 
+def _square(rows: Sequence[Sequence]) -> int:
+    """The dimension of a square matrix's rows; ragged rows are refused."""
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("matrix must be square")
+    return len(rows)
+
+
 class Matrix:
     """Square matrix of exact values, held as its matrix row.  Instances
     are never mutated after construction; every operation allocates a
@@ -57,10 +64,7 @@ class Matrix:
     __slots__ = ("dim", "row")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
-        dim = len(rows)
-        if any(len(r) != dim for r in rows):
-            raise ValueError("matrix must be square")
-        self.dim = dim
+        self.dim = _square(rows)
         self.row = row_of_scalars(((r, c), a) for r, entries in enumerate(rows) for c, a in enumerate(entries))
 
     @classmethod
@@ -79,7 +83,8 @@ class Matrix:
 
     @classmethod
     def from_rational_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "Matrix":
-        return cls([[Scalar.of(x) for x in r] for r in rows])
+        return cls._make(_square(rows), fraction_row(
+            {(r, c, KEY_ONE): Fraction(x) for r, entries in enumerate(rows) for c, x in enumerate(entries)}))
 
     def __getitem__(self, rc: tuple[int, int]) -> Scalar:
         return scalar_at(self.row, {tuple(rc)})
@@ -122,28 +127,52 @@ class Matrix:
         return self.dim == other.dim and self.row == other.row
 
     def inverse(self) -> "Matrix":
-        """Exact Gauss-Jordan inverse.
+        """Exact inverse by one fraction-free Gauss-Jordan elimination on the
+        row's integer numerators, checked by one product M M^-1 = 1.
 
-        Pivots must be invertible Scalars; rational input keeps every pivot
-        rational.  Raises SingularMatrixError when the rank is deficient.
+        With M = N / den, the rows of [N | 1] are maps (col, key) -> integer,
+        so every entry is a map key -> numerator, radicals included.  Each
+        column's pivot is its first nonzero entry on or below the diagonal;
+        every other row r becomes p * r - f * (pivot row) for the pivot p and
+        r's entry f, divided by its content (``_cross``).  That is a nonzero
+        Gaussian multiple of the row that elimination over the field holds at
+        the same step, so the pivots fall where they fall there.  A pivot
+        must be Gaussian, since the inverse divides by it: otherwise
+        UnsupportedInverseError names the value the field elimination would
+        divide by.  Raises SingularMatrixError when the rank is deficient.
         """
-        n = self.dim
-        zero, entries = Scalar.zero(), row_scalars(self.row)
-        a = [[entries.get((r, c), zero) for c in range(n)] for r in range(n)]
-        inv = [[Scalar.one() if r == c else zero for c in range(n)] for r in range(n)]
+        n, (terms, den) = self.dim, self.row
+        rows: list[dict[tuple[int, int], int]] = [{(n + r, KEY_ONE): 1} for r in range(n)]
+        for (r, c, key), num in terms.items():
+            rows[r][c, key] = num
+        origin = list(range(n))  # origin[r]: the row of N that row r started as
+        keys = {KEY_ONE} | {key for _, _, key in terms}  # every key a cell has held
         for col in range(n):
-            pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+            at = [{k: m for k in keys if (m := row.get((col, k)))} for row in rows]  # column col
+            pivot = next((r for r in range(col, n) if at[r]), None)
             if pivot is None:
                 raise SingularMatrixError("matrix is singular")
-            a[col], a[pivot], inv[col], inv[pivot] = a[pivot], a[col], inv[pivot], inv[col]
-            p = a[col][col].inverse()
-            a[col], inv[col] = [p * x for x in a[col]], [p * x for x in inv[col]]
-            for r in range(n):
-                f = a[r][col]
-                if r != col and not f.is_zero():
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return Matrix(inv)
+            for seq in (rows, at, origin):
+                seq[col], seq[pivot] = seq[pivot], seq[col]
+            p, prow = at[col], rows[col]
+            if not p.keys() <= {KEY_ONE, KEY_I}:
+                # Row col is a multiple of its field counterpart, by its entry at its origin's
+                # column of the inverse, where the field row holds 1.
+                scale = {k: m for k in keys if (m := prow.get((n + origin[col], k)))}
+                value = combine_terms(_over_gaussian({(k,): m for k, m in p.items()}, scale, Fraction(1, den)))
+                raise UnsupportedInverseError(f"inverse of {Scalar._make(value)} has a radical denominator")
+            for r, f in enumerate(at):
+                if f and r != col:
+                    rows[r] = _cross(p, rows[r], f, prow)
+                    keys.update(k for _, k in rows[r])
+        # Row r is now d_r (e_r | row r of N^-1 = M^-1 / den), d_r Gaussian.
+        inverse = combine_terms(
+            part for r, row in enumerate(rows)
+            for part in _over_gaussian({(r, c - n, k): m for (c, k), m in row.items() if c >= n},
+                                       {k: row.get((r, k), 0) for k in (KEY_ONE, KEY_I)}, den))
+        if row_matmul(self.row, inverse) != Matrix.identity(n).row:
+            raise ArithmeticError("the elimination's inverse fails M M^-1 = 1")
+        return Matrix._make(n, inverse)
 
     def to_strings(self, latex: bool = False) -> list[list[str]]:
         """Row-major nested lists of entry strings (plain: the JSON wire form)."""
@@ -246,6 +275,29 @@ def _by_column(terms: dict[Cell, int]) -> dict[int, list[tuple[int, int, int]]]:
     return out
 
 
+def _cross(p: dict[int, int], row: dict, f: dict[int, int], prow: dict) -> dict:
+    """p * row - f * prow for scalars p and f (maps key -> numerator) and
+    rows with cells (col, key), divided by its content, zeros dropped."""
+    out: dict[tuple[int, int], int] = {}
+    for w, cells in ((p, row), ({k: -m for k, m in f.items()}, prow)):
+        for k1, m1 in w.items():
+            for (c, k2), m2 in cells.items():
+                g, key = key_product(k1, k2)
+                t = c, key
+                out[t] = out.get(t, 0) + g * m1 * m2
+    out = {t: m for t, m in out.items() if m}
+    g = gcd(*out.values())
+    return {t: m // g for t, m in out.items()} if g > 1 else out
+
+
+def _over_gaussian(cells: dict, z: dict[int, int], w: Fraction | int) -> list[tuple[Fraction | int, dict, int]]:
+    """The ``combine_terms`` parts of w * cells / z, for cells that end in
+    their key and z a nonzero Gaussian integer (a map key -> numerator):
+    w * cells * conj(z) / |z|^2."""
+    a, b = z.get(KEY_ONE, 0), z.get(KEY_I, 0)
+    return [(w * a, cells, a * a + b * b), (-w * b, times_key(cells, KEY_I), a * a + b * b)]
+
+
 def eigenvalue_list(dim: int) -> list[Fraction]:
     """Eigenvalues s, s-1, ..., -s of S_3 in descending order."""
     if dim < 1:
@@ -275,7 +327,8 @@ class SpinRep(Record):
         """Whether the triple satisfies the su(2) commutation relation
         (``commutation_holds``), computed on first use and kept: the
         relation is a property of the representation, so verification and
-        discovery read it here.  ``_checked`` fills it as it builds."""
+        discovery read it here.  ``from_matrices`` fills it as it builds,
+        and ``conjugate_rep`` hands it on."""
         return commutation_holds(self)
 
     def matrix(self, axis: int) -> Matrix:
@@ -293,14 +346,12 @@ class SpinRep(Record):
         s1, s2, s3 = matrices
         for mat in (s2, s3):
             mat._check_dim(s1)
-        return cls._checked(s1.dim, (s1.row, s2.row, s3.row))
+        return cls(s1.dim, (s1.row, s2.row, s3.row))._require_relation()
 
-    @classmethod
-    def _checked(cls, dim: int, rows: tuple[Row, Row, Row]) -> "SpinRep":
-        rep = cls(dim, rows)
-        if not rep.commutes:
+    def _require_relation(self) -> "SpinRep":
+        if not self.commutes:
             raise ValueError("matrices do not satisfy the su(2) commutation relation")
-        return rep
+        return self
 
 
 def build_generators(dim: int) -> SpinRep:
@@ -345,16 +396,23 @@ def is_hermitian(mat: Matrix) -> bool:
 
 
 def conjugate_rep(rep: SpinRep, m: Matrix) -> SpinRep:
-    """Change basis by any non-singular matrix: S_i -> M S_i M^{-1}, the
-    products taken on matrix rows.
+    """Change basis by any non-singular matrix: S_a -> M S_a M^-1, the
+    products taken on matrix rows by two kernels, one over the generators
+    for M S_a and one over M^-1.
 
-    The result still satisfies the commutation relation (and is checked),
-    but is generally no longer Hermitian.
+    M S_a M^-1 satisfies the commutation relation iff S_a does, so the
+    result inherits ``rep.commutes`` and takes no bracket; a triple off the
+    relation is refused with ValueError.  The result is generally no longer
+    Hermitian.
     """
     if m.dim != rep.dim:
         raise ValueError(f"dimension mismatch: {m.dim} vs {rep.dim}")
-    right = m.inverse().row
-    return SpinRep._checked(rep.dim, tuple(row_matmul(row_matmul(m.row, g), right) for g in rep.rows))
+    by_inverse = product_kernel((m.inverse().row,))
+    rep._require_relation()
+    by_gens = product_kernel(rep.rows)
+    out = SpinRep(rep.dim, tuple(by_inverse([(1, by_gens([(1, m.row, a)]), 1)]) for a in (1, 2, 3)))
+    out.__dict__["commutes"] = True  # the cached verdict, inherited
+    return out
 
 
 def matrix_algebra(rep: SpinRep) -> tuple[Row, Times]:

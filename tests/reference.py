@@ -2,7 +2,9 @@
 
 ``Radical`` and ``Scalar`` are dicts of ``Fraction`` and ``Matrix`` nested
 lists of ``Scalar``, merged entry by entry: no code is shared with the
-library's rows.  ``ref`` reads a library Scalar or Matrix into this
+library's rows.  ``Matrix.inverse`` is Gauss-Jordan over the field, against
+the library's fraction-free elimination on integer numerators: the same
+inverse, or the same refusal with the same message.  ``ref`` reads a library Scalar or Matrix into this
 arithmetic and ``lib`` writes a reference value back, so an oracle computes
 here and compares here.  ``char_coeffs`` and ``b_coeffs`` expand the
 characteristic equation in ``Fraction`` arithmetic, against the library's

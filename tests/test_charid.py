@@ -10,7 +10,7 @@ from math import comb, factorial
 import pytest
 import reference
 from reference import first_nonzero_entry
-from test_symalg import brute_sym, dense_similarity, letters
+from test_symalg import brute_sym, dense_similarity, integer_similarity, letters
 
 from spinid import charid, spinrep, symalg
 from spinid.charid import (
@@ -752,7 +752,8 @@ def test_verify_refuses_a_triple_off_the_commutation_relation():
 
 def test_relation_is_checked_once_per_representation(monkeypatch):
     # A ladder is checked on first use, once across two verifications and a
-    # discovery; a conjugation as it is built, and never again.
+    # discovery.  A conjugation inherits the verdict of what it conjugates:
+    # its ladder is checked once, and no conjugation ever.
     calls = []
 
     def counted(rep):
@@ -768,6 +769,8 @@ def test_relation_is_checked_once_per_representation(monkeypatch):
     assert calls == [5]
     conjugated = conjugate_rep(build_generators(4), dense_similarity(4))
     assert calls == [5, 4]
+    twice = conjugate_rep(conjugate_rep(ladder, dense_similarity(5)), dense_similarity(5))
+    assert twice.commutes and calls == [5, 4]
     assert verify_identity(conjugated, build_identity(4), mode="exhaustive").ok
     assert not verify_identity(conjugated, build_identity(2), mode="exhaustive").ok
     assert discover_identity(conjugated) == build_identity(4)
@@ -1115,6 +1118,47 @@ def test_discovery_refuses_a_triple_off_the_commutation_relation():
         assert not commutation_holds(rep)
         with pytest.raises(charid.DiscoveryError, match="commutation relation"):
             discover_identity(rep)
+
+
+@pytest.mark.parametrize("dim", range(8, 17))
+def test_discovery_on_dense_integer_conjugations(dim):
+    # Dense equations at every coordinate, against build_identity, and
+    # against the all-multisets oracle up to D = 11: its time grows about
+    # fourfold per dimension, to 11 s at D = 13 and 44 s at D = 14 (2 cores,
+    # Python 3.11.7).
+    rep = conjugate_rep(build_generators(dim), integer_similarity(dim))
+    found = discover_identity(rep)
+    assert found == build_identity(dim)
+    if dim <= 11:
+        assert reference.discover_identity(rep) == found
+
+
+def _diagonal(*entries):
+    return {(k, k, KEY_ONE): n for k, n in enumerate(entries) if n}, 1
+
+
+def test_every_discovery_refusal():
+    # The relation's refusal is above; here no solution and many.  With the
+    # ladder (P_0, ..., P_k), the cell (c, c) reads sum_p a_p P_(k-p) = -P_k.
+    for dims in DIRECT_SUMS[:10]:
+        with pytest.raises(charid.DiscoveryError, match="^identity coefficients are not uniquely determined$"):
+            discover_identity(direct_sum(*dims))
+    with pytest.raises(charid.DiscoveryError, match="^identity coefficients are not uniquely determined$"):
+        charid._solve_ladder([_diagonal(1, 1), _diagonal(1, 1), _diagonal(-2, -2)])
+    assert charid._solve_ladder([_diagonal(1, 1), _diagonal(-4, -4)]) == [4]
+    assert charid._solve_ladder([_diagonal(1, 1), _diagonal(1, 2), _diagonal(-1, -4)]) == [3, -2]
+    no = "^no coefficients satisfy the identity pattern$"
+    # A contradiction before any pivot: cell (0, 0) reads 0 = 1.
+    with pytest.raises(charid.DiscoveryError, match=no):
+        charid._solve_ladder([_diagonal(0, 1), _diagonal(-1, -1)])
+    # Before the second of k = 2 pivots: cells (0, 0) and (1, 1) read
+    # a_1 + a_2 = 2 and = 3.
+    with pytest.raises(charid.DiscoveryError, match=no):
+        charid._solve_ladder([_diagonal(1, 1, 1), _diagonal(1, 1, 2), _diagonal(-2, -3, -5)])
+    # After the k-th pivot: cell (0, 0) gives a_1 = 1, and only the
+    # certificate reads cell (1, 1), a_1 = 4.
+    with pytest.raises(charid.DiscoveryError, match=no):
+        charid._solve_ladder([_diagonal(1, 1), _diagonal(-1, -4)])
 
 
 def test_discovery_needs_dimension_two():

@@ -313,6 +313,16 @@ def test_identity_refuses_numbers_past_the_digit_limit(fmt):
     assert _refused(proc, "identity 1200"), proc.stderr
 
 
+@pytest.mark.parametrize("fmt", ["plain", "latex", "json"])
+def test_reduce_refuses_numbers_past_the_digit_limit(fmt):
+    # Two 3000-digit literals parse, and their product, 6000 digits, is
+    # refused when printed, with the command named.
+    nines = "9" * 3000
+    proc = run_cli("reduce", f"{nines}*{nines}*S1", "--dim", "3", "--format", fmt, timeout=60,
+                   PYTHONINTMAXSTRDIGITS="4300")
+    assert _refused(proc, "reduce"), proc.stderr
+
+
 def test_sums_refusals():
     assert _refused(run_cli("sums", "500", "1000000000", PYTHONINTMAXSTRDIGITS="4300"), "sums 500 1000000000")
     for r in (501, 10**400):

@@ -4,7 +4,7 @@ import pytest
 
 import random
 
-from test_symalg import dense_similarity
+from test_symalg import dense_similarity, integer_similarity
 
 import reference as R
 from reference import lib, ref
@@ -100,10 +100,14 @@ def test_conjugation_matches_reference(dim):
     )):
         rep, want = conjugate_rep(ladder, m), reference_conjugate_rep(ladder, m)
         assert [ref(g) for g in rep.S] == list(want)
+        # The verdict is inherited from the ladder, and the brackets agree.
+        assert rep.__dict__["commutes"] is True
         assert commutation_holds(rep) and reference_commutation_holds(want)
         for triple in broken_triples(rep):
             assert not commutation_holds(unchecked(dim, triple))
             assert not reference_commutation_holds(triple)
+            with pytest.raises(ValueError, match="commutation relation"):
+                conjugate_rep(unchecked(dim, triple), m)
 
 
 def _forbid(monkeypatch, owner, *names):
@@ -118,10 +122,8 @@ def test_representation_layer_runs_without_scalar_arithmetic(monkeypatch):
     dim = 12
     ladder = build_generators(dim)
     broken = [[lib(m) for m in triple] for triple in broken_triples(ladder)]
-    m = dense_similarity(4)
-    m_inv = m.inverse()
     small = build_generators(4)
-    _forbid(monkeypatch, Scalar, "__add__", "__sub__", "__mul__", "__rmul__")
+    _forbid(monkeypatch, Scalar, "__add__", "__sub__", "__mul__", "__rmul__", "of", "inverse")
     _forbid(monkeypatch, Matrix, "__add__", "__sub__", "__mul__", "scale", "dagger")
 
     rep = build_generators(dim)
@@ -138,8 +140,9 @@ def test_representation_layer_runs_without_scalar_arithmetic(monkeypatch):
     failing = verify_identity(rep, build_identity(3), mode="exhaustive")
     assert not failing.ok and failing.to_json()["failures"]
     assert discover_identity(rep) == build_identity(dim)
-    # conjugate_rep's only Scalar arithmetic is the inverse of its argument.
-    monkeypatch.setattr(Matrix, "inverse", lambda self: m_inv)
+    # Nor do a rational matrix, its inverse and a conjugation by it.
+    m = Matrix.from_rational_rows([[1, Fraction(1, 2), 0, 0], [0, 1, 0, 2], [3, 0, 1, 0], [0, 0, -1, 1]])
+    assert row_matmul(m.inverse().row, m.row) == Matrix.identity(4).row
     assert commutation_holds(conjugate_rep(small, m))
 
 
@@ -271,6 +274,67 @@ def test_singular_matrix_rejected():
 def test_radical_pivot_inverse_unsupported():
     m = Matrix([[Scalar.sqrt_int(2), Scalar.of(0)], [Scalar.of(0), Scalar.of(1)]])
     with pytest.raises(UnsupportedInverseError):
+        m.inverse()
+
+
+def _inverse_or_refusal(invert):
+    """The reference rows of an inverse, or the refusal's type and message."""
+    try:
+        return ref(invert()).rows
+    except (SingularMatrixError, UnsupportedInverseError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("dim", range(2, 21))
+def test_inverse_of_an_integer_similarity_matches_reference(dim):
+    m = integer_similarity(dim)
+    assert ref(m.inverse()) == ref(m).inverse()
+
+
+def _seeded_matrix(rng, dim, kind):
+    """Seeded entries, about a third zero, so that pivots move and some
+    matrices are singular: rational, Gaussian rational, or with a radical
+    part."""
+    def entry():
+        if rng.random() < 0.35:
+            return R.ZERO
+        value = R.Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        if kind != "rational" and rng.random() < 0.5:
+            value = value + R.Scalar(0, Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+        if kind == "radical" and rng.random() < 0.4:
+            value = value + R.sqrt(rng.choice((2, 3, Fraction(1, 2))))
+        return value
+
+    return R.Matrix([[entry() for _ in range(dim)] for _ in range(dim)])
+
+
+@pytest.mark.parametrize("kind", ["rational", "gaussian", "radical"])
+def test_inverse_matches_reference_on_seeded_matrices(kind):
+    # The same inverse, or the same refusal with the same message: a radical
+    # pivot is named by the value elimination over the field divides by.
+    rng = random.Random(kind)
+    outcomes = set()
+    for _ in range(80):
+        want = _seeded_matrix(rng, rng.randint(1, 6), kind)
+        got = _inverse_or_refusal(lib(want).inverse)
+        assert got == _inverse_or_refusal(lambda: lib(want.inverse()))
+        outcomes.add(got[0] if isinstance(got, tuple) else Matrix)
+    assert outcomes == {Matrix, SingularMatrixError} | ({UnsupportedInverseError} if kind == "radical" else set())
+
+
+def test_inverse_with_radicals_off_the_pivots():
+    # sqrt(3) and sqrt(6) meet in elimination and cancel: every pivot is
+    # Gaussian, and the inverse keeps radical entries.
+    s2, s3, s6 = (R.sqrt(m) for m in (2, 3, 6))
+    want = R.Matrix([[R.ONE, s2, R.ZERO], [s3, s6 + R.ONE, R.I], [R.ZERO, R.ONE, R.Scalar(2)]])
+    inverse = lib(want).inverse()
+    assert ref(inverse) == want.inverse()
+    assert any(key >> 1 > 1 for _, _, key in inverse.row[0])
+    # A radical pivot after one step: refused, named as the field elimination names it.
+    m = R.Matrix([[R.Scalar(Fraction(1, 2)), R.ONE], [R.ONE, s2]])
+    with pytest.raises(UnsupportedInverseError, match=r"^inverse of -2 \+ sqrt\(2\) has a radical denominator$"):
+        lib(m).inverse()
+    with pytest.raises(UnsupportedInverseError, match=r"^inverse of -2 \+ sqrt\(2\) "):
         m.inverse()
 
 

@@ -43,6 +43,14 @@ def dense_similarity(dim):
     return Matrix.from_rational_rows(lower) * Matrix.from_rational_rows(upper)
 
 
+def integer_similarity(dim):
+    """A dense integer L*U: unit diagonals and +-1 elsewhere, so invertible
+    over the integers."""
+    lower = [[1 if r == c else (-1) ** (r + c) if r > c else 0 for c in range(dim)] for r in range(dim)]
+    upper = [[1 if r == c else (-1) ** (r * c) if r < c else 0 for c in range(dim)] for r in range(dim)]
+    return Matrix.from_rational_rows(lower) * Matrix.from_rational_rows(upper)
+
+
 def brute_sym(rep, letters, cache=None):
     """Literal sum over all n! orderings of the product (repeats counted:
     each distinct ordering occurs prod_a c_a! times), in the reference
