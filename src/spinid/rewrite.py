@@ -5,10 +5,12 @@ exact coefficients, stored as the rows of ``scalar``: integer numerators
 over one denominator, keyed by (word, key).  The canonical form for dimension D
 keeps only ordered words S1^a S2^b S3^c of total degree <= D-1: the
 commutation relation orders the letters, and the dimension-D reduction
-identity caps the degree.  Words are folded letter by letter, each letter
-inserted into ordered words through a table of each ordered word's
-product by each letter, built on first use, so no unordered word is
-stored.  ``reduce_degree``'s table caps every step by its dimension's
+identity caps the degree.  A polynomial is folded by Horner's rule over
+its words' shared suffixes: words that end alike are summed before their
+common suffix is multiplied in, once.  Each letter is inserted into
+ordered words through a table of each ordered word's product by each
+letter, built on first use, so no unordered word is stored.
+``reduce_degree``'s table caps every step by its dimension's
 rules, one per ordered word of degree D; it is shared by all later
 reductions at that D (the 8 most recently used dimensions are kept).  The
 form it reaches is unique modulo the relations, so it does not depend on
@@ -226,7 +228,9 @@ _GENERATORS = {"S1": 1, "S2": 2, "S3": 3}
 _SQRT_MAX = 10**12
 # An expansion past this many words, a brace's distinct orderings or a product's terms (at most
 # the product of its factors' term counts), is refused before it is built.  At --dim 3, {S1 S2 S3}
-# with each letter 4 times (34650 words) reduces in 1.7 s, 5 times (756756) in a minute.
+# with each letter 4 times (34650 words) reduces in 0.36 s from the command line; 5 times (756756
+# words, past the bound) takes 1.3 s to expand and 6.4 s to reduce, at a peak RSS of 316 MB
+# (2 cores, Python 3.11).
 _MAX_WORDS = 10**5
 _FACTOR_START = {"INT", "NAME", "(", "{", "["}
 
@@ -497,7 +501,8 @@ def sym_words(letters: tuple[int, ...]) -> NCPolynomial:
 # combines them by scalar.combine_terms like the cells of a matrix row.
 # Commutators bring in +-i and the identity rational coefficients, so the
 # rows the fold builds from the unit only have the keys KEY_ONE and KEY_I;
-# the coefficients of a polynomial's words are multiplied in once, by _fold.
+# a word's coefficient enters as part weights where its word meets others,
+# and its radicand once, at the end (_fold).
 # Ordered forms and capped steps are both tables of steps (``_Steps``), and
 # a table is its algebra's right multiplication (``spinrep.Times``), like
 # ``matrix_algebra``'s: one fold and one SymSession serve every algebra.
@@ -511,11 +516,12 @@ class _Steps(dict):
 
     Called on parts (w, row, a), a table is that algebra's right
     multiplication (``spinrep.Times``): sum w * row * S_a, each cell (u, k)
-    of a row replaced by the entry steps[u, a, k], all combined at once.
-    One part of one cell, a fold step's usual case, is a read: the stored
-    entry itself when w times the cell's numerator and the row's
-    denominator are 1, else that entry scaled once in integers.  More cells
-    are added in one pass, each entry read once, over the lcm of the
+    of a row replaced by the entry steps[u, a, k], all combined at once;
+    axis 0 stands for the unit, so a part (w, row, 0) adds w * row itself.
+    One part of one cell times a letter, a fold step's usual case, is a
+    read: the stored entry itself when w times the cell's numerator and the
+    row's denominator are 1, else that entry scaled once in integers.  More
+    cells are added in one pass, each entry read once, over the lcm of the
     denominators met so far, and reduced once."""
 
     def __init__(self, build: Callable[[Word, int, int], Row]):
@@ -527,7 +533,7 @@ class _Steps(dict):
         return entry
 
     def __call__(self, parts: Sequence[Part]) -> Row:
-        if len(parts) == 1 and len(parts[0][1][0]) == 1:  # one cell: a table read
+        if len(parts) == 1 and parts[0][2] and len(parts[0][1][0]) == 1:  # one cell times a letter: a read
             w, (terms, den), a = parts[0]
             ((u, k), n), = terms.items()
             entry = self[u, a, k]
@@ -540,7 +546,7 @@ class _Steps(dict):
         den = 1  # the lcm of the denominators so far; out is over it
         for w, (terms, d0), a in parts:
             for (u, k), n in terms.items():
-                t, d = self[u, a, k]
+                t, d = self[u, a, k] if a else ({(u, k): 1}, 1)  # axis 0: the row itself
                 d *= d0
                 if den % d:
                     m = lcm(den, d)
@@ -585,22 +591,77 @@ def _forms() -> _Steps:
 
 def _fold(p: NCPolynomial, unit: Row, times: Times) -> Row:
     """The value of p in an algebra given by its unit and right
-    multiplication (``spinrep.Times``), as a row of that algebra: each word
-    of p folded letter by letter from the unit, once, a step being
-    times([(1, row, a)]), times the cells of its coefficient, all combined
-    over p's denominator."""
+    multiplication (``spinrep.Times``), as a row of that algebra.
+
+    A coefficient is (a + b i) sqrt(m) for integers a, b and a squarefree
+    radicand m.  The words of one radicand and one last letter are summed
+    by Horner's rule over their shared suffixes (``_horner``), with rows of
+    the keys of 1 and i only; each sum is multiplied by sqrt(m) once, and
+    all are combined over p's denominator in one pass."""
     terms, den = p._row
-    by_word: dict[Word, list[tuple[int, int]]] = {}
+    groups: dict[tuple[int, int], dict[Word, list[int]]] = {}  # (m, last letter) -> word -> [a, b]
     for (w, key), n in terms.items():
-        by_word.setdefault(w, []).append((key, n))
+        groups.setdefault((key >> 1, w[-1] if w else 0), {}).setdefault(w, [0, 0])[key & 1] = n
     parts = []
-    for w, items in by_word.items():
-        row = unit
-        for a in w:
+    for (m, _), coefficients in groups.items():
+        for c, (cells, d), _ in _horner(coefficients, unit, times):
+            parts.append((c, cells if m == 1 else times_key(cells, 2 * m), d * den))
+    return combine_terms(parts)
+
+
+def _horner(coefficients: dict[Word, list[int]], unit: Row, times: Times) -> list[Part]:
+    """The sum of (a + b i) w over coefficients {w: [a, b]}, in the algebra
+    of unit and times, as parts (c, row, 0) whose weighted rows add up to it.
+
+    Horner's rule on the trie of reversed words.  A group of several words
+    sharing their last letters s is, before s, n_0 (the coefficient of the
+    word s itself, if any) plus sum_x P_x S_x, P_x the sum of what precedes
+    x s in the words that have the letter x there.  Its value is one fused
+    call times([(n_0, unit, 0), (1, P_x, x), ...]) at that branch point,
+    each P_x a group found the same way, followed by the letters of s one
+    at a time.  A group of one word is folded letter by letter from the
+    unit, and its coefficient enters its branch point as the part weights
+    of (a, row) and (b, i row).  Branch points wait on an explicit stack,
+    so the Python stack stays flat however long the words."""
+    done: list[Part] = []
+    # Branch points (x, end, s, groups, parts): reached by the letter x (0 for the word that
+    # is all suffix), their words share their last end letters, the last s of them peeled
+    # there; the groups still to evaluate, and the parts found.  The base takes the whole sum.
+    stack = [(0, 0, (), [(0, list(coefficients))], done)]
+    while True:
+        axis, end, suffix, groups, parts = stack[-1]
+        if groups:
+            x, words = groups.pop()
+            depth = end + (x != 0)  # the words share their last depth letters
+            if len(words) == 1:  # a lone word, letter by letter
+                w = words[0]
+                row = unit
+                for a in w[: len(w) - depth]:
+                    row = times([(1, row, a)])
+                re, im = coefficients[w]
+                if re:
+                    parts.append((re, row, x))
+                if im:
+                    parts.append((im, (times_key(row[0], KEY_I), row[1]), x))
+                continue
+            stop = depth  # a branch point: peel the common suffix, group by the letter before it
+            while True:
+                by_letter: dict[int, list[Word]] = {}
+                for w in words:
+                    by_letter.setdefault(w[-1 - stop] if len(w) > stop else 0, []).append(w)
+                if len(by_letter) > 1:  # at most one word is all suffix, so one group is a shared letter
+                    break
+                stop += 1
+            w = words[0]
+            stack.append((x, stop, w[len(w) - stop : len(w) - depth], list(by_letter.items()), []))
+            continue
+        if len(stack) == 1:
+            return done
+        stack.pop()
+        row = times(parts)
+        for a in suffix:
             row = times([(1, row, a)])
-        parts += [(n, times_key(row[0], key), row[1]) for key, n in items]
-    out, d = combine_terms(parts)
-    return reduce_terms(out, d * den)
+        stack[-1][4].append((1, row, axis))
 
 
 def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
@@ -687,18 +748,21 @@ def _rule_table(dim: int) -> _RuleTable:
 def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     """Canonical form on dimension D: ordered words of degree <= D-1.
 
-    Each word is folded letter by letter, starting from 1:
-    NF(w S_a) = cap(order(NF(w) S_a)).  NF(w) has degree <= D-1, so the
-    ordering only moves one letter into an ordered word.  cap replaces
-    every ordered word u of degree D by its rule, the ordered form of
-    u - (1/D!) (the identity's left side at u), of degree <= D-1
-    (``_identity_replacement``).  The rules form a table of at most
-    C(D+2, 2) entries, built on demand from the symmetric products of a
-    SymSession over ordered words.  Both maps are linear, so a step is the
+    The words are folded by Horner's rule over their shared suffixes
+    (``_fold``): NF(P S_a) = cap(order(NF(P) S_a)), where P is a single
+    word or the sum of the words' parts before a suffix they share, so a
+    suffix is multiplied in once for all the words that end in it.  NF(P)
+    has degree <= D-1, so the ordering only moves one letter into an
+    ordered word.  cap replaces every ordered word u of degree D by its
+    rule, the ordered form of u - (1/D!) (the identity's left side at u),
+    of degree <= D-1 (``_identity_replacement``).  The rules form a table
+    of at most C(D+2, 2) entries, built on demand from the symmetric
+    products of a SymSession over ordered words.  Both maps are linear, so a step is the
     product of its row through the table of capped steps NF(basis(k) u S_a)
     of its cells (u, k), each built once, on first use (``_Steps``).
-    Arithmetic is in Gaussian integers over a common denominator; each
-    word's coefficient is multiplied in once, at the end (``_fold``).
+    Arithmetic is in Gaussian integers over a common denominator; a word's
+    coefficient enters as the part weights where its word meets others,
+    its radicand once, at the end (``_fold``).
 
     Capped steps, rules, products and ordered forms live in one table per
     dimension (``_RuleTable``), shared by every reduction at that D for the

@@ -24,7 +24,6 @@ symmetric product.
 """
 from __future__ import annotations
 
-import itertools
 from math import comb, prod
 from typing import Iterable, Sequence
 
@@ -92,17 +91,22 @@ class SymSession:
     def sym_int(self, counts: tuple[int, int, int]) -> Row:
         """The symmetric product for these axis counts, as a row."""
         rows = self._rows
-        if counts not in rows:
-            # {c} = sum_a c_a {c - e_a} S_a: any of the c_a positions carrying
-            # letter a may come last.  The memo holds every c'' <= c' of each
-            # entry c', so the missing entries are those of the box c' <= c
-            # not yet stored.  Lexicographic order puts each neighbour c' - e_a
-            # first, so one pass builds each of them once, from neighbours
-            # already stored; a zero row stays zero: it is not multiplied.
-            for x, y, z in itertools.product(*(range(n + 1) for n in counts)):
-                if (x, y, z) not in rows:
-                    near = ((x, (x - 1, y, z), 1), (y, (x, y - 1, z), 2), (z, (x, y, z - 1), 3))
-                    rows[x, y, z] = self._times([(n, rows[b], a) for n, b, a in near if n and rows[b][0]])
+        # {c} = sum_a c_a {c - e_a} S_a: any of the c_a positions carrying
+        # letter a may come last.  No recursion and no scan of the box c' <= c:
+        # the top of a work stack pushes its missing neighbours, or is built
+        # once all are stored.  A pushed entry is one order below the top, the
+        # lowest order on the stack, so none is pushed twice and each missing
+        # entry is built once; a zero row stays zero: it is not multiplied.
+        stack = [] if counts in rows else [counts]
+        while stack:
+            x, y, z = top = stack[-1]
+            near = ((x, (x - 1, y, z), 1), (y, (x, y - 1, z), 2), (z, (x, y, z - 1), 3))
+            missing = [b for n, b, _ in near if n and b not in rows]
+            if missing:
+                stack += missing
+            else:
+                stack.pop()
+                rows[top] = self._times([(n, rows[b], a) for n, b, a in near if n and rows[b][0]])
         return rows[counts]
 
 

@@ -25,6 +25,8 @@ against the library's integer recurrence; its first nonzero entry
 position.  ``capped_step`` is the rewriter's fold step as a whole row:
 each cell ordered times the letter, then every degree-D word capped by its
 rule, against the library's product through its table of capped steps.
+``fold`` folds every word of a polynomial on its own, against the
+library's Horner fold over the words' shared suffixes.
 ``row_components`` and ``render_components`` print a row's coefficients
 from ``Fraction``s, against the library's printer on integer numerators.
 ``Parser`` builds one ``NCPolynomial`` per factor and adds terms one by
@@ -38,8 +40,8 @@ from math import comb, factorial, gcd, lcm, prod
 import spinid
 from spinid import rewrite
 from spinid.charid import DiscoveryError
-from spinid.scalar import (KEY_I, KEY_ONE, UnsupportedInverseError, combine_terms, fraction_row, row_scalars, scalar_at,
-                           squarefree_decompose, times_key)
+from spinid.scalar import (KEY_I, KEY_ONE, UnsupportedInverseError, combine_terms, fraction_row, reduce_terms,
+                           row_scalars, scalar_at, squarefree_decompose, times_key)
 from spinid.spinrep import SingularMatrixError, eigenvalue_list, spherical_algebra
 from spinid.symalg import SymSession, all_counts
 
@@ -411,6 +413,25 @@ def capped_step(table, row, a):
             rule, rule_den = rewrite._identity_replacement(spinid.build_identity(table.dim), v, table.session)
             parts.append((Fraction(n, den), times_key(rule, k), rule_den))
     return combine_terms(parts)
+
+
+def fold(p, unit, times):
+    """The value of p in the algebra of unit and times, each word folded on
+    its own: letter by letter from the unit, times the cells of its
+    coefficient, all combined over p's denominator; against the library's
+    Horner fold, which multiplies a suffix shared by several words once."""
+    terms, den = p._row
+    by_word = {}
+    for (w, key), n in terms.items():
+        by_word.setdefault(w, []).append((key, n))
+    parts = []
+    for w, items in by_word.items():
+        row = unit
+        for a in w:
+            row = times([(1, row, a)])
+        parts += [(n, times_key(row[0], key), row[1]) for key, n in items]
+    out, d = combine_terms(parts)
+    return reduce_terms(out, d * den)
 
 
 def sweep_residuals(rep, ident, targets):

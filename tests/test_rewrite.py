@@ -874,6 +874,86 @@ def test_fold_through_the_matrix_algebra_is_evaluate(dim):
         assert ref(Matrix._make(dim, folded)) == reference_evaluate(p, REPS[dim], cache)
 
 
+def _fold_cases(rng, dim):
+    """Seeded polynomials for the fold: braces, braces times a word and
+    commutators; sums of words that share a suffix, one of them all suffix
+    at times, and of words that do not; the empty word; rational, sqrt, i
+    and complex coefficients; and sums that cancel, in the algebra or as
+    polynomials."""
+    letters = ("S1", "S2", "S3")
+    coefficients = ("2/3", "5", "sqrt(2)", "3*sqrt(6)", "i", "2*i", "(1/2 + 3*i)", "sqrt(3)*(2 - i)",
+                    "(1/4 - sqrt(2)*i)")
+
+    def word(n):
+        return [rng.choice(letters) for _ in range(n)]
+
+    def term(w):
+        return "*".join([rng.choice(coefficients)] + w)
+
+    def total(terms):
+        return "".join(rng.choice((" + ", " - ")) + t for t in terms)
+
+    def braces(n):
+        return "{" + " ".join(word(n)) + "}"
+
+    def run(n):
+        return "*".join(word(n))
+
+    b = braces(3)
+    texts = [braces(rng.randint(1, 5)), f"{braces(3)}*{run(2)}", f"{term([])}*{braces(4)}{total([term(word(2))])}",
+             f"[{run(2)}, {run(3)}]", f"{term([])}*[{braces(2)}, {run(2)}] - {term([])}",
+             term(word(dim + 2)), term([]), "S1*S2 - S2*S1 - i*S3", f"{b} - {b}"]
+    for _ in range(6):
+        suffix = word(rng.randint(0, 4))
+        texts.append(total(term(word(rng.randint(0, 3)) + suffix) for _ in range(rng.randint(2, 6))))
+        texts.append(total(term(word(rng.randint(0, 5))) for _ in range(rng.randint(1, 4))))
+    w = word(3)
+    texts.append(f"sqrt(2)*{'*'.join(w)} + sqrt(3)*{'*'.join(w)} - i*{'*'.join(w[1:])} + {w[2]}")
+    return [parse(text) for text in texts] + [NCPolynomial.zero()]
+
+
+@pytest.mark.parametrize("dim", range(2, 6))
+def test_fold_matches_the_word_by_word_fold(dim):
+    # The Horner fold over shared suffixes against each word folded on its
+    # own (``reference.fold``), row for row, in the three algebras the
+    # library folds in: capped steps, ordered forms, and a representation's
+    # matrices.  Branch points with several parts and the axis-0 part of a
+    # word that is all suffix both occur.
+    rng = random.Random(4200 + dim)
+    cases = _fold_cases(rng, dim)
+    seen = set()
+    table = rewrite._RuleTable(dim).capped
+
+    def capped(parts):
+        seen.add(("parts", min(len(parts), 2)))
+        seen.update(("axis", a) for _, _, a in parts)
+        return table(parts)
+
+    algebras = [(rewrite._ONE, capped), (rewrite._ONE, rewrite._forms()), matrix_algebra(REPS[dim])]
+    for p in cases:
+        for unit, times in algebras:
+            assert rewrite._fold(p, unit, times) == R.fold(p, unit, times), (render(p), dim)
+    assert {("parts", 2), ("axis", 0)} <= seen
+    assert rewrite._fold(parse("S1*S2 - S2*S1 - i*S3"), rewrite._ONE, table) == ({}, 1)
+    assert any(p.is_zero() for p in cases)
+
+
+def test_fold_of_a_long_shared_suffix_keeps_a_flat_stack():
+    # S2 S1^3000 + S3 S1^3000: one branch point, then 3000 letters of the
+    # shared suffix; the stack must not grow with them, so a limit just
+    # above the caller's depth is enough.  The sum reduces to the sum of
+    # the two words reduced apart.
+    tail = "*S1" * 3000
+    p = parse(f"S2{tail} + S3{tail}")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        nf = reduce_degree(p, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert nf.poly == reduce_degree(parse(f"S2{tail}"), 3).poly + reduce_degree(parse(f"S3{tail}"), 3).poly
+
+
 def test_rule_tables_are_evicted_least_recently_used_first():
     def word(dim):
         return NCPolynomial({(3, 1) * dim + (2,): 1})

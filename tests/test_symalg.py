@@ -254,6 +254,26 @@ def test_session_builds_each_missing_entry_once():
     assert len(built) == 146
 
 
+def test_session_miss_looks_up_only_what_it_builds():
+    # A miss is filled from a work stack, not by a scan of its box c' <= c:
+    # with every entry of order 20 stored, (7, 7, 7) looks up only itself
+    # and its three neighbours, not the 512 entries of its box.
+    class Counting(dict):
+        lookups = 0
+
+        def __contains__(self, key):
+            Counting.lookups += 1
+            return super().__contains__(key)
+
+    session = SymSession(unit=({(): 1}, 1), times=lambda parts: ({(): len(parts)}, 1))
+    session._rows = Counting(session._rows)
+    for c in all_counts(20):
+        session.sym_int(c)
+    Counting.lookups = 0
+    assert session.sym_int((7, 7, 7)) == ({(): 3}, 1)
+    assert Counting.lookups == 4
+
+
 def test_threads_share_one_spherical_session():
     # Threads may share a session and its algebra: the product tables of
     # the right multiplication are stored only when complete, so a thread
