@@ -82,7 +82,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Past these dimensions gen and identity --verify take over a minute: about
+# 1.5 minutes at each bound, from the sizes the README ("Command line") times.
+GEN_MAX_DIM = 10**4
+REP_MAX_DIM = 2 * 10**5
+
+
+def _admit_dim(command: str, dim: int, bound: int) -> None:
+    """Refuse up front a representation of dimension past bound."""
+    if dim > bound:
+        raise ValueError(f"{command}: refused, a representation of dimension {dim} is above {bound}, past a minute")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
+    _admit_dim(f"gen {args.dim}", args.dim, GEN_MAX_DIM)
     rep = build_generators(args.dim)
     if args.format == "json":
         payload = {"dim": rep.dim, "spin": str(rep.spin)}
@@ -113,14 +126,15 @@ def cmd_identity(args: argparse.Namespace) -> int:
     # Every usage error is raised before anything is printed.
     command = f"identity {args.dim}"
     verify = None if args.verify is None else _parse_verify_mode(args.verify)
+    rep_dim = args.rep_dim if args.rep_dim is not None else args.dim
+    if verify is not None:
+        _admit_dim(command, rep_dim, REP_MAX_DIM)
     _admit_digits(command, _log10_last_b(args.dim))
     ident = build_identity(args.dim)
     if verify is not None:
-        rep = build_generators(args.rep_dim if args.rep_dim is not None else args.dim)
-    if args.format == "json":
-        print(_rendered(command, lambda: json.dumps(identity_to_json(ident, args.normalization))))
-    else:
-        print(_rendered(command, lambda: identity_to_latex(ident, args.normalization, expand=args.expand)))
+        rep = build_generators(rep_dim)
+    print(_rendered(command, lambda: json.dumps(identity_to_json(ident, args.normalization)) if args.format == "json"
+                    else identity_to_latex(ident, args.normalization, expand=args.expand)))
     if verify is None:
         return 0
 
@@ -140,10 +154,8 @@ def cmd_identity(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     nf = reduce_degree(parse(args.expr), args.dim)
-    if args.format == "json":
-        print(_rendered("reduce", lambda: json.dumps(to_json_dict(nf))))
-    else:
-        print(_rendered("reduce", lambda: render(nf, args.format)))
+    print(_rendered("reduce", lambda: json.dumps(to_json_dict(nf)) if args.format == "json"
+                    else render(nf, args.format)))
     return 0
 
 

@@ -417,20 +417,13 @@ class _Parser:
         return sym_words(tuple(letters))._row
 
 
-def _monomial_row(num: int, den: int, key: int, word: Word) -> Row:
-    """The row of num/den basis(key) word, reduced by one gcd."""
-    if not num:
-        return {}, 1
-    g = gcd(num, den)
-    return {(word, key): num // g}, den // g
-
-
 def _times_monomial(row: Row | None, num: int, den: int, key: int, word: Word) -> Row | None:
-    """row times the monomial num/den basis(key) word, where no row is 1:
-    still none when the monomial is 1 too."""
+    """row times the monomial num/den basis(key) word, its row reduced by
+    one gcd, where no row is 1: still none when the monomial is 1 too."""
     if num == den and key == KEY_ONE and not word:
         return row
-    mono = _monomial_row(num, den, key, word)
+    g = gcd(num, den)
+    mono = ({(word, key): num // g}, den // g) if num else ({}, 1)
     return mono if row is None else _row_product(row, mono)
 
 
@@ -509,26 +502,27 @@ def sym_words(letters: tuple[int, ...]) -> NCPolynomial:
 
 
 class _Steps(dict):
-    """``steps[u, a, k]`` is the row of basis(k) u S_a, for an ordered word
-    u, a letter a and k the key of 1 or i, in some algebra of ordered words.
-    A missing entry is built on first use, by build(u, a, k), and stored once
-    it is complete; it is never changed after.
+    """``steps[u, a]`` is the row of u S_a, for an ordered word u and a
+    letter a, in some algebra of ordered words.  A missing entry is built on
+    first use, by build(u, a), and stored once it is complete; it is never
+    changed after.
 
     Called on parts (w, row, a), a table is that algebra's right
     multiplication (``spinrep.Times``): sum w * row * S_a, each cell (u, k)
-    of a row replaced by the entry steps[u, a, k], all combined at once;
-    axis 0 stands for the unit, so a part (w, row, 0) adds w * row itself.
-    One part of one cell times a letter, a fold step's usual case, is a
-    read: the stored entry itself when w times the cell's numerator and the
-    row's denominator are 1, else that entry scaled once in integers.  More
-    cells are added in one pass, each entry read once, over the lcm of the
-    denominators met so far, and reduced once."""
+    of a row replaced by basis(k) steps[u, a], all combined at once; axis 0
+    stands for the unit, so a part (w, row, 0) adds w * row itself.  Rows a
+    table multiplies only carry the keys of 1 and i, so a key-i cell turns
+    its entry's keys as it adds it: 1 to i, and i to 1 negated.  One part
+    of one cell of coefficient 1 times a letter, a fold step's usual case,
+    is a read that returns the stored entry itself.  Other cells are added
+    in one pass, each entry read once, over the lcm of the denominators met
+    so far, and reduced once."""
 
-    def __init__(self, build: Callable[[Word, int, int], Row]):
+    def __init__(self, build: Callable[[Word, int], Row]):
         super().__init__()
         self.build = build
 
-    def __missing__(self, key: tuple[Word, int, int]) -> Row:
+    def __missing__(self, key: tuple[Word, int]) -> Row:
         entry = self[key] = self.build(*key)
         return entry
 
@@ -536,17 +530,13 @@ class _Steps(dict):
         if len(parts) == 1 and parts[0][2] and len(parts[0][1][0]) == 1:  # one cell times a letter: a read
             w, (terms, den), a = parts[0]
             ((u, k), n), = terms.items()
-            entry = self[u, a, k]
-            f = w * n
-            if f == 1 and den == 1:
-                return entry
-            t, d = entry
-            return reduce_terms({c: f * m for c, m in t.items()}, d * den)
+            if k == KEY_ONE and w * n == 1 and den == 1:
+                return self[u, a]
         out: Terms = {}
         den = 1  # the lcm of the denominators so far; out is over it
         for w, (terms, d0), a in parts:
             for (u, k), n in terms.items():
-                t, d = self[u, a, k] if a else ({(u, k): 1}, 1)  # axis 0: the row itself
+                t, d = self[u, a] if a else ({(u, KEY_ONE): 1}, 1)  # axis 0: the row itself
                 d *= d0
                 if den % d:
                     m = lcm(den, d)
@@ -555,14 +545,14 @@ class _Steps(dict):
                         out[c] *= s
                     den = m
                 f = w * n * (den // d)
-                for c, v in t.items():
-                    out[c] = out.get(c, 0) + f * v
+                if k == KEY_ONE:
+                    for c, v in t.items():
+                        out[c] = out.get(c, 0) + f * v
+                else:  # i times the entry: j ^ 1 turns the key of 1 into that of i and back
+                    for (v, j), m in t.items():
+                        c = v, j ^ 1
+                        out[c] = out.get(c, 0) + (f if j == KEY_ONE else -f) * m
         return reduce_terms(out, den)
-
-    def key_entry(self, u: Word, a: int, k: int) -> Row:
-        """The entry of key k as basis(k) times the entry of key 1."""
-        terms, den = self[u, a, KEY_ONE]
-        return times_key(terms, k), den
 
 
 def _ordered_form(u: Word, a: int, forms: _Steps) -> Row:
@@ -578,14 +568,14 @@ def _ordered_form(u: Word, a: int, forms: _Steps) -> Row:
         return {(u + (a,), KEY_ONE): 1}, 1
     for k in range(u.count(1), len(u)):  # 1^k S_c and u[:k] S_3 need no reordering
         for c in (1, 2):
-            forms[u[:k], c, KEY_ONE]
+            forms[u[:k], c]
     v, b, l = u[:-1], u[-1], 6 - a - u[-1]
-    return forms([(1, forms[v, a, KEY_ONE], b), (epsilon(b, a, l), ({(v, KEY_I): 1}, 1), l)])
+    return forms([(1, forms[v, a], b), (epsilon(b, a, l), ({(v, KEY_I): 1}, 1), l)])
 
 
 def _forms() -> _Steps:
-    """An empty table of ordered forms: forms[u, a, k] = NF(basis(k) u S_a)."""
-    forms = _Steps(lambda u, a, k: _ordered_form(u, a, forms) if k == KEY_ONE else forms.key_entry(u, a, k))
+    """An empty table of ordered forms: forms[u, a] = NF(u S_a)."""
+    forms = _Steps(lambda u, a: _ordered_form(u, a, forms))
     return forms
 
 
@@ -671,9 +661,9 @@ def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
     Dimension-independent: the result evaluates equal to the input on
     every representation.
 
-    The table keeps every (ordered word, letter, key) entry for the whole
-    call, with no bound: (S3 S2 S1)^10 takes 0.3 s at a 20 MiB tracemalloc
-    peak, (S3 S2 S1)^14 1.3 s at 90 MiB (2 cores, Python 3.11).
+    The table keeps one entry per ordered word and letter for the whole
+    call, with no bound: (S3 S2 S1)^10 takes 0.2-0.3 s at an 11 MiB
+    tracemalloc peak, (S3 S2 S1)^14 1.3 s at 49 MiB (2 cores, Python 3.11).
     ``reduce_degree`` is the path bounded by D.
     """
     return NCPolynomial._make(_fold(p, _ONE, _forms()))
@@ -707,15 +697,14 @@ class _RuleTable:
     degree D never computes it.
 
     ``rules[v]`` is the rule of the ordered word v of degree D, at most
-    C(D+2, 2) of them.  ``forms[u, a, k]`` is NF(basis(k) u S_a) and
-    ``capped[u, a, k]`` the same with its word of degree D, if any,
-    replaced by its rule (``_Steps``); below degree D-1 a capped entry, of
-    either key, is the ordered form itself.  The fold multiplies through
-    ``capped``, the session through ``forms``: each table is its algebra's
-    ``spinrep.Times``.  The fold caps every step and the session builds {c}
-    of order D from rows of order <= D-1, so every u either table meets is
-    an ordered word of degree <= D-1; fold rows only carry the keys of 1
-    and i."""
+    C(D+2, 2) of them.  ``forms[u, a]`` is NF(u S_a) and ``capped[u, a]``
+    the same with its word of degree D, if any, replaced by its rule
+    (``_Steps``); below degree D-1 a capped entry is the ordered form
+    itself.  The fold multiplies through ``capped``, the session through
+    ``forms``: each table is its algebra's ``spinrep.Times``.  The fold caps
+    every step and the session builds {c} of order D from rows of order
+    <= D-1, so every u either table meets is an ordered word of degree
+    <= D-1; fold rows only carry the keys of 1 and i."""
 
     def __init__(self, dim: int):
         self.dim = dim
@@ -724,16 +713,13 @@ class _RuleTable:
         self.rules: dict[Word, Row] = {}
         self.session = SymSession(unit=_ONE, times=self.forms)
 
-    def _capped_step(self, u: Word, a: int, k: int) -> Row:
-        """The ordered form of basis(k) u S_a, the ``forms`` entry itself
-        below degree D-1; at degree D-1 the ordered form of u S_a plus the
-        rule of its one word of degree D, v = sorted(u + (a,)), which has
-        coefficient 1, and the key-i entry i times that."""
+    def _capped_step(self, u: Word, a: int) -> Row:
+        """The ordered form of u S_a, the ``forms`` entry itself below
+        degree D-1; at degree D-1 that form plus the rule of its one word of
+        degree D, v = sorted(u + (a,)), which has coefficient 1."""
+        form = self.forms[u, a]
         if len(u) < self.dim - 1:
-            return self.forms[u, a, k]
-        if k != KEY_ONE:
-            return self.capped.key_entry(u, a, k)
-        form = self.forms[u, a, KEY_ONE]
+            return form
         v = tuple(sorted(u + (a,)))
         if v not in self.rules:
             self.rules[v] = _identity_replacement(build_identity(self.dim), v, self.session)
@@ -758,8 +744,8 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     of degree <= D-1 (``_identity_replacement``).  The rules form a table
     of at most C(D+2, 2) entries, built on demand from the symmetric
     products of a SymSession over ordered words.  Both maps are linear, so a step is the
-    product of its row through the table of capped steps NF(basis(k) u S_a)
-    of its cells (u, k), each built once, on first use (``_Steps``).
+    product of its row through the table of capped steps NF(u S_a), each
+    built once, on first use (``_Steps``).
     Arithmetic is in Gaussian integers over a common denominator; a word's
     coefficient enters as the part weights where its word meets others,
     its radicand once, at the end (``_fold``).
@@ -767,10 +753,10 @@ def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     Capped steps, rules, products and ordered forms live in one table per
     dimension (``_RuleTable``), shared by every reduction at that D for the
     life of the process; the tables of the ``_TABLES`` = 8 most recently
-    used dimensions are kept.  A table holds at most 6 C(D+2, 3) ordered
-    forms (keys 1 and i of at most 3 C(D+2, 3) ordered words and letters),
-    as many capped steps, which below degree D-1 are the ordered forms
-    themselves, and C(D+2, 2) rules whatever its inputs, and
+    used dimensions are kept.  A table holds at most 3 C(D+2, 3) ordered
+    forms, one per ordered word and letter, as many capped steps, which
+    below degree D-1 are the ordered forms themselves, and C(D+2, 2) rules
+    whatever its inputs, and
     threads may reduce at one D together: a stored entry is never changed,
     so a race at worst computes one twice, with equal values.
 

@@ -27,6 +27,8 @@ each cell ordered times the letter, then every degree-D word capped by its
 rule, against the library's product through its table of capped steps.
 ``fold`` folds every word of a polynomial on its own, against the
 library's Horner fold over the words' shared suffixes.
+``power_sum`` runs the binomial ladder in ``Fraction`` arithmetic, against
+the library's ladder in integers.
 ``row_components`` and ``render_components`` print a row's coefficients
 from ``Fraction``s, against the library's printer on integer numerators.
 ``Parser`` builds one ``NCPolynomial`` per factor and adds terms one by
@@ -313,6 +315,18 @@ def char_coeffs(dim):
 def b_coeffs(dim):
     """b_p = 2^p p! a_p from the reference a_p."""
     return [2**p * factorial(p) * a for p, a in enumerate(char_coeffs(dim), start=1)]
+
+
+def power_sum(r, n):
+    """Sum of q^r for q = 0..n by the binomial-recursion ladder in Fraction
+    arithmetic, against the library's ladder in integers."""
+    sums = [Fraction(n + 1)]
+    for k in range(1, r + 1):
+        acc = Fraction((n + 1) ** (k + 1))
+        for p in range(k):
+            acc -= comb(k + 1, p) * sums[p]
+        sums.append(acc / (k + 1))
+    return sums[r]
 
 
 SPHERICAL_PAIR_WEIGHT = {(1, 2): 2, (2, 1): 2, (3, 3): 1}  # letters +, -, 3

@@ -138,6 +138,16 @@ def test_power_sum_against_brute_force():
             assert power_sum(r, n) == sum(q**r for q in range(n + 1)), (r, n)
 
 
+def test_power_sum_matches_the_fraction_ladder():
+    # The integer ladder against the reference ladder in Fraction
+    # arithmetic, up to POWER_SUM_MAX_R, and the same type: a Fraction.
+    for r, n in [(0, 0), (1, 0), (7, 1), (40, 3), (123, 999), (250, 10**6), (charid.POWER_SUM_MAX_R, 10**9)]:
+        got = power_sum(r, n)
+        assert type(got) is Fraction and got.denominator == 1
+        assert got == reference.power_sum(r, n), (r, n)
+    assert power_sum(charid.POWER_SUM_MAX_R, 20) == sum(q**charid.POWER_SUM_MAX_R for q in range(21))
+
+
 def test_power_sum_closed_forms():
     for n in range(51):
         assert power_sum(1, n) == Fraction(n * (n + 1), 2)

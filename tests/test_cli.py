@@ -180,6 +180,40 @@ def test_identity_bad_rep_dim_prints_nothing():
     assert "dimension" in proc.stderr
 
 
+@pytest.mark.parametrize("args, dim", [
+    (("gen", "100000000000"), 10**11),
+    (("gen", "10001", "--format", "latex"), 10001),
+    (("identity", "3", "--verify", "exhaustive", "--rep-dim", "100000000000"), 10**11),
+    (("identity", "3", "--verify", "sampled:10:1", "--rep-dim", "200001"), 200001),
+])
+def test_refuses_a_representation_of_minutes_quickly(args, dim):
+    # gen 2000 took 8 s and --rep-dim 10^5 38 s at 1.1 GB; at 10^11 neither
+    # would end, so both are refused before any work, with the command named.
+    proc = run_cli(*args, timeout=30)
+    command = " ".join(args[:2])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"spinid: {command}: refused, a representation of dimension {dim} ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_representation_bounds_admit_the_bound_itself(monkeypatch, capsys):
+    from spinid import cli
+
+    built = []
+
+    def build_generators(dim):
+        built.append(dim)
+        raise ArithmeticError("stop before the work")
+
+    monkeypatch.setattr(cli, "build_generators", build_generators)
+    assert cli.main(["gen", str(cli.GEN_MAX_DIM)]) == 2
+    assert cli.main(["identity", "3", "--verify", "exhaustive", "--rep-dim", str(cli.REP_MAX_DIM)]) == 2
+    # without verification no representation is built, so none is refused
+    assert cli.main(["identity", "3", "--rep-dim", str(cli.REP_MAX_DIM + 1)]) == 0
+    assert built == [cli.GEN_MAX_DIM, cli.REP_MAX_DIM]
+    assert "refused" not in capsys.readouterr().err
+
+
 def test_identity_rejects_dimension_one():
     assert run_cli("identity", "1").returncode == 2
 

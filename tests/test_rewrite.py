@@ -726,20 +726,58 @@ def test_rule_table_is_bounded_by_its_dimension(dim):
     for _ in range(40):
         reduce_degree(NCPolynomial({tuple(rng.randint(1, 3) for _ in range(3 * dim)): 1}), dim)
     table = rewrite._rule_table(dim)
-    assert len({(u, a) for u, a, _ in table.forms}) <= 3 * comb(dim + 2, 3)
+    assert len(table.forms) <= 3 * comb(dim + 2, 3)
     assert len(table.rules) <= comb(dim + 2, 2)
     assert all(len(v) == dim and list(v) == sorted(v) for v in table.rules)
-    assert len(table.capped) <= 6 * comb(dim + 2, 3)
+    assert len(table.capped) <= 3 * comb(dim + 2, 3)
     for steps in (table.forms, table.capped):
-        assert all(len(u) < dim and list(u) == sorted(u) for u, _, _ in steps)
-        i_entries = [(u, a) for u, a, k in steps if k == KEY_I]
-        assert i_entries
-        for u, a in i_entries:
-            terms, den = steps[u, a, KEY_ONE]
-            assert steps[u, a, KEY_I] == (times_key(terms, KEY_I), den)
-    below = [(u, a, k) for u, a, k in table.capped if len(u) < dim - 1]
-    assert {k for _, _, k in below} == {KEY_ONE, KEY_I}
+        _assert_one_entry_per_word_and_letter(steps, dim)
+    _assert_no_form_is_i_times_another(table.forms)
+    below = [(u, a) for u, a in table.capped if len(u) < dim - 1]
+    assert below
     assert all(table.capped[key] is table.forms.get(key) for key in below)
+
+
+def _assert_one_entry_per_word_and_letter(steps, dim):
+    """Every key of a table of steps is a pair (ordered word of degree
+    <= D-1, letter), and some entries have cells of key i."""
+    assert all(len(key) == 2 and key[1] in (1, 2, 3) for key in steps)
+    assert all(len(u) < dim and list(u) == sorted(u) for u, _ in steps)
+    assert any(k == KEY_I for terms, _ in steps.values() for _, k in terms)
+
+
+def _assert_no_form_is_i_times_another(forms):
+    """No stored ordered form is i times another.  (Capped steps at degree
+    D-1 may be: at D = 3, S2 S3 S3 caps to i S1 S3.)"""
+    entries = {(frozenset(terms.items()), den) for terms, den in forms.values()}
+    assert not any((frozenset(times_key(terms, KEY_I).items()), den) in entries for terms, den in forms.values())
+
+
+def test_pbw_normalize_stores_one_entry_per_word_and_letter(monkeypatch):
+    # The table of ordered forms one pbw_normalize call builds holds exactly
+    # the (ordered word, letter) pairs its steps read, each built once, on
+    # an input with coefficients of keys 1 and i.
+    p = parse("(2 - 3*i)*S3*S2*S1*S3*S2*S1*S3*S2*S1 + i*[S1, S2*S3]*S3*S2 + S2*S2*S1*S1 - i*S3*S1")
+    want = pbw_normalize(p)
+    tables = []
+
+    class Recording(rewrite._Steps):
+        def __init__(self, build):
+            super().__init__(lambda u, a: self.built.append((u, a)) or build(u, a))
+            self.built, self.met = [], set()
+            tables.append(self)
+
+        def __getitem__(self, key):
+            self.met.add(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(rewrite, "_Steps", Recording)
+    assert pbw_normalize(p) == want
+    table, = tables
+    assert len(table.built) == len(set(table.built))
+    assert set(table.built) == table.met == set(table)
+    _assert_one_entry_per_word_and_letter(table, p.degree())
+    _assert_no_form_is_i_times_another(table)
 
 
 def _ordered_row(rng, dim):
@@ -764,15 +802,17 @@ def test_capped_step_matches_the_whole_row_step(dim):
         for row, a in cases:
             assert table.capped([(1, row, a)]) == R.capped_step(table, row, a), (dim, row, a)
     assert table.rules
-    assert {k for _, _, k in table.capped} == {KEY_ONE, KEY_I}
+    assert {k for row, _ in cases for _, k in row[0]} == {KEY_ONE, KEY_I}
+    assert all(len(key) == 2 for key in table.capped)
 
 
 @pytest.mark.parametrize("dim", range(2, 6))
 def test_one_cell_step_is_a_table_read(dim):
-    # A step from a one-cell row reads the table: the stored entry itself
-    # for weight x numerator 1 over denominator 1, else that entry scaled
-    # once, in integers; against the general combination of the stored
-    # entry, and for capped steps against the whole-row step.
+    # A step from a one-cell row of key 1 reads the table: the stored entry
+    # itself for weight x numerator 1 over denominator 1, else that entry
+    # scaled, in integers; a cell of key i gives i times the stored entry.
+    # Against the general combination of the stored entry, and for capped
+    # steps against the whole-row step.
     rng = random.Random(1100 + dim)
     forms, table = rewrite._forms(), rewrite._RuleTable(dim)
     cases = [(1, 1, 1), (1, -3, 1), (1, 2, 5), (1, 1, 3), (-1, 1, 1), (-1, -1, 4), (-1, 4, 3), (0, 1, 1), (0, 5, 2),
@@ -785,10 +825,11 @@ def test_one_cell_step_is_a_table_read(dim):
                 for w, n, den in cases:
                     row = ({(u, key): n}, den)
                     out = steps([(w, row, a)])
-                    entry = steps[u, a, key]
-                    assert out == combine_terms([(w * n, entry[0], entry[1] * den)]), (dim, u, a, key, w, n, den)
+                    entry = steps[u, a]
+                    turned = times_key(entry[0], key)
+                    assert out == combine_terms([(w * n, turned, entry[1] * den)]), (dim, u, a, key, w, n, den)
                     assert all(type(x) is int for x in out[0].values()) and type(out[1]) is int
-                    if w * n == 1 and den == 1:
+                    if key == KEY_ONE and w * n == 1 and den == 1:
                         assert out is entry
                     if steps is table.capped:
                         assert out == combine_terms([(w, *R.capped_step(table, row, a))])
@@ -811,7 +852,8 @@ def test_multi_cell_step_is_one_combination(dim):
                      for _ in range(rng.choice((1, 1, 2, 3)))]
             if len(parts) == 1 and len(parts[0][1][0]) == 1:
                 continue
-            entries = [(w * n, *steps[u, a, k], den) for w, (terms, den), a in parts for (u, k), n in terms.items()]
+            entries = [(w * n, times_key(steps[u, a][0], k), steps[u, a][1], den)
+                       for w, (terms, den), a in parts for (u, k), n in terms.items()]
             want = combine_terms([(f, t, d * den) for f, t, d, den in entries])
             assert steps(parts) == want, (dim, parts)
             entry_dens.update(d for _, _, d, _ in entries)
