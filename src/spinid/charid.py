@@ -34,8 +34,11 @@ position by position up to that entry (``_first_witness``).  An
 exhaustive report keeps its failures by multiset (``ExhaustiveFailures``)
 and lists their tuples only when read.
 ``discover_identity`` solves q_D(S_3) = 0 for the a_j, by the same
-theorem, on the same ladder of powers of S_3^2 (``_s3_ladder``).  ``Identity.residual_int``, on the delta
-weights and a SymSession, serves the rewriter and the tests as the oracle.
+theorem, on the same ladder of powers of S_3^2.  The commutators and the
+powers are products of one kernel kept with the representation
+(``SpinRep.spherical``), so repeated calls on one representation reuse its
+tables.  ``Identity.residual_int``, on the delta weights and a SymSession,
+serves the rewriter and the tests as the oracle.
 """
 from __future__ import annotations
 
@@ -48,8 +51,8 @@ from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Iterator, Literal, Sequence
 
-from .scalar import KEY_I, KEY_ONE, Record, Row, Scalar, combine_terms, times_key
-from .spinrep import Matrix, SpinRep, Times, product_kernel, row_matmul, spherical_algebra
+from .scalar import KEY_I, Record, Row, Scalar, combine_terms, times_key
+from .spinrep import Matrix, SpinRep
 from .symalg import SymSession, all_counts, axis_counts, delta_weights, pairing_count
 
 Witness = tuple[int, int, Scalar]
@@ -243,7 +246,9 @@ def discover_identity(rep: SpinRep) -> Identity:
     u.u != 0 form one orbit up to scale and are Zariski-dense, and F(e_3)
     is the identity at (0, 0, D), D! q_D(S_3): so a candidate holds on
     every multiset iff q_D(S_3) = 0.  The powers are the ladder of
-    ``_q_of_s3``, from S_3^(D mod 2) up by S_3^2.  The commutation relation
+    ``_q_of_s3``, from S_3^(D mod 2) up by S_3^2, products of the kernel
+    kept with the representation (``SpinRep.spherical``), which a repeated
+    discovery or a verification on it reuses.  The commutation relation
     is the theorem's premise (``SpinRep.commutes``), so a triple that fails
     it is refused with ``DiscoveryError``, as is a system with no or many
     solutions.
@@ -254,10 +259,10 @@ def discover_identity(rep: SpinRep) -> Identity:
     if not rep.commutes:
         raise DiscoveryError("the matrices do not satisfy the su(2) commutation relation [S_a, S_b] = i "
                              "epsilon_abc S_c, on which discovery from the multiset of S_3 alone rests")
-    foot, times = _s3_ladder(rep, dim)
-    powers = [foot]  # powers[j] = S_3^(D mod 2 + 2j)
+    unit, times = rep.spherical
+    powers = [rep.rows[2] if dim % 2 else unit]  # powers[j] = S_3^(D mod 2 + 2j)
     for _ in range(dim // 2):
-        powers.append(times([(1, powers[-1], 1)]))
+        powers.append(times([(1, powers[-1], 4)]))
     a = _solve_ladder(powers)
     return Identity(dim=dim, b=tuple(2**p * factorial(p) * a_p for p, a_p in enumerate(a, start=1)))
 
@@ -392,26 +397,22 @@ def _spherical_weights(c1: int, c2: int) -> list[int]:
     return f
 
 
-def _s3_ladder(rep: SpinRep, d: int) -> tuple[Row, Times]:
-    """The foot S_3^(d mod 2) of the ladder of powers S_3^(d - 2j), and the
-    kernel that climbs it: axis 1 multiplies by S_3^2 (one product), axis 0 adds a row."""
-    s3 = rep.rows[2]
-    foot = s3 if d % 2 else ({(k, k, KEY_ONE): 1 for k in range(rep.dim)}, 1)
-    return foot, product_kernel((row_matmul(s3, s3),))
-
-
 def _q_of_s3(rep: SpinRep, ident: Identity) -> tuple[Row, int]:
     """q_D(S_3) = sum_j a_j S_3^(D - 2j), a_0 = 1 and a_j = b_j / (2^j j!),
     whose D! multiple is the spherical residual R(0, 0, D), and the number
-    of products taken.  Horner's rule in S_3^2 runs up the ladder from its
-    foot F = S_3^(D mod 2): H_0 = F, H_j = H_(j-1) S_3^2 + a_j F, each step
-    one fused call with a_j F as an axis-0 part."""
-    foot, times = _s3_ladder(rep, ident.dim)
+    of products this call took.  Horner's rule in S_3^2 runs up the ladder
+    from its foot F = S_3^(D mod 2): H_0 = F, H_j = H_(j-1) S_3^2 + a_j F,
+    each step one fused call of the representation's kept kernel
+    (``SpinRep.spherical``, axis 4) with a_j F as an axis-0 part.  S_3^2
+    counts as a product in the call that builds the kernel, only there."""
+    built = "spherical" not in rep.__dict__
+    unit, times = rep.spherical
+    foot = rep.rows[2] if ident.dim % 2 else unit
     h = foot
     for j in range(1, ident.dim // 2 + 1):
         a_j = ident.b[j - 1] / (2**j * factorial(j)) if j <= len(ident.b) else 0
-        h = times([(1, h, 1), (a_j.numerator, (foot[0], foot[1] * a_j.denominator), 0)] if a_j else [(1, h, 1)])
-    return h, 1 + ident.dim // 2
+        h = times([(1, h, 4), (a_j.numerator, (foot[0], foot[1] * a_j.denominator), 0)] if a_j else [(1, h, 4)])
+    return h, built + ident.dim // 2
 
 
 def _adjoint_residuals(rep: SpinRep, d: int, top: Row) -> tuple[dict[tuple[int, int, int], Row], int]:
@@ -426,11 +427,12 @@ def _adjoint_residuals(rep: SpinRep, d: int, top: Row) -> tuple[dict[tuple[int, 
         [S_-, R(A, B, C)] = C R(A, B + 1, C - 1) - 2A R(A - 1, B, C + 1),
         [S_+, R(A, B, C)] = -C R(A + 1, B, C - 1) + 2B R(A, B - 1, C + 1).
     The first column, A = 0, comes down from R(0, 0, d) by ad S_-, and each
-    step in A by ad S_+: one fused call of ``spherical_algebra``'s
-    two-sided multiplication per residual, the division by C taken into the
-    rows' denominators and the 2B term added as an axis-0 part.  A
-    combination of zero rows is zero and takes no call."""
-    _, times = spherical_algebra(rep)
+    step in A by ad S_+: one fused call of the two-sided multiplication
+    kept with the representation (``SpinRep.spherical``) per residual, the
+    division by C taken into the rows' denominators and the 2B term added
+    as an axis-0 part.  A combination of zero rows is zero and takes no
+    call."""
+    _, times = rep.spherical
     rows, products = {(0, 0, d): top}, 0
     for a in range(d + 1):
         for b in range(d - a + 1):
@@ -545,8 +547,9 @@ class VerificationReport(Record):
         # Counters of the run, off the wire like elapsed and outside equality:
         # multisets judged (every one, but those its draws met for a sample
         # with q_D(S_3) nonzero), spherical residuals computed (R(0, 0, D)
-        # alone when q_D(S_3) vanishes) and products taken (``times`` calls:
-        # S_3^2, the Horner steps and the commutators).
+        # alone when q_D(S_3) vanishes) and products this call took (``times``
+        # calls: the Horner steps and the commutators, and S_3^2 when this
+        # call built the representation's kernel).
         self.__dict__["stats"] = {} if stats is None else stats
 
     @property
@@ -604,9 +607,12 @@ def verify_identity(
     the failing ones' witnesses (``ExhaustiveFailures``), no tuple
     enumerated; sampled mode judges each multiset the first time a
     draw meets it, in one pass over the sample as drawn, at most 2^14
-    random words at a time.  Cross-dimension checks (ident.dim != rep.dim)
-    are allowed and useful.  A failing identity yields a report, never an
-    exception.
+    random words at a time.  Every product is taken by the kernel kept with
+    the representation (``SpinRep.spherical``): the first call on it builds
+    the kernel, S_3^2 included, and later calls, verification or discovery,
+    reuse its tables; ``stats["products"]`` counts only what this call
+    computed.  Cross-dimension checks (ident.dim != rep.dim) are allowed
+    and useful.  A failing identity yields a report, never an exception.
     """
     t0 = time.perf_counter()
     d = ident.dim

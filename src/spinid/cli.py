@@ -98,10 +98,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
     _admit_dim(f"gen {args.dim}", args.dim, GEN_MAX_DIM)
     rep = build_generators(args.dim)
     if args.format == "json":
-        payload = {"dim": rep.dim, "spin": str(rep.spin)}
+        # The bytes of json.dumps({"dim", "spin", "S1", "S2", "S3"}), written
+        # one matrix row at a time.
+        write = sys.stdout.write
+        write(f'{{"dim": {rep.dim}, "spin": {json.dumps(str(rep.spin))}')
         for axis in (1, 2, 3):
-            payload[f"S{axis}"] = rep.matrix(axis).to_strings()
-        print(json.dumps(payload))
+            write(f', "S{axis}": [')
+            for r, row in enumerate(rep.matrix(axis).string_rows()):
+                write(", " * bool(r) + json.dumps(row))
+            write("]")
+        write("}\n")
     else:
         for axis in (1, 2, 3):
             print(f"S_{axis} = " + rep.matrix(axis).latex())

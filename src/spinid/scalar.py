@@ -13,7 +13,6 @@ there is no floating-point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import Container, Hashable, Iterable, Union
 
@@ -87,10 +86,12 @@ Row = tuple[dict[Hashable, int], int]  # (terms, den): the sum of n * cell / den
 KEY_ONE, KEY_I = 2, 3  # the basis keys of 1 and i
 
 
-@lru_cache(maxsize=None)
 def key_product(k1: int, k2: int) -> tuple[int, int]:
     """(factor, key) with basis(k1) * basis(k2) = factor * basis(key):
-    sqrt(m1) sqrt(m2) = g sqrt(m1 m2 / g^2) for g = gcd(m1, m2), and i i = -1."""
+    sqrt(m1) sqrt(m2) = g sqrt(m1 m2 / g^2) for g = gcd(m1, m2), and i i = -1.
+    Not memoized: the kernels that multiply rows keep the products they
+    use in their tables, and a process-wide memo would grow with every
+    radicand the process meets."""
     m1, m2 = k1 >> 1, k2 >> 1
     g = gcd(m1, m2)
     return (-g if k1 & k2 & 1 else g), 2 * (m1 // g) * (m2 // g) + ((k1 ^ k2) & 1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .scalar import (
     KEY_I,
@@ -79,7 +79,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, dim: int) -> "Matrix":
-        return cls._make(dim, ({(k, k, KEY_ONE): 1 for k in range(dim)}, 1))
+        return cls._make(dim, _unit(dim))
 
     @classmethod
     def from_rational_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "Matrix":
@@ -176,9 +176,13 @@ class Matrix:
 
     def to_strings(self, latex: bool = False) -> list[list[str]]:
         """Row-major nested lists of entry strings (plain: the JSON wire form)."""
+        return list(self.string_rows(latex))
+
+    def string_rows(self, latex: bool = False) -> Iterator[list[str]]:
+        """The entry strings of ``to_strings``, one matrix row at a time."""
         comps = row_components(self.row)
-        return [[render_components(comps.get((r, c), []), latex=latex) for c in range(self.dim)]
-                for r in range(self.dim)]
+        for r in range(self.dim):
+            yield [render_components(comps.get((r, c), []), latex=latex) for c in range(self.dim)]
 
     def latex(self) -> str:
         body = " \\\\\n".join(" & ".join(r) for r in self.to_strings(latex=True))
@@ -209,20 +213,15 @@ def product_kernel(gens: Sequence[Row]) -> Times:
     the left, a cell (k, c, k2) meets column k through a table of
     (row, key, f * n1).  A table is built the first time its (k, key) is
     met and kept with the returned function, so the inner loops make no
-    ``key_product`` call; the generators' columns are indexed on the first
-    left part."""
-    rows: list[dict[int, list[tuple[int, int, int]]]] = []  # cells of each generator by row: (col, key, n)
-    for terms, _ in gens:
-        by_row: dict[int, list[tuple[int, int, int]]] = {}
-        for (k, c, key), n in terms.items():
-            by_row.setdefault(k, []).append((c, key, n))
-        rows.append(by_row)
-    tables: list[dict[tuple[int, int], list[tuple[int, int, int]]]] = [{} for _ in gens]
-    left: list[tuple[dict, dict]] | None = None  # per generator: its cells by column (``_by_column``), a table
+    ``key_product`` call.  A generator's rows are indexed on its first
+    right product and its columns on its first left one (``_index``): a
+    generator met on one side only, or not at all, is never indexed on the
+    other."""
+    right: list[tuple[dict, dict] | None] = [None] * len(gens)  # per generator: its cells by row, a table
+    left: list[tuple[dict, dict] | None] = [None] * len(gens)  # per generator: its cells by column, a table
     dens = [1] + [den for _, den in gens]  # dens[abs(a)]: the unit's is 1
 
     def times(parts: Sequence[Part]) -> Row:
-        nonlocal left
         den = 1
         for _, (_, d), a in parts:
             den = lcm(den, d * dens[abs(a)])
@@ -230,31 +229,21 @@ def product_kernel(gens: Sequence[Row]) -> Times:
         for w, (terms, d), a in parts:
             s = w * (den // (d * dens[abs(a)]))
             if a > 0:
-                by_row, table = rows[a - 1], tables[a - 1]
+                by_row, table = right[a - 1] or _index(right, a - 1, gens[a - 1][0], 0)
                 for (r, k, k1), n1 in terms.items():
                     products = table.get((k, k1))
                     if products is None:  # stored only when complete: a race at worst builds it twice
-                        products = []
-                        for c, k2, n2 in by_row.get(k, ()):
-                            f, key = key_product(k1, k2)
-                            products.append((c, key, f * n2))
-                        table[k, k1] = products
+                        products = table[k, k1] = tuple(_products(k1, by_row.get(k, ())))
                     m = s * n1
                     for c, key, n in products:
                         t = (r, c, key)
                         out[t] = out.get(t, 0) + m * n
             elif a:
-                if left is None:  # assigned only when complete, as the tables are stored
-                    left = [(_by_column(gen), {}) for gen, _ in gens]
-                by_col, table = left[-a - 1]
+                by_col, table = left[-a - 1] or _index(left, -a - 1, gens[-a - 1][0], 1)
                 for (k, c, k2), n2 in terms.items():
                     products = table.get((k, k2))
                     if products is None:
-                        products = []
-                        for r, k1, n1 in by_col.get(k, ()):
-                            f, key = key_product(k1, k2)
-                            products.append((r, key, f * n1))
-                        table[k, k2] = products
+                        products = table[k, k2] = tuple(_products(k2, by_col.get(k, ())))
                     m = s * n2
                     for r, key, n in products:
                         t = (r, c, key)
@@ -267,12 +256,23 @@ def product_kernel(gens: Sequence[Row]) -> Times:
     return times
 
 
-def _by_column(terms: dict[Cell, int]) -> dict[int, list[tuple[int, int, int]]]:
-    """A matrix row's cells by column k, as (row, key, n)."""
-    out: dict[int, list[tuple[int, int, int]]] = {}
-    for (r, k, key), n in terms.items():
-        out.setdefault(k, []).append((r, key, n))
-    return out
+def _products(k1: int, cells: Sequence[tuple[int, int, int]]) -> Iterator[tuple[int, int, int]]:
+    """(index, key, f * n) for each cell (index, k2, n), with
+    basis(k1) basis(k2) = f basis(key): one entry of a kernel's table."""
+    for i, k2, n in cells:
+        f, key = key_product(k1, k2)
+        yield i, key, f * n
+
+
+def _index(side: list, g: int, terms: dict[Cell, int], at: int) -> tuple[dict, dict]:
+    """Generator g's cells by row (at = 0) or by column (at = 1), as
+    (the other index, key, n), with an empty table of products; stored as
+    side[g] only when complete, as the tables are."""
+    by: dict[int, list[tuple[int, int, int]]] = {}
+    for cell, n in terms.items():
+        by.setdefault(cell[at], []).append((cell[1 - at], cell[2], n))
+    side[g] = entry = (by, {})
+    return entry
 
 
 def _cross(p: dict[int, int], row: dict, f: dict[int, int], prow: dict) -> dict:
@@ -307,7 +307,14 @@ def eigenvalue_list(dim: int) -> list[Fraction]:
 
 
 class SpinRep(Record):
-    """The D x D spin matrices (S_1, S_2, S_3) as matrix rows; ``S`` as Matrices."""
+    """The D x D spin matrices (S_1, S_2, S_3) as matrix rows; ``S`` as Matrices.
+
+    Two cached properties hold what verification and discovery read of a
+    representation, computed on first use and kept for its life: the
+    verdict on the commutation relation (``commutes``) and the spherical
+    kernel (``spherical``).  Neither is a field: equality, hashing and repr
+    go by ``dim`` and ``rows`` alone, and pickling and copying leave the
+    kernel out (``__getstate__``)."""
 
     __match_args__ = ("dim", "rows")
 
@@ -330,6 +337,27 @@ class SpinRep(Record):
         discovery read it here.  ``from_matrices`` fills it as it builds,
         and ``conjugate_rep`` hands it on."""
         return commutation_holds(self)
+
+    @cached_property
+    def spherical(self) -> tuple[Row, Times]:
+        """The identity row and one ``product_kernel`` over S_+ = S_1 + i S_2
+        (axis 1), S_- = S_1 - i S_2 (axis 2), S_3 (axis 3) and S_3^2 (axis
+        4), built on first use and kept: verification's commutators (axes
+        +-1, +-2) and its powers of S_3 (axis 4), and discovery's ladder of
+        them, fill the kernel's tables once per representation, however
+        often they run.  S_3^2 is the one product taken in building it.  A
+        kernel belongs to these generators: ``conjugate_rep`` does not hand
+        it on, and a pickled or copied representation builds its own."""
+        s1, s2, s3 = self.rows
+        i_s2 = (times_key(s2[0], KEY_I), s2[1])
+        gens = (combine_terms([(1, *s1), (1, *i_s2)]), combine_terms([(1, *s1), (-1, *i_s2)]), s3,
+                row_matmul(s3, s3))
+        return _unit(self.dim), product_kernel(gens)
+
+    def __getstate__(self) -> dict:
+        """The state that pickling and copying carry: everything but the
+        kept kernel, a closure over tables of these rows."""
+        return {name: value for name, value in self.__dict__.items() if name != "spherical"}
 
     def matrix(self, axis: int) -> Matrix:
         if axis not in (1, 2, 3):
@@ -402,8 +430,9 @@ def conjugate_rep(rep: SpinRep, m: Matrix) -> SpinRep:
 
     M S_a M^-1 satisfies the commutation relation iff S_a does, so the
     result inherits ``rep.commutes`` and takes no bracket; a triple off the
-    relation is refused with ValueError.  The result is generally no longer
-    Hermitian.
+    relation is refused with ValueError.  It inherits nothing else: its
+    spherical kernel (``SpinRep.spherical``) is its own, built on first
+    use.  The result is generally no longer Hermitian.
     """
     if m.dim != rep.dim:
         raise ValueError(f"dimension mismatch: {m.dim} vs {rep.dim}")
@@ -417,21 +446,21 @@ def conjugate_rep(rep: SpinRep, m: Matrix) -> SpinRep:
 
 def matrix_algebra(rep: SpinRep) -> tuple[Row, Times]:
     """The algebra of rep's matrices as rows: the identity row, and
-    multiplication by the generators' rows (``product_kernel``)."""
-    return _algebra(rep.dim, rep.rows)
+    multiplication by the generators' rows (``product_kernel``), a new
+    kernel per call."""
+    return _unit(rep.dim), product_kernel(rep.rows)
 
 
 def spherical_algebra(rep: SpinRep) -> tuple[Row, Times]:
-    """The same algebra on the spherical generators: the identity row, and
-    multiplication by S_+ = S_1 + i S_2 (axis 1), S_- = S_1 - i S_2
-    (axis 2) and S_3 (axis 3), so the commutator [S_a, X] is one call,
+    """The same algebra on the spherical generators, the one kept with rep
+    (``SpinRep.spherical``): the identity row, and multiplication by
+    S_+ = S_1 + i S_2 (axis 1), S_- = S_1 - i S_2 (axis 2), S_3 (axis 3)
+    and S_3^2 (axis 4), so the commutator [S_a, X] is one call,
     ``times([(1, X, -a), (-1, X, a)])``.  On a ladder representation S_+
     and S_- are one off-diagonal each, so every product of them is one
     diagonal."""
-    s1, s2, s3 = rep.rows
-    i_s2 = (times_key(s2[0], KEY_I), s2[1])
-    return _algebra(rep.dim, (combine_terms([(1, *s1), (1, *i_s2)]), combine_terms([(1, *s1), (-1, *i_s2)]), s3))
+    return rep.spherical
 
 
-def _algebra(dim: int, gens: Sequence[Row]) -> tuple[Row, Times]:
-    return ({(k, k, KEY_ONE): 1 for k in range(dim)}, 1), product_kernel(gens)
+def _unit(dim: int) -> Row:
+    return {(k, k, KEY_ONE): 1 for k in range(dim)}, 1

@@ -34,7 +34,7 @@ from spinid.charid import (
 from spinid.rewrite import NormalForm, parse
 from spinid.scalar import KEY_I, KEY_ONE, Scalar, combine_terms
 from spinid.spinrep import (Matrix, SpinRep, build_generators, commutation_holds, conjugate_rep, eigenvalue_list,
-                            product_kernel, row_matmul, spherical_algebra)
+                            product_kernel, spherical_algebra)
 from spinid.symalg import SymSession, all_counts, axis_counts, delta_weights
 
 REPS = {dim: build_generators(dim) for dim in range(1, 8)}
@@ -568,9 +568,9 @@ def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
     # Verification makes no product in the Cartesian algebra and reads no
     # delta weights at all (q_D(S_3) adds its a_j as unit terms, and the
     # commutators need none).
-    # Discovery reads no weights either and runs neither algebra: it takes
-    # S_3^2 and one step up the ladder of its powers per coefficient, 1 +
-    # D // 2 products in all.
+    # Discovery reads no weights either, builds no Cartesian kernel and
+    # multiplies by no S_+, S_- or S_3: it takes S_3^2 and one step up the
+    # ladder of its powers per coefficient, 1 + D // 2 products in all.
     def refuse(*args, **kwargs):
         raise AssertionError("matrix_algebra ran")
 
@@ -589,13 +589,14 @@ def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
         assert verify_identity(REPS[dim], build_identity(dim + 2), mode="sampled", count=30, seed=dim).ok
     assert calls == [], "verification read delta weights"
 
+    # Discovery on a fresh representation builds its kernel: S_3^2 as one
+    # product of a kernel over S_3 alone, then the kept kernel over
+    # (S_+, S_-, S_3, S_3^2), whose axis 4 climbs the ladder; a second
+    # discovery on it builds nothing and takes the same steps.
     products = []
 
-    def counted_matmul(a, b):
-        products.append("S_3^2")
-        return row_matmul(a, b)
-
     def counted_kernel(gens):
+        products.append(("kernel", len(gens)))
         times = product_kernel(gens)
 
         def counting(parts):
@@ -607,13 +608,17 @@ def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
     def no_spherical(*args, **kwargs):
         raise AssertionError("spherical_algebra ran")
 
-    monkeypatch.setattr(charid, "spherical_algebra", no_spherical)
-    monkeypatch.setattr(charid, "row_matmul", counted_matmul)
-    monkeypatch.setattr(charid, "product_kernel", counted_kernel)
+    monkeypatch.setattr(spinrep, "spherical_algebra", no_spherical)
+    monkeypatch.setattr(spinrep, "product_kernel", counted_kernel)
     for dim in range(2, 8):
+        rep = build_generators(dim)
+        assert rep.commutes
         products.clear()
-        assert discover_identity(REPS[dim]) == build_identity(dim)
-        assert products == ["S_3^2"] + [[1]] * (dim // 2), dim
+        assert discover_identity(rep) == build_identity(dim)
+        assert products == [("kernel", 1), [1], ("kernel", 4)] + [[4]] * (dim // 2), dim
+        products.clear()
+        assert discover_identity(rep) == build_identity(dim)
+        assert products == [[4]] * (dim // 2), dim
     assert calls == [], "discovery read delta weights"
 
 
@@ -674,16 +679,20 @@ def test_sampled_verify_memory_does_not_grow_with_count():
 
 
 def test_verify_reduces_each_product_once(monkeypatch):
-    # One reduce_terms per product (S_3^2, each Horner step of q_D(S_3) and
-    # each commutator of the adjoint recursion); when q_D(S_3) is nonzero,
-    # one more for R(0, 0, D) = D! q_D(S_3) and two for the spherical
-    # generators; and one per witness, the combination at the position the
-    # walk reads (on these representations no witness's first position
-    # cancels): no intermediate product of the kernel is reduced on its own,
-    # and no witness builds a whole Cartesian residual.
+    # One reduce_terms per product this call took (each Horner step of
+    # q_D(S_3), each commutator of the adjoint recursion, and S_3^2 where
+    # the call builds the representation's kernel); when q_D(S_3) is
+    # nonzero, one more for R(0, 0, D) = D! q_D(S_3); and one per witness,
+    # the combination at the position the walk reads (on these
+    # representations no witness's first position cancels): no intermediate
+    # product of the kernel is reduced on its own, and no witness builds a
+    # whole Cartesian residual.
     # The three commutation brackets are reduced once per representation:
     # on the first verification of a ladder built here (so no earlier test
     # has checked it), and never for a conjugation, checked as it was built.
+    # The kept kernel's two spherical generators S_+ and S_- are reduced on
+    # the first verification of each representation, the conjugation's
+    # included: ``conjugate_rep`` hands on no kernel.
     from spinid import scalar
 
     calls = []
@@ -697,7 +706,7 @@ def test_verify_reduces_each_product_once(monkeypatch):
     ladders = {dim: build_generators(dim) for dim in (4, 5, 6)}
     monkeypatch.setattr(scalar, "reduce_terms", counting)
     monkeypatch.setattr(spinrep, "reduce_terms", counting)
-    checked = {id(conjugated)}
+    checked, kept = {id(conjugated)}, set()
     for rep, dim in ((ladders[5], 5), (ladders[6], 4), (ladders[4], 6), (conjugated, 3), (conjugated, 5),
                      (ladders[5], 7), (ladders[6], 6)):
         calls.clear()
@@ -706,21 +715,30 @@ def test_verify_reduces_each_product_once(monkeypatch):
         witnesses = len({id(w) for _, w in report.failures})
         assert report.ok is (witnesses == 0)
         brackets = 0 if id(rep) in checked else 3
+        spherical = 0 if id(rep) in kept else 2
         checked.add(id(rep))
-        assert len(calls) == stats["products"] + brackets + (0 if report.ok else 3) + witnesses, (rep.dim, dim)
+        kept.add(id(rep))
+        assert len(calls) == stats["products"] + brackets + spherical + (0 if report.ok else 1) + witnesses, \
+            (rep.dim, dim)
 
 
 def test_report_stats_stay_off_the_wire():
-    report = verify_identity(REPS[5], build_identity(5), mode="exhaustive")
+    report = verify_identity(build_generators(5), build_identity(5), mode="exhaustive")
     # 21 multisets of order 5, all certified by q_5(S_3) = 0: one spherical
-    # residual, R(0, 0, 5), from three products (S_3^2 and two Horner steps
-    # up from S_3).  The triangle is never filled.
+    # residual, R(0, 0, 5), from three products (S_3^2, in building the
+    # representation's kernel, and two Horner steps up from S_3).  The
+    # triangle is never filled.
     assert report.stats == {"multisets": 21, "spherical_residuals": 1, "products": 3}
     assert set(report.to_json()) == {"dim", "rep_dim", "mode", "tuples_checked", "failures", "ok"}
-    sampled = verify_identity(REPS[5], build_identity(5), mode="sampled", count=3, seed=1)
+    sampled = verify_identity(build_generators(5), build_identity(5), mode="sampled", count=3, seed=1)
     # Certified the same way, all 21 multisets, none drawn.
     assert sampled.stats == report.stats
     assert set(sampled.to_json()) == {"dim", "rep_dim", "mode", "tuples_checked", "failures", "ok"}
+    # Again on a representation that keeps its kernel: S_3^2 is not taken again.
+    rep = build_generators(5)
+    verify_identity(rep, build_identity(5), mode="exhaustive")
+    again = verify_identity(rep, build_identity(5), mode="sampled", count=3, seed=1)
+    assert again.stats == {"multisets": 21, "spherical_residuals": 1, "products": 2}
     # On D + 2 the residuals fill the triangle of order 5, one commutator
     # for each residual but R(0, 0, 5) (none of them is zero there), and
     # every multiset is met.
@@ -799,6 +817,101 @@ def test_a_conjugation_takes_no_bracket_product_in_verification_or_discovery(mon
         assert verify_identity(rep, build_identity(rep.dim), mode="exhaustive").ok
         assert not verify_identity(rep, build_identity(rep.dim + 1), mode="sampled", count=20, seed=1).ok
         assert discover_identity(rep) == build_identity(rep.dim)
+
+
+# --- the kernel kept with a representation -----------------------------------
+
+
+def _kept_kernel_cases():
+    """(rep_dim, conjugated, calls): verification of own (D = R), nesting
+    (D = R + 2) and minimality (D = R - 2) for D = 2..7, exhaustive and
+    sampled, and discovery, on the ladders R = 1..9 and dense conjugates."""
+    for rep_dim in range(1, 10):
+        calls = [("verify", dim, mode) for dim in (rep_dim - 2, rep_dim, rep_dim + 2) if 2 <= dim <= 7
+                 for mode in ("exhaustive", "sampled")]
+        if rep_dim >= 2:
+            calls.append(("discover", rep_dim, None))
+        yield rep_dim, False, calls
+        if rep_dim >= 2:
+            yield rep_dim, True, calls
+
+
+def _kept_kernel_rep(rep_dim, conjugated):
+    rep = build_generators(rep_dim)
+    return conjugate_rep(rep, dense_similarity(rep_dim)) if conjugated else rep
+
+
+def _kept_kernel_call(rep, call):
+    kind, dim, mode = call
+    if kind == "discover":
+        return discover_identity(rep)
+    count, seed = (3 ** (dim + 1), dim) if mode == "sampled" else (None, None)
+    return verify_identity(rep, build_identity(dim), mode=mode, count=count, seed=seed)
+
+
+def _same_result(a, b):
+    if isinstance(a, Identity):
+        return a == b
+    return a.to_json() == b.to_json() and a.failures == b.failures and list(a.failures) == list(b.failures)
+
+
+@pytest.mark.parametrize("rep_dim, conjugated, calls", list(_kept_kernel_cases()))
+def test_repeated_calls_on_one_representation_match_a_fresh_one(rep_dim, conjugated, calls):
+    # Each call's result on a representation that kept its kernel from the
+    # calls before it, in either order and twice over, against the same
+    # call on a fresh representation: the JSON report, every witness and
+    # the discovered b.
+    fresh = [_kept_kernel_call(_kept_kernel_rep(rep_dim, conjugated), call) for call in calls]
+    for order in (calls, calls[::-1]):
+        rep = _kept_kernel_rep(rep_dim, conjugated)
+        for _ in range(2):
+            for call in order:
+                assert _same_result(_kept_kernel_call(rep, call), fresh[calls.index(call)]), (rep_dim, call)
+        assert "spherical" in rep.__dict__
+
+
+def test_a_conjugation_builds_its_own_kernel():
+    # conjugate_rep hands on the verdict on su(2), never the kernel: the
+    # kernel's generators are the parent's, not the conjugate's.
+    rep = build_generators(4)
+    parent = rep.spherical
+    assert rep.spherical is parent
+    conjugated = conjugate_rep(rep, dense_similarity(4))
+    assert "commutes" in conjugated.__dict__ and "spherical" not in conjugated.__dict__
+    assert conjugated.spherical is conjugated.spherical
+    assert conjugated.spherical[1] is not parent[1] and rep.spherical is parent
+    twice = conjugate_rep(conjugated, dense_similarity(4))
+    assert "spherical" not in twice.__dict__ and twice.spherical[1] is not conjugated.spherical[1]
+    for r in (rep, conjugated, twice):
+        assert verify_identity(r, build_identity(4)).ok and discover_identity(r) == build_identity(4)
+
+
+def test_kept_kernel_is_not_a_field():
+    # The kernel is kept once, and equality, hashing and repr go by dim and
+    # rows alone, with or without it.
+    rep, bare = build_generators(5), build_generators(5)
+    assert verify_identity(rep, build_identity(5)).ok
+    assert rep.spherical is rep.spherical and "spherical" not in bare.__dict__
+    assert rep == bare and repr(rep) == repr(bare)
+    assert "spherical" not in repr(rep) and "kernel" not in repr(rep)
+    assert rep._values == (5, rep.rows)  # what equality and hashing read
+    for r in (rep, bare):
+        with pytest.raises(TypeError):  # rows hold dicts: unhashable, with the kernel or without
+            hash(r)
+
+
+def test_a_verified_representation_pickles_and_copies():
+    # A kernel is a closure over tables of its generators: pickling and
+    # copying leave it out, and the copy builds its own on first use.
+    for rep in (build_generators(5), conjugate_rep(build_generators(5), dense_similarity(5))):
+        expected = verify_identity(rep, build_identity(3))
+        assert discover_identity(rep) == build_identity(5)
+        for copied in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep), copy.copy(rep)):
+            assert copied == rep and copied.commutes
+            assert "spherical" not in copied.__dict__
+            assert _same_result(verify_identity(copied, build_identity(3)), expected)
+            assert copied.spherical[1] is not rep.spherical[1]
+        assert "spherical" in rep.__dict__
 
 
 def test_session_without_representation_refuses_matrices():
@@ -937,10 +1050,10 @@ def test_spherical_weights_match_the_binomial_sums():
 def test_failing_verify_keeps_no_state_once_its_report_is_dropped():
     # Everything a failing verification builds, the residual triangle and
     # the weights of each multiset included, goes with its report.  What
-    # stays is what a holding run keeps for the representation, and the
-    # products of basis keys that its commutators meet first (about 0.14
-    # MiB).  Collecting before each reading empties the interpreter's free
-    # lists, which are not state.
+    # stays is what the representation keeps: its verdict on su(2) and its
+    # kernel, whose S_+ and S_- tables the commutators fill (about 0.3 MiB
+    # here); a second failing run adds nothing.  Collecting before each
+    # reading empties the interpreter's free lists, which are not state.
     import gc
     import tracemalloc
 
@@ -951,14 +1064,43 @@ def test_failing_verify_keeps_no_state_once_its_report_is_dropped():
     try:
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
+        held = []
+        for _ in range(2):
+            report = verify_identity(rep, ident, mode="exhaustive")
+            assert not report.ok
+            del report
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0] - before)
+    finally:
+        tracemalloc.stop()
+    assert held[0] < 512 * 1024, held
+    assert held[1] - held[0] < 4 * 1024, held
+
+
+def test_verification_leaves_nothing_once_report_and_representation_go():
+    # The kernel's tables live with the representation and die with it, and
+    # no process-wide memo keeps the products of basis keys: a failing
+    # verification at R = 2000 (D = 3, every residual filled), its
+    # representation built inside the window, leaves the traced memory
+    # within 1 MiB of where it was.
+    import gc
+    import tracemalloc
+
+    ident = build_identity(3)
+    assert not verify_identity(build_generators(5), ident, mode="exhaustive").ok  # imports and small memos
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        rep = build_generators(2000)
         report = verify_identity(rep, ident, mode="exhaustive")
-        assert not report.ok
-        del report
+        assert not report.ok and rep.commutes
+        del report, rep
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held < 512 * 1024, held
+    assert held < 1024 * 1024, held
 
 
 def test_failing_verify_memory_is_about_the_residual_triangle():

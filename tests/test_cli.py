@@ -51,6 +51,40 @@ def test_gen_three_dimensional():
     assert doc["S1"][0][1] == "1/2*sqrt(2)"
 
 
+def test_gen_json_streams_the_bytes_of_one_dump(capsys):
+    # gen writes its JSON one matrix row at a time: the same bytes as one
+    # json.dumps of the whole document, default separators.
+    from spinid import cli
+    from spinid.spinrep import build_generators
+
+    for dim in range(1, 13):
+        rep = build_generators(dim)
+        payload = {"dim": rep.dim, "spin": str(rep.spin)}
+        for axis in (1, 2, 3):
+            payload[f"S{axis}"] = rep.matrix(axis).to_strings()
+        assert cli.main(["gen", str(dim)]) == 0
+        assert capsys.readouterr().out == json.dumps(payload) + "\n", dim
+
+
+def test_gen_json_to_a_closed_pipe_exits_141():
+    # The reader is gone before the first row is written: the streamed
+    # writes end in exit 141, with nothing on stderr.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinid", "gen", "300"],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
 def _check_identity_schema(doc):
     assert set(doc) == {"dim", "normalization", "levels"}
     assert isinstance(doc["dim"], int)

@@ -278,17 +278,17 @@ def test_threads_share_one_spherical_session():
     # Threads may share a session and its algebra: the product tables of
     # the right multiplication are stored only when complete, so a thread
     # never reads one half built.  Four threads fill one cold session each
-    # round, switching often, against a serial fill.
-    rep = conjugate_rep(REPS[5], dense_similarity(5))
+    # round, on a new conjugation whose kept kernel is cold too, switching
+    # often, against a serial fill.
     keys = [c for order in range(7) for c in all_counts(order)]
-    unit, times = spherical_algebra(rep)
+    unit, times = spherical_algebra(conjugate_rep(REPS[5], dense_similarity(5)))
     serial = SymSession(unit=unit, times=times)
     expected = [serial.sym_int(c) for c in keys]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, inside the tables' updates
     try:
         for _ in range(3):
-            unit, times = spherical_algebra(rep)
+            unit, times = spherical_algebra(conjugate_rep(REPS[5], dense_similarity(5)))
             session = SymSession(unit=unit, times=times)
             start = threading.Barrier(4, timeout=60)
             results = [None] * 4
@@ -311,10 +311,11 @@ def test_threads_share_one_spherical_session():
 def test_product_tables_are_stored_complete(monkeypatch):
     # A thread that meets a product table another thread is still building
     # builds its own: the builder is held inside its first key_product call
-    # while the main thread takes the same product.
-    unit, times = spherical_algebra(REPS[3])
+    # while the main thread takes the same product.  Each representation
+    # keeps its own kernel, so the expected product comes from another one.
+    unit, times = spherical_algebra(build_generators(3))
     part = [(1, unit, 1)]
-    expected = spherical_algebra(REPS[3])[1](part)
+    expected = spherical_algebra(build_generators(3))[1](part)
     entered, release = threading.Event(), threading.Event()
     key_product = spinrep.key_product
 
