@@ -86,6 +86,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 # 1.5 minutes at each bound, from the sizes the README ("Command line") times.
 GEN_MAX_DIM = 10**4
 REP_MAX_DIM = 2 * 10**5
+# identity --format latex --expand spells out every similar term, its output
+# about doubling with each +1 in D: 99 MB in about 4 s at this bound.
+EXPAND_MAX_DIM = 20
 
 
 def _admit_dim(command: str, dim: int, bound: int) -> None:
@@ -131,6 +134,9 @@ def _parse_verify_mode(value: str) -> tuple[str, int | None, int | None]:
 def cmd_identity(args: argparse.Namespace) -> int:
     # Every usage error is raised before anything is printed.
     command = f"identity {args.dim}"
+    if args.expand and args.format == "latex" and args.dim > EXPAND_MAX_DIM:
+        raise ValueError(f"{command}: refused, --expand is bounded by D = {EXPAND_MAX_DIM}, "
+                         f"where it prints 99 MB, doubling with each +1 in D")
     verify = None if args.verify is None else _parse_verify_mode(args.verify)
     rep_dim = args.rep_dim if args.rep_dim is not None else args.dim
     if verify is not None:

@@ -228,8 +228,8 @@ _GENERATORS = {"S1": 1, "S2": 2, "S3": 3}
 _SQRT_MAX = 10**12
 # An expansion past this many words, a brace's distinct orderings or a product's terms (at most
 # the product of its factors' term counts), is refused before it is built.  At --dim 3, {S1 S2 S3}
-# with each letter 4 times (34650 words) reduces in 0.36 s from the command line; 5 times (756756
-# words, past the bound) takes 1.3 s to expand and 6.4 s to reduce, at a peak RSS of 316 MB
+# with each letter 4 times (34650 words) reduces in 0.4 s from the command line; 5 times (756756
+# words, past the bound) takes 1.2-1.3 s to expand and 6.1-6.6 s to reduce, at a peak RSS of 356 MB
 # (2 cores, Python 3.11).
 _MAX_WORDS = 10**5
 _FACTOR_START = {"INT", "NAME", "(", "{", "["}
@@ -584,16 +584,16 @@ def _fold(p: NCPolynomial, unit: Row, times: Times) -> Row:
     multiplication (``spinrep.Times``), as a row of that algebra.
 
     A coefficient is (a + b i) sqrt(m) for integers a, b and a squarefree
-    radicand m.  The words of one radicand and one last letter are summed
-    by Horner's rule over their shared suffixes (``_horner``), with rows of
-    the keys of 1 and i only; each sum is multiplied by sqrt(m) once, and
-    all are combined over p's denominator in one pass."""
+    radicand m.  The words of one radicand are summed by Horner's rule over
+    their shared suffixes (``_horner``), with rows of the keys of 1 and i
+    only; each sum is multiplied by sqrt(m) once, and all are combined over
+    p's denominator in one pass."""
     terms, den = p._row
-    groups: dict[tuple[int, int], dict[Word, list[int]]] = {}  # (m, last letter) -> word -> [a, b]
+    groups: dict[int, dict[Word, list[int]]] = {}  # m -> word -> [a, b]
     for (w, key), n in terms.items():
-        groups.setdefault((key >> 1, w[-1] if w else 0), {}).setdefault(w, [0, 0])[key & 1] = n
+        groups.setdefault(key >> 1, {}).setdefault(w, [0, 0])[key & 1] = n
     parts = []
-    for (m, _), coefficients in groups.items():
+    for m, coefficients in groups.items():
         for c, (cells, d), _ in _horner(coefficients, unit, times):
             parts.append((c, cells if m == 1 else times_key(cells, 2 * m), d * den))
     return combine_terms(parts)
@@ -603,30 +603,33 @@ def _horner(coefficients: dict[Word, list[int]], unit: Row, times: Times) -> lis
     """The sum of (a + b i) w over coefficients {w: [a, b]}, in the algebra
     of unit and times, as parts (c, row, 0) whose weighted rows add up to it.
 
-    Horner's rule on the trie of reversed words.  A group of several words
-    sharing their last letters s is, before s, n_0 (the coefficient of the
-    word s itself, if any) plus sum_x P_x S_x, P_x the sum of what precedes
-    x s in the words that have the letter x there.  Its value is one fused
-    call times([(n_0, unit, 0), (1, P_x, x), ...]) at that branch point,
-    each P_x a group found the same way, followed by the letters of s one
-    at a time.  A group of one word is folded letter by letter from the
-    unit, and its coefficient enters its branch point as the part weights
-    of (a, row) and (b, i row).  Branch points wait on an explicit stack,
-    so the Python stack stays flat however long the words."""
+    Horner's rule on the trie of reversed words.  A node holds several
+    words sharing their last depth letters s; before s they sum to n_0
+    (the coefficient of the word s itself, if any) plus sum_x P_x S_x, P_x
+    the sum of what precedes x s in the words that have the letter x there.
+    Its value is one fused call times([(n_0, unit, 0), (1, P_x, x), ...]),
+    each P_x a child node found the same way; the root, of depth 0,
+    branches on the words' last letters.  A letter every word of a node
+    shares makes a chain of nodes of one part each, one call per letter.  A
+    lone word is folded letter by letter from the unit, and its coefficient
+    enters its node as the part weights of (a, row) and (b, i row).  Nodes
+    wait on an explicit stack, so the Python stack stays flat however long
+    the words."""
     done: list[Part] = []
-    # Branch points (x, end, s, groups, parts): reached by the letter x (0 for the word that
-    # is all suffix), their words share their last end letters, the last s of them peeled
-    # there; the groups still to evaluate, and the parts found.  The base takes the whole sum.
-    stack = [(0, 0, (), [(0, list(coefficients))], done)]
+    # Frames (letter, depth, groups, parts): a node reached by the letter (0 for the word that
+    # is all suffix), whose words share their last depth letters; its groups still to evaluate,
+    # by the letter before those, and the parts found.  The base, never popped, holds all the
+    # words as one group: the root node, or a lone word.
+    stack = [(0, 0, [(0, coefficients)], done)]
     while True:
-        axis, end, suffix, groups, parts = stack[-1]
+        letter, depth, groups, parts = stack[-1]
         if groups:
             x, words = groups.pop()
-            depth = end + (x != 0)  # the words share their last depth letters
+            shared = depth + (x != 0)  # the words share their last shared letters
             if len(words) == 1:  # a lone word, letter by letter
-                w = words[0]
+                (w,) = words
                 row = unit
-                for a in w[: len(w) - depth]:
+                for a in w[: len(w) - shared]:
                     row = times([(1, row, a)])
                 re, im = coefficients[w]
                 if re:
@@ -634,24 +637,15 @@ def _horner(coefficients: dict[Word, list[int]], unit: Row, times: Times) -> lis
                 if im:
                     parts.append((im, (times_key(row[0], KEY_I), row[1]), x))
                 continue
-            stop = depth  # a branch point: peel the common suffix, group by the letter before it
-            while True:
-                by_letter: dict[int, list[Word]] = {}
-                for w in words:
-                    by_letter.setdefault(w[-1 - stop] if len(w) > stop else 0, []).append(w)
-                if len(by_letter) > 1:  # at most one word is all suffix, so one group is a shared letter
-                    break
-                stop += 1
-            w = words[0]
-            stack.append((x, stop, w[len(w) - stop : len(w) - depth], list(by_letter.items()), []))
+            by_letter: dict[int, list[Word]] = {}
+            for w in words:
+                by_letter.setdefault(w[-1 - shared] if len(w) > shared else 0, []).append(w)
+            stack.append((x, shared, list(by_letter.items()), []))
             continue
         if len(stack) == 1:
             return done
         stack.pop()
-        row = times(parts)
-        for a in suffix:
-            row = times([(1, row, a)])
-        stack[-1][4].append((1, row, axis))
+        stack[-1][3].append((1, times(parts), letter))
 
 
 def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
@@ -662,8 +656,8 @@ def pbw_normalize(p: NCPolynomial) -> NCPolynomial:
     every representation.
 
     The table keeps one entry per ordered word and letter for the whole
-    call, with no bound: (S3 S2 S1)^10 takes 0.2-0.3 s at an 11 MiB
-    tracemalloc peak, (S3 S2 S1)^14 1.3 s at 49 MiB (2 cores, Python 3.11).
+    call, with no bound: (S3 S2 S1)^10 takes 0.2 s at an 11 MiB
+    tracemalloc peak, (S3 S2 S1)^14 1.0 s at 50 MiB (2 cores, Python 3.11).
     ``reduce_degree`` is the path bounded by D.
     """
     return NCPolynomial._make(_fold(p, _ONE, _forms()))
@@ -734,14 +728,14 @@ def _rule_table(dim: int) -> _RuleTable:
 def reduce_degree(p: NCPolynomial, dim: int) -> NormalForm:
     """Canonical form on dimension D: ordered words of degree <= D-1.
 
-    The words are folded by Horner's rule over their shared suffixes
-    (``_fold``): NF(P S_a) = cap(order(NF(P) S_a)), where P is a single
-    word or the sum of the words' parts before a suffix they share, so a
-    suffix is multiplied in once for all the words that end in it.  NF(P)
-    has degree <= D-1, so the ordering only moves one letter into an
-    ordered word.  cap replaces every ordered word u of degree D by its
-    rule, the ordered form of u - (1/D!) (the identity's left side at u),
-    of degree <= D-1 (``_identity_replacement``).  The rules form a table
+    The words are folded by Horner's rule on the trie of reversed words
+    (``_fold``): NF(P S_a) = cap(order(NF(P) S_a)), where P is a lone
+    word's prefix or a node's sum of the words' parts before the suffix
+    they share, so a suffix is multiplied in once for all the words that
+    end in it.  NF(P) has degree <= D-1, so the ordering only moves one
+    letter into an ordered word.  cap replaces every ordered word u of
+    degree D by its rule, the ordered form of u - (1/D!) (the identity's
+    left side at u), of degree <= D-1 (``_identity_replacement``).  The rules form a table
     of at most C(D+2, 2) entries, built on demand from the symmetric
     products of a SymSession over ordered words.  Both maps are linear, so a step is the
     product of its row through the table of capped steps NF(u S_a), each

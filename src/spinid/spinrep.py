@@ -345,7 +345,10 @@ class SpinRep(Record):
         4), built on first use and kept: verification's commutators (axes
         +-1, +-2) and its powers of S_3 (axis 4), and discovery's ladder of
         them, fill the kernel's tables once per representation, however
-        often they run.  S_3^2 is the one product taken in building it.  A
+        often they run.  The commutator [S_a, X] is one call,
+        ``times([(1, X, -a), (-1, X, a)])``; on a ladder representation S_+
+        and S_- are one off-diagonal each, so every product of them is one
+        diagonal.  S_3^2 is the one product taken in building it.  A
         kernel belongs to these generators: ``conjugate_rep`` does not hand
         it on, and a pickled or copied representation builds its own."""
         s1, s2, s3 = self.rows
@@ -449,17 +452,6 @@ def matrix_algebra(rep: SpinRep) -> tuple[Row, Times]:
     multiplication by the generators' rows (``product_kernel``), a new
     kernel per call."""
     return _unit(rep.dim), product_kernel(rep.rows)
-
-
-def spherical_algebra(rep: SpinRep) -> tuple[Row, Times]:
-    """The same algebra on the spherical generators, the one kept with rep
-    (``SpinRep.spherical``): the identity row, and multiplication by
-    S_+ = S_1 + i S_2 (axis 1), S_- = S_1 - i S_2 (axis 2), S_3 (axis 3)
-    and S_3^2 (axis 4), so the commutator [S_a, X] is one call,
-    ``times([(1, X, -a), (-1, X, a)])``.  On a ladder representation S_+
-    and S_- are one off-diagonal each, so every product of them is one
-    diagonal."""
-    return rep.spherical
 
 
 def _unit(dim: int) -> Row:

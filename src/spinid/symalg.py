@@ -10,7 +10,7 @@ evaluation over whole tuple spaces cheap.  A multiset is its axis counts
 One engine, ``SymSession``, builds the products from an algebra's unit and
 right multiplication by a generator: for a representation's matrices
 (``spinrep.matrix_algebra``; the tests run it on the spherical generators
-S_+, S_-, S_3 of ``spinrep.spherical_algebra`` as an oracle of
+S_+, S_-, S_3 of ``SpinRep.spherical`` as an oracle of
 verification's residuals) and for ordered words in ``rewrite``.
 It owns no format: values are the rows of ``scalar``, and a matrix row is
 ``spinrep``'s, with cells (row, col, key).
@@ -59,7 +59,7 @@ class SymSession:
     missing entry c' <= c once, from neighbours already built.
     ``SymSession(rep)`` works in the matrices of rep (``matrix_algebra``);
     ``unit=``/``times=`` take any other algebra, such as
-    the rewriter's ordered words, or ``spherical_algebra``'s, with S_+,
+    the rewriter's ordered words, or ``SpinRep.spherical``'s, with S_+,
     S_-, S_3 as axes 1, 2, 3 (``delta_weights`` stay Cartesian there, so
     ``Identity.residual_int`` on it is not the spherical residual).
 

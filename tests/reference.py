@@ -44,7 +44,7 @@ from spinid import rewrite
 from spinid.charid import DiscoveryError
 from spinid.scalar import (KEY_I, KEY_ONE, UnsupportedInverseError, combine_terms, fraction_row, reduce_terms,
                            row_scalars, scalar_at, squarefree_decompose, times_key)
-from spinid.spinrep import SingularMatrixError, eigenvalue_list, spherical_algebra
+from spinid.spinrep import SingularMatrixError, eigenvalue_list
 from spinid.symalg import SymSession, all_counts
 
 
@@ -363,7 +363,7 @@ def spherical_delta_weights(counts, p):
 
 def spherical_residual(ident, session, counts):
     """The identity's left side at the spherical counts (a, b, c), as a row
-    of a session over ``spherical_algebra``: {c} plus b_p times the
+    of a session over ``SpinRep.spherical``: {c} plus b_p times the
     spherical deltas of each level."""
     parts = [(1, *session.sym_int(counts))]
     parts += [(b_p * w, *session.sym_int(rest)) for p, b_p in enumerate(ident.b, start=1)
@@ -472,7 +472,7 @@ def sweep_residuals(rep, ident, targets):
         for _ in range(d):
             levels.append({b for x, y, z in levels[-1]
                            for k, b in ((x, (x - 1, y, z)), (y, (x, y - 1, z)), (z, (x, y, z - 1))) if k})
-    unit, times = spherical_algebra(rep)
+    unit, times = rep.spherical
     rows, products = {(0, 0, 0): unit}, 0
     for n in range(1, d + 1):
         below, rows = rows, {}
@@ -512,7 +512,7 @@ def discover_identity(rep):
     su(2).  It makes no commutation check."""
     dim = rep.dim
     k = dim // 2
-    unit, times = spherical_algebra(rep)
+    unit, times = rep.spherical
     session = SymSession(unit=unit, times=times)
     pivots = {}  # pivots[j]: integer row with leading entry in column j, rhs last
     for counts in all_counts(dim):

@@ -34,7 +34,7 @@ from spinid.charid import (
 from spinid.rewrite import NormalForm, parse
 from spinid.scalar import KEY_I, KEY_ONE, Scalar, combine_terms
 from spinid.spinrep import (Matrix, SpinRep, build_generators, commutation_holds, conjugate_rep, eigenvalue_list,
-                            product_kernel, spherical_algebra)
+                            product_kernel)
 from spinid.symalg import SymSession, all_counts, axis_counts, delta_weights
 
 REPS = {dim: build_generators(dim) for dim in range(1, 8)}
@@ -457,7 +457,7 @@ def test_cartesian_residual_from_spherical_matches_direct(rep_dim, conjugated):
     if conjugated:
         rep = conjugate_rep(rep, dense_similarity(rep_dim))
     cartesian = SymSession(rep)
-    unit, times = spherical_algebra(rep)
+    unit, times = rep.spherical
     spherical = SymSession(unit=unit, times=times)
     for dim in range(2, 8):
         ident = build_identity(dim)
@@ -491,7 +491,7 @@ def test_sweep_matches_residual_oracle(dim, rep_dim, conjugated):
     rep = build_generators(rep_dim)
     if conjugated:
         rep = conjugate_rep(rep, dense_similarity(rep_dim))
-    unit, times = spherical_algebra(rep)
+    unit, times = rep.spherical
     session = SymSession(unit=unit, times=times)
     keys = set(symalg.all_counts(dim))
     rng = random.Random(dim * 100 + rep_dim)
@@ -605,10 +605,6 @@ def test_verify_and_discover_run_on_the_spherical_kernel(monkeypatch):
 
         return counting
 
-    def no_spherical(*args, **kwargs):
-        raise AssertionError("spherical_algebra ran")
-
-    monkeypatch.setattr(spinrep, "spherical_algebra", no_spherical)
     monkeypatch.setattr(spinrep, "product_kernel", counted_kernel)
     for dim in range(2, 8):
         rep = build_generators(dim)
@@ -917,7 +913,7 @@ def test_a_verified_representation_pickles_and_copies():
 def test_session_without_representation_refuses_matrices():
     # A session built from unit= and times= holds rows only.  At (0, 0, 3)
     # the Cartesian and spherical deltas agree, and the identity holds.
-    unit, times = spherical_algebra(REPS[3])
+    unit, times = REPS[3].spherical
     session = SymSession(unit=unit, times=times)
     with pytest.raises(ValueError, match="no representation.*sym_int"):
         session.sym((1, 2))

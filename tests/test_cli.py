@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -197,6 +198,43 @@ def test_identity_latex_large_dimension():
     proc = run_cli("identity", "40", "--format", "latex")
     assert proc.returncode == 0
     assert "(779 more similar terms)" in proc.stdout
+
+
+def test_identity_expand_is_refused_past_its_bound(monkeypatch, capsys):
+    # The expanded LaTeX about doubles with each +1 in D (99 MB at D = 20),
+    # so past D = 20 it is refused before the identity is built; JSON and
+    # the collapsed LaTeX ignore --expand and still print.
+    from spinid import cli
+
+    def build_identity(dim):
+        raise ArithmeticError(f"identity {dim} built")
+
+    monkeypatch.setattr(cli, "build_identity", build_identity)
+    assert cli.main(["identity", "21", "--format", "latex", "--expand"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("spinid: identity 21: refused, --expand is bounded by D = 20")
+    for args in (["21", "--expand"], ["21", "--format", "latex"], ["20", "--format", "latex", "--expand"]):
+        assert cli.main(["identity", *args]) == 2
+        assert capsys.readouterr() == ("", f"spinid: identity {args[0]} built\n")
+    proc = run_cli("identity", "21", "--format", "latex", "--expand", timeout=30)
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("spinid: identity 21: refused")
+
+
+def test_identity_expand_at_its_bound_prints_the_known_bytes(tmp_path):
+    # D = 20, the bound itself: 98566451 bytes, the same as before the bound.
+    out = tmp_path / "expand.txt"
+    with open(out, "w") as f:
+        proc = subprocess.run([sys.executable, "-m", "spinid", "identity", "20", "--format", "latex", "--expand"],
+                              env=dict(os.environ, PYTHONPATH=SRC), stdout=f, stderr=subprocess.PIPE, text=True,
+                              timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256()
+    with open(out, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            digest.update(block)
+    assert out.stat().st_size == 98566451
+    assert digest.hexdigest() == "9bde8eddf5a8afa50c529ef9053c887e7ef52a24fd5ed0fc13c8f8d6433578b6"
 
 
 def test_identity_rejects_jobs_option():

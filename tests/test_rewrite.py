@@ -1,8 +1,10 @@
+import __future__
 import inspect
 import itertools
 import json
 import random
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -980,20 +982,71 @@ def test_fold_matches_the_word_by_word_fold(dim):
     assert any(p.is_zero() for p in cases)
 
 
+def _fold_mismatches(dims=range(2, 6)):
+    """The comparison of ``test_fold_matches_the_word_by_word_fold`` on
+    fresh tables: the cases of ``_fold_cases`` whose Horner fold differs
+    from ``reference.fold``, as (text, dim, algebra index)."""
+    out = []
+    for dim in dims:
+        cases = _fold_cases(random.Random(4200 + dim), dim)
+        algebras = [(rewrite._ONE, rewrite._RuleTable(dim).capped), (rewrite._ONE, rewrite._forms()),
+                    matrix_algebra(REPS[dim])]
+        for p in cases:
+            out += [(render(p), dim, k) for k, (unit, times) in enumerate(algebras)
+                    if rewrite._fold(p, unit, times) != R.fold(p, unit, times)]
+    return out
+
+
+# Plausible bugs in the fold's fast paths: (owner, function name, a snippet of
+# its source that occurs once, the snippet's replacement).
+_FOLD_MUTANTS = {
+    "all-suffix-word-dropped": (rewrite, "_horner", "for w in words:", "for w in [w for w in words if len(w) > shared]:"),
+    "lone-imaginary-part-dropped": (rewrite, "_horner", "if im:", "if False:"),
+    "radicand-not-applied": (rewrite, "_fold", "cells if m == 1 else times_key(cells, 2 * m)", "cells"),
+    "step-without-lcm-rescale": (rewrite._Steps, "__call__", "out[c] *= s", "out[c] *= 1"),
+    "read-ignores-denominator": (rewrite._Steps, "__call__", "w * n == 1 and den == 1", "w * n == 1"),
+}
+
+
+def _mutate(monkeypatch, owner, name, snippet, replacement):
+    """Set owner.name to a copy of it whose source has snippet replaced,
+    compiled in the namespace of ``rewrite``."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    assert source.count(snippet) == 1, (name, snippet)
+    namespace = dict(vars(rewrite))
+    code = compile(source.replace(snippet, replacement), rewrite.__file__, "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    exec(code, namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+
+
+def test_fold_comparison_passes_on_fresh_tables():
+    assert _fold_mismatches() == []
+
+
+@pytest.mark.parametrize("mutant", list(_FOLD_MUTANTS))
+def test_fold_comparison_catches_a_mutant(monkeypatch, mutant):
+    _mutate(monkeypatch, *_FOLD_MUTANTS[mutant])
+    assert _fold_mismatches()
+
+
 def test_fold_of_a_long_shared_suffix_keeps_a_flat_stack():
-    # S2 S1^3000 + S3 S1^3000: one branch point, then 3000 letters of the
-    # shared suffix; the stack must not grow with them, so a limit just
-    # above the caller's depth is enough.  The sum reduces to the sum of
-    # the two words reduced apart.
+    # S2 S1^3000 + S3 S1^3000: a chain of 3000 nodes for the shared suffix,
+    # then one branch point; and S1 + S1^2 + ... + S1^400, each word a suffix
+    # of the next: 400 nested nodes, each with an axis-0 part.  The stack
+    # must not grow with them, so a limit just above the caller's depth is
+    # enough.  Each sum reduces to the sum of its words reduced apart.
     tail = "*S1" * 3000
-    p = parse(f"S2{tail} + S3{tail}")
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
-    try:
-        nf = reduce_degree(p, 3)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert nf.poly == reduce_degree(parse(f"S2{tail}"), 3).poly + reduce_degree(parse(f"S3{tail}"), 3).poly
+    cases = [([f"S2{tail}", f"S3{tail}"], 3), (["*".join(["S1"] * n) for n in range(1, 401)], 4)]
+    for words, dim in cases:
+        p = parse(" + ".join(words))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            nf = reduce_degree(p, dim)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert nf.poly == sum((reduce_degree(parse(w), dim).poly for w in words), NCPolynomial.zero())
 
 
 def test_rule_tables_are_evicted_least_recently_used_first():

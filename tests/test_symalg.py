@@ -21,7 +21,6 @@ from spinid.spinrep import (
     conjugate_rep,
     matrix_algebra,
     row_matmul,
-    spherical_algebra,
 )
 from spinid.symalg import (
     SymSession,
@@ -156,7 +155,7 @@ def test_spherical_recursion_matches_brute_force(dim, conjugated):
     s1, s2, s3 = (ref(m) for m in rep.S)
     i_s2 = s2.scale(R.I)
     cache = {(): R.Matrix.identity(dim), (1,): s1 + i_s2, (2,): s1 - i_s2, (3,): s3}
-    unit, times = spherical_algebra(rep)
+    unit, times = rep.spherical
     session = SymSession(unit=unit, times=times)
     for order in range(6):
         for counts in all_counts(order):
@@ -175,7 +174,7 @@ def test_fused_kernel_matches_reference(dim, conjugated):
     rep = conjugate_rep(REPS[dim], dense_similarity(dim)) if conjugated else REPS[dim]
     s1, s2, s3 = (ref(m) for m in rep.S)
     i_s2 = s2.scale(R.I)
-    for (unit, times), gens in ((matrix_algebra(rep), (s1, s2, s3)), (spherical_algebra(rep), (s1 + i_s2, s1 - i_s2, s3))):
+    for (unit, times), gens in ((matrix_algebra(rep), (s1, s2, s3)), (rep.spherical, (s1 + i_s2, s1 - i_s2, s3))):
         session = SymSession(unit=unit, times=times)
         expected = {(0, 0, 0): R.Matrix.identity(dim)}
         for order in range(1, 8):
@@ -201,7 +200,7 @@ def test_two_sided_kernel_matches_reference(conjugated):
     s1, s2, s3 = (ref(m) for m in rep.S)
     i_s2 = s2.scale(R.I)
     gens = (s1 + i_s2, s1 - i_s2, s3)
-    unit, times = spherical_algebra(rep)
+    unit, times = rep.spherical
     session = SymSession(unit=unit, times=times)
     for order in range(4):
         for c in all_counts(order):
@@ -236,7 +235,7 @@ def test_session_builds_each_missing_entry_once():
     # boxes overlap, and each entry of the union is built once, by one call
     # of the algebra's right multiplication.
     built = []
-    unit, times = spherical_algebra(REPS[4])
+    unit, times = REPS[4].spherical
 
     def counting(parts):
         built.append(1)
@@ -281,14 +280,14 @@ def test_threads_share_one_spherical_session():
     # round, on a new conjugation whose kept kernel is cold too, switching
     # often, against a serial fill.
     keys = [c for order in range(7) for c in all_counts(order)]
-    unit, times = spherical_algebra(conjugate_rep(REPS[5], dense_similarity(5)))
+    unit, times = conjugate_rep(REPS[5], dense_similarity(5)).spherical
     serial = SymSession(unit=unit, times=times)
     expected = [serial.sym_int(c) for c in keys]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, inside the tables' updates
     try:
         for _ in range(3):
-            unit, times = spherical_algebra(conjugate_rep(REPS[5], dense_similarity(5)))
+            unit, times = conjugate_rep(REPS[5], dense_similarity(5)).spherical
             session = SymSession(unit=unit, times=times)
             start = threading.Barrier(4, timeout=60)
             results = [None] * 4
@@ -313,9 +312,9 @@ def test_product_tables_are_stored_complete(monkeypatch):
     # builds its own: the builder is held inside its first key_product call
     # while the main thread takes the same product.  Each representation
     # keeps its own kernel, so the expected product comes from another one.
-    unit, times = spherical_algebra(build_generators(3))
+    unit, times = build_generators(3).spherical
     part = [(1, unit, 1)]
-    expected = spherical_algebra(build_generators(3))[1](part)
+    expected = build_generators(3).spherical[1](part)
     entered, release = threading.Event(), threading.Event()
     key_product = spinrep.key_product
 
