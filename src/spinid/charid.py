@@ -33,11 +33,11 @@ integers from a binomial-product recurrence (``_spherical_weights``),
 position by position up to that entry (``_first_witness``).  An
 exhaustive report keeps its failures by multiset (``ExhaustiveFailures``)
 and lists their tuples only when read.
-``discover_identity`` solves q_D(S_3) = 0 for the a_j, by the same
-theorem, on the same ladder of powers of S_3^2.  The commutators and the
-powers are products of one kernel kept with the representation
-(``SpinRep.spherical``), so repeated calls on one representation reuse its
-tables.  ``Identity.residual_int``, on the delta weights and a SymSession,
+``discover_identity`` reads the a_j off the traces of the same ladder of
+powers of S_3^2, by Newton's identities, and certifies q_D(S_3) = 0.  The
+commutators and the powers are products of one kernel kept with the
+representation (``SpinRep.spherical``), so repeated calls on one
+representation reuse its tables.  ``Identity.residual_int``, on the delta weights and a SymSession,
 serves the rewriter and the tests as the oracle.
 """
 from __future__ import annotations
@@ -51,7 +51,7 @@ from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Iterator, Literal, Sequence
 
-from .scalar import KEY_I, Record, Row, Scalar, combine_terms, times_key
+from .scalar import KEY_I, KEY_ONE, Record, Row, Scalar, combine_terms, key_product, times_key
 from .spinrep import Matrix, SpinRep
 from .symalg import SymSession, all_counts, axis_counts, delta_weights, pairing_count
 
@@ -232,13 +232,16 @@ def build_identity(dim: int) -> Identity:
 def discover_identity(rep: SpinRep) -> Identity:
     """Recover the identity coefficients from the representation alone.
 
-    Solves  sum_p a_p S_3^(D - 2p) = -S_3^D  for the a_p and returns
-    b_p = 2^p p! a_p (``_solve_ladder``): each matrix entry splits into its
-    coordinates on the {sqrt(m), i sqrt(m)} basis, one equation per
-    coordinate; fraction-free elimination stops once floor(D/2) pivots
-    stand, and one linear combination of the powers, no product, certifies
-    the back-substituted candidate.  The a_p come from the matrices, not
-    from the characteristic polynomial's product form.
+    S_3 satisfies its characteristic equation (Cayley-Hamilton), and the
+    a_p are read off the traces of its powers, not the product form.  Its
+    nonzero eigenvalues come in pairs +-m, so P_j = tr(S_3^(2j)) / 2,
+    j = 1..k for k = floor(D/2), are the power sums of the m^2, and
+    Newton's identities give Q, q_D(x) = x^(D mod 2) Q(x^2), in integers in
+    z = 4 x^2 (as ``_char_z``).  The a_p are unique iff the ladder's k
+    powers are independent: iff Q is squarefree (``_is_squarefree``) and,
+    at odd D, Q(0) != 0; otherwise "not uniquely determined".  One
+    combination of the powers, no product, certifies q_D(S_3) = 0, or
+    refuses with "no coefficients satisfy".
 
     One index multiset suffices, every index 3: counts (0, 0, D).  The
     identity is the polarization of F(u) = sum_j a_j (u.u)^j (u.S)^(D-2j).
@@ -248,10 +251,10 @@ def discover_identity(rep: SpinRep) -> Identity:
     every multiset iff q_D(S_3) = 0.  The powers are the ladder of
     ``_q_of_s3``, from S_3^(D mod 2) up by S_3^2, products of the kernel
     kept with the representation (``SpinRep.spherical``), which a repeated
-    discovery or a verification on it reuses.  The commutation relation
-    is the theorem's premise (``SpinRep.commutes``), so a triple that fails
-    it is refused with ``DiscoveryError``, as is a system with no or many
-    solutions.
+    discovery or a verification on it reuses; at odd D, P_j is half of
+    tr(S_3^(2j-1) S_3), a sum over cells.  The commutation relation is the
+    theorem's premise (``SpinRep.commutes``): a triple that fails it is
+    refused with ``DiscoveryError``.
     """
     dim = rep.dim
     if dim < 2:
@@ -260,77 +263,58 @@ def discover_identity(rep: SpinRep) -> Identity:
         raise DiscoveryError("the matrices do not satisfy the su(2) commutation relation [S_a, S_b] = i "
                              "epsilon_abc S_c, on which discovery from the multiset of S_3 alone rests")
     unit, times = rep.spherical
-    powers = [rep.rows[2] if dim % 2 else unit]  # powers[j] = S_3^(D mod 2 + 2j)
-    for _ in range(dim // 2):
+    k, odd = dim // 2, dim % 2
+    powers = [rep.rows[2] if odd else unit]  # powers[j] = S_3^(D mod 2 + 2j)
+    for _ in range(k):
         powers.append(times([(1, powers[-1], 4)]))
-    a = _solve_ladder(powers)
+    # p[j] = 4^j P_j, the power sums of (2m)^2: integers, as the eigenvalues
+    # of S_3 are half-integers on a representation of su(2).
+    p = [0] + [int(4**j * _trace(powers[j - odd], powers[0]) / 2) for j in range(1, k + 1)]
+    c = [1]  # Q(z / 4) 4^k = z^k + c_1 z^(k-1) + ... + c_k, by Newton's identities
+    for j in range(1, k + 1):
+        c.append(-sum(c[i] * p[j - i] for i in range(j)) // j)
+    if (odd and not c[k]) or not _is_squarefree(c):
+        raise DiscoveryError("identity coefficients are not uniquely determined")
+    a = [Fraction(c_p, 4**p) for p, c_p in enumerate(c[1:], start=1)]
+    if combine_terms([(1, *powers[k])] + [(a_p, *powers[k - p]) for p, a_p in enumerate(a, start=1)])[0]:
+        raise DiscoveryError("no coefficients satisfy the identity pattern")
     return Identity(dim=dim, b=tuple(2**p * factorial(p) * a_p for p, a_p in enumerate(a, start=1)))
 
 
-def _solve_ladder(powers: list[Row]) -> list[Fraction]:
-    """The a_p, p = 1..k for k = len(powers) - 1, with
-    powers[k] + sum_p a_p powers[k - p] = 0.
-
-    Each (row, col, key) coordinate gives one equation, cleared of
-    denominators; in sorted order they are eliminated fraction-free until k
-    pivots stand (``_eliminate``).  Back-substitution then gives the only
-    candidate the whole system allows, and one combination of the powers
-    certifies it against every equation.  A contradiction, met in
-    elimination or by the certificate, raises "no coefficients satisfy";
-    fewer than k pivots, "not uniquely determined"."""
-    k = len(powers) - 1
-    # Column p - 1 is powers[k - p]; the right-hand side -powers[k].
-    mats = powers[k - 1::-1] + [combine_terms([(-1, *powers[k])])]
-    den = lcm(*(d for _, d in mats))
-    rows: dict[tuple[int, int, int], list[int]] = {}
-    for j, (terms, d) in enumerate(mats):
-        scale = den // d
-        for cell, n in terms.items():
-            rows.setdefault(cell, [0] * (k + 1))[j] = n * scale
-    # pivots[j] = integer row with leading entry in column j (plus rhs).
-    pivots: dict[int, list[int]] = {}
-    for cell in sorted(rows):
-        _eliminate(rows[cell], pivots, k)
-        if len(pivots) == k:
-            break
-    else:
-        raise DiscoveryError("identity coefficients are not uniquely determined")
-    a = _back_substitute(pivots, k)
-    if combine_terms([(1, *powers[k])] + [(a_p, *powers[k - p]) for p, a_p in enumerate(a, start=1)])[0]:
-        raise DiscoveryError("no coefficients satisfy the identity pattern")
-    return a
+def _trace(x: Row, y: Row) -> Fraction:
+    """The rational part of tr(x y), from the cells of x that meet a cell
+    of y at the transposed position: no product is formed."""
+    (tx, dx), (ty, dy) = x, y
+    at: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (r, c, key), n in ty.items():
+        at.setdefault((c, r), []).append((key, n))
+    total = 0
+    for (r, c, k1), n1 in tx.items():
+        for k2, n2 in at.get((r, c), ()):
+            f, key = key_product(k1, k2)
+            if key == KEY_ONE:
+                total += f * n1 * n2
+    return Fraction(total, dx * dy)
 
 
-def _eliminate(row: list[int], pivots: dict[int, list[int]], k: int) -> None:
-    """Reduce row by the pivots and store it as a new pivot, or check that
-    it vanishes.  Each step divides the row by its content, which keeps
-    the integers from growing with the number of pivots met."""
-    for j in range(k):
-        if row[j] and j in pivots:
-            f, prow = row[j], pivots[j]
-            g = prow[j]
-            row = [g * x - f * y for x, y in zip(row, prow)]
-            c = gcd(*row)
-            if c > 1:
-                row = [x // c for x in row]
-    lead = next((j for j in range(k) if row[j]), None)
-    if lead is None:
-        if row[k]:
-            raise DiscoveryError("no coefficients satisfy the identity pattern")
-        return
-    g = gcd(*row)
-    pivots[lead] = [x // g for x in row]
-
-
-def _back_substitute(pivots: dict[int, list[int]], k: int) -> list[Fraction]:
-    values = [Fraction(0)] * k
-    for j in sorted(pivots, reverse=True):
-        row = pivots[j]
-        acc = Fraction(row[k])
-        for t in range(j + 1, k):
-            acc -= row[t] * values[t]
-        values[j] = acc / row[j]
-    return values
+def _is_squarefree(q: list[int]) -> bool:
+    """Whether the integer polynomial q, coefficients from the highest, has
+    no repeated root: gcd(q, q') is a constant.  Euclid's algorithm in
+    integers, a primitive pseudo-remainder sequence: each step takes
+    lead(b) a - lead(a) x^(deg a - deg b) b until deg a < deg b, and the
+    remainder is divided by its content."""
+    a, b = q, [(len(q) - 1 - i) * x for i, x in enumerate(q[:-1])]
+    while len(b) > 1:
+        while len(a) >= len(b):
+            f, g = a[0], b[0]
+            a = [g * x - f * y for x, y in itertools.zip_longest(a, b, fillvalue=0)][1:]
+            while a and not a[0]:
+                del a[0]
+        if not a:  # b divides a: gcd(q, q') = b, of degree >= 1
+            return False
+        content = gcd(*a)
+        a, b = b, [x // content for x in a]
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +567,12 @@ class VerificationReport(Record):
         }
 
 
+# A failing sample is drawn in full: count times D axes, 1.6 million a
+# second at D = 16, the slowest rate measured for D = 2..100 (2 cores,
+# Python 3.11.7), so past this bound it takes over a minute.
+SAMPLE_MAX_AXES = 10**8
+
+
 def verify_identity(
     rep: SpinRep,
     ident: Identity,
@@ -607,7 +597,9 @@ def verify_identity(
     the failing ones' witnesses (``ExhaustiveFailures``), no tuple
     enumerated; sampled mode judges each multiset the first time a
     draw meets it, in one pass over the sample as drawn, at most 2^14
-    random words at a time.  Every product is taken by the kernel kept with
+    random words at a time; a sample of more than ``SAMPLE_MAX_AXES`` axes
+    (count times D) that must be drawn is refused with ``ValueError``
+    before the first draw.  Every product is taken by the kernel kept with
     the representation (``SpinRep.spherical``): the first call on it builds
     the kernel, S_3^2 included, and later calls, verification or discovery,
     reuse its tables; ``stats["products"]`` counts only what this call
@@ -628,6 +620,9 @@ def verify_identity(
                          "epsilon_abc S_c, on which verification from the multiset of S_3 alone rests")
 
     q, products = _q_of_s3(rep, ident)
+    if q[0] and mode == "sampled" and count * d > SAMPLE_MAX_AXES:
+        raise ValueError(f"refused, a failing sample of {count} tuples of {d} indices is {count * d} axes to "
+                         f"draw, above {SAMPLE_MAX_AXES}, past a minute")
     stats = {"multisets": (d + 1) * (d + 2) // 2, "spherical_residuals": 1, "products": products}
     failures: Sequence[Failure] = ExhaustiveFailures(d, {}) if mode == "exhaustive" else []
     if q[0]:

@@ -144,14 +144,15 @@ def cmd_identity(args: argparse.Namespace) -> int:
     _admit_digits(command, _log10_last_b(args.dim))
     ident = build_identity(args.dim)
     if verify is not None:
-        rep = build_generators(rep_dim)
+        try:
+            report = verify_identity(build_generators(rep_dim), ident, *verify)
+        except ValueError as exc:  # a failing sample too large to draw
+            raise ValueError(f"{command}: {exc}") from None
     print(_rendered(command, lambda: json.dumps(identity_to_json(ident, args.normalization)) if args.format == "json"
                     else identity_to_latex(ident, args.normalization, expand=args.expand)))
     if verify is None:
         return 0
 
-    mode, count, seed = verify
-    report = verify_identity(rep, ident, mode=mode, count=count, seed=seed)
     if args.format == "json":
         print(json.dumps(report.to_json()))
     else:

@@ -10,7 +10,10 @@ here and compares here.  ``char_coeffs`` and ``b_coeffs`` expand the
 characteristic equation in ``Fraction`` arithmetic, against the library's
 expansion in integers.  ``discover_identity`` solves the equations of
 every multiset, where the library's solves one; it runs on the library's
-rows, since what it checks is that reduction.  ``spherical_delta_weights``
+rows, since what it checks is that reduction.  ``discover_by_elimination``
+solves the equations of (0, 0, D) by fraction-free elimination
+(``_solve_ladder``), against the library's traces, Newton's identities and
+squarefree test.  ``spherical_delta_weights``
 enumerates weighted pairings, and ``spherical_residual`` sums with them the
 identity's left side over S_+, S_-, S_3.  ``sweep_residuals``, the Horner
 sweep over every counts below the targets, must match it; the library's
@@ -543,6 +546,89 @@ def discover_identity(rep):
         row = pivots[j]
         b[j] = (row[k] - sum(row[t] * b[t] for t in range(j + 1, k))) / Fraction(row[j])
     return spinid.Identity(dim, tuple(b))
+
+
+def _solve_ladder(powers):
+    """The a_p, p = 1..k for k = len(powers) - 1, with
+    powers[k] + sum_p a_p powers[k - p] = 0, by elimination: the solve the
+    library's discovery made before it read the a_p from traces.
+
+    Each (row, col, key) coordinate gives one equation, cleared of
+    denominators; in sorted order they are eliminated fraction-free until k
+    pivots stand (``_eliminate``).  Back-substitution then gives the only
+    candidate the whole system allows, and one combination of the powers
+    certifies it against every equation.  A contradiction, met in
+    elimination or by the certificate, raises "no coefficients satisfy";
+    fewer than k pivots, "not uniquely determined"."""
+    k = len(powers) - 1
+    # Column p - 1 is powers[k - p]; the right-hand side -powers[k].
+    mats = powers[k - 1::-1] + [combine_terms([(-1, *powers[k])])]
+    den = lcm(*(d for _, d in mats))
+    rows = {}
+    for j, (terms, d) in enumerate(mats):
+        scale = den // d
+        for cell, n in terms.items():
+            rows.setdefault(cell, [0] * (k + 1))[j] = n * scale
+    pivots = {}  # pivots[j]: integer row with leading entry in column j, rhs last
+    for cell in sorted(rows):
+        _eliminate(rows[cell], pivots, k)
+        if len(pivots) == k:
+            break
+    else:
+        raise DiscoveryError("identity coefficients are not uniquely determined")
+    a = _back_substitute(pivots, k)
+    if combine_terms([(1, *powers[k])] + [(a_p, *powers[k - p]) for p, a_p in enumerate(a, start=1)])[0]:
+        raise DiscoveryError("no coefficients satisfy the identity pattern")
+    return a
+
+
+def _eliminate(row, pivots, k):
+    """Reduce row by the pivots and store it as a new pivot, or check that
+    it vanishes.  Each step divides the row by its content, which keeps
+    the integers from growing with the number of pivots met."""
+    for j in range(k):
+        if row[j] and j in pivots:
+            f, prow = row[j], pivots[j]
+            g = prow[j]
+            row = [g * x - f * y for x, y in zip(row, prow)]
+            c = gcd(*row)
+            if c > 1:
+                row = [x // c for x in row]
+    lead = next((j for j in range(k) if row[j]), None)
+    if lead is None:
+        if row[k]:
+            raise DiscoveryError("no coefficients satisfy the identity pattern")
+        return
+    g = gcd(*row)
+    pivots[lead] = [x // g for x in row]
+
+
+def _back_substitute(pivots, k):
+    values = [Fraction(0)] * k
+    for j in sorted(pivots, reverse=True):
+        row = pivots[j]
+        acc = Fraction(row[k])
+        for t in range(j + 1, k):
+            acc -= row[t] * values[t]
+        values[j] = acc / row[j]
+    return values
+
+
+def discover_by_elimination(rep):
+    """The identity from (0, 0, D) alone, solved by ``_solve_ladder`` on the
+    ladder of powers of S_3^2: the library's discovery before traces, its
+    oracle now, identity for identity and ``DiscoveryError`` for
+    ``DiscoveryError``.  Like the library, it refuses a triple off the
+    commutation relation."""
+    dim = rep.dim
+    if not rep.commutes:
+        raise DiscoveryError("the matrices do not satisfy the su(2) commutation relation")
+    unit, times = rep.spherical
+    powers = [rep.rows[2] if dim % 2 else unit]
+    for _ in range(dim // 2):
+        powers.append(times([(1, powers[-1], 4)]))
+    a = _solve_ladder(powers)
+    return spinid.Identity(dim, tuple(2**p * factorial(p) * a_p for p, a_p in enumerate(a, start=1)))
 
 
 class Parser:

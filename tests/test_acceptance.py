@@ -116,7 +116,7 @@ def test_criterion_6_independent_discovery():
     for dim in range(2, 7):
         found = discover_identity(REPS[dim])
         assert found.b == tuple(b_coeffs(dim)), f"discovery mismatch at D={dim}"
-    check(6, True, "null-space solve recovers b_p for D=2..6")
+    check(6, True, "discovery from traces recovers b_p for D=2..6")
 
 
 def test_criterion_7_appendix_sums():

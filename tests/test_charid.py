@@ -9,6 +9,7 @@ from math import comb, factorial
 
 import pytest
 import reference
+from mutation import mutate
 from reference import first_nonzero_entry
 from test_symalg import brute_sym, dense_similarity, integer_similarity, letters
 
@@ -522,30 +523,36 @@ def _adjoint_cases():
         yield sum(dims) + 1, direct_sum(*dims)
 
 
-def test_adjoint_residuals_match_the_sweep_oracle():
-    # R(0, 0, D) = D! q_D(S_3), and when it is nonzero every order-D
-    # residual by the adjoint action, against the reference's Horner sweep
-    # at every counts: on ladders D = 2..9 x R = 1..11, dense and seeded
-    # conjugations and direct sums, for the identity, b_1 + 1 and each b_p
-    # set to 0.  A zero q_D(S_3) comes with every residual zero; sampled
-    # targets read the same rows as the sweep of their downset.
-    rng = random.Random(21)
-    for dim, rep in _adjoint_cases():
+def _adjoint_mismatches(cases, rng):
+    """(dim, rep_dim, b) of each case and varied identity where R(0, 0, D)
+    = D! q_D(S_3) differs from the reference's Horner sweep, or, when it is
+    nonzero, where any order-D residual by the adjoint action does, takes
+    more than one commutator per residual, or differs from the sweep of a
+    few sampled targets' downset.  A zero q_D(S_3) must come with every
+    swept residual zero."""
+    out = []
+    for dim, rep in cases:
         keys = symalg.all_counts(dim)
         for ident in _varied_identities(dim):
             swept, _ = reference.sweep_residuals(rep, ident, set(keys))
             q, _ = charid._q_of_s3(rep, ident)
             top = combine_terms([(factorial(dim), *q)])
-            assert top == swept[0, 0, dim], (dim, rep.dim, ident.b)
-            if not q[0]:
-                assert not any(row[0] for row in swept.values()), (dim, rep.dim, ident.b)
-                continue
-            rows, commutators = charid._adjoint_residuals(rep, dim, top)
-            assert rows == swept, (dim, rep.dim, ident.b)
-            assert commutators <= len(keys) - 1
-            targets = set(rng.sample(keys, min(3, len(keys))))
-            sampled, _ = reference.sweep_residuals(rep, ident, targets)
-            assert sampled == {c: rows[c] for c in targets}, (dim, rep.dim, ident.b)
+            if q[0]:
+                rows, commutators = charid._adjoint_residuals(rep, dim, top)
+                targets = set(rng.sample(keys, min(3, len(keys))))
+                sampled, _ = reference.sweep_residuals(rep, ident, targets)
+                holds = rows == swept and commutators <= len(keys) - 1 and sampled == {c: rows[c] for c in targets}
+            else:
+                holds = not any(row[0] for row in swept.values())
+            if top != swept[0, 0, dim] or not holds:
+                out.append((dim, rep.dim, ident.b))
+    return out
+
+
+def test_adjoint_residuals_match_the_sweep_oracle():
+    # On ladders D = 2..9 x R = 1..11, dense and seeded conjugations and
+    # direct sums, for the identity, b_1 + 1 and each b_p set to 0.
+    assert _adjoint_mismatches(_adjoint_cases(), random.Random(21)) == []
 
 
 @pytest.mark.parametrize(
@@ -755,6 +762,28 @@ def test_a_sample_that_holds_is_never_drawn(monkeypatch):
     monkeypatch.setattr(charid, "_sample_chunks", refuse)
     report = verify_identity(REPS[5], build_identity(5), "sampled", 10**12, 1)
     assert report.ok and report.tuples_checked == 10**12
+
+
+def test_a_failing_sample_past_its_bound_is_refused_before_any_draw(monkeypatch):
+    # q_2(S_3) != 0 on R = 4, so the sample must be drawn: past
+    # SAMPLE_MAX_AXES axes (count times D) it is refused before the first
+    # draw, and at the bound it is drawn.  A sample that holds is neither
+    # drawn nor refused, whatever its count.
+    drawn = []
+
+    def sample_chunks(rng, d, count):
+        drawn.append(count)
+        return iter(())
+
+    monkeypatch.setattr(charid, "_sample_chunks", sample_chunks)
+    rep, ident = REPS[4], build_identity(2)
+    for count in (charid.SAMPLE_MAX_AXES // 2 + 1, 10**20):
+        with pytest.raises(ValueError, match=f"^refused, a failing sample of {count} tuples of 2 indices "):
+            verify_identity(rep, ident, "sampled", count, 1)
+    assert drawn == []
+    verify_identity(rep, ident, "sampled", charid.SAMPLE_MAX_AXES // 2, 1)
+    assert drawn == [charid.SAMPLE_MAX_AXES // 2]
+    assert verify_identity(REPS[2], ident, "sampled", 10**20, 1).ok and drawn == [charid.SAMPLE_MAX_AXES // 2]
 
 
 def test_verify_refuses_a_triple_off_the_commutation_relation():
@@ -1030,16 +1059,24 @@ def test_witness_walk_skips_positions_that_cancel():
     assert walked[0][2] == Scalar(0, Fraction(-1, 8)) and walked[1][2] == Scalar(0, Fraction(-3, 4))
 
 
-def test_spherical_weights_match_the_binomial_sums():
-    # The integer recurrence against the Fraction sum of binomials, by the
-    # Krawtchouk duality: (-1)^(c2 // 2) f_a / 2^n is the weight of
-    # R(a, n - a, c3), and f_a is zero exactly where the sum is.
-    for n in range(41):
+def _weight_mismatches(orders):
+    """The counts (c1, c2), c1 + c2 in orders, whose integer weights differ
+    from the Fraction sum of binomials, by the Krawtchouk duality:
+    (-1)^(c2 // 2) f_a / 2^n is the weight of R(a, n - a, c3), and f_a is
+    zero exactly where the sum is."""
+    out = []
+    for n in orders:
         for c2 in range(n + 1):
             f = charid._spherical_weights(n - c2, c2)
-            assert len(f) == n + 1 and all(type(x) is int for x in f)
             scaled = [(a, n - a, Fraction((-1) ** (c2 // 2) * x, 2**n)) for a, x in enumerate(f) if x]
-            assert tuple(scaled) == reference.spherical_weights(n - c2, c2), (n - c2, c2)
+            if len(f) != n + 1 or any(type(x) is not int for x in f) or \
+                    tuple(scaled) != reference.spherical_weights(n - c2, c2):
+                out.append((n - c2, c2))
+    return out
+
+
+def test_spherical_weights_match_the_binomial_sums():
+    assert _weight_mismatches(range(41)) == []
     assert not hasattr(charid._spherical_weights, "cache_info")
 
 
@@ -1190,7 +1227,7 @@ def test_report_json_renders_each_witness_once():
 # --- discovery ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dim", range(2, 41))
+@pytest.mark.parametrize("dim", range(2, 61))
 def test_discovery_recovers_coefficients(dim):
     # The paper's arbitrary D: one multiset keeps discovery cheap here.
     found = discover_identity(build_generators(dim))
@@ -1234,10 +1271,11 @@ DIRECT_SUMS = [(2, 2), (3, 3), (4, 2), (4, 4), (5, 3), (3, 1, 1), (2, 2, 2), (5,
 
 
 def _discovered(rep, discover):
+    """discover(rep), or the message of the DiscoveryError it raises."""
     try:
         return discover(rep)
-    except charid.DiscoveryError:
-        return charid.DiscoveryError
+    except charid.DiscoveryError as exc:
+        return str(exc)
 
 
 def test_discovery_from_one_multiset_matches_the_all_multisets_oracle():
@@ -1251,7 +1289,7 @@ def test_discovery_from_one_multiset_matches_the_all_multisets_oracle():
         assert commutation_holds(rep)
         assert _discovered(rep, discover_identity) == _discovered(rep, reference.discover_identity), rep.dim
     found = {dims: _discovered(direct_sum(*dims), discover_identity) for dims in DIRECT_SUMS}
-    assert [dims for dims, ident in found.items() if ident is charid.DiscoveryError] == DIRECT_SUMS[:10]
+    assert [dims for dims, ident in found.items() if isinstance(ident, str)] == DIRECT_SUMS[:10]
     assert found[(3, 2)] == Identity(5, (Fraction(-5, 2), Fraction(2)))
     assert found[(3, 1)] == found[(1, 3)] == Identity(4, (Fraction(-2), Fraction(0)))  # S_3 = 1, 0, 0, -1
 
@@ -1276,7 +1314,7 @@ def test_discovery_on_dense_integer_conjugations(dim):
     # Python 3.11.7).
     rep = conjugate_rep(build_generators(dim), integer_similarity(dim))
     found = discover_identity(rep)
-    assert found == build_identity(dim)
+    assert found == build_identity(dim) == reference.discover_by_elimination(rep)
     if dim <= 11:
         assert reference.discover_identity(rep) == found
 
@@ -1286,27 +1324,98 @@ def _diagonal(*entries):
 
 
 def test_every_discovery_refusal():
-    # The relation's refusal is above; here no solution and many.  With the
-    # ladder (P_0, ..., P_k), the cell (c, c) reads sum_p a_p P_(k-p) = -P_k.
+    # The relation's refusal is above; here no solution and many: from the
+    # direct sums, whose S_3^2 has too few distinct eigenvalues, and from the
+    # elimination oracle on diagonal ladders.  With the ladder of powers
+    # (P_0, ..., P_k), the cell (c, c) reads sum_p a_p P_(k-p) = -P_k.
     for dims in DIRECT_SUMS[:10]:
         with pytest.raises(charid.DiscoveryError, match="^identity coefficients are not uniquely determined$"):
             discover_identity(direct_sum(*dims))
     with pytest.raises(charid.DiscoveryError, match="^identity coefficients are not uniquely determined$"):
-        charid._solve_ladder([_diagonal(1, 1), _diagonal(1, 1), _diagonal(-2, -2)])
-    assert charid._solve_ladder([_diagonal(1, 1), _diagonal(-4, -4)]) == [4]
-    assert charid._solve_ladder([_diagonal(1, 1), _diagonal(1, 2), _diagonal(-1, -4)]) == [3, -2]
+        reference._solve_ladder([_diagonal(1, 1), _diagonal(1, 1), _diagonal(-2, -2)])
+    assert reference._solve_ladder([_diagonal(1, 1), _diagonal(-4, -4)]) == [4]
+    assert reference._solve_ladder([_diagonal(1, 1), _diagonal(1, 2), _diagonal(-1, -4)]) == [3, -2]
     no = "^no coefficients satisfy the identity pattern$"
     # A contradiction before any pivot: cell (0, 0) reads 0 = 1.
     with pytest.raises(charid.DiscoveryError, match=no):
-        charid._solve_ladder([_diagonal(0, 1), _diagonal(-1, -1)])
+        reference._solve_ladder([_diagonal(0, 1), _diagonal(-1, -1)])
     # Before the second of k = 2 pivots: cells (0, 0) and (1, 1) read
     # a_1 + a_2 = 2 and = 3.
     with pytest.raises(charid.DiscoveryError, match=no):
-        charid._solve_ladder([_diagonal(1, 1, 1), _diagonal(1, 1, 2), _diagonal(-2, -3, -5)])
+        reference._solve_ladder([_diagonal(1, 1, 1), _diagonal(1, 1, 2), _diagonal(-2, -3, -5)])
     # After the k-th pivot: cell (0, 0) gives a_1 = 1, and only the
     # certificate reads cell (1, 1), a_1 = 4.
     with pytest.raises(charid.DiscoveryError, match=no):
-        charid._solve_ladder([_diagonal(1, 1), _diagonal(-1, -4)])
+        reference._solve_ladder([_diagonal(1, 1), _diagonal(-1, -4)])
+
+
+def _elimination_cases():
+    yield from (pytest.param(("sum", dims), id="sum-" + "-".join(map(str, dims))) for dims in DIRECT_SUMS)
+    yield from (pytest.param(("seeded", dim, seed), id=f"seeded-{dim}-{seed}")
+                for dim in range(2, 6) for seed in range(3))
+
+
+def _elimination_rep(case):
+    if case[0] == "own":
+        return build_generators(case[1])
+    return direct_sum(*case[1]) if case[0] == "sum" else _seeded_conjugation(*case[1:])
+
+
+@pytest.mark.parametrize("case", list(_elimination_cases()))
+def test_discovery_matches_the_elimination_oracle(case):
+    # Traces, Newton's identities and the squarefree test against the
+    # fraction-free elimination on the same ladder: the same identity, or
+    # the same refusal, on every direct sum and seeded conjugation.  On the
+    # ladder representations, test_discovery_recovers_coefficients checks
+    # D = 2..60 against build_identity.
+    rep = _elimination_rep(case)
+    assert _discovered(rep, discover_identity) == _discovered(rep, reference.discover_by_elimination)
+
+
+def _discovery_mismatches():
+    """The comparison of test_discovery_matches_the_elimination_oracle on
+    its cases and the ladder representations D = 2..12: {case: (discovered,
+    the oracle's)} where the two differ, a refusal read as its message."""
+    cases = [param.values[0] for param in _elimination_cases()] + [("own", dim) for dim in range(2, 13)]
+    found = {case: (_discovered(rep, charid.discover_identity), _discovered(rep, reference.discover_by_elimination))
+             for case in cases for rep in [_elimination_rep(case)]}
+    return {case: pair for case, pair in found.items() if pair[0] != pair[1]}
+
+
+def _stops_refusing(mismatches):
+    return any(isinstance(want, str) and not isinstance(got, str) for got, want in mismatches.values())
+
+
+# Plausible bugs in discovery and verification, each with the comparison
+# that must catch it and what its mismatches must show: ((owner, function
+# name, a snippet of its source that occurs once, the snippet's
+# replacement), comparison, check).
+_CHARID_MUTANTS = {
+    "squarefree-test-skipped": ((charid, "discover_identity", " or not _is_squarefree(c)", ""),
+                                _discovery_mismatches, _stops_refusing),
+    "odd-zero-root-admitted": ((charid, "discover_identity", "(odd and not c[k]) or ", ""),
+                               _discovery_mismatches, lambda found: ("sum", (3, 1, 1)) in found),
+    "newton-sign-flipped": ((charid, "discover_identity", "c.append(-sum(", "c.append(sum("), _discovery_mismatches,
+                            lambda found: ("no coefficients satisfy the identity pattern", build_identity(2))
+                            in found.values()),
+    "adjoint-sign-flipped": ((charid, "_adjoint_residuals", "(2 * b, rows.get(", "(-2 * b, rows.get("),
+                             lambda: _adjoint_mismatches(((d, REPS[r]) for d in range(2, 6) for r in range(1, 8)),
+                                                         random.Random(21)), bool),
+    "weights-one-term-short": ((charid, "_spherical_weights", "for a in range(1, n):", "for a in range(1, n - 1):"),
+                               lambda: _weight_mismatches(range(13)), bool),
+}
+
+
+def test_charid_comparisons_pass_unmutated():
+    for comparison in {comparison for _, comparison, _ in _CHARID_MUTANTS.values()}:
+        assert not comparison()
+
+
+@pytest.mark.parametrize("mutant", list(_CHARID_MUTANTS))
+def test_charid_comparison_catches_a_mutant(monkeypatch, mutant):
+    patch, comparison, caught = _CHARID_MUTANTS[mutant]
+    mutate(monkeypatch, *patch)
+    assert caught(comparison())
 
 
 def test_discovery_needs_dimension_two():

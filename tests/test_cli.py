@@ -268,6 +268,21 @@ def test_refuses_a_representation_of_minutes_quickly(args, dim):
     assert "Traceback" not in proc.stderr
 
 
+def test_identity_refuses_a_failing_sample_of_minutes_quickly():
+    # sampled:10000000:1 on R = 4 drew every tuple in 2.0 s, and at 10^20
+    # draws it would not end: past 10^8 axes a failing sample is refused
+    # before anything is printed.  The same count on a representation where
+    # the identity holds is never drawn, and passes.
+    big = "99999999999999999999"
+    for fmt in ("json", "latex"):
+        proc = run_cli("identity", "2", "--verify", f"sampled:{big}:1", "--rep-dim", "4", "--format", fmt, timeout=30)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"spinid: identity 2: refused, a failing sample of {big} tuples of 2 indices ")
+        assert "Traceback" not in proc.stderr
+    proc = run_cli("identity", "2", "--verify", f"sampled:{big}:1", "--format", "latex", timeout=30)
+    assert proc.returncode == 0 and proc.stdout.endswith(f"{big} tuples checked, ok\n")
+
+
 def test_representation_bounds_admit_the_bound_itself(monkeypatch, capsys):
     from spinid import cli
 

@@ -1,10 +1,8 @@
-import __future__
 import inspect
 import itertools
 import json
 import random
 import sys
-import textwrap
 import threading
 import time
 import tracemalloc
@@ -17,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as R
+from mutation import mutate
 from reference import lib, ref
 from test_oracles import reference_evaluate
 from test_symalg import letters as sorted_letters
@@ -1008,25 +1007,13 @@ _FOLD_MUTANTS = {
 }
 
 
-def _mutate(monkeypatch, owner, name, snippet, replacement):
-    """Set owner.name to a copy of it whose source has snippet replaced,
-    compiled in the namespace of ``rewrite``."""
-    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
-    assert source.count(snippet) == 1, (name, snippet)
-    namespace = dict(vars(rewrite))
-    code = compile(source.replace(snippet, replacement), rewrite.__file__, "exec",
-                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
-    exec(code, namespace)
-    monkeypatch.setattr(owner, name, namespace[name])
-
-
 def test_fold_comparison_passes_on_fresh_tables():
     assert _fold_mismatches() == []
 
 
 @pytest.mark.parametrize("mutant", list(_FOLD_MUTANTS))
 def test_fold_comparison_catches_a_mutant(monkeypatch, mutant):
-    _mutate(monkeypatch, *_FOLD_MUTANTS[mutant])
+    mutate(monkeypatch, *_FOLD_MUTANTS[mutant])
     assert _fold_mismatches()
 
 
